@@ -12,11 +12,14 @@ Errors print a JSON diagnostic on stderr.
 Monte Carlo work is sharded into fixed 64-sample blocks merged in index
 order, so every output is bit-identical for any --workers value; the seed
 comes from --seed, else the SHEAT_SEED environment variable, else the config.
+One run builds each ensemble table once: under `all`, lyapunov reuses the
+tables that moments built.
 """
 
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -34,6 +37,9 @@ from .config import ExperimentConfig, RunManifest, load_manifest, sha256_file
 from .solver import ConfigError, PathDivergedError, simulate_path, simulate_paths
 
 SHARD_SIZE = 64
+
+MOMENTS_HEADER = ["lambda", "p", "functional", "t", "n", "mean", "ci_half_width",
+                  "log_mean", "log_ci_half_width", "log_mode"]
 
 SUBCOMMANDS = ("kernel", "simulate", "oracle", "moments", "lyapunov",
                "excitation", "thresholds", "grr-check", "verify-bounds", "all")
@@ -88,12 +94,33 @@ def _functional_label(f):
     return f.kind
 
 
+def _lambda_tag(lam):
+    return f"{lam:g}".replace(".", "p").replace("-", "m")
+
+
 class Runner:
     def __init__(self, cfg: ExperimentConfig, out_dir, workers):
         self.cfg = cfg
         self.out = out_dir
         self.workers = workers
+        self._tables = {}
         os.makedirs(out_dir, exist_ok=True)
+
+    def _table(self, man, sim, n_samples, functionals, times):
+        """The merged estimate table of one ensemble, built at most once per
+        runner; None if it diverged, which each asking manifest lists."""
+        key = (sim, n_samples, tuple(functionals), tuple(times))
+        if key not in self._tables:
+            try:
+                self._tables[key] = _ensemble_table(sim, n_samples, functionals,
+                                                    times, self.workers)
+            except PathDivergedError as exc:
+                self._tables[key] = exc
+        table = self._tables[key]
+        if isinstance(table, PathDivergedError):
+            man.failed_cells.append({"lambda": sim.lam, "error": str(table)})
+            return None
+        return table
 
     def _manifest(self, command):
         return RunManifest(command=command, config=self.cfg.snapshot(),
@@ -104,8 +131,7 @@ class Runner:
 
     def cmd_kernel(self):
         man = self._manifest("kernel")
-        spec = kern.KernelSpec(nu=self.cfg.get("equation", "nu"),
-                               tol=self.cfg.get("kernel", "tol"))
+        spec = self.cfg.kernel_spec()
         gamma = self.cfg.get("kernel", "gamma")
         cal = kern.calibrate_lower_bound(spec, gamma)
         dx_rep = kern.kernel_dx_bound_check(
@@ -193,66 +219,54 @@ class Runner:
         man.write(self.out)
 
     def _moment_cells(self, man):
+        """Write one CSV per lambda-cell, skipping cells whose checksum matches
+        the previous manifest; return the cell CSVs present, in grid order."""
         functionals = self.cfg.functionals()
         times = self.cfg.get("observation", "times")
         n_samples = self.cfg.get("ensemble", "n_samples")
-        cells = {}
-        cell_meta = {}
+        config_hash = self.cfg.content_hash()
+        prev = load_manifest(self.out, "moments")
+        recorded = (prev or {}).get("diagnostics", {}).get("cells", {})
+        cell_meta = man.diagnostics["cells"] = {}
+        cell_csvs = []
         for lam in self.cfg.lambda_grid():
-            tag = f"{lam:g}".replace(".", "p").replace("-", "m")
+            tag = _lambda_tag(lam)
             cell_csv = os.path.join(self.out, f"moments_cell_{tag}.csv")
-            prev = load_manifest(self.out, "moments")
-            recorded = (prev or {}).get("diagnostics", {}).get("cells", {})
-            if (os.path.exists(cell_csv)
-                    and recorded.get(tag, {}).get("sha256") == sha256_file(cell_csv)
-                    and recorded.get(tag, {}).get("config_hash")
-                    == self.cfg.content_hash()):
-                cell_meta[tag] = recorded[tag]  # resumption: checksum matches
-                cells[lam] = None
-                continue
-            try:
-                sim = self.cfg.simulation(lam=lam)
-                table = _ensemble_table(sim, n_samples, functionals, times,
-                                        self.workers)
-            except PathDivergedError as exc:
-                man.failed_cells.append({"lambda": lam, "error": str(exc)})
-                continue
-            rows = []
-            for (f, t), est in sorted(table.items(),
-                                      key=lambda kv: (kv[0][1], _functional_label(kv[0][0]),
-                                                      kv[0][0].p)):
-                rows.append((lam, f.p, _functional_label(f), t, est.n,
-                             est.mean if not est.overflowed else math.inf,
-                             est.ci_half_width if (est.n >= 2 and not est.overflowed)
-                             else math.nan,
-                             est.log_mean, est.log_ci_half_width,
-                             int(est.overflowed)))
-            _write_csv(cell_csv, ["lambda", "p", "functional", "t", "n", "mean",
-                                  "ci_half_width", "log_mean", "log_ci_half_width",
-                                  "log_mode"], rows)
-            cell_meta[tag] = {"sha256": sha256_file(cell_csv),
-                              "config_hash": self.cfg.content_hash(),
-                              "lambda": lam}
-            cells[lam] = table
-        man.diagnostics["cells"] = cell_meta
-        return cells, cell_meta
+            meta = recorded.get(tag, {})
+            if not (os.path.exists(cell_csv)
+                    and meta.get("sha256") == sha256_file(cell_csv)
+                    and meta.get("config_hash") == config_hash):
+                table = self._table(man, self.cfg.simulation(lam=lam), n_samples,
+                                    functionals, times)
+                if table is None:
+                    continue
+                rows = []
+                for (f, t), est in sorted(
+                        table.items(),
+                        key=lambda kv: (kv[0][1], _functional_label(kv[0][0]), kv[0][0].p)):
+                    rows.append((lam, f.p, _functional_label(f), t, est.n,
+                                 est.mean if not est.overflowed else math.inf,
+                                 est.ci_half_width if (est.n >= 2 and not est.overflowed)
+                                 else math.nan,
+                                 est.log_mean, est.log_ci_half_width,
+                                 int(est.overflowed)))
+                _write_csv(cell_csv, MOMENTS_HEADER, rows)
+                meta = {"sha256": sha256_file(cell_csv), "config_hash": config_hash,
+                        "lambda": lam}
+            cell_meta[tag] = meta
+            cell_csvs.append(cell_csv)
+        return cell_csvs
 
     def cmd_moments(self):
         man = self._manifest("moments")
-        cells, cell_meta = self._moment_cells(man)
+        cell_csvs = self._moment_cells(man)
         combined = os.path.join(self.out, "moments.csv")
         with open(combined, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "p", "functional", "t", "n", "mean",
-                             "ci_half_width", "log_mean", "log_ci_half_width",
-                             "log_mode"])
-            for lam in self.cfg.lambda_grid():
-                tag = f"{lam:g}".replace(".", "p").replace("-", "m")
-                cell_csv = os.path.join(self.out, f"moments_cell_{tag}.csv")
-                if os.path.exists(cell_csv):
-                    with open(cell_csv, encoding="utf-8") as cf:
-                        next(cf)
-                        fh.write(cf.read())
+            csv.writer(fh).writerow(MOMENTS_HEADER)
+            for cell_csv in cell_csvs:
+                with open(cell_csv, encoding="utf-8") as cf:
+                    next(cf)
+                    fh.write(cf.read())
         man.add_output(combined)
         man.write(self.out)
 
@@ -262,34 +276,33 @@ class Runner:
         times = self.cfg.get("observation", "times")
         n_samples = self.cfg.get("ensemble", "n_samples")
         frac = self.cfg.get("analysis", "fit_window")
+        window = (frac[0] * max(times), frac[1] * max(times))
         reports = []
         plot_rows = []
         for lam in self.cfg.lambda_grid():
-            sim = self.cfg.simulation(lam=lam)
-            table = _ensemble_table(sim, n_samples, functionals, times, self.workers)
-            horizon = max(times)
-            window = (frac[0] * horizon, frac[1] * horizon)
+            table = self._table(man, self.cfg.simulation(lam=lam), n_samples,
+                                functionals, times)
+            if table is None:
+                continue
             for f in functionals:
+                label = _functional_label(f)
                 ests = [table[(f, t)] for t in times]
                 try:
                     fit = ana.lyapunov_exponent(ests, window=window)
                 except ana.AnalysisError as exc:
-                    man.failed_cells.append({"lambda": lam,
-                                             "functional": _functional_label(f),
+                    man.failed_cells.append({"lambda": lam, "functional": label,
                                              "error": str(exc)})
                     continue
                 reports.append({
-                    "lambda": lam, "p": f.p, "functional": _functional_label(f),
+                    "lambda": lam, "p": f.p, "functional": label,
                     "slope": fit.slope, "slope_ci": fit.slope_ci,
                     "intercept": fit.intercept, "r_squared": fit.r_squared,
                     "window": fit.window, "n_dropped": fit.n_dropped,
                     "significantly_negative": fit.significantly_negative,
                     "significantly_positive": fit.significantly_positive,
                 })
-                for t in times:
-                    est = table[(f, t)]
-                    plot_rows.append((lam, f.p, _functional_label(f), t,
-                                      est.log_mean, est.log_ci_half_width))
+                plot_rows += [(lam, f.p, label, t, est.log_mean, est.log_ci_half_width)
+                              for t, est in zip(times, ests)]
         out = _write_json(os.path.join(self.out, "lyapunov.json"),
                           {"fits": reports})
         man.add_output(out)
@@ -303,12 +316,8 @@ class Runner:
         man = self._manifest("excitation")
         lams = self.cfg.get("analysis", "lambda_grid")
         t_star = self.cfg.get("analysis", "excitation_time")
-        points = []
-        for lam in lams:
-            ocfg = self.cfg.oracle(lam=lam, horizon=t_star,
-                                   n_time_panels=self.cfg.get("oracle",
-                                                              "n_time_panels"))
-            points.append(ora.energy_at(ocfg, t_star))
+        points = [ora.energy_at(self.cfg.oracle(lam=lam, horizon=t_star), t_star)
+                  for lam in lams]
         fit = ana.excitation_index(lams, [p.log_energy for p in points], p=2.0)
         payload = {
             "t": t_star,
@@ -343,16 +352,14 @@ class Runner:
         log_es, log_cis = [], []
         for lam in lams:
             base = self.cfg.simulation(lam=lam)
-            sim = type(base)(grid=type(base.grid)(
-                n_interior=base.grid.n_interior, dt=base.grid.dt, horizon=t_star),
-                lam=float(lam), sigma=base.sigma, u0=base.u0, nu=base.nu,
-                boundary=base.boundary, scheme=base.scheme,
-                master_seed=base.master_seed, observation_times=(t_star,))
-            table = _ensemble_table(sim, n_samples, [f], (t_star,), self.workers)
-            est = table[(f, t_star)]
-            energy = st.p_energy(est)
-            log_es.append(energy.log_value)
-            log_cis.append(energy.log_ci_half_width)
+            sim = dataclasses.replace(
+                base, grid=dataclasses.replace(base.grid, horizon=t_star),
+                observation_times=(t_star,))
+            table = self._table(man, sim, n_samples, [f], (t_star,))
+            # a diverged lambda enters as nan, which the fit drops
+            energy = None if table is None else st.p_energy(table[(f, t_star)])
+            log_es.append(energy.log_value if energy else math.nan)
+            log_cis.append(energy.log_ci_half_width if energy else math.nan)
         fit = ana.excitation_index(lams, log_es, log_cis=log_cis, p=p_mc)
         return {"p": p_mc, "n_samples": n_samples,
                 "e_p_hat": fit.e_p_hat, "slope_ci": fit.index.slope_ci,
@@ -439,8 +446,7 @@ class Runner:
 
     def cmd_verify_bounds(self):
         man = self._manifest("verify-bounds")
-        spec = kern.KernelSpec(nu=self.cfg.get("equation", "nu"),
-                               tol=self.cfg.get("kernel", "tol"))
+        spec = self.cfg.kernel_spec()
         alpha = self.cfg.get("bounds", "alpha")
         neg = ana.verify_negative_beta(spec, alpha, self.cfg.get("bounds", "betas"))
         thr = ana.verify_threshold_beta(spec, alpha, self.cfg.get("bounds", "margins"))
@@ -472,8 +478,7 @@ class Runner:
             raise VerificationError("bound constant did not stabilize under refinement")
 
     def cmd_all(self):
-        for name in ("kernel", "simulate", "oracle", "moments", "lyapunov",
-                     "excitation", "thresholds", "grr-check", "verify-bounds"):
+        for name in SUBCOMMANDS[:-1]:
             self.dispatch(name)
 
     def dispatch(self, name):
@@ -504,16 +509,8 @@ def main(argv=None):
     if seed is None and os.environ.get("SHEAT_SEED"):
         seed = int(os.environ["SHEAT_SEED"])
     try:
-        if args.config:
-            cfg = ExperimentConfig.from_file(args.config, overrides=args.override,
-                                             seed=seed)
-        else:
-            cfg = ExperimentConfig.defaults()
-            for item in args.override:
-                cfg._apply_override(item)
-            if seed is not None:
-                cfg.raw["ensemble"]["master_seed"] = str(seed)
-            cfg.validate()
+        cfg = (ExperimentConfig.from_file(args.config, args.override, seed)
+               if args.config else ExperimentConfig.defaults().resolve(args.override, seed))
         out_dir = args.out or cfg.get("output", "directory")
         Runner(cfg, out_dir, max(args.workers, 1)).dispatch(args.subcommand)
         return 0

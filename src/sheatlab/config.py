@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
+from .kernel import KernelSpec
 from .noise import GridSpec
 from .solver import InitialData, SigmaSpec, SimulationConfig, ConfigError
 from .oracle import OracleConfig
@@ -123,38 +124,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides=(), seed=None):
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
-        raw = {s: dict(_DEFAULTS.get(s, {})) for s in _SCHEMA}
+        cfg = cls.defaults()
         for section in parser.sections():
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
-                raw[section][key] = value
-        cfg = cls(raw=raw)
-        for item in overrides:
-            cfg._apply_override(item)
-        if seed is not None:
-            cfg.raw["ensemble"]["master_seed"] = str(int(seed))
-        cfg.validate()
-        return cfg
+                cfg.raw[section][key] = value
+        return cfg.resolve(overrides, seed)
 
     @classmethod
     def defaults(cls):
         return cls(raw={s: dict(_DEFAULTS.get(s, {})) for s in _SCHEMA})
 
-    def _apply_override(self, item):
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must look like section.key=value: {item!r}")
-        addr, value = item.split("=", 1)
-        section, key = addr.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown override target {addr}")
-        self.raw[section][key] = value
+    def resolve(self, overrides=(), seed=None):
+        """Apply ``section.key=value`` overrides, then the seed; validate."""
+        for item in overrides:
+            if "=" not in item or "." not in item.split("=", 1)[0]:
+                raise ConfigError(f"override must look like section.key=value: {item!r}")
+            addr, value = item.split("=", 1)
+            section, key = addr.split(".", 1)
+            if section not in _SCHEMA or key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown override target {addr}")
+            self.raw[section][key] = value
+        if seed is not None:
+            self.raw["ensemble"]["master_seed"] = str(int(seed))
+        return self.validate()
 
     def validate(self):
         for section, entries in self.raw.items():
@@ -197,6 +196,9 @@ class ExperimentConfig:
             return InitialData.table(self.get("initial", "values"))
         raise ConfigError(f"unknown initial data kind {kind!r}")
 
+    def kernel_spec(self) -> KernelSpec:
+        return KernelSpec(nu=self.get("equation", "nu"), tol=self.get("kernel", "tol"))
+
     def grid(self) -> GridSpec:
         return GridSpec(n_interior=self.get("grid", "n_interior"),
                         dt=self.get("grid", "dt"),
@@ -215,7 +217,7 @@ class ExperimentConfig:
             observation_times=self.get("observation", "times"),
         )
 
-    def oracle(self, lam=None, horizon=None, n_time_panels=None) -> OracleConfig:
+    def oracle(self, lam=None, horizon=None) -> OracleConfig:
         return OracleConfig(
             lam=self.get("equation", "lambda") if lam is None else float(lam),
             k_sigma=self.sigma().lower_constant,
@@ -223,8 +225,7 @@ class ExperimentConfig:
             boundary=self.get("equation", "boundary"),
             u0=self.initial_data(),
             horizon=self.get("grid", "horizon") if horizon is None else horizon,
-            n_time_panels=(self.get("oracle", "n_time_panels")
-                           if n_time_panels is None else n_time_panels),
+            n_time_panels=self.get("oracle", "n_time_panels"),
             n_x=self.get("oracle", "n_x"),
         )
 

@@ -111,7 +111,9 @@ def test_criterion_3_oracle_vs_monte_carlo():
               f"(need >= 90%); " + "; ".join(lines))
     if not ok:
         detail += ("; lam=5 row is tail-dominated: E[u^2] ~ exp((lam k)^4 t/(8 nu)) "
-                   "sits orders beyond what 1e4 samples can register (see ledger)")
+                   "sits orders beyond what 1e4 samples can register (the scheme's own "
+                   "bias: ROADMAP.md item 2's table; the sampling shortfall: "
+                   "bench/README.md, Output checks)")
     _report(3, ok, detail)
 
 
@@ -177,7 +179,8 @@ def test_criterion_6_excitation_index():
                      f"(measured log E4 = "
                      + ", ".join(f"{v:.1f}" for v in log_es)
                      + " at lam = 8..64: small-lam energies sit below 1, "
-                       "tail-dominated; see ledger)")
+                       "tail-dominated; see ROADMAP.md item 2 and bench/README.md, "
+                       "Output checks)")
     ok = oracle_ok and mc_ok
     _report(6, ok,
             f"oracle e2_hat = {fit2.e_p_hat:.4f} in [3.3, 4.5]: {oracle_ok}, "

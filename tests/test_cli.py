@@ -1,5 +1,6 @@
 """CLI tests: config schema, manifests, determinism, resumption, exit codes."""
 
+import glob
 import json
 import math
 import os
@@ -10,6 +11,8 @@ import pytest
 from sheatlab import cli
 from sheatlab.config import ExperimentConfig, load_manifest, sha256_file
 from sheatlab.solver import ConfigError
+
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
 
 BASE = """
 [equation]
@@ -142,7 +145,8 @@ class TestCliRuns:
         man2 = load_manifest(str(tmp_path / "flag"), "moments")
         assert man2["master_seed"] == 2222
 
-    def test_partial_failure_lists_cell(self, tmp_path):
+    @pytest.mark.parametrize("command", ["moments", "lyapunov"])
+    def test_partial_failure_lists_cell(self, tmp_path, command):
         # nonlinear sigma cannot renormalize: the absurd-lambda cell diverges
         # and is listed in the manifest while the sane cell persists
         body = """
@@ -162,15 +166,41 @@ n_samples = 8
 master_seed = 777
 
 [observation]
-times = 0.3
+times = 0.15, 0.2, 0.3
 functionals = sup
 """
         cfg = write_cfg(tmp_path, body=body)
-        assert cli.main(["moments", "--config", cfg]) == 0
-        man = load_manifest(str(tmp_path / "out"), "moments")
+        assert cli.main([command, "--config", cfg]) == 0
+        man = load_manifest(str(tmp_path / "out"), command)
         assert len(man["failed_cells"]) == 1
         assert man["failed_cells"][0]["lambda"] == 100000
-        assert os.path.exists(tmp_path / "out" / "moments_cell_0p5.csv")
+        if command == "moments":
+            assert os.path.exists(tmp_path / "out" / "moments_cell_0p5.csv")
+        else:
+            fits = json.loads((tmp_path / "out" / "lyapunov.json").read_text())["fits"]
+            assert [f["lambda"] for f in fits] == [0.5]
+
+    def test_runner_builds_each_table_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli._ensemble_table
+
+        def counting(*args):
+            calls.append(args[0].lam)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "_ensemble_table", counting)
+        cfg = ExperimentConfig.from_file(
+            write_cfg(tmp_path), overrides=["equation.lambda_grid=0.5, 1",
+                                            "observation.times=0.1, 0.15, 0.2"])
+        shared = cli.Runner(cfg, str(tmp_path / "shared"), 1)
+        shared.dispatch("moments")
+        shared.dispatch("lyapunov")
+        assert calls == [0.5, 1.0]
+        cli.Runner(cfg, str(tmp_path / "alone"), 1).dispatch("lyapunov")
+        assert load_manifest(str(tmp_path / "alone"), "lyapunov")["failed_cells"] == []
+        for name in ("lyapunov.json", "lyapunov_series.csv"):
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / "alone" / name).read_bytes())
 
     def test_thresholds_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -182,6 +212,21 @@ functionals = sup
         payload = json.loads((tmp_path / "out" / "thresholds.json").read_text())
         assert payload["lambda_l_hat"] == 0.5
         assert payload["lambda_u_hat"] == 8.0
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(DEMOS, "*.cfg"))),
+                             ids=os.path.basename)
+    def test_loads_and_simulates(self, tmp_path, path):
+        ExperimentConfig.from_file(path)
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "path.csv").exists()
+
+    def test_demo_lyapunov_fits_every_cell(self, tmp_path):
+        path = os.path.join(DEMOS, "experiment.cfg")
+        assert cli.main(["lyapunov", "--config", path, "--out", str(tmp_path),
+                         "--override", "ensemble.n_samples=64"]) == 0
+        assert load_manifest(str(tmp_path), "lyapunov")["failed_cells"] == []
 
 
 class TestExitCodes:
