@@ -22,7 +22,7 @@ checked on it directly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,12 +200,16 @@ def excitation_index(lams, log_energies, log_cis=None, p=2.0) -> ExcitationFit:
 
 @dataclass(frozen=True)
 class ThresholdScan:
-    """Empirical stability/growth bracket over a lambda grid."""
+    """Empirical stability/growth bracket over a lambda grid; an oracle scan
+    flags each fit whose predicted_rate * dt exceeds oracle.RESOLVED_RATE_DT
+    (the fit still counts toward the bracket)."""
 
     lams: tuple
     fits: tuple
     lambda_l_hat: float | None
     lambda_u_hat: float | None
+    rate_dt: tuple = ()
+    resolved: tuple = ()
 
 
 def classify_thresholds(lams, fits) -> ThresholdScan:
@@ -238,7 +242,10 @@ def oracle_threshold_scan(lams, u0, horizon, gamma=0.2, nu=0.5, k_sigma=1.0,
         lo = env.t[0] + window_fraction[0] * (env.t[-1] - env.t[0])
         hi = env.t[0] + window_fraction[1] * (env.t[-1] - env.t[0])
         fits.append(lyapunov_exponent_series(env.t, env.log_h, window=(lo, hi)))
-    return classify_thresholds(list(lams), fits)
+    rate_dt = tuple(ora.predicted_rate(float(lam), k_sigma, nu) * horizon / n_time_panels
+                    for lam in lams)
+    return replace(classify_thresholds(list(lams), fits), rate_dt=rate_dt,
+                   resolved=tuple(r <= ora.RESOLVED_RATE_DT for r in rate_dt))
 
 
 # --- weighted kernel integrals behind the quadrature-bound lemmas ---------

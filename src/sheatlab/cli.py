@@ -72,8 +72,7 @@ def _write_json(path, payload):
 
 def _moment_shard(args):
     sim_cfg, samples, functionals, times = args
-    paths = simulate_paths(sim_cfg, samples)
-    return st.ensemble_estimates(paths, functionals, times)
+    return st.ensemble_estimates(simulate_paths(sim_cfg, samples), functionals, times)
 
 
 def _ensemble_table(sim_cfg, n_samples, functionals, times, workers):
@@ -179,11 +178,8 @@ class Runner:
         sim = self.cfg.simulation()
         path = simulate_path(sim, 0)
         rows = []
-        for t in path.times:
-            logabs = path.log_abs_at(t)
-            field = path.values[path._index(t)]
-            scale = path.log_scale[path._index(t)]
-            for x, v, lv in zip(sim.grid.x, field, logabs):
+        for t, field, scale in zip(path.times, path.values, path.log_scale):
+            for x, v, lv in zip(sim.grid.x, field, path.log_abs_at(t)):
                 rows.append((float(t), float(x),
                              float(v * math.exp(scale)) if scale < 700 else math.inf,
                              float(lv)))
@@ -264,7 +260,7 @@ class Runner:
         with open(combined, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(MOMENTS_HEADER)
             for cell_csv in cell_csvs:
-                with open(cell_csv, encoding="utf-8") as cf:
+                with open(cell_csv, newline="", encoding="utf-8") as cf:
                     next(cf)
                     fh.write(cf.read())
         man.add_output(combined)
@@ -385,8 +381,10 @@ class Runner:
             "lambda_u_hat": scan.lambda_u_hat,
             "fits": [{"lambda": lam, "slope": f.slope, "slope_ci": f.slope_ci,
                       "significantly_negative": f.significantly_negative,
-                      "significantly_positive": f.significantly_positive}
-                     for lam, f in zip(scan.lams, scan.fits)],
+                      "significantly_positive": f.significantly_positive,
+                      "rate_dt": rate_dt, "resolved": resolved}
+                     for lam, f, rate_dt, resolved
+                     in zip(scan.lams, scan.fits, scan.rate_dt, scan.resolved)],
         }
         out = _write_json(os.path.join(self.out, "thresholds.json"), payload)
         man.add_output(out)

@@ -9,8 +9,8 @@ bit-identical across runs, worker counts, and batch layouts; distinct samples
 occupy disjoint counter blocks and are independent.
 
 Spectral mode increments are the orthonormal sine transform of the same cell
-increments, so finite-difference and spectral solvers can share one noise
-realization.
+increments (sine_transform(dW) / sqrt(dx)), so finite-difference and spectral
+solvers share one noise realization.
 """
 
 import math
@@ -114,17 +114,3 @@ def sine_transform(values, axis=-1):
     """Orthonormal DST-I; its own inverse. Basis rows are sin(m pi x_j)."""
     return scipy.fft.dst(values, type=1, norm="ortho", axis=axis)
 
-
-def spectral_increments(stream: NoiseStream, step_index: int, n_modes: int):
-    """Mode increments <dW, sqrt(2) sin(n pi .)>, independent Normal(0, dt).
-
-    Derived from sample_increments through the orthonormal sine transform so
-    both solvers can share a stream; n_modes <= n_interior.
-    """
-    if n_modes < 1:
-        raise NoiseDomainError("n_modes must be >= 1")
-    if n_modes > stream.grid.n_interior:
-        raise NoiseDomainError("n_modes cannot exceed n_interior")
-    dw = sample_increments(stream, step_index)
-    modes = sine_transform(dw) / math.sqrt(stream.grid.dx)
-    return modes[:n_modes]

@@ -39,6 +39,10 @@ from .solver import InitialData, project_initial
 _D1_MODES = 256
 _D1_QUAD_PANELS = 96
 
+# Largest predicted_rate * dt that a time grid resolves: energy_at
+# extrapolates beyond it, and threshold scans flag fits beyond it.
+RESOLVED_RATE_DT = 0.05
+
 
 class OracleDomainError(ValueError):
     """Invalid oracle configuration or evaluation request."""
@@ -421,7 +425,7 @@ def energy_at(cfg: OracleConfig, t_target, n_time_panels=None,
     """
     n_t = n_time_panels or cfg.n_time_panels
     r_pred = predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
-    resolvable = r_pred * (t_target / n_t) <= 0.05
+    resolvable = r_pred * (t_target / n_t) <= RESOLVED_RATE_DT
     horizon = t_target if resolvable else min(t_target, rate_budget / r_pred)
     sub = replace(cfg, horizon=horizon, n_time_panels=n_t)
     mf = second_moment_volterra(sub, error_estimate=True)

@@ -11,12 +11,14 @@ Two independent schemes:
   with sigma evaluated in physical space through the orthonormal DST
   round trip and noise shared with the finite-difference scheme.
 
-Paths store snapshots at configured observation times only. Large noise
-intensities drive |u| past float range; for linear sigma the step map is
-homogeneous in u, so paths carry an exact per-sample log scale offset
-(values * exp(log_scale) is the physical field). Non-finite states abort
-the path with the offending step reported; clamping would silently distort
-genuine moment blow-up.
+A batch of samples is stepped as one array and returned as one Ensemble:
+snapshots at the configured observation times only, values of shape
+(k, n_obs, n) filled in place at each observation step. ens[i] is sample i
+as a SolutionPath view (no copy). Large noise intensities drive |u| past
+float range; for linear sigma the step map is homogeneous in u, so each
+sample carries an exact log scale offset (values * exp(log_scale) is the
+physical field). Non-finite states abort the batch with the offending step
+and sample reported; clamping would silently distort genuine moment blow-up.
 """
 
 import math
@@ -196,13 +198,43 @@ class SimulationConfig:
         return steps
 
 
-@dataclass
-class SolutionPath:
-    """Snapshots of one realized trajectory at the observation times.
+class _Observed:
+    """Time lookup shared by Ensemble and its SolutionPath views."""
 
-    Physical field at row i is values[i] * exp(log_scale[i]); log_scale is
-    nonzero only when renormalization fired (linear sigma, large lambda).
-    """
+    def time_index(self, t):
+        """Row of observation time t (matched to within half a step)."""
+        hits = np.nonzero(np.isclose(self.times, t, rtol=0, atol=self.config.grid.dt / 2))[0]
+        if hits.size == 0:
+            raise ConfigError(f"time {t:g} not among observation times")
+        return int(hits[0])
+
+
+@dataclass
+class Ensemble(_Observed):
+    """Snapshots of a batch of trajectories at the observation times: values
+    (k, n_obs, n) and log_scale (k, n_obs), with physical field values[i, j]
+    * exp(log_scale[i, j]); log_scale is nonzero only where renormalization
+    fired. ens[i] is sample i as a SolutionPath view."""
+
+    config: SimulationConfig
+    samples: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+    log_scale: np.ndarray
+
+    def __len__(self):
+        return len(self.samples)
+
+    def __getitem__(self, i):
+        return SolutionPath(config=self.config, sample_index=int(self.samples[i]),
+                            times=self.times, values=self.values[i],
+                            log_scale=self.log_scale[i])
+
+
+@dataclass
+class SolutionPath(_Observed):
+    """One sample of an Ensemble (array views, no copy); the physical field
+    at row i is values[i] * exp(log_scale[i])."""
 
     config: SimulationConfig
     sample_index: int
@@ -211,20 +243,14 @@ class SolutionPath:
     log_scale: np.ndarray
 
     def field_at(self, t):
-        i = self._index(t)
+        i = self.time_index(t)
         return self.values[i] * math.exp(self.log_scale[i])
 
     def log_abs_at(self, t):
         """log |u| per node, safe at any scale; -inf where u = 0."""
-        i = self._index(t)
+        i = self.time_index(t)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.values[i])) + self.log_scale[i]
-
-    def _index(self, t):
-        hits = np.nonzero(np.isclose(self.times, t, rtol=0, atol=self.config.grid.dt / 2))[0]
-        if hits.size == 0:
-            raise ConfigError(f"time {t:g} not among observation times")
-        return int(hits[0])
 
 
 def _dirichlet_second_difference(n, dx):
@@ -317,8 +343,8 @@ def _to_physical(coeffs, dx):
     return sine_transform(coeffs, axis=0) / math.sqrt(dx)
 
 
-def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256):
-    """Simulate a batch of paths; returns one SolutionPath per sample index.
+def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> Ensemble:
+    """Simulate a batch of paths; returns one Ensemble in sample order.
 
     Pure function of (cfg, sample_index): results are bit-identical however
     samples are grouped into batches or distributed over workers. Diverging
@@ -326,14 +352,16 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256):
     rescaled in place (exact homogeneity) and the log offset accumulated.
     """
     samples = list(sample_indices)
-    if not samples:
-        return []
     grid = cfg.grid
     n, k = grid.n_interior, len(samples)
     obs_steps = cfg.observation_steps()
-    obs_set = set(obs_steps)
     if not obs_steps:
         raise ConfigError("no observation times configured")
+    obs_row = {step: j for j, step in enumerate(obs_steps)}
+    ens = Ensemble(config=cfg, samples=np.array(samples, dtype=np.int64),
+                   times=np.array(obs_steps) * grid.dt,
+                   values=np.empty((k, len(obs_steps), n)),
+                   log_scale=np.empty((k, len(obs_steps))))
 
     u0 = project_initial(cfg.u0, grid)
     spectral = cfg.scheme == "spectral"
@@ -349,27 +377,26 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256):
     gens = [st._generator() for st in streams]
     can_renorm = cfg.sigma.is_homogeneous
 
-    snap_vals = {}
-    snap_offsets = {}
-
     def record(step):
-        phys = _to_physical(state, grid.dx) if spectral else state
-        snap_vals[step] = phys.T.copy()
-        snap_offsets[step] = log_offset.copy()
+        j = obs_row[step]
+        ens.values[:, j, :] = (_to_physical(state, grid.dx) if spectral else state).T
+        ens.log_scale[:, j] = log_offset
 
-    if 0 in obs_set:
+    if 0 in obs_row:
         record(0)
 
     last_step = max(obs_steps)
     scale = cfg.lam / grid.dx
+    # one noise buffer for every chunk: a fresh block per chunk kept two
+    # blocks alive at once, and where the allocator placed them set the peak RSS
+    noise = np.empty((min(chunk_steps, last_step), n, k))
     step = 0
     while step < last_step:
         block_len = min(chunk_steps, last_step - step)
         if cfg.lam != 0.0:
-            noise = np.empty((block_len, n, k))
             for i, st in enumerate(streams):
                 blk, gens[i] = sample_block(st, block_len, generator=gens[i])
-                noise[:, :, i] = blk
+                noise[:block_len, :, i] = blk
         for local in range(block_len):
             # overflow to inf is legitimate here: the periodic check below
             # converts it into a PathDivergedError with the step reported
@@ -390,7 +417,7 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256):
                     state = cho_solve_banded((factor, False), rhs,
                                              check_finite=False)
             step += 1
-            if step % _RENORM_CHECK_EVERY == 0 or step in obs_set:
+            if step % _RENORM_CHECK_EVERY == 0 or step in obs_row:
                 peak = np.max(np.abs(state), axis=0)
                 bad = ~np.isfinite(peak)
                 if np.any(bad):
@@ -400,18 +427,9 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256):
                     if np.any(hot):
                         state[:, hot] /= peak[hot]
                         log_offset[hot] += np.log(peak[hot])
-            if step in obs_set:
+            if step in obs_row:
                 record(step)
-
-    dt = grid.dt
-    paths = []
-    for i, s in enumerate(samples):
-        times = np.array([st * dt for st in obs_steps])
-        vals = np.stack([snap_vals[st][i] for st in obs_steps])
-        offs = np.array([snap_offsets[st][i] for st in obs_steps])
-        paths.append(SolutionPath(config=cfg, sample_index=s, times=times,
-                                  values=vals, log_scale=offs))
-    return paths
+    return ens
 
 
 def simulate_path(cfg: SimulationConfig, sample_index) -> SolutionPath:

@@ -1,25 +1,28 @@
-"""Order-independent streaming statistics for path functionals.
+"""Order-independent streaming statistics for ensemble functionals.
 
 A MomentEstimate accumulates |u(t,x*)|^p (nearest node), the discrete sup
 norm max_j |u(t,x_j)|^p, or the L^p mass dx * sum_j |u(t,x_j)|^p over an
-ensemble. Updates are one-pass Welford; merging uses the pairwise update, so
-workers can accumulate privately and combine at barriers in any tree shape
-(results agree to roundoff, about 1e-12 relative).
+ensemble. A Functional gives the log values of a whole solver Ensemble at
+one time; their batch moments enter the estimate through the pairwise
+update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242), the same merge
+that combines shards, so workers can accumulate privately and combine at
+barriers in any tree shape (results agree to roundoff, about 1e-12 relative).
 
-Every sample also feeds log-domain accumulators (running logsumexp of the
-values and their squares). When any sample exceeds the float comfort zone
-the linear mean is meaningless and the estimate flips to log mode: it then
+Every sample also feeds log-domain accumulators (logsumexp of the values
+and their squares). When any sample exceeds the float comfort zone the
+linear mean is meaningless and the estimate flips to log mode: it then
 reports log_mean with a delta-method confidence interval on the log scale.
 This is how ensembles at large noise intensity stay finite, paired with the
-solver's per-path log rescaling.
+solver's per-sample log rescaling.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .solver import SolutionPath
+from .solver import ConfigError, Ensemble
 
 _LINEAR_LIMIT_LOG = math.log(1e300)
 
@@ -60,21 +63,21 @@ class Functional:
     def lp(cls, p=2.0):
         return cls(kind=LPNORM, p=float(p))
 
-    def log_value(self, path: SolutionPath, t):
-        """log of the functional value on one path, safe at any scale."""
-        logabs = path.log_abs_at(t)
-        p = self.p
-        if self.kind == POINTWISE:
-            j = int(np.argmin(np.abs(path.config.grid.x - self.x)))
-            return p * float(logabs[j])
-        if self.kind == SUPNORM:
-            return p * float(np.max(logabs))
-        finite = logabs[np.isfinite(logabs)]
-        if finite.size == 0:
-            return -math.inf
-        m = float(np.max(finite))
-        return math.log(path.config.grid.dx) + p * m \
-            + math.log(float(np.sum(np.exp(p * (finite - m)))))
+    def log_values(self, ens: Ensemble, t):
+        """log of the functional value on every sample, shape (k,); safe at
+        any scale, -inf where the value is zero."""
+        try:
+            i = ens.time_index(t)
+        except ConfigError as exc:
+            raise StatsDomainError(str(exc)) from exc
+        with np.errstate(divide="ignore"):
+            logabs = np.log(np.abs(ens.values[:, i, :])) + ens.log_scale[:, i, None]
+            if self.kind == POINTWISE:
+                j = int(np.argmin(np.abs(ens.config.grid.x - self.x)))
+                return self.p * logabs[:, j]
+            if self.kind == SUPNORM:
+                return self.p * np.max(logabs, axis=1)
+            return math.log(ens.config.grid.dx) + logsumexp(self.p * logabs, axis=1)
 
 
 @dataclass
@@ -91,25 +94,26 @@ class MomentEstimate:
     log_max: float = -math.inf
     overflowed: bool = False
 
-    def add_log_value(self, logv):
-        """Insert one sample given as log(value); value must be >= 0."""
-        self.n += 1
-        self.log_sum = np.logaddexp(self.log_sum, logv)
-        self.log_sum_sq = np.logaddexp(self.log_sum_sq, 2.0 * logv)
-        self.log_max = max(self.log_max, logv)
-        if logv > _LINEAR_LIMIT_LOG:
-            self.overflowed = True
-        if not self.overflowed:
-            v = math.exp(logv)
-            delta = v - self.mean
-            self.mean += delta / self.n
-            self.m2 += delta * (v - self.mean)
+    def add_log_values(self, logv):
+        """Insert a batch of samples given as log(value); values must be >= 0."""
+        logv = np.asarray(logv, dtype=float)
+        batch = MomentEstimate(
+            functional=self.functional, t=self.t, n=logv.size,
+            log_sum=float(logsumexp(logv)), log_sum_sq=float(logsumexp(2.0 * logv)),
+            log_max=float(np.max(logv)),
+            overflowed=bool(np.any(logv > _LINEAR_LIMIT_LOG)))
+        if not batch.overflowed:
+            v = np.exp(logv)
+            batch.mean = float(np.mean(v))
+            with np.errstate(over="ignore"):     # values past 1e154: m2 is inf
+                batch.m2 = float(np.sum((v - batch.mean) ** 2))
+        vars(self).update(vars(merge(self, batch)))
         return self
 
     def add_value(self, value):
         if value < 0:
             raise StatsDomainError("functional values are nonnegative")
-        return self.add_log_value(math.log(value) if value > 0 else -math.inf)
+        return self.add_log_values([math.log(value) if value > 0 else -math.inf])
 
     @property
     def variance(self):
@@ -146,23 +150,14 @@ class MomentEstimate:
         return 1.96 * math.exp(log_se - self.log_mean)
 
 
-def accumulate(est: MomentEstimate, path: SolutionPath) -> MomentEstimate:
-    """Fold one path's functional value into the running estimate."""
-    try:
-        logv = est.functional.log_value(path, est.t)
-    except Exception as exc:
-        raise StatsDomainError(str(exc)) from exc
-    return est.add_log_value(logv)
-
-
 def merge(a: MomentEstimate, b: MomentEstimate) -> MomentEstimate:
     """Pairwise-combine two estimates; associative and commutative to roundoff."""
     if a.functional != b.functional or a.t != b.t:
         raise StatsDomainError("cannot merge estimates of different functionals")
     if a.n == 0:
-        return _copy(b)
+        return replace(b)
     if b.n == 0:
-        return _copy(a)
+        return replace(a)
     n = a.n + b.n
     out = MomentEstimate(functional=a.functional, t=a.t, n=n)
     out.overflowed = a.overflowed or b.overflowed
@@ -173,12 +168,6 @@ def merge(a: MomentEstimate, b: MomentEstimate) -> MomentEstimate:
     out.log_sum_sq = float(np.logaddexp(a.log_sum_sq, b.log_sum_sq))
     out.log_max = max(a.log_max, b.log_max)
     return out
-
-
-def _copy(e: MomentEstimate) -> MomentEstimate:
-    return MomentEstimate(functional=e.functional, t=e.t, n=e.n, mean=e.mean,
-                          m2=e.m2, log_sum=e.log_sum, log_sum_sq=e.log_sum_sq,
-                          log_max=e.log_max, overflowed=e.overflowed)
 
 
 @dataclass(frozen=True)
@@ -217,18 +206,14 @@ def p_energy(est: MomentEstimate) -> EnergyValue:
                        overflowed=est.overflowed)
 
 
-def ensemble_estimates(paths, functionals, times):
-    """Accumulate a table of estimates over an iterable of paths.
+def ensemble_estimates(paths: Ensemble, functionals, times):
+    """Estimate every (functional, time) pair over one Ensemble.
 
     Returns {(functional, t): MomentEstimate}. Order-independent up to
     roundoff by the merge contract; used by the sweep driver per shard.
     """
-    table = {(f, t): MomentEstimate(functional=f, t=t)
-             for f in functionals for t in times}
-    for path in paths:
-        for (f, t), est in table.items():
-            accumulate(est, path)
-    return table
+    return {(f, t): MomentEstimate(functional=f, t=t).add_log_values(f.log_values(paths, t))
+            for f in functionals for t in times}
 
 
 def merge_tables(tables):
@@ -236,7 +221,7 @@ def merge_tables(tables):
     out = None
     for tab in tables:
         if out is None:
-            out = {k: _copy(v) for k, v in tab.items()}
+            out = {k: replace(v) for k, v in tab.items()}
         else:
             out = {k: merge(out[k], tab[k]) for k in out}
     return out

@@ -33,9 +33,9 @@ def _report(num, ok, detail):
 def _mc_table(cfg, n_samples, functionals, times):
     table = {(f, t): ST.MomentEstimate(f, t) for f in functionals for t in times}
     for lo in range(0, n_samples, 64):
-        for p in S.simulate_paths(cfg, range(lo, min(lo + 64, n_samples))):
-            for est in table.values():
-                ST.accumulate(est, p)
+        ens = S.simulate_paths(cfg, range(lo, min(lo + 64, n_samples)))
+        for (f, t), est in table.items():
+            est.add_log_values(f.log_values(ens, t))
     return table
 
 
@@ -299,14 +299,14 @@ directory = {tmp_path}/out
                              u0=S.InitialData.bump(0.2), observation_times=(0.1,))
     paths = S.simulate_paths(sim, range(256))
     f = ST.Functional.lp(2.0)
+    logv = f.log_values(paths, 0.1)
     ref = None
     shard_ok = True
     for n_shards in (1, 8, 64):
         tables = []
         for chunk in np.array_split(np.arange(256), n_shards):
             e = ST.MomentEstimate(f, 0.1)
-            for i in chunk:
-                ST.accumulate(e, paths[i])
+            e.add_log_values(logv[chunk])
             tables.append({(f, 0.1): e})
         merged = ST.merge_tables(tables)[(f, 0.1)]
         if ref is None:

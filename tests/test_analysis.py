@@ -124,6 +124,11 @@ class TestThresholds:
         assert scan.fits[1].significantly_positive
         assert scan.lambda_l_hat == 0.5
         assert scan.lambda_u_hat == 8.0
+        # lambda = 8 grows at 8^4/4 = 1024 per unit time: rate * dt = 2.56 is
+        # flagged as unresolved, but the fit still brackets the threshold
+        dt = 1.5 / 600
+        assert scan.rate_dt == pytest.approx((0.5 ** 4 / 4 * dt, 1024 * dt), rel=1e-12)
+        assert scan.resolved == (True, False)
 
     def test_small_lambda_slope_is_deterministic_decay(self):
         scan = A.oracle_threshold_scan([0.1], u0=InitialData.sine(1),

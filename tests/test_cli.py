@@ -4,15 +4,18 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sheatlab import cli
+from sheatlab import cli, solver
 from sheatlab.config import ExperimentConfig, load_manifest, sha256_file
 from sheatlab.solver import ConfigError
 
-DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+DEMOS = os.path.join(ROOT, "demos")
 
 BASE = """
 [equation]
@@ -99,12 +102,27 @@ class TestCliRuns:
 
     def test_manifest_checksums(self, tmp_path):
         cfg = write_cfg(tmp_path)
-        assert cli.main(["moments", "--config", cfg]) == 0
+        assert cli.main(["moments", "--config", cfg,
+                         "--override", "equation.lambda_grid=0.5, 1"]) == 0
         man = load_manifest(str(tmp_path / "out"), "moments")
         assert man["code_version"]
         for entry in man["outputs"]:
             path = tmp_path / "out" / entry["path"]
             assert sha256_file(str(path)) == entry["sha256"]
+        # moments.csv is the header plus every cell's rows, byte for byte
+        combined = (",".join(cli.MOMENTS_HEADER) + "\r\n").encode()
+        for tag in ("0p5", "1"):
+            cell = (tmp_path / "out" / f"moments_cell_{tag}.csv").read_bytes()
+            combined += cell.split(b"\r\n", 1)[1]
+        assert (tmp_path / "out" / "moments.csv").read_bytes() == combined
+
+    def test_moments_builds_no_path_objects(self, tmp_path, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("SolutionPath built on the Monte Carlo path")
+
+        monkeypatch.setattr(solver.SolutionPath, "__init__", refuse)
+        assert cli.main(["moments", "--config", write_cfg(tmp_path),
+                         "--workers", "1"]) == 0
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -212,6 +230,8 @@ functionals = sup
         payload = json.loads((tmp_path / "out" / "thresholds.json").read_text())
         assert payload["lambda_l_hat"] == 0.5
         assert payload["lambda_u_hat"] == 8.0
+        assert [f["resolved"] for f in payload["fits"]] == [True, False]
+        assert payload["fits"][1]["rate_dt"] == pytest.approx(1024 / 400, rel=1e-12)
 
 
 class TestShippedConfigs:
@@ -227,6 +247,14 @@ class TestShippedConfigs:
         assert cli.main(["lyapunov", "--config", path, "--out", str(tmp_path),
                          "--override", "ensemble.n_samples=64"]) == 0
         assert load_manifest(str(tmp_path), "lyapunov")["failed_cells"] == []
+
+
+@pytest.mark.parametrize("demo", ["02_paths_two_schemes.py", "05_grr_modulus.py"])
+def test_path_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:

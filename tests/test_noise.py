@@ -107,42 +107,31 @@ class TestDistribution:
         assert abs(qv.mean() / expected - 1.0) < 0.05
 
 
-class TestSpectral:
-    def test_transform_consistency(self):
-        dw = N.sample_increments(stream(), 4)
-        modes = N.spectral_increments(stream(), 4, GRID.n_interior)
-        direct = N.sine_transform(dw) / math.sqrt(GRID.dx)
-        assert np.max(np.abs(modes - direct)) < 1e-12
+def modes(strm, step=0):
+    """Mode increments as the spectral engine forms them from the cell block."""
+    block, _ = N.sample_block(strm, step + 1)
+    return N.sine_transform(block[step]) / math.sqrt(strm.grid.dx)
 
+
+class TestSpectral:
     def test_transform_is_projection_on_sines(self):
         # mode m equals sqrt(2) * sum_j sin(m pi x_j) dW_j
         dw = N.sample_increments(stream(), 0)
         xj = GRID.x
+        got = modes(stream())
         for m in (1, 3, 7):
             manual = math.sqrt(2.0) * np.sum(np.sin(m * math.pi * xj) * dw)
-            got = N.spectral_increments(stream(), 0, m)[m - 1]
-            assert got == pytest.approx(manual, rel=1e-12, abs=1e-15)
+            assert got[m - 1] == pytest.approx(manual, rel=1e-12, abs=1e-15)
 
     def test_mode_variance(self):
         n = 100_000
         g = N.GridSpec(n_interior=8, dt=1e-3, horizon=1e-3)
-        vals = np.array([
-            N.spectral_increments(N.NoiseStream(5, s, g), 0, 3)[2] for s in range(n)
-        ])
+        vals = np.array([modes(N.NoiseStream(5, s, g))[2] for s in range(n)])
         assert abs(vals.var() / g.dt - 1.0) < 0.05
 
     def test_modes_uncorrelated(self):
         n = 100_000
         g = N.GridSpec(n_interior=8, dt=1e-3, horizon=1e-3)
-        pairs = np.array([
-            N.spectral_increments(N.NoiseStream(5, s, g), 0, 4)[[0, 3]]
-            for s in range(n)
-        ])
+        pairs = np.array([modes(N.NoiseStream(5, s, g))[[0, 3]] for s in range(n)])
         rho = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert abs(rho) < 4 / math.sqrt(n)
-
-    def test_mode_count_validation(self):
-        with pytest.raises(N.NoiseDomainError):
-            N.spectral_increments(stream(), 0, 0)
-        with pytest.raises(N.NoiseDomainError):
-            N.spectral_increments(stream(), 0, GRID.n_interior + 1)

@@ -129,9 +129,12 @@ class TestReproducibility:
                                  u0=S.InitialData.bump(0.2),
                                  observation_times=(0.05, 0.1))
         together = S.simulate_paths(cfg, range(6))
+        assert together.values.shape == (6, 2, 31)
+        assert together.log_scale.shape == (6, 2)
         alone = [S.simulate_path(cfg, i) for i in range(6)]
-        split = S.simulate_paths(cfg, [0, 1]) + S.simulate_paths(cfg, [2, 3, 4, 5])
-        for a, b, c in zip(together, alone, split):
+        split = [*S.simulate_paths(cfg, [0, 1]), *S.simulate_paths(cfg, [2, 3, 4, 5])]
+        for i, (a, b, c) in enumerate(zip(together, alone, split)):
+            assert a.sample_index == b.sample_index == c.sample_index == i
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.values, c.values)
 
@@ -187,6 +190,10 @@ class TestStability:
         assert np.all(np.isfinite(p.values))
         assert p.log_scale[0] > 0  # renormalization fired
         assert np.max(p.log_abs_at(0.02)) > math.log(1e100)
+        # a sample's rescaling is its own: the batch's row equals the lone path
+        ens = S.simulate_paths(cfg, [2, 0, 1])
+        assert np.array_equal(ens[1].values, p.values)
+        assert np.array_equal(ens[1].log_scale, p.log_scale)
 
     def test_spectral_neumann_unsupported(self):
         grid = GridSpec(n_interior=15, dt=1e-3, horizon=0.01)

@@ -9,26 +9,31 @@ from hypothesis import strategies as st
 
 from sheatlab import stats as S
 from sheatlab.noise import GridSpec
-from sheatlab.solver import InitialData, SimulationConfig, SolutionPath
+from sheatlab.solver import Ensemble, InitialData, SimulationConfig, simulate_paths
 
 
 def make_path(values, t=1.0, n=None, log_scale=0.0):
+    """A one-row Ensemble holding the given field at time t."""
     values = np.atleast_1d(np.asarray(values, dtype=float))
     n = n or len(values)
     m = max(8, math.ceil(2 * t * (n + 1)))
     grid = GridSpec(n_interior=n, dt=t / m, horizon=t)
     cfg = SimulationConfig(grid=grid, lam=0.0, u0=InitialData.sine(1),
                            boundary="neumann", observation_times=(t,))
-    return SolutionPath(config=cfg, sample_index=0, times=np.array([t]),
-                        values=values[None, :],
-                        log_scale=np.array([float(log_scale)]))
+    return Ensemble(config=cfg, samples=np.array([0]), times=np.array([t]),
+                    values=values[None, None, :],
+                    log_scale=np.array([[float(log_scale)]]))
+
+
+def fold(est, ens):
+    return est.add_log_values(est.functional.log_values(ens, est.t))
 
 
 class TestAccumulate:
     def test_constant_field_pointwise_exact(self):
         est = S.MomentEstimate(S.Functional.pointwise(0.5, p=3.0), t=1.0)
         for _ in range(5):
-            S.accumulate(est, make_path(np.full(9, -2.0)))
+            fold(est, make_path(np.full(9, -2.0)))
         assert math.exp(est.log_mean) == pytest.approx(8.0, rel=1e-14)
         assert est.mean == pytest.approx(8.0, rel=1e-14)
         assert est.variance == pytest.approx(0.0, abs=1e-25)
@@ -36,8 +41,8 @@ class TestAccumulate:
     def test_lp_norm_of_ones(self):
         n = 20
         est = S.MomentEstimate(S.Functional.lp(p=2.0), t=1.0)
-        S.accumulate(est, make_path(np.ones(n)))
-        S.accumulate(est, make_path(np.ones(n)))
+        fold(est, make_path(np.ones(n)))
+        fold(est, make_path(np.ones(n)))
         assert est.mean == pytest.approx(n / (n + 1), rel=1e-14)
 
     def test_chi_square_band(self):
@@ -48,24 +53,104 @@ class TestAccumulate:
         assert abs(est.mean - 1.0) < 1.96 * math.sqrt(2.0 / 10_000)
 
     def test_missing_time_rejected(self):
-        est = S.MomentEstimate(S.Functional.sup(2.0), t=2.0)
         with pytest.raises(S.StatsDomainError):
-            S.accumulate(est, make_path(np.ones(4), t=1.0))
+            S.ensemble_estimates(make_path(np.ones(4), t=1.0), [S.Functional.sup(2.0)],
+                                 [2.0])
 
     def test_log_scale_respected(self):
         # identical physical fields stored at different scales agree
         a = S.MomentEstimate(S.Functional.sup(2.0), t=1.0)
-        S.accumulate(a, make_path(np.full(4, 3.0)))
+        fold(a, make_path(np.full(4, 3.0)))
         b = S.MomentEstimate(S.Functional.sup(2.0), t=1.0)
-        S.accumulate(b, make_path(np.full(4, 3.0 * math.exp(-5)), log_scale=5.0))
+        fold(b, make_path(np.full(4, 3.0 * math.exp(-5)), log_scale=5.0))
         assert a.log_mean == pytest.approx(b.log_mean, abs=1e-12)
+
+
+def reference_estimate(f, ens, t):
+    """The per-sample fold: each path's log value, then a scalar Welford
+    update of the linear moments and np.logaddexp of the log sums."""
+    est = S.MomentEstimate(f, t)
+    for path in ens:
+        logabs = path.log_abs_at(t)
+        finite = logabs[np.isfinite(logabs)]
+        if f.kind == S.POINTWISE:
+            logv = f.p * float(logabs[np.argmin(np.abs(ens.config.grid.x - f.x))])
+        elif f.kind == S.SUPNORM:
+            logv = f.p * float(np.max(logabs))
+        elif finite.size == 0:
+            logv = -math.inf
+        else:
+            m = float(np.max(finite))
+            logv = math.log(ens.config.grid.dx) + f.p * m \
+                + math.log(float(np.sum(np.exp(f.p * (finite - m)))))
+        est.n += 1
+        est.log_sum = np.logaddexp(est.log_sum, logv)
+        est.log_sum_sq = np.logaddexp(est.log_sum_sq, 2.0 * logv)
+        est.log_max = max(est.log_max, logv)
+        est.overflowed |= logv > math.log(1e300)
+        if not est.overflowed:
+            v = math.exp(logv)
+            delta = v - est.mean
+            est.mean += delta / est.n
+            est.m2 += delta * (v - est.mean)
+    return est
+
+
+def _close(a, b, scale=None):
+    a, b = float(a), float(b)
+    return a == b or abs(a - b) <= 1e-12 * (scale or max(abs(a), abs(b)))
+
+
+BATCHES = {
+    "lam2": (SimulationConfig(grid=GridSpec(n_interior=31, dt=1e-3, horizon=0.1),
+                              lam=2.0, master_seed=11, u0=InitialData.bump(0.2),
+                              observation_times=(0.05, 0.1)), 64),
+    # the renormalized batch of the solver's stability test, in log mode
+    "lam64_renormalized": (
+        SimulationConfig(grid=GridSpec(n_interior=63, dt=2e-5, horizon=0.02),
+                         lam=64.0, master_seed=7, u0=InitialData.bump(0.2),
+                         observation_times=(0.02,)), 8),
+    # the bump at t = 0 has exact zeros outside its support, which lp skips
+    "bump_t0": (SimulationConfig(grid=GridSpec(n_interior=31, dt=1e-3, horizon=0.01),
+                                 lam=2.0, master_seed=3, u0=InitialData.bump(0.2),
+                                 observation_times=(0.0,)), 16),
+}
+
+
+class TestBatchFold:
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_matches_per_sample_fold(self, batch):
+        cfg, k = BATCHES[batch]
+        ens = simulate_paths(cfg, range(k))
+        functionals = [S.Functional.pointwise(0.5, p) for p in (2.0, 4.0)] \
+            + [S.Functional.sup(p) for p in (2.0, 4.0)] \
+            + [S.Functional.lp(p) for p in (2.0, 4.0)]
+        table = S.ensemble_estimates(ens, functionals, cfg.observation_times)
+        assert list(table) == [(f, t) for f in functionals for t in cfg.observation_times]
+        for (f, t), got in table.items():
+            want = reference_estimate(f, ens, t)
+            assert got.n == want.n == k
+            assert got.overflowed == want.overflowed
+            for name in ("log_sum", "log_sum_sq", "log_max"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert _close(a, b, max(1.0, abs(b))), (f, t, name, a, b)
+            if not want.overflowed:
+                assert _close(got.mean, want.mean), (f, t, got.mean, want.mean)
+                assert _close(got.m2, want.m2, max(abs(want.m2), want.mean ** 2)), \
+                    (f, t, got.m2, want.m2)
+        if batch == "lam64_renormalized":
+            assert all(est.overflowed for est in table.values())
+
+    def test_unobserved_time_rejected(self):
+        cfg, _ = BATCHES["lam2"]
+        with pytest.raises(S.StatsDomainError):
+            S.Functional.sup(2.0).log_values(simulate_paths(cfg, range(2)), 0.075)
 
 
 class TestLogMode:
     def test_overflow_flips_to_log(self):
         est = S.MomentEstimate(S.Functional.sup(2.0), t=1.0)
-        est.add_log_value(800.0)
-        est.add_log_value(801.0)
+        est.add_log_values([800.0, 801.0])
         assert est.overflowed
         assert est.log_mean == pytest.approx(
             np.logaddexp(800.0, 801.0) - math.log(2), abs=1e-12)
@@ -184,8 +269,7 @@ class TestPEnergy:
 
     def test_log_mode_energy(self):
         e = S.MomentEstimate(S.Functional.lp(2.0), t=1.0)
-        e.add_log_value(2000.0)
-        e.add_log_value(2002.0)
+        e.add_log_values([2000.0, 2002.0])
         out = S.p_energy(e)
         assert out.overflowed
         assert out.log_value == pytest.approx(
@@ -198,8 +282,8 @@ class TestOrderings:
         for _ in range(20):
             vals = rng.standard_normal(16)
             path = make_path(vals)
-            pw = S.Functional.pointwise(rng.random(), 2.0).log_value(path, 1.0)
-            sup = S.Functional.sup(2.0).log_value(path, 1.0)
+            pw = S.Functional.pointwise(rng.random(), 2.0).log_values(path, 1.0)[0]
+            sup = S.Functional.sup(2.0).log_values(path, 1.0)[0]
             assert pw <= sup + 1e-14
 
     def test_jensen_ordering(self):
@@ -208,8 +292,8 @@ class TestOrderings:
         e4 = S.MomentEstimate(S.Functional.pointwise(0.5, 4.0), t=1.0)
         for _ in range(2000):
             path = make_path(rng.standard_normal(9))
-            S.accumulate(e2, path)
-            S.accumulate(e4, path)
+            fold(e2, path)
+            fold(e4, path)
         assert e2.log_mean / 2.0 <= e4.log_mean / 4.0 + 1e-12
 
     def test_lp_mass_below_sup_moment(self):
@@ -218,8 +302,8 @@ class TestOrderings:
         sup = S.MomentEstimate(S.Functional.sup(2.0), t=1.0)
         for _ in range(500):
             path = make_path(rng.standard_normal(16))
-            S.accumulate(lp, path)
-            S.accumulate(sup, path)
+            fold(lp, path)
+            fold(sup, path)
         assert lp.log_mean <= sup.log_mean + 1e-12
 
     def test_p_below_2_rejected(self):
