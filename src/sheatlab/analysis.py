@@ -228,22 +228,20 @@ def classify_thresholds(lams, fits) -> ThresholdScan:
                          lambda_l_hat=lam_l, lambda_u_hat=lam_u)
 
 
-def oracle_threshold_scan(lams, u0, horizon, gamma=0.2, nu=0.5, k_sigma=1.0,
-                          boundary="dirichlet", n_time_panels=2000, n_x=31,
+def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
                           window_fraction=(0.5, 1.0)) -> ThresholdScan:
-    """Threshold scan driven by the p = 2 oracle envelope h(t)."""
+    """Threshold scan driven by the p = 2 oracle envelope h(t); every lambda
+    is solved on base's grid and coefficients."""
     fits = []
     for lam in lams:
-        cfg = ora.OracleConfig(lam=float(lam), k_sigma=k_sigma, nu=nu,
-                               boundary=boundary, u0=u0, horizon=horizon,
-                               n_time_panels=n_time_panels, n_x=n_x)
+        cfg = replace(base, lam=float(lam))
         mf = ora.second_moment_volterra(cfg, error_estimate=False)
         env = ora.lower_bound_envelope(mf, gamma)
         lo = env.t[0] + window_fraction[0] * (env.t[-1] - env.t[0])
         hi = env.t[0] + window_fraction[1] * (env.t[-1] - env.t[0])
         fits.append(lyapunov_exponent_series(env.t, env.log_h, window=(lo, hi)))
-    rate_dt = tuple(ora.predicted_rate(float(lam), k_sigma, nu) * horizon / n_time_panels
-                    for lam in lams)
+    rate_dt = tuple(ora.predicted_rate(float(lam), base.k_sigma, base.nu)
+                    * base.horizon / base.n_time_panels for lam in lams)
     return replace(classify_thresholds(list(lams), fits), rate_dt=rate_dt,
                    resolved=tuple(r <= ora.RESOLVED_RATE_DT for r in rate_dt))
 

@@ -366,16 +366,9 @@ class Runner:
         man = self._manifest("thresholds")
         lams = self.cfg.get("analysis", "lambda_grid")
         frac = self.cfg.get("analysis", "fit_window")
-        scan = ana.oracle_threshold_scan(
-            lams, u0=self.cfg.initial_data(),
-            horizon=self.cfg.get("grid", "horizon"),
-            gamma=self.cfg.get("oracle", "gamma"),
-            nu=self.cfg.get("equation", "nu"),
-            k_sigma=self.cfg.sigma().lower_constant,
-            boundary=self.cfg.get("equation", "boundary"),
-            n_time_panels=self.cfg.get("oracle", "n_time_panels"),
-            n_x=self.cfg.get("oracle", "n_x"),
-            window_fraction=tuple(frac))
+        scan = ana.oracle_threshold_scan(self.cfg.oracle(), lams,
+                                         gamma=self.cfg.get("oracle", "gamma"),
+                                         window_fraction=tuple(frac))
         payload = {
             "lambda_l_hat": scan.lambda_l_hat,
             "lambda_u_hat": scan.lambda_u_hat,

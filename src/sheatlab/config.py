@@ -162,6 +162,11 @@ class ExperimentConfig:
                     _SCHEMA[section][key](value)
                 except (ValueError, KeyError) as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
+        if self.get("ensemble", "n_samples") < 2:
+            raise ConfigError("ensemble.n_samples must be >= 2 (a CI needs two samples)")
+        mc = self.get("analysis", "mc_samples")
+        if mc < 0 or mc == 1:
+            raise ConfigError("analysis.mc_samples must be 0 (off) or >= 2")
         self.sigma()
         self.initial_data()
         return self

@@ -118,7 +118,6 @@ class TruncationPlan:
     use_images: bool
     n_images: int
     image_tail_bound: float
-    t_switch: float
 
 
 def _series_tail(nu, t, n):
@@ -187,9 +186,8 @@ def truncation_terms(spec: KernelSpec, t: float) -> TruncationPlan:
     """Certified truncation counts for evaluating the kernel at time t."""
     if not (t > 0):
         raise KernelDomainError("t must be positive")
-    t_sw = switch_time(spec)
-    n, ok = _series_terms(spec.nu, t, spec.tol)
-    use_images = (not ok) or n > spec.series_cap
+    n, ok = _series_terms(spec.nu, t, spec.tol, cap=spec.series_cap)
+    use_images = not ok
     if use_images:
         m = _image_terms(spec.nu, t, spec.tol, spec.image_cap)
         m_tail = _image_tail(spec.nu, t, m)
@@ -201,7 +199,6 @@ def truncation_terms(spec: KernelSpec, t: float) -> TruncationPlan:
         use_images=use_images,
         n_images=m,
         image_tail_bound=m_tail,
-        t_switch=t_sw,
     )
 
 

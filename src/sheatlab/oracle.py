@@ -413,8 +413,8 @@ def predicted_rate(lam, k_sigma, nu):
     return (lam * k_sigma) ** 4 / (8.0 * nu)
 
 
-def energy_at(cfg: OracleConfig, t_target, n_time_panels=None,
-              rate_budget=30.0, window=(0.6, 1.0)) -> EnergyPoint:
+def energy_at(cfg: OracleConfig, t_target, rate_budget=30.0,
+              window=(0.6, 1.0)) -> EnergyPoint:
     """log E_2(t_target, lambda), by direct solve when the grid resolves the
     growth rate and by exponential-regime extrapolation otherwise.
 
@@ -423,12 +423,10 @@ def energy_at(cfg: OracleConfig, t_target, n_time_panels=None,
     transient (a few 1/r) the envelope is a clean exponential, so the carried
     error is the slope's fit error times the remaining span.
     """
-    n_t = n_time_panels or cfg.n_time_panels
     r_pred = predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
-    resolvable = r_pred * (t_target / n_t) <= RESOLVED_RATE_DT
+    resolvable = r_pred * (t_target / cfg.n_time_panels) <= RESOLVED_RATE_DT
     horizon = t_target if resolvable else min(t_target, rate_budget / r_pred)
-    sub = replace(cfg, horizon=horizon, n_time_panels=n_t)
-    mf = second_moment_volterra(sub, error_estimate=True)
+    mf = second_moment_volterra(replace(cfg, horizon=horizon), error_estimate=True)
     log_e = log_l2_energy(mf)
     slope, _, se = _window_slope(mf.t, 2.0 * log_e, window)
     err = float(np.max(mf.error_log[-1])) if mf.error_log is not None else 0.0

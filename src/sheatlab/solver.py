@@ -2,14 +2,20 @@
 
     du = nu u_xx dt + lambda sigma(u) dW,   Dirichlet or Neumann boundary.
 
-Two independent schemes:
+Both schemes take the same step map on the physical nodal field,
 
-* semi-implicit finite differences: backward Euler in the diffusion
-  (tridiagonal Cholesky solve per step), explicit multiplicative noise
-  sigma(u^k) dW_k / dx evaluated at the previous step;
-* spectral exponential Euler on the sine eigenbasis (Dirichlet only),
-  with sigma evaluated in physical space through the orthonormal DST
-  round trip and noise shared with the finite-difference scheme.
+    u' = P (u + lambda sigma(u) dW / dx),
+
+with sigma and the cell noise applied explicitly at the previous step, and
+differ only in the one-step semigroup P:
+
+* semi-implicit finite differences: P = (I - nu dt L)^{-1}, backward Euler
+  in the diffusion (tridiagonal Cholesky solve per step);
+* spectral exponential Euler (Dirichlet only): P = S diag(exp(-nu n^2 pi^2
+  dt)) S, S the orthonormal sine transform, exact on each eigenmode.
+
+step_semi_implicit and step_spectral are per-sample references for the
+batch engine; step_spectral steps the sine-mode coefficients instead.
 
 A batch of samples is stepped as one array and returned as one Ensemble:
 snapshots at the configured observation times only, values of shape
@@ -22,7 +28,7 @@ and sample reported; clamping would silently distort genuine moment blow-up.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
@@ -253,26 +259,14 @@ class SolutionPath(_Observed):
             return np.log(np.abs(self.values[i])) + self.log_scale[i]
 
 
-def _dirichlet_second_difference(n, dx):
-    main = np.full(n, -2.0) / dx ** 2
-    off = np.full(n - 1, 1.0) / dx ** 2
-    return main, off
-
-
-def _neumann_second_difference(n, dx):
-    main = np.full(n, -2.0) / dx ** 2
-    main[0] = main[-1] = -1.0 / dx ** 2  # mirror ghost closure
-    off = np.full(n - 1, 1.0) / dx ** 2
-    return main, off
-
-
 def _implicit_factor(cfg: SimulationConfig):
-    """Banded Cholesky factor of I - nu dt L for the chosen boundary closure."""
+    """Banded Cholesky factor of I - nu dt L, L the second difference with the
+    Dirichlet closure or the Neumann mirror ghost closure."""
     n, dx, dt = cfg.grid.n_interior, cfg.grid.dx, cfg.grid.dt
-    if cfg.boundary == DIRICHLET:
-        main, off = _dirichlet_second_difference(n, dx)
-    else:
-        main, off = _neumann_second_difference(n, dx)
+    main = np.full(n, -2.0) / dx ** 2
+    if cfg.boundary == NEUMANN:
+        main[0] = main[-1] = -1.0 / dx ** 2  # mirror ghost closure
+    off = np.full(n - 1, 1.0) / dx ** 2
     ab = np.zeros((2, n))
     ab[1] = 1.0 - cfg.nu * dt * main
     ab[0, 1:] = -cfg.nu * dt * off
@@ -335,12 +329,17 @@ def step_spectral(coeffs, stream: NoiseStream, step_index, cfg: SimulationConfig
     return out
 
 
-def _to_modes(u_phys, dx):
-    return sine_transform(u_phys, axis=0) * math.sqrt(dx)
+def _propagator(cfg: SimulationConfig):
+    """The scheme's one-step semigroup P, acting on physical (n, k) states.
 
-
-def _to_physical(coeffs, dx):
-    return sine_transform(coeffs, axis=0) / math.sqrt(dx)
+    Spectral: P = S diag(exp(-nu n^2 pi^2 dt)) S, S the orthonormal DST-I.
+    Semi-implicit: P = (I - nu dt L)^{-1} by the banded Cholesky factor.
+    """
+    if cfg.scheme == "spectral":
+        decay = _mode_decay(cfg, cfg.grid.n_interior)[:, None]
+        return lambda u: sine_transform(decay * sine_transform(u, axis=0), axis=0)
+    factor = _implicit_factor(cfg)
+    return lambda u: cho_solve_banded((factor, False), u, check_finite=False)
 
 
 def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> Ensemble:
@@ -363,14 +362,8 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> En
                    values=np.empty((k, len(obs_steps), n)),
                    log_scale=np.empty((k, len(obs_steps))))
 
-    u0 = project_initial(cfg.u0, grid)
-    spectral = cfg.scheme == "spectral"
-    if spectral:
-        state = np.repeat(_to_modes(u0, grid.dx)[:, None], k, axis=1)
-        decay = _mode_decay(cfg, n)[:, None]
-    else:
-        state = np.repeat(u0[:, None], k, axis=1)
-        factor = _implicit_factor(cfg)
+    state = np.repeat(project_initial(cfg.u0, grid)[:, None], k, axis=1)
+    propagate = _propagator(cfg)
 
     log_offset = np.zeros(k)
     streams = [NoiseStream(cfg.master_seed, s, grid) for s in samples]
@@ -379,7 +372,7 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> En
 
     def record(step):
         j = obs_row[step]
-        ens.values[:, j, :] = (_to_physical(state, grid.dx) if spectral else state).T
+        ens.values[:, j, :] = state.T
         ens.log_scale[:, j] = log_offset
 
     if 0 in obs_row:
@@ -401,21 +394,9 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> En
             # overflow to inf is legitimate here: the periodic check below
             # converts it into a PathDivergedError with the step reported
             with np.errstate(over="ignore", invalid="ignore"):
-                if spectral:
-                    if cfg.lam != 0.0:
-                        u_phys = _to_physical(state, grid.dx)
-                        modal = sine_transform(cfg.sigma(u_phys) * noise[local],
-                                               axis=0) / math.sqrt(grid.dx)
-                        state = decay * (state + cfg.lam * modal)
-                    else:
-                        state = decay * state
-                else:
-                    if cfg.lam != 0.0:
-                        rhs = state + cfg.sigma(state) * (noise[local] * scale)
-                    else:
-                        rhs = state
-                    state = cho_solve_banded((factor, False), rhs,
-                                             check_finite=False)
+                if cfg.lam != 0.0:
+                    state = state + cfg.sigma(state) * (noise[local] * scale)
+                state = propagate(state)
             step += 1
             if step % _RENORM_CHECK_EVERY == 0 or step in obs_row:
                 peak = np.max(np.abs(state), axis=0)

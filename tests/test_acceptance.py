@@ -119,9 +119,9 @@ def test_criterion_3_oracle_vs_monte_carlo():
 
 def test_criterion_4_stability_growth_dichotomy():
     lams = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    scan = A.oracle_threshold_scan(lams, u0=S.InitialData.bump(0.2), horizon=4.0,
-                                   n_time_panels=2000, n_x=31,
-                                   window_fraction=(0.5, 1.0))
+    base = O.OracleConfig(lam=0.0, u0=S.InitialData.bump(0.2), horizon=4.0,
+                          n_time_panels=2000, n_x=31)
+    scan = A.oracle_threshold_scan(base, lams, window_fraction=(0.5, 1.0))
     smallest, largest = scan.fits[0], scan.fits[-1]
     ok = (smallest.significantly_negative and largest.significantly_positive
           and scan.lambda_l_hat is not None and scan.lambda_u_hat is not None
@@ -135,9 +135,9 @@ def test_criterion_4_stability_growth_dichotomy():
 
 
 def test_criterion_5_neumann_contrast():
-    scan = A.oracle_threshold_scan([0.25], u0=S.InitialData.bump(0.2),
-                                   horizon=2.0, boundary="neumann",
-                                   n_time_panels=800, n_x=31)
+    base = O.OracleConfig(lam=0.0, u0=S.InitialData.bump(0.2), horizon=2.0,
+                          boundary="neumann", n_time_panels=800, n_x=31)
+    scan = A.oracle_threshold_scan(base, [0.25])
     fit = scan.fits[0]
     ok = not fit.significantly_negative
     _report(5, ok,

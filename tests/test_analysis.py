@@ -7,6 +7,7 @@ import pytest
 
 from sheatlab import analysis as A
 from sheatlab import kernel as K
+from sheatlab import oracle as O
 from sheatlab import stats as S
 from sheatlab.solver import InitialData
 
@@ -118,8 +119,9 @@ class TestThresholds:
             A.classify_thresholds(lams, fits)
 
     def test_oracle_scan_sign_dichotomy(self):
-        scan = A.oracle_threshold_scan([0.5, 8.0], u0=InitialData.bump(0.2),
-                                       horizon=1.5, n_time_panels=600, n_x=25)
+        base = O.OracleConfig(lam=0.0, u0=InitialData.bump(0.2), horizon=1.5,
+                              n_time_panels=600, n_x=25)
+        scan = A.oracle_threshold_scan(base, [0.5, 8.0])
         assert scan.fits[0].significantly_negative
         assert scan.fits[1].significantly_positive
         assert scan.lambda_l_hat == 0.5
@@ -131,14 +133,15 @@ class TestThresholds:
         assert scan.resolved == (True, False)
 
     def test_small_lambda_slope_is_deterministic_decay(self):
-        scan = A.oracle_threshold_scan([0.1], u0=InitialData.sine(1),
-                                       horizon=1.0, n_time_panels=400, n_x=25)
+        base = O.OracleConfig(lam=0.0, u0=InitialData.sine(1), horizon=1.0,
+                              n_time_panels=400, n_x=25)
+        scan = A.oracle_threshold_scan(base, [0.1])
         assert scan.fits[0].slope == pytest.approx(-2 * 0.5 * PI2, rel=0.05)
 
     def test_neumann_not_significantly_negative(self):
-        scan = A.oracle_threshold_scan([0.25], u0=InitialData.bump(0.2),
-                                       horizon=2.0, boundary="neumann",
-                                       n_time_panels=600, n_x=25)
+        base = O.OracleConfig(lam=0.0, u0=InitialData.bump(0.2), horizon=2.0,
+                              boundary="neumann", n_time_panels=600, n_x=25)
+        scan = A.oracle_threshold_scan(base, [0.25])
         assert not scan.fits[0].significantly_negative
 
 

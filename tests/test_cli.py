@@ -249,8 +249,9 @@ class TestShippedConfigs:
         assert load_manifest(str(tmp_path), "lyapunov")["failed_cells"] == []
 
 
-@pytest.mark.parametrize("demo", ["02_paths_two_schemes.py", "05_grr_modulus.py"])
-def test_path_demo_runs(demo):
+@pytest.mark.parametrize("demo", ["01_kernel_bounds.py", "02_paths_two_schemes.py",
+                                  "03_dichotomy.py", "05_grr_modulus.py"])
+def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -265,6 +266,12 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path)
         assert cli.main(["moments", "--config", cfg,
                          "--override", "equation.bogus=1"]) == 1
+
+    @pytest.mark.parametrize("override", ["ensemble.n_samples=0", "ensemble.n_samples=1",
+                                          "analysis.mc_samples=1"])
+    def test_too_few_samples_is_config_error(self, tmp_path, override):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["moments", "--config", cfg, "--override", override]) == 1
 
     def test_numerical_error(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -117,6 +117,20 @@ class TestTruncation:
             )
             assert true_tail <= K._series_tail(SPEC.nu, t, n) <= SPEC.tol
 
+    def test_plan_needs_no_switch_time(self, monkeypatch):
+        def boom(spec):
+            raise AssertionError("switch_time called")
+        monkeypatch.setattr(K, "switch_time", boom)
+        plan = K.truncation_terms(SPEC, 1e-8)
+        assert plan.use_images
+        assert plan.n_images == K._image_terms(SPEC.nu, 1e-8, SPEC.tol, SPEC.image_cap)
+        assert K.eval_kernel(SPEC, 1e-8, 0.5, 0.5) == pytest.approx(
+            K.free_kernel(SPEC.nu, 1e-8, 0.5, 0.5), rel=1e-12)
+        plan = K.truncation_terms(SPEC, 1.0)
+        assert not plan.use_images
+        assert K.eval_kernel(SPEC, 1.0, 0.3, 0.6) == pytest.approx(
+            brute_force_series(SPEC.nu, 1.0, 0.3, 0.6), abs=1e-12)
+
     def test_switch_time_consistent(self):
         t_sw = K.switch_time(SPEC)
         n_above, _ = K._series_terms(SPEC.nu, t_sw * 1.01, SPEC.tol)

@@ -108,7 +108,7 @@ class TestDistribution:
 
 
 def modes(strm, step=0):
-    """Mode increments as the spectral engine forms them from the cell block."""
+    """Sine-mode increments: the orthonormal sine transform of the cell block."""
     block, _ = N.sample_block(strm, step + 1)
     return N.sine_transform(block[step]) / math.sqrt(strm.grid.dx)
 

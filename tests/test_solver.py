@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sheatlab import oracle as O
 from sheatlab import solver as S
-from sheatlab.noise import GridSpec, NoiseStream
+from sheatlab.noise import GridSpec, NoiseStream, sine_transform
 
 PI2 = math.pi ** 2
 
@@ -85,7 +85,7 @@ class TestDeterministicDecay:
         cfg = S.SimulationConfig(grid=grid, lam=0.0, scheme="spectral",
                                  u0=S.InitialData.sine(3), observation_times=(0.1,))
         stream = NoiseStream(0, 0, grid)
-        coeffs = S._to_modes(S.project_initial(cfg.u0, grid), grid.dx)
+        coeffs = sine_transform(S.project_initial(cfg.u0, grid)) * math.sqrt(grid.dx)
         for k in range(10):
             coeffs = S.step_spectral(coeffs, stream, k, cfg)
         mask = np.ones(63, dtype=bool)
@@ -169,6 +169,20 @@ class TestReproducibility:
             state = S.step_semi_implicit(state, stream, k, cfg, factor=factor)
         engine = S.simulate_path(cfg, 0).field_at(0.01)
         assert np.allclose(state, engine, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("lam", [1.0, 4.0])
+    def test_spectral_step_function_matches_engine(self, lam):
+        # step_spectral steps sine-mode coefficients, the engine the nodal field
+        grid = GridSpec(n_interior=15, dt=1e-3, horizon=0.01)
+        cfg = S.SimulationConfig(grid=grid, lam=lam, master_seed=2, scheme="spectral",
+                                 u0=S.InitialData.bump(0.2), observation_times=(0.01,))
+        stream = NoiseStream(2, 0, grid)
+        coeffs = sine_transform(S.project_initial(cfg.u0, grid)) * math.sqrt(grid.dx)
+        for k in range(grid.n_steps):
+            coeffs = S.step_spectral(coeffs, stream, k, cfg)
+        state = sine_transform(coeffs) / math.sqrt(grid.dx)
+        engine = S.simulate_path(cfg, 0).field_at(0.01)
+        assert np.max(np.abs(state - engine)) <= 1e-13 * np.max(np.abs(engine))
 
 
 class TestStability:
