@@ -9,6 +9,9 @@ thresholds, grr-check, verify-bounds, all. Exit codes: 0 success, 1 config
 error, 2 numerical failure, 3 assertion failure in verification subcommands.
 Errors print a JSON diagnostic on stderr.
 
+Runner.dispatch writes each subcommand's manifest_<subcommand>.json after
+its outputs, also when a verification fails.
+
 Monte Carlo work is sharded into fixed 64-sample blocks merged in index
 order, so every output is bit-identical for any --workers value; the seed
 comes from --seed, else the SHEAT_SEED environment variable, else the config.
@@ -59,15 +62,12 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
+def _exp_or_inf(log_value):
+    """exp of a log-domain value, inf where it would leave float range."""
+    return float(math.exp(log_value)) if log_value < 700 else math.inf
 
 
 def _moment_shard(args):
@@ -98,14 +98,47 @@ def _lambda_tag(lam):
 
 
 class Runner:
+    """Runs subcommands into one output directory.
+
+    dispatch owns each subcommand's manifest (self.man): it builds it, runs
+    cmd_<name>, and writes it after the outputs. A cmd_* method computes,
+    writes its outputs through _csv and _json, and returns a failure message
+    when a verification does not hold.
+    """
+
     def __init__(self, cfg: ExperimentConfig, out_dir, workers):
         self.cfg = cfg
         self.out = out_dir
         self.workers = workers
+        self.man = None
         self._tables = {}
         os.makedirs(out_dir, exist_ok=True)
 
-    def _table(self, man, sim, n_samples, functionals, times):
+    def dispatch(self, name):
+        if name == "all":
+            for command in SUBCOMMANDS[:-1]:
+                self.dispatch(command)
+            return
+        self.man = RunManifest(command=name, config=self.cfg.snapshot(),
+                               config_hash=self.cfg.content_hash(),
+                               seed=self.cfg.get("ensemble", "master_seed"))
+        failure = getattr(self, "cmd_" + name.replace("-", "_"))()
+        self.man.write(self.out)
+        if failure:
+            raise VerificationError(failure)
+
+    def _csv(self, name, header, rows):
+        path = os.path.join(self.out, name)
+        _write_csv(path, header, rows)
+        self.man.add_output(path)
+
+    def _json(self, name, payload):
+        path = os.path.join(self.out, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        self.man.add_output(path)
+
+    def _table(self, sim, n_samples, functionals, times):
         """The merged estimate table of one ensemble, built at most once per
         runner; None if it diverged, which each asking manifest lists."""
         key = (sim, n_samples, tuple(functionals), tuple(times))
@@ -117,19 +150,13 @@ class Runner:
                 self._tables[key] = exc
         table = self._tables[key]
         if isinstance(table, PathDivergedError):
-            man.failed_cells.append({"lambda": sim.lam, "error": str(table)})
+            self.man.failed_cells.append({"lambda": sim.lam, "error": str(table)})
             return None
         return table
-
-    def _manifest(self, command):
-        return RunManifest(command=command, config=self.cfg.snapshot(),
-                           config_hash=self.cfg.content_hash(),
-                           seed=self.cfg.get("ensemble", "master_seed"))
 
     # ------------------------------------------------------------------ #
 
     def cmd_kernel(self):
-        man = self._manifest("kernel")
         spec = self.cfg.kernel_spec()
         gamma = self.cfg.get("kernel", "gamma")
         cal = kern.calibrate_lower_bound(spec, gamma)
@@ -149,13 +176,11 @@ class Runner:
                         float(kern.kernel_lower_bound(cal.spec, spec, float(t), x, y)),
                         plan.n_images if plan.use_images else plan.n_terms,
                     ))
-        table = _write_csv(os.path.join(self.out, "kernel_table.csv"),
-                           ["t", "x", "y", "g_D", "g_free", "lower_bound",
-                            "n_terms"], rows)
-        man.add_output(table)
+        self._csv("kernel_table.csv",
+                  ["t", "x", "y", "g_D", "g_free", "lower_bound", "n_terms"], rows)
         sg = kern.semigroup_check(spec, 0.05, 0.05, 0.5, 0.5,
                                   n_quad=self.cfg.get("kernel", "quad_points"))
-        man.constants = {
+        self.man.constants = {
             "kappa1_hat": cal.spec.kappa1,
             "kappa2_hat": cal.spec.kappa2,
             "k1_hat": dx_rep.k1,
@@ -163,58 +188,35 @@ class Runner:
             "k3": kern.k3_constant(spec),
             "gamma": gamma,
         }
-        man.diagnostics = {
+        self.man.diagnostics = {
             "semigroup_residual": sg.residual_convolution,
             "squared_kernel_residual": sg.residual_square,
             "series_image_switch_time": kern.switch_time(spec),
         }
-        cal_path = _write_json(os.path.join(self.out, "kernel_calibration.json"),
-                               man.constants)
-        man.add_output(cal_path)
-        man.write(self.out)
+        self._json("kernel_calibration.json", self.man.constants)
 
     def cmd_simulate(self):
-        man = self._manifest("simulate")
         sim = self.cfg.simulation()
         path = simulate_path(sim, 0)
-        rows = []
-        for t, field, scale in zip(path.times, path.values, path.log_scale):
-            for x, v, lv in zip(sim.grid.x, field, path.log_abs_at(t)):
-                rows.append((float(t), float(x),
-                             float(v * math.exp(scale)) if scale < 700 else math.inf,
-                             float(lv)))
-        out = _write_csv(os.path.join(self.out, "path.csv"),
-                         ["t", "x", "u", "log_abs_u"], rows)
-        man.add_output(out)
-        man.diagnostics["cfl_ratio"] = sim.grid.cfl_ratio(sim.nu)
-        man.write(self.out)
+        rows = [(float(t), float(x), float(v), float(lv))
+                for t in path.times
+                for x, v, lv in zip(sim.grid.x, path.field_at(t), path.log_abs_at(t))]
+        self._csv("path.csv", ["t", "x", "u", "log_abs_u"], rows)
+        self.man.diagnostics["cfl_ratio"] = sim.grid.cfl_ratio(sim.nu)
 
     def cmd_oracle(self):
-        man = self._manifest("oracle")
-        ocfg = self.cfg.oracle()
-        mf = ora.second_moment_volterra(ocfg)
-        rows = []
-        for i, t in enumerate(mf.t):
-            for j, x in enumerate(mf.x):
-                lm = mf.log_m[i, j]
-                rows.append((float(t), float(x),
-                             float(math.exp(lm)) if lm < 700 else math.inf,
-                             float(lm), float(mf.error_log[i, j])))
-        out = _write_csv(os.path.join(self.out, "oracle_moments.csv"),
-                         ["t", "x", "m", "log_m", "err_log"], rows)
-        man.add_output(out)
+        mf = ora.second_moment_volterra(self.cfg.oracle())
+        rows = [(float(t), float(x), _exp_or_inf(mf.log_m[i, j]),
+                 float(mf.log_m[i, j]), float(mf.error_log[i, j]))
+                for i, t in enumerate(mf.t) for j, x in enumerate(mf.x)]
+        self._csv("oracle_moments.csv", ["t", "x", "m", "log_m", "err_log"], rows)
         env = ora.lower_bound_envelope(mf, self.cfg.get("oracle", "gamma"))
-        rows = [(float(t), float(math.exp(lh)) if lh < 700 else math.inf,
-                 float(math.exp(lH)) if lH < 700 else math.inf,
-                 float(lh), float(lH))
+        rows = [(float(t), _exp_or_inf(lh), _exp_or_inf(lH), float(lh), float(lH))
                 for t, lh, lH in zip(env.t, env.log_h, env.log_big_h)]
-        out2 = _write_csv(os.path.join(self.out, "oracle_envelope.csv"),
-                          ["t", "h", "H", "log_h", "log_H"], rows)
-        man.add_output(out2)
-        man.diagnostics["compensation_rate"] = env.compensation_rate
-        man.write(self.out)
+        self._csv("oracle_envelope.csv", ["t", "h", "H", "log_h", "log_H"], rows)
+        self.man.diagnostics["compensation_rate"] = env.compensation_rate
 
-    def _moment_cells(self, man):
+    def _moment_cells(self):
         """Write one CSV per lambda-cell, skipping cells whose checksum matches
         the previous manifest; return the cell CSVs present, in grid order."""
         functionals = self.cfg.functionals()
@@ -223,7 +225,7 @@ class Runner:
         config_hash = self.cfg.content_hash()
         prev = load_manifest(self.out, "moments")
         recorded = (prev or {}).get("diagnostics", {}).get("cells", {})
-        cell_meta = man.diagnostics["cells"] = {}
+        cell_meta = self.man.diagnostics["cells"] = {}
         cell_csvs = []
         for lam in self.cfg.lambda_grid():
             tag = _lambda_tag(lam)
@@ -232,7 +234,7 @@ class Runner:
             if not (os.path.exists(cell_csv)
                     and meta.get("sha256") == sha256_file(cell_csv)
                     and meta.get("config_hash") == config_hash):
-                table = self._table(man, self.cfg.simulation(lam=lam), n_samples,
+                table = self._table(self.cfg.simulation(lam=lam), n_samples,
                                     functionals, times)
                 if table is None:
                     continue
@@ -254,20 +256,13 @@ class Runner:
         return cell_csvs
 
     def cmd_moments(self):
-        man = self._manifest("moments")
-        cell_csvs = self._moment_cells(man)
-        combined = os.path.join(self.out, "moments.csv")
-        with open(combined, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(MOMENTS_HEADER)
-            for cell_csv in cell_csvs:
-                with open(cell_csv, newline="", encoding="utf-8") as cf:
-                    next(cf)
-                    fh.write(cf.read())
-        man.add_output(combined)
-        man.write(self.out)
+        rows = []
+        for cell_csv in self._moment_cells():
+            with open(cell_csv, newline="", encoding="utf-8") as fh:
+                rows += list(csv.reader(fh))[1:]
+        self._csv("moments.csv", MOMENTS_HEADER, rows)
 
     def cmd_lyapunov(self):
-        man = self._manifest("lyapunov")
         functionals = self.cfg.functionals()
         times = self.cfg.get("observation", "times")
         n_samples = self.cfg.get("ensemble", "n_samples")
@@ -276,7 +271,7 @@ class Runner:
         reports = []
         plot_rows = []
         for lam in self.cfg.lambda_grid():
-            table = self._table(man, self.cfg.simulation(lam=lam), n_samples,
+            table = self._table(self.cfg.simulation(lam=lam), n_samples,
                                 functionals, times)
             if table is None:
                 continue
@@ -286,8 +281,8 @@ class Runner:
                 try:
                     fit = ana.lyapunov_exponent(ests, window=window)
                 except ana.AnalysisError as exc:
-                    man.failed_cells.append({"lambda": lam, "functional": label,
-                                             "error": str(exc)})
+                    self.man.failed_cells.append({"lambda": lam, "functional": label,
+                                                  "error": str(exc)})
                     continue
                 reports.append({
                     "lambda": lam, "p": f.p, "functional": label,
@@ -299,17 +294,11 @@ class Runner:
                 })
                 plot_rows += [(lam, f.p, label, t, est.log_mean, est.log_ci_half_width)
                               for t, est in zip(times, ests)]
-        out = _write_json(os.path.join(self.out, "lyapunov.json"),
-                          {"fits": reports})
-        man.add_output(out)
-        out2 = _write_csv(os.path.join(self.out, "lyapunov_series.csv"),
-                          ["lambda", "p", "functional", "t", "log_moment",
-                           "log_ci_half_width"], plot_rows)
-        man.add_output(out2)
-        man.write(self.out)
+        self._json("lyapunov.json", {"fits": reports})
+        self._csv("lyapunov_series.csv", ["lambda", "p", "functional", "t",
+                                          "log_moment", "log_ci_half_width"], plot_rows)
 
     def cmd_excitation(self):
-        man = self._manifest("excitation")
         lams = self.cfg.get("analysis", "lambda_grid")
         t_star = self.cfg.get("analysis", "excitation_time")
         points = [ora.energy_at(self.cfg.oracle(lam=lam, horizon=t_star), t_star)
@@ -326,23 +315,18 @@ class Runner:
             "points": [{"lambda": p.lam, "log_energy": p.log_energy,
                         "rate": p.rate, "window_horizon": p.window_horizon,
                         "extrapolated": p.extrapolated,
-                        "norm_lam4": p.log_energy / p.lam ** 4,
-                        "norm_lam4_kl": p.log_energy / p.lam ** 4
-                        * self.cfg.sigma().lower_constant}
+                        "norm_lam4": p.log_energy / p.lam ** 4}
                        for p in points],
         }
         mc_samples = self.cfg.get("analysis", "mc_samples")
         if mc_samples > 0:
-            payload["mc"] = self._excitation_mc(lams, t_star, mc_samples, man)
-        out = _write_json(os.path.join(self.out, "excitation.json"), payload)
-        man.add_output(out)
+            payload["mc"] = self._excitation_mc(lams, t_star, mc_samples)
+        self._json("excitation.json", payload)
         rows = [(p.lam, p.log_energy, p.rate, int(p.extrapolated)) for p in points]
-        out2 = _write_csv(os.path.join(self.out, "excitation_series.csv"),
-                          ["lambda", "log_E2", "rate", "extrapolated"], rows)
-        man.add_output(out2)
-        man.write(self.out)
+        self._csv("excitation_series.csv",
+                  ["lambda", "log_E2", "rate", "extrapolated"], rows)
 
-    def _excitation_mc(self, lams, t_star, n_samples, man):
+    def _excitation_mc(self, lams, t_star, n_samples):
         p_mc = self.cfg.get("analysis", "mc_p")
         f = st.Functional.lp(p_mc)
         log_es, log_cis = [], []
@@ -351,7 +335,7 @@ class Runner:
             sim = dataclasses.replace(
                 base, grid=dataclasses.replace(base.grid, horizon=t_star),
                 observation_times=(t_star,))
-            table = self._table(man, sim, n_samples, [f], (t_star,))
+            table = self._table(sim, n_samples, [f], (t_star,))
             # a diverged lambda enters as nan, which the fit drops
             energy = None if table is None else st.p_energy(table[(f, t_star)])
             log_es.append(energy.log_value if energy else math.nan)
@@ -363,13 +347,12 @@ class Runner:
                 "dropped_lambdas": fit.dropped_lambdas}
 
     def cmd_thresholds(self):
-        man = self._manifest("thresholds")
         lams = self.cfg.get("analysis", "lambda_grid")
         frac = self.cfg.get("analysis", "fit_window")
         scan = ana.oracle_threshold_scan(self.cfg.oracle(), lams,
                                          gamma=self.cfg.get("oracle", "gamma"),
                                          window_fraction=tuple(frac))
-        payload = {
+        self._json("thresholds.json", {
             "lambda_l_hat": scan.lambda_l_hat,
             "lambda_u_hat": scan.lambda_u_hat,
             "fits": [{"lambda": lam, "slope": f.slope, "slope_ci": f.slope_ci,
@@ -378,17 +361,11 @@ class Runner:
                       "rate_dt": rate_dt, "resolved": resolved}
                      for lam, f, rate_dt, resolved
                      in zip(scan.lams, scan.fits, scan.rate_dt, scan.resolved)],
-        }
-        out = _write_json(os.path.join(self.out, "thresholds.json"), payload)
-        man.add_output(out)
+        })
         rows = [(lam, f.slope, f.slope_ci) for lam, f in zip(scan.lams, scan.fits)]
-        out2 = _write_csv(os.path.join(self.out, "thresholds_series.csv"),
-                          ["lambda", "slope", "slope_ci"], rows)
-        man.add_output(out2)
-        man.write(self.out)
+        self._csv("thresholds_series.csv", ["lambda", "slope", "slope_ci"], rows)
 
     def cmd_grr_check(self):
-        man = self._manifest("grr-check")
         params = reg.GrrParams(p=self.cfg.get("grr", "p"),
                                delta=self.cfg.get("grr", "delta"),
                                eps=self.cfg.get("grr", "eps"))
@@ -400,48 +377,46 @@ class Runner:
         rows = []
         violations = 0
         for path in simulate_paths(sim, range(n_paths)):
-            prof = np.concatenate([[0.0], path.field_at(t_last), [0.0]]) \
-                if sim.boundary == "dirichlet" else path.field_at(t_last)
+            u = path.field_at(t_last)
+            if not np.all(np.isfinite(u)):
+                raise FloatingPointError(f"sample {path.sample_index}: u(t={t_last:g}) "
+                                         "leaves float range")
+            prof = np.concatenate([[0.0], u, [0.0]]) if sim.boundary == "dirichlet" else u
             g = reg.grr_functional(prof, params)
-            rep = reg.holder_bound_check(prof, params)
+            rep = reg.holder_bound_check(prof, params, b_value=g.holder_b)
             violations += rep.n_violations
             rows.append((path.sample_index, g.value, rep.max_ratio, g.cutoff,
                          g.sensitivity, rep.n_violations, int(g.divergent)))
-        out = _write_csv(os.path.join(self.out, "grr_paths.csv"),
-                         ["sample", "B", "max_ratio", "cutoff",
-                          "cutoff_sensitivity", "violations", "divergent"], rows)
-        man.add_output(out)
+        self._csv("grr_paths.csv", ["sample", "B", "max_ratio", "cutoff",
+                                    "cutoff_sensitivity", "violations", "divergent"], rows)
         # closed-form verifications
         lin_params = reg.GrrParams(p=2, delta=1, eps=0.5)
         b_lin = reg.grr_functional(np.linspace(0, 1, 1025), lin_params).value
         pinv, phi = reg.power_law_pair(params)
         general = reg.grr_general(pinv, phi, 2.0, 0.5)
         closed = reg.closed_form_bound(params, 2.0, 0.5)
-        payload = {
+        general_rel = abs(general - closed) / closed
+        self._json("grr_check.json", {
             "linear_b": b_lin,
             "linear_b_target": 8.0 / 3.0,
             "linear_b_error": abs(b_lin - 8.0 / 3.0),
-            "general_vs_closed_rel": abs(general - closed) / closed,
+            "general_vs_closed_rel": general_rel,
             "kappa": params.kappa,
             "ensemble_violations": violations,
-        }
-        out2 = _write_json(os.path.join(self.out, "grr_check.json"), payload)
-        man.add_output(out2)
-        man.write(self.out)
+        })
         if abs(b_lin - 8.0 / 3.0) > 1e-4:
-            raise VerificationError("linear-profile B misses the closed form 8/3")
-        if payload["general_vs_closed_rel"] > 1e-8:
-            raise VerificationError("general GRR integral misses the power-law form")
+            return "linear-profile B misses the closed form 8/3"
+        if general_rel > 1e-8:
+            return "general GRR integral misses the power-law form"
         if violations > 0:
-            raise VerificationError(f"{violations} Holder-bound violations")
+            return f"{violations} Holder-bound violations"
 
     def cmd_verify_bounds(self):
-        man = self._manifest("verify-bounds")
         spec = self.cfg.kernel_spec()
         alpha = self.cfg.get("bounds", "alpha")
         neg = ana.verify_negative_beta(spec, alpha, self.cfg.get("bounds", "betas"))
         thr = ana.verify_threshold_beta(spec, alpha, self.cfg.get("bounds", "margins"))
-        payload = {
+        self._json("verify_bounds.json", {
             "negative_beta": {
                 "betas": neg.betas, "sups": neg.sups, "c_hats": neg.c_hats,
                 "fitted_exponent": neg.fitted_exponent,
@@ -456,24 +431,14 @@ class Runner:
                 "threshold": thr.threshold,
                 "domination_checked": thr.domination_checked,
             },
-        }
-        out = _write_json(os.path.join(self.out, "verify_bounds.json"), payload)
-        man.add_output(out)
-        man.write(self.out)
+        })
         if abs(neg.fitted_exponent - neg.expected_exponent) \
                 > 0.1 * abs(neg.expected_exponent):
-            raise VerificationError("negative-beta exponent outside the 10% band")
+            return "negative-beta exponent outside the 10% band"
         if abs(thr.fitted_exponent + 1.0) > 0.1:
-            raise VerificationError("threshold blow-up exponent outside the 10% band")
+            return "threshold blow-up exponent outside the 10% band"
         if neg.refinement_change > 0.02:
-            raise VerificationError("bound constant did not stabilize under refinement")
-
-    def cmd_all(self):
-        for name in SUBCOMMANDS[:-1]:
-            self.dispatch(name)
-
-    def dispatch(self, name):
-        getattr(self, "cmd_" + name.replace("-", "_"))()
+            return "bound constant did not stabilize under refinement"
 
 
 def build_parser():

@@ -298,12 +298,6 @@ class RunManifest:
         self.outputs.append({"path": os.path.basename(path),
                              "sha256": sha256_file(path)})
 
-    def output_hash(self, name):
-        for entry in self.outputs:
-            if entry["path"] == name:
-                return entry["sha256"]
-        return None
-
     def write(self, directory):
         payload = {
             "command": self.command,

@@ -20,7 +20,7 @@ eigenvalue is ``nu * pi**2`` and shows up as the long-time decay rate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -57,9 +57,6 @@ class GridSpec:
         """Interior node positions."""
         return np.arange(1, self.n_interior + 1) * self.dx
 
-    def times(self):
-        return np.arange(self.n_steps + 1) * self.dt
-
     def cfl_ratio(self, nu):
         """Diffusion number nu*dt/dx^2, recorded in run manifests."""
         return nu * self.dt / self.dx ** 2

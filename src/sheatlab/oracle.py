@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import kernel as kern
-from .solver import InitialData, project_initial
+from .solver import InitialData
 
 _D1_MODES = 256
 _D1_QUAD_PANELS = 96
@@ -95,12 +95,6 @@ class MomentField:
     x: np.ndarray
     log_m: np.ndarray
     error_log: np.ndarray | None = None
-
-    @property
-    def m(self):
-        """Linear-domain moments; inf where they exceed float range."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_m)
 
     def log_m_at(self, t, x):
         i = _snap(self.t, t, "t")

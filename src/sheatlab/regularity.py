@@ -84,6 +84,11 @@ class GrrValue:
     def sensitivity(self):
         return abs(self.value_at_half_cutoff - self.value_at_cutoff)
 
+    @property
+    def holder_b(self):
+        """B for the Holder check: the larger of the two cutoff values."""
+        return max(self.value_at_cutoff, self.value_at_half_cutoff)
+
 
 def _b_with_cutoff(t_means, h, power, expo, cutoff_cells):
     """Product integration over the offset variable r = |x - y|.
@@ -167,16 +172,16 @@ def holder_bound_check(f, params: GrrParams, b_value=None, slack=1.05,
                        cutoff_cells=2) -> HolderReport:
     """Verify |f_i - f_j| <= kappa (B*slack)^{1/p} |x_i-x_j|^{(delta-eps)/p}.
 
-    B defaults to the extrapolated grr_functional value; the multiplicative
-    slack absorbs its quadrature error (violations are report content, not
-    exceptions, since B is approximate).
+    B defaults to grr_functional's holder_b; a caller that has that value
+    already passes it as b_value. The multiplicative slack absorbs its
+    quadrature error (violations are report content, not exceptions, since B
+    is approximate).
     """
     f = np.asarray(f, dtype=float)
     n = len(f)
     x = np.linspace(0.0, 1.0, n)
     if b_value is None:
-        g = grr_functional(f, params, cutoff_cells)
-        b_value = max(g.value, g.value_at_cutoff, g.value_at_half_cutoff)
+        b_value = grr_functional(f, params, cutoff_cells).holder_b
     scale = params.kappa * (b_value * slack) ** (1.0 / params.p)
     max_ratio = 0.0
     violations = 0

@@ -249,8 +249,13 @@ class SolutionPath(_Observed):
     log_scale: np.ndarray
 
     def field_at(self, t):
+        """u per node; +-inf where |u| leaves float range."""
         i = self.time_index(t)
-        return self.values[i] * math.exp(self.log_scale[i])
+        try:
+            return self.values[i] * math.exp(self.log_scale[i])
+        except OverflowError:    # exp(log_scale) alone overflows; |u| may not
+            with np.errstate(over="ignore"):
+                return np.sign(self.values[i]) * np.exp(self.log_abs_at(t))
 
     def log_abs_at(self, t):
         """log |u| per node, safe at any scale; -inf where u = 0."""

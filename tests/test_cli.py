@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sheatlab import cli, solver
+from sheatlab import regularity as reg
 from sheatlab.config import ExperimentConfig, load_manifest, sha256_file
 from sheatlab.solver import ConfigError
 
@@ -285,3 +286,122 @@ class TestExitCodes:
         rc = cli.main(["verify-bounds", "--config", cfg,
                        "--override", "bounds.margins=3.0,2.0,1.0"])
         assert rc == 3
+        # the manifest is still written, after the output it lists
+        man = load_manifest(str(tmp_path / "out"), "verify-bounds")
+        assert man["outputs"] == [{
+            "path": "verify_bounds.json",
+            "sha256": sha256_file(str(tmp_path / "out" / "verify_bounds.json"))}]
+
+
+# lambda = 60 on T = 0.5: sample 0 renormalizes to a log scale past 800, so
+# exp(log_scale) alone overflows although some nodes are negative
+LARGE_LAMBDA = ["--override", "equation.lambda=60", "--override", "grid.horizon=0.5",
+                "--override", "observation.times=0.25, 0.5"]
+
+
+def _large_lambda_path(tmp_path):
+    cfg = ExperimentConfig.from_file(write_cfg(tmp_path),
+                                     overrides=LARGE_LAMBDA[1::2])
+    path = solver.simulate_path(cfg.simulation(), 0)
+    assert path.log_scale[-1] > 800
+    assert (path.values[-1] < 0).any()
+    return path
+
+
+class TestLargeLogScale:
+    def test_field_at_keeps_signs(self, tmp_path):
+        path = _large_lambda_path(tmp_path)
+        u = path.field_at(0.5)
+        assert np.array_equal(np.sign(u), np.sign(path.values[-1]))
+        log_abs = path.log_abs_at(0.5)          # float range ends at log 709.78
+        assert np.isinf(u[log_abs > 710]).all() and np.isfinite(u[log_abs < 709]).all()
+
+    def test_path_csv_signs(self, tmp_path):
+        path = _large_lambda_path(tmp_path)
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path)] + LARGE_LAMBDA) == 0
+        rows = np.genfromtxt(tmp_path / "out" / "path.csv", delimiter=",", names=True)
+        last = rows[rows["t"] == 0.5]
+        assert np.array_equal(np.sign(last["u"]), np.sign(path.values[-1]))
+
+    def test_grr_check_names_the_sample(self, tmp_path, capsys):
+        rc = cli.main(["grr-check", "--config", write_cfg(tmp_path),
+                       "--override", "grid.n_interior=63",
+                       "--override", "grr.n_paths=4"] + LARGE_LAMBDA)
+        assert rc == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "numerical_failure"
+        assert diag["message"].startswith("sample ")
+
+
+def test_grr_check_computes_each_b_once(tmp_path, monkeypatch):
+    calls = []
+    functional = reg.grr_functional
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return functional(*args, **kwargs)
+
+    monkeypatch.setattr(reg, "grr_functional", counting)
+    assert cli.main(["grr-check", "--config", write_cfg(tmp_path),
+                     "--override", "grid.n_interior=63",
+                     "--override", "grr.n_paths=4"]) == 0
+    assert len(calls) == 4 + 1   # one per path, one for the linear profile
+
+
+ALL_OVERRIDES = ["--override", "grid.n_interior=63", "--override", "grr.n_paths=8",
+                 "--override", "observation.times=0.1, 0.15, 0.2"]
+
+
+@pytest.fixture(scope="module")
+def all_runs(tmp_path_factory):
+    """sheatlab all, in process on one worker and as a fresh interpreter on two."""
+    tmp = tmp_path_factory.mktemp("all")
+    cfg = write_cfg(tmp)
+    one, two = tmp / "w1", tmp / "w2"
+    rc = cli.main(["all", "--config", cfg, "--workers", "1", "--out", str(one)]
+                  + ALL_OVERRIDES)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "sheatlab", "all", "--config", cfg,
+                           "--workers", "2", "--out", str(two)] + ALL_OVERRIDES,
+                          env=env, capture_output=True, text=True, timeout=600)
+    return rc, one, proc, two
+
+
+def _listed_outputs(out):
+    """{file: sha256} over every manifest; a file listed twice fails."""
+    listed = {}
+    for man_path in sorted(out.glob("manifest_*.json")):
+        man = json.loads(man_path.read_text())
+        entries = [(e["path"], e["sha256"]) for e in man["outputs"]]
+        entries += [(f"moments_cell_{tag}.csv", meta["sha256"])
+                    for tag, meta in man["diagnostics"].get("cells", {}).items()]
+        for name, digest in entries:
+            assert name not in listed, f"{name} listed twice"
+            listed[name] = digest
+    return listed
+
+
+class TestAll:
+    def test_exit_codes_and_manifests(self, all_runs):
+        rc, one, proc, two = all_runs
+        assert rc == 0
+        assert proc.returncode == 0, proc.stderr
+        want = sorted(f"manifest_{c.replace('-', '_')}.json" for c in cli.SUBCOMMANDS[:-1])
+        for out in (one, two):
+            assert sorted(p.name for p in out.glob("manifest_*.json")) == want
+
+    def test_every_output_listed_once(self, all_runs):
+        for out in all_runs[1::2]:
+            files = {p.name for p in out.iterdir() if not p.name.startswith("manifest_")}
+            listed = _listed_outputs(out)
+            assert set(listed) == files
+            for name, digest in listed.items():
+                assert sha256_file(str(out / name)) == digest, name
+
+    def test_outputs_identical_across_workers(self, all_runs):
+        one, two = all_runs[1::2]
+        names = sorted(p.name for p in one.iterdir() if not p.name.startswith("manifest_"))
+        assert names == sorted(p.name for p in two.iterdir()
+                               if not p.name.startswith("manifest_"))
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
