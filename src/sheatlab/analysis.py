@@ -231,11 +231,10 @@ def classify_thresholds(lams, fits) -> ThresholdScan:
 def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
                           window_fraction=(0.5, 1.0)) -> ThresholdScan:
     """Threshold scan driven by the p = 2 oracle envelope h(t); every lambda
-    is solved on base's grid and coefficients."""
+    is solved on base's grid and coefficients, all in one oracle march."""
     fits = []
-    for lam in lams:
-        cfg = replace(base, lam=float(lam))
-        mf = ora.second_moment_volterra(cfg, error_estimate=False)
+    for mf in ora.second_moments([replace(base, lam=float(lam)) for lam in lams],
+                                 error_estimate=False):
         env = ora.lower_bound_envelope(mf, gamma)
         lo = env.t[0] + window_fraction[0] * (env.t[-1] - env.t[0])
         hi = env.t[0] + window_fraction[1] * (env.t[-1] - env.t[0])

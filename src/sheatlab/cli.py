@@ -214,7 +214,11 @@ class Runner:
         rows = [(float(t), _exp_or_inf(lh), _exp_or_inf(lH), float(lh), float(lH))
                 for t, lh, lH in zip(env.t, env.log_h, env.log_big_h)]
         self._csv("oracle_envelope.csv", ["t", "h", "H", "log_h", "log_H"], rows)
-        self.man.diagnostics["compensation_rate"] = env.compensation_rate
+        self.man.diagnostics.update({
+            "compensation_rate": env.compensation_rate,
+            "n_diag": mf.n_diag,
+            "max_error_log_at_horizon": float(np.max(mf.error_log[-1])),
+        })
 
     def _moment_cells(self):
         """Write one CSV per lambda-cell, skipping cells whose checksum matches

@@ -16,10 +16,17 @@ accuracy here). Spatial y-integrals use midpoint cells; lags whose kernel
 width falls under the cell size switch to the exact diagonal surrogate
 m(x) g(2 tau,x,x) instead of an unresolvable quadrature.
 
+Configs that share a grid (every field but lam and k_sigma) are solved by
+one march. Its lag kernels are built once, with the panel weights folded in
+and stored lag-reversed, so that each step's history sum over every
+amplitude (lambda k)^2 is one matrix product.
+
 Growth at large lambda exceeds float range (the rate scales like
-(lambda k)^4 / (8 nu)), so the march stores log m with one running offset
-per time level; every term is positive, which makes the rescaled sums exact
-up to genuinely negligible underflow.
+(lambda k)^4 / (8 nu)). The march keeps its history as m / exp(ref) with one
+log reference per amplitude, rescaled in place when the newest level leaves
+e^{+-300}, and stores each row of log m with its own offset. Every term is
+positive, which makes the rescaled sums exact up to genuinely negligible
+underflow.
 
 The module also derives the envelope h(t) = inf_x m(t,x) over the interior
 margin, its compensated form H(t) = exp(2 nu pi^2 t) h(t), the growth-rate
@@ -86,14 +93,16 @@ class OracleConfig:
 class MomentField:
     """Second moments E[u(t,x)^2] on the oracle grid, stored as log m.
 
-    error_log is the grid-halving self-difference of log m (empty until
-    second_moment_volterra runs with error_estimate=True).
+    n_diag is the number of leading lags that took the diagonal surrogate.
+    error_log is the grid-halving self-difference of log m (empty unless
+    solved with error_estimate=True).
     """
 
     config: OracleConfig
     t: np.ndarray
     x: np.ndarray
     log_m: np.ndarray
+    n_diag: int
     error_log: np.ndarray | None = None
 
     def log_m_at(self, t, x):
@@ -153,28 +162,28 @@ def _d1_field(cfg: OracleConfig, t_grid, x_grid):
     return d1
 
 
-def _lag_kernels(cfg: OracleConfig, dt, n_lags):
-    """Squared-kernel y-integration operators per lag.
+def _lag_kernels(cfg: OracleConfig, dt, lag_weights, n_diag):
+    """Weighted squared-kernel y-integration operators for lags 1..n_lags.
 
-    Returns (diag, full, n_diag): lags 1..n_diag use the diagonal surrogate
-    g(2 tau, x, x) (kernel width below the cell size), the rest a dense
-    midpoint-quadrature matrix (1/n_x) g(tau,x,y)^2.
+    lag_weights[d-1] multiplies lag d. Both arrays are lag-reversed, so that
+    a step's lags line up with the history in time order: row b of diag
+    (n_diag, n_x) is the surrogate g(2 tau, x, x) of lag n_diag - b, and
+    column block b of dense (n_x, (n_lags - n_diag) n_x) is the midpoint
+    quadrature (1/n_x) g(tau, x, y)^2 of lag n_lags - b.
     """
+    n_lags, n_x = len(lag_weights), cfg.n_x
     spec = cfg.kernel_spec()
     x = cfg.x_grid
-    w = 1.0 / cfg.n_x
-    widths_resolved = lambda tau: math.sqrt(4.0 * cfg.nu * tau) >= 2.0 / cfg.n_x
-    n_diag = 0
-    while n_diag < n_lags and not widths_resolved((n_diag + 1) * dt):
-        n_diag += 1
-    diag = np.empty((n_diag, cfg.n_x))
+    diag = np.empty((n_diag, n_x))
     for d in range(1, n_diag + 1):
-        diag[d - 1] = kern.eval_kernel(spec, 2.0 * d * dt, x, x)
-    full = np.empty((n_lags - n_diag, cfg.n_x, cfg.n_x))
+        diag[n_diag - d] = lag_weights[d - 1] * kern.eval_kernel(spec, 2.0 * d * dt, x, x)
+    dense = np.empty((n_x, (n_lags - n_diag) * n_x))
+    blocks = dense.reshape(n_x, n_lags - n_diag, n_x)
     X, Y = x[:, None], x[None, :]
     for d in range(n_diag + 1, n_lags + 1):
-        full[d - n_diag - 1] = w * kern.eval_kernel(spec, d * dt, X, Y) ** 2
-    return diag, full, n_diag
+        blocks[:, n_lags - d] = (lag_weights[d - 1] / n_x) * kern.eval_kernel(
+            spec, d * dt, X, Y) ** 2
+    return diag, dense
 
 
 def _product_weights(dt, n_lags):
@@ -192,86 +201,133 @@ def _product_weights(dt, n_lags):
     return w_lo, w_hi
 
 
-def _solve(cfg: OracleConfig):
-    """March the product-integration recursion; returns log m (n_t+1, n_x)."""
-    n_t = cfg.n_time_panels
-    dt = cfg.horizon / n_t
-    x = cfg.x_grid
-    t = cfg.t_grid
+# A history slice is rescaled once its newest level leaves exp(+-300): far
+# enough inside float range that one step's growth and sum cannot overflow.
+_RESCALE_LOG = 300.0
 
-    d1 = _d1_field(cfg, t, x)
+
+def _solve_grid(grid: OracleConfig, amps):
+    """log m (n_t+1, n_x) for each amplitude (lam k)^2 on one grid, and n_diag.
+
+    Amplitude 0 is the exact log D1^2. All others march together, one
+    history slice hist[j] each. Psi_d = sqrt(tau_d) A_d m_{i-d} enters step
+    i with weight w_hi[d-1] + w_lo[d], which the kernels carry, so the whole
+    history sum is one product; the lag-i term (m_0) weighs only w_hi[i-1],
+    so its w_lo[i] share is taken off again, and Psi_0 is extrapolated from
+    lags 1 and 2. The history holds m / exp(ref), one log reference per
+    amplitude, and each log m row keeps its own offset.
+    """
+    n_t, n_x = grid.n_time_panels, grid.n_x
+    dt = grid.horizon / n_t
     with np.errstate(divide="ignore"):
-        log_d1sq = 2.0 * np.log(np.abs(d1))
-
-    amp = (cfg.lam * cfg.k_sigma) ** 2
-    m0 = _u0_values(cfg.u0, x) ** 2
+        log_d1sq = 2.0 * np.log(np.abs(_d1_field(grid, grid.t_grid, grid.x_grid)))
+    m0 = _u0_values(grid.u0, grid.x_grid) ** 2
     peak0 = float(np.max(m0))
     if peak0 <= 0:
         raise OracleDomainError("u0 vanishes on the oracle grid")
+    # leading lags whose kernel width falls under two cells take the surrogate
+    n_diag = 0
+    while n_diag < n_t and math.sqrt(4.0 * grid.nu * (n_diag + 1) * dt) < 2.0 / n_x:
+        n_diag += 1
+    live = sorted(set(amps) - {0.0})
+    if not live:
+        return [log_d1sq.copy() for _ in amps], n_diag
 
-    if amp == 0.0:
-        return log_d1sq
+    w_lo, w_hi = _product_weights(dt, n_t + 1)
+    omega = w_hi[:n_t] + w_lo[1:]
+    diag, dense = _lag_kernels(grid, dt, omega * np.sqrt(np.arange(1, n_t + 1) * dt),
+                               n_diag)
 
-    diag, full, n_diag = _lag_kernels(cfg, dt, n_t)
-    w_lo, w_hi = _product_weights(dt, n_t)
-    sqrt_tau = np.sqrt(np.arange(1, n_t + 1) * dt)
-
-    mhat = np.empty((n_t + 1, cfg.n_x))
-    offset = np.empty(n_t + 1)
-    mhat[0] = m0 / peak0
-    offset[0] = math.log(peak0)
-
-    for i in range(1, n_t + 1):
-        lam_off = float(np.max(offset[:i]))
-        c = np.exp(offset[:i] - lam_off)
-        # Psi_d at lag d = sqrt(d dt) * (A_d m_{i-d}), in units of exp(lam_off)
-        w_lagged = mhat[:i] * c[:, None]          # index l = 0..i-1
-        psi = np.empty((i, cfg.n_x))              # index d-1, d = 1..i
-        nd = min(n_diag, i)
-        if nd > 0:
-            psi[:nd] = diag[:nd] * w_lagged[i - 1 - np.arange(nd)]
-        if i > n_diag:
-            seg = w_lagged[i - n_diag - 1::-1]    # l = i-1-n_diag down to 0
-            psi[n_diag:i] = np.einsum("dxy,dy->dx", full[: i - n_diag], seg)
-        psi *= sqrt_tau[:i, None]
-        if i >= 2:
-            psi0 = np.maximum(2.0 * psi[0] - psi[1], 0.0)
+    def psi(d, h):
+        """Psi_d = sqrt(tau_d) A_d h for one history level h (n_amp, n_x)."""
+        if d <= n_diag:
+            term = h * diag[n_diag - d]
         else:
-            psi0 = psi[0]
-        omega = w_hi[:i].copy()
-        omega[: i - 1] += w_lo[1:i]
-        contrib = omega @ psi + w_lo[0] * psi0
-        s_hat = np.exp(log_d1sq[i] - lam_off) + amp * contrib
-        peak = float(np.max(s_hat))
-        offset[i] = lam_off + math.log(peak)
-        mhat[i] = s_hat / peak
+            term = h @ dense[:, (n_t - d) * n_x:(n_t - d + 1) * n_x].T
+        return term / omega[d - 1]
 
+    a = np.array(live)[:, None]
+    hist = np.empty((len(live), n_t + 1, n_x))
+    log_m = np.empty_like(hist)
+    hist[:, 0] = m0 / peak0
+    ref = np.full((len(live), 1), math.log(peak0))
     with np.errstate(divide="ignore"):
-        return np.log(mhat) + offset[:, None]
+        log_m[:, 0] = np.log(hist[:, 0]) + ref
+        for i in range(1, n_t + 1):
+            nd = min(n_diag, i)
+            total = np.einsum("dx,adx->ax", diag[n_diag - nd:], hist[:, i - nd:i])
+            if i > n_diag:
+                total += (hist[:, :i - n_diag].reshape(len(live), -1)
+                          @ dense[:, (n_t - i) * n_x:(n_t - n_diag) * n_x].T)
+            total -= w_lo[i] * psi(i, hist[:, 0])
+            psi0 = psi(1, hist[:, i - 1])
+            if i >= 2:
+                psi0 = np.maximum(2.0 * psi0 - psi(2, hist[:, i - 2]), 0.0)
+            level = np.exp(log_d1sq[i] - ref) + a * (total + w_lo[0] * psi0)
+            hist[:, i] = level
+            log_m[:, i] = np.log(level) + ref
+            log_peak = np.log(np.max(level, axis=1))
+            for j in np.flatnonzero(np.abs(log_peak) > _RESCALE_LOG):
+                hist[j, :i + 1] *= math.exp(-log_peak[j])
+                ref[j] += log_peak[j]
+    return [log_d1sq.copy() if amp == 0.0 else log_m[live.index(amp)]
+            for amp in amps], n_diag
+
+
+def _solve_all(cfgs):
+    """(log m, n_diag) for every config, one _solve_grid per shared grid:
+    every OracleConfig field but lam and k_sigma."""
+    groups = {}
+    for idx, cfg in enumerate(cfgs):
+        groups.setdefault(replace(cfg, lam=0.0, k_sigma=1.0), []).append(idx)
+    out = [None] * len(cfgs)
+    for grid, idxs in groups.items():
+        log_ms, n_diag = _solve_grid(
+            grid, [(cfgs[i].lam * cfgs[i].k_sigma) ** 2 for i in idxs])
+        for i, log_m in zip(idxs, log_ms):
+            out[i] = (log_m, n_diag)
+    return out
+
+
+def _halving_error(cfg, log_m, log_c):
+    """|log m - log m_coarse| on the coarse levels, interpolated to the fine grid."""
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(log_m[::2] - log_c)
+    # -inf agreeing with -inf (exact zeros of u0) is exact agreement
+    diff = np.where(np.isneginf(log_m[::2]) & np.isneginf(log_c), 0.0, diff)
+    coarse_t = replace(cfg, n_time_panels=cfg.n_time_panels // 2).t_grid
+    err = np.empty_like(log_m)
+    for j in range(log_m.shape[1]):
+        err[:, j] = np.interp(cfg.t_grid, coarse_t, diff[:, j])
+    return err
+
+
+def second_moments(cfgs, error_estimate=True) -> list[MomentField]:
+    """Solve the second-moment Volterra equation for every config, in input order.
+
+    Configs that differ only in lam and k_sigma share a grid and are solved
+    by one march. The error estimate is the log-domain self-difference
+    against a solve with half the time panels, interpolated back to the fine
+    grid; the halved grids are grouped the same way.
+    """
+    cfgs = list(cfgs)
+    if any(cfg.n_time_panels % 2 != 0 for cfg in cfgs):
+        raise OracleDomainError("n_time_panels must be even for grid halving")
+    fine = _solve_all(cfgs)
+    errs = [None] * len(cfgs)
+    if error_estimate:
+        coarse = _solve_all([replace(cfg, n_time_panels=cfg.n_time_panels // 2)
+                             for cfg in cfgs])
+        errs = [_halving_error(cfg, log_m, log_c)
+                for cfg, (log_m, _), (log_c, _) in zip(cfgs, fine, coarse)]
+    return [MomentField(config=cfg, t=cfg.t_grid, x=cfg.x_grid, log_m=log_m,
+                        n_diag=n_diag, error_log=err)
+            for cfg, (log_m, n_diag), err in zip(cfgs, fine, errs)]
 
 
 def second_moment_volterra(cfg: OracleConfig, error_estimate=True) -> MomentField:
-    """Solve the second-moment Volterra equation on the configured grid.
-
-    The error estimate is the log-domain self-difference against a solve
-    with half the time panels, interpolated back to the fine grid.
-    """
-    if cfg.n_time_panels % 2 != 0:
-        raise OracleDomainError("n_time_panels must be even for grid halving")
-    log_m = _solve(cfg)
-    err = None
-    if error_estimate:
-        coarse = replace(cfg, n_time_panels=cfg.n_time_panels // 2)
-        log_c = _solve(coarse)
-        with np.errstate(invalid="ignore"):
-            diff = np.abs(log_m[::2] - log_c)
-        # -inf agreeing with -inf (exact zeros of u0) is exact agreement
-        diff = np.where(np.isneginf(log_m[::2]) & np.isneginf(log_c), 0.0, diff)
-        err = np.empty_like(log_m)
-        for j in range(log_m.shape[1]):
-            err[:, j] = np.interp(cfg.t_grid, coarse.t_grid, diff[:, j])
-    return MomentField(config=cfg, t=cfg.t_grid, x=cfg.x_grid, log_m=log_m,
-                       error_log=err)
+    """second_moments for one config."""
+    return second_moments([cfg], error_estimate)[0]
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """CLI tests: config schema, manifests, determinism, resumption, exit codes."""
 
+import csv
 import glob
 import json
 import math
@@ -233,6 +234,20 @@ functionals = sup
         assert payload["lambda_u_hat"] == 8.0
         assert [f["resolved"] for f in payload["fits"]] == [True, False]
         assert payload["fits"][1]["rate_dt"] == pytest.approx(1024 / 400, rel=1e-12)
+
+
+    def test_oracle_manifest_diagnostics(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["oracle", "--config", cfg]) == 0
+        diag = load_manifest(str(tmp_path / "out"), "oracle")["diagnostics"]
+        with open(tmp_path / "out" / "oracle_moments.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        last = max(float(r["t"]) for r in rows)
+        # horizon 0.2 on 100 panels: only lag 1's kernel width sqrt(4 nu tau)
+        # = 0.063 falls under two of the 25 cells (0.08)
+        assert diag["n_diag"] == 1
+        assert diag["max_error_log_at_horizon"] == max(
+            float(r["err_log"]) for r in rows if float(r["t"]) == last)
 
 
 class TestShippedConfigs:

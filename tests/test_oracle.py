@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sheatlab import analysis as A
 from sheatlab import kernel as kern
 from sheatlab import oracle as O
 from sheatlab.solver import InitialData
@@ -61,16 +62,17 @@ class TestVolterraSolve:
         for nt in (100, 200, 400):
             cfg = O.OracleConfig(lam=1.0, u0=InitialData.bump(0.2), horizon=0.25,
                                  n_time_panels=nt, n_x=31)
-            vals.append(O._solve(cfg)[-1, 15])
+            vals.append(O.second_moment_volterra(cfg, error_estimate=False).log_m[-1, 15])
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert d1 / d2 >= 1.4
 
     def test_monotone_in_lambda(self):
         prev = None
-        for lam in (0.0, 0.5, 1.0, 2.0):
-            cfg = O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=0.25,
-                                 n_time_panels=100, n_x=31)
-            cur = O._solve(cfg)
+        for mf in O.second_moments(
+                [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=0.25,
+                                n_time_panels=100, n_x=31)
+                 for lam in (0.0, 0.5, 1.0, 2.0)], error_estimate=False):
+            cur = mf.log_m
             if prev is not None:
                 assert np.all(cur >= prev - 1e-12)
             prev = cur
@@ -96,6 +98,109 @@ class TestVolterraSolve:
         le = O.log_l2_energy(mf)
         slope, _, _ = O._window_slope(mf.t, 2 * le, (0.6, 1.0))
         assert slope == pytest.approx(r_pred, rel=0.02)
+
+
+def reference_log_m(cfg):
+    """Plain per-lambda march: each lag's operator from eval_kernel, each
+    step's weights and Psi_0 rule applied lag by lag, and the history
+    rescaled to the largest earlier offset at every step."""
+    n_t, n_x = cfg.n_time_panels, cfg.n_x
+    dt = cfg.horizon / n_t
+    x = cfg.x_grid
+    spec = cfg.kernel_spec()
+    with np.errstate(divide="ignore"):
+        log_d1sq = 2.0 * np.log(np.abs(O._d1_field(cfg, cfg.t_grid, x)))
+    amp = (cfg.lam * cfg.k_sigma) ** 2
+    if amp == 0.0:
+        return log_d1sq
+    ops = []
+    for d in range(1, n_t + 1):
+        if math.sqrt(4.0 * cfg.nu * d * dt) < 2.0 / n_x:
+            ops.append(np.diag(kern.eval_kernel(spec, 2.0 * d * dt, x, x)))
+        else:
+            ops.append(kern.eval_kernel(spec, d * dt, x[:, None], x[None, :]) ** 2 / n_x)
+    w_lo, w_hi = O._product_weights(dt, n_t)
+    m0 = O._u0_values(cfg.u0, x) ** 2
+    levels, offsets = [m0 / m0.max()], [math.log(m0.max())]
+    for i in range(1, n_t + 1):
+        ref = max(offsets)
+        hist = [lv * math.exp(off - ref) for lv, off in zip(levels, offsets)]
+        psi = [math.sqrt(d * dt) * (ops[d - 1] @ hist[i - d]) for d in range(1, i + 1)]
+        psi0 = psi[0] if i == 1 else np.maximum(2.0 * psi[0] - psi[1], 0.0)
+        total = w_lo[0] * psi0
+        for d in range(1, i + 1):
+            total = total + (w_hi[d - 1] + (w_lo[d] if d < i else 0.0)) * psi[d - 1]
+        s = np.exp(log_d1sq[i] - ref) + amp * total
+        levels.append(s / s.max())
+        offsets.append(ref + math.log(s.max()))
+    with np.errstate(divide="ignore"):
+        return np.log(np.array(levels)) + np.array(offsets)[:, None]
+
+
+def assert_log_close(a, b, rel=1e-12):
+    assert np.array_equal(np.isneginf(a), np.isneginf(b))
+    fin = np.isfinite(b)
+    assert np.all(np.isfinite(a) == fin)
+    assert np.all(np.abs(a[fin] - b[fin]) <= rel * np.maximum(1.0, np.abs(b[fin])))
+
+
+class TestBatchedMarch:
+    LAMS = (0.0, 0.5, 2.0, 8.0)
+
+    @staticmethod
+    def small(lam, boundary=kern.DIRICHLET, **kw):
+        # dt = 1/6000: the first 53 of 120 lags are diagonal surrogates
+        return O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=0.02,
+                              boundary=boundary, n_time_panels=120, n_x=15, **kw)
+
+    @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
+    def test_matches_reference_march(self, boundary):
+        cfgs = [self.small(lam, boundary) for lam in self.LAMS]
+        fields = O.second_moments(cfgs, error_estimate=False)
+        assert 0 < fields[0].n_diag < 120
+        for cfg, mf in zip(cfgs, fields):
+            assert_log_close(mf.log_m, reference_log_m(cfg))
+
+    def test_rescaled_history_matches_reference(self):
+        # log m climbs past 700: the history is rescaled at e^300 more than
+        # once, and the early rows must stay finite in the output
+        cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
+                             n_time_panels=200, n_x=15)
+        log_m = O.second_moment_volterra(cfg, error_estimate=False).log_m
+        assert log_m.max() > 700 and np.all(np.isfinite(log_m[1:]))
+        assert_log_close(log_m, reference_log_m(cfg))
+
+    def test_batch_equals_singles_in_input_order(self):
+        cfgs = [self.small(lam) for lam in (2.0, 0.0, 8.0, 0.5)]
+        cfgs.append(self.small(1.0, k_sigma=2.0))  # amplitude shared with lam = 2
+        fields = O.second_moments(cfgs)
+        for cfg, mf in zip(cfgs, fields):
+            alone = O.second_moment_volterra(cfg)
+            assert mf.config is cfg
+            assert_log_close(mf.log_m, alone.log_m)
+            assert_log_close(mf.error_log, alone.error_log)
+
+    def test_one_kernel_build_per_grid(self, monkeypatch):
+        calls = []
+        build = O._lag_kernels
+
+        def counted(cfg, *args):
+            calls.append((cfg.boundary, cfg.n_time_panels))
+            return build(cfg, *args)
+
+        monkeypatch.setattr(O, "_lag_kernels", counted)
+        cfgs = [self.small(lam, boundary) for boundary in (kern.DIRICHLET, kern.NEUMANN)
+                for lam in self.LAMS]
+        O.second_moments(cfgs, error_estimate=False)
+        assert sorted(calls) == [(kern.DIRICHLET, 120), (kern.NEUMANN, 120)]
+        calls.clear()
+        O.second_moment_volterra(self.small(2.0), error_estimate=True)
+        assert calls == [(kern.DIRICHLET, 120), (kern.DIRICHLET, 60)]
+        calls.clear()
+        base = O.OracleConfig(lam=0.0, u0=InitialData.bump(0.2), horizon=0.5,
+                              n_time_panels=100, n_x=15)
+        A.oracle_threshold_scan(base, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+        assert calls == [(kern.DIRICHLET, 100)]
 
 
 class TestEnvelope:
