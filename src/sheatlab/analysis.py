@@ -202,7 +202,8 @@ def excitation_index(lams, log_energies, log_cis=None, p=2.0) -> ExcitationFit:
 class ThresholdScan:
     """Empirical stability/growth bracket over a lambda grid; an oracle scan
     flags each fit whose predicted_rate * dt exceeds oracle.RESOLVED_RATE_DT
-    (the fit still counts toward the bracket)."""
+    (the fit still counts toward the bracket) and records its shared grid's
+    diagonal-surrogate lag count n_diag."""
 
     lams: tuple
     fits: tuple
@@ -210,6 +211,7 @@ class ThresholdScan:
     lambda_u_hat: float | None
     rate_dt: tuple = ()
     resolved: tuple = ()
+    n_diag: int | None = None
 
 
 def classify_thresholds(lams, fits) -> ThresholdScan:
@@ -233,8 +235,9 @@ def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
     """Threshold scan driven by the p = 2 oracle envelope h(t); every lambda
     is solved on base's grid and coefficients, all in one oracle march."""
     fits = []
-    for mf in ora.second_moments([replace(base, lam=float(lam)) for lam in lams],
-                                 error_estimate=False):
+    mfs = ora.second_moments([replace(base, lam=float(lam)) for lam in lams],
+                             error_estimate=False)
+    for mf in mfs:
         env = ora.lower_bound_envelope(mf, gamma)
         lo = env.t[0] + window_fraction[0] * (env.t[-1] - env.t[0])
         hi = env.t[0] + window_fraction[1] * (env.t[-1] - env.t[0])
@@ -242,7 +245,8 @@ def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
     rate_dt = tuple(ora.predicted_rate(float(lam), base.k_sigma, base.nu)
                     * base.horizon / base.n_time_panels for lam in lams)
     return replace(classify_thresholds(list(lams), fits), rate_dt=rate_dt,
-                   resolved=tuple(r <= ora.RESOLVED_RATE_DT for r in rate_dt))
+                   resolved=tuple(r <= ora.RESOLVED_RATE_DT for r in rate_dt),
+                   n_diag=mfs[0].n_diag if mfs else None)
 
 
 # --- weighted kernel integrals behind the quadrature-bound lemmas ---------

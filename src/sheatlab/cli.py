@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -143,16 +144,28 @@ class Runner:
         runner; None if it diverged, which each asking manifest lists."""
         key = (sim, n_samples, tuple(functionals), tuple(times))
         if key not in self._tables:
+            start = time.perf_counter()
             try:
                 self._tables[key] = _ensemble_table(sim, n_samples, functionals,
                                                     times, self.workers)
             except PathDivergedError as exc:
                 self._tables[key] = exc
+            else:
+                self._count_throughput(n_samples * max(sim.observation_steps()),
+                                       time.perf_counter() - start)
         table = self._tables[key]
         if isinstance(table, PathDivergedError):
             self.man.failed_cells.append({"lambda": sim.lam, "error": str(table)})
             return None
         return table
+
+    def _count_throughput(self, sample_steps, seconds):
+        """Add one built ensemble to the manifest's sample-step count (exact)
+        and its build time (wall clock, all workers)."""
+        diag = self.man.diagnostics
+        diag["sample_steps"] = diag.get("sample_steps", 0) + sample_steps
+        diag["ensemble_s"] = diag.get("ensemble_s", 0.0) + seconds
+        diag["sample_steps_per_s"] = diag["sample_steps"] / diag["ensemble_s"]
 
     # ------------------------------------------------------------------ #
 
@@ -322,6 +335,13 @@ class Runner:
                         "norm_lam4": p.log_energy / p.lam ** 4}
                        for p in points],
         }
+        # n_diag = n_time_panels: every lag of that solve took the diagonal
+        # surrogate, so its energy has no spatial quadrature behind it
+        self.man.diagnostics.update({
+            "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
+            "oracle_points": [{"lambda": p.lam, "n_diag": p.n_diag,
+                               "max_error_log": p.error_log} for p in points],
+        })
         mc_samples = self.cfg.get("analysis", "mc_samples")
         if mc_samples > 0:
             payload["mc"] = self._excitation_mc(lams, t_star, mc_samples)
@@ -368,6 +388,10 @@ class Runner:
         })
         rows = [(lam, f.slope, f.slope_ci) for lam, f in zip(scan.lams, scan.fits)]
         self._csv("thresholds_series.csv", ["lambda", "slope", "slope_ci"], rows)
+        self.man.diagnostics.update({
+            "n_diag": scan.n_diag,
+            "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
+        })
 
     def cmd_grr_check(self):
         params = reg.GrrParams(p=self.cfg.get("grr", "p"),

@@ -81,17 +81,23 @@ class NoiseStream:
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def sample_block(stream: NoiseStream, n_steps: int, generator=None):
+def sample_block(stream: NoiseStream, n_steps: int, generator=None, out=None):
     """Cell increments for n_steps consecutive steps, shape (n_steps, n_interior).
 
     Consumes the stream contiguously; pass the returned generator back in to
     continue from where the block ended (the solver's chunked time loop).
+    out, a C-contiguous float (n_steps, n_interior) array, is filled in place
+    with the same values; returns (block, generator).
     """
     g = generator if generator is not None else stream._generator()
-    n = stream.grid.n_interior
-    z = g.standard_normal(n_steps * n).reshape(n_steps, n)
-    z *= math.sqrt(stream.grid.dt * stream.grid.dx)
-    return z, g
+    shape = (n_steps, stream.grid.n_interior)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise NoiseDomainError(f"out has shape {out.shape}, not {shape}")
+    g.standard_normal(out=out)
+    out *= math.sqrt(stream.grid.dt * stream.grid.dx)
+    return out, g
 
 
 def sample_increments(stream: NoiseStream, step_index: int):

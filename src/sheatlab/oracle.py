@@ -446,7 +446,13 @@ def theorem31_calibration(series, k_lower, nu=0.5, window=(0.5, 1.0)):
 
 @dataclass
 class EnergyPoint:
-    """Oracle E_2 at one (t, lambda), possibly rate-extrapolated."""
+    """Oracle E_2 at one (t, lambda), possibly rate-extrapolated.
+
+    error_log is the solve's largest grid-halving error of log m at its
+    horizon, plus the carried slope error when extrapolated; n_diag is the
+    solve's diagonal-surrogate lag count (n_diag = n_time_panels means no
+    lag had a spatial quadrature).
+    """
 
     lam: float
     t: float
@@ -456,6 +462,7 @@ class EnergyPoint:
     window_horizon: float
     extrapolated: bool
     error_log: float
+    n_diag: int
 
 
 def predicted_rate(lam, k_sigma, nu):
@@ -482,8 +489,8 @@ def energy_at(cfg: OracleConfig, t_target, rate_budget=30.0,
     err = float(np.max(mf.error_log[-1])) if mf.error_log is not None else 0.0
     if resolvable:
         return EnergyPoint(cfg.lam, t_target, float(log_e[-1]), slope, se,
-                           horizon, False, err)
+                           horizon, False, err, mf.n_diag)
     span = t_target - horizon
     log_e_t = float(log_e[-1]) + 0.5 * slope * span
     return EnergyPoint(cfg.lam, t_target, log_e_t, slope, se + err / horizon,
-                       horizon, True, err + se * span)
+                       horizon, True, err + se * span, mf.n_diag)

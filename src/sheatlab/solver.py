@@ -10,28 +10,31 @@ with sigma and the cell noise applied explicitly at the previous step, and
 differ only in the one-step semigroup P:
 
 * semi-implicit finite differences: P = (I - nu dt L)^{-1}, backward Euler
-  in the diffusion (tridiagonal Cholesky solve per step);
+  in the diffusion (one LDL^T factor per config, a LAPACK dpttrs solve per
+  step);
 * spectral exponential Euler (Dirichlet only): P = S diag(exp(-nu n^2 pi^2
   dt)) S, S the orthonormal sine transform, exact on each eigenmode.
 
 step_semi_implicit and step_spectral are per-sample references for the
 batch engine; step_spectral steps the sine-mode coefficients instead.
 
-A batch of samples is stepped as one array and returned as one Ensemble:
-snapshots at the configured observation times only, values of shape
-(k, n_obs, n) filled in place at each observation step. ens[i] is sample i
-as a SolutionPath view (no copy). Large noise intensities drive |u| past
-float range; for linear sigma the step map is homogeneous in u, so each
-sample carries an exact log scale offset (values * exp(log_scale) is the
-physical field). Non-finite states abort the batch with the offending step
-and sample reported; clamping would silently distort genuine moment blow-up.
+A batch of samples is stepped as one (k, n) array, one contiguous row per
+sample, with each sample's noise drawn straight into its row of one
+(k, chunk, n) buffer. It is returned as one Ensemble: snapshots at the
+configured observation times only, values of shape (k, n_obs, n) filled in
+place at each observation step. ens[i] is sample i as a SolutionPath view
+(no copy). Large noise intensities drive |u| past float range; for linear
+sigma the step map is homogeneous in u, so each sample carries an exact log
+scale offset (values * exp(log_scale) is the physical field). Non-finite
+states abort the batch with the offending step and sample reported;
+clamping would silently distort genuine moment blow-up.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg.lapack import dpttrs
 
 from .noise import GridSpec, NoiseStream, sample_block, sample_increments, sine_transform
 
@@ -265,17 +268,38 @@ class SolutionPath(_Observed):
 
 
 def _implicit_factor(cfg: SimulationConfig):
-    """Banded Cholesky factor of I - nu dt L, L the second difference with the
-    Dirichlet closure or the Neumann mirror ghost closure."""
+    """LDL^T factor (d, e) of the tridiagonal I - nu dt L, as LAPACK dpttrf
+    returns it; L is the second difference with the Dirichlet closure or the
+    Neumann mirror ghost closure.
+
+    The pivot recurrence runs in long double and is rounded once. dpttrf's
+    rounding at every pivot biases each solve of the Neumann constant mode,
+    which no step damps, by about 4e-16: on n = 127, dt = 2.5e-4 the path
+    drifted 1.1e-12 from an extended-precision march in 2000 steps, against
+    1.9e-13 with this factor.
+    """
     n, dx, dt = cfg.grid.n_interior, cfg.grid.dx, cfg.grid.dt
     main = np.full(n, -2.0) / dx ** 2
     if cfg.boundary == NEUMANN:
         main[0] = main[-1] = -1.0 / dx ** 2  # mirror ghost closure
     off = np.full(n - 1, 1.0) / dx ** 2
-    ab = np.zeros((2, n))
-    ab[1] = 1.0 - cfg.nu * dt * main
-    ab[0, 1:] = -cfg.nu * dt * off
-    return cholesky_banded(ab)
+    diag = (1.0 - cfg.nu * dt * main).astype(np.longdouble)
+    sub = (-cfg.nu * dt * off).astype(np.longdouble)
+    d, e = diag.copy(), np.empty_like(sub)
+    for i in range(n - 1):
+        e[i] = sub[i] / d[i]
+        d[i + 1] -= e[i] * sub[i]
+    if not np.all(d > 0):
+        raise ConfigError("I - nu dt L is not positive definite")
+    return d.astype(float), e.astype(float)
+
+
+def _implicit_solve(factor, b):
+    """Solve (I - nu dt L) x = b in place; b is (n,) or Fortran (n, k)."""
+    x, info = dpttrs(*factor, b, overwrite_b=1)
+    if info != 0:
+        raise ConfigError(f"dpttrs rejected its arguments (info {info})")
+    return x
 
 
 def _mode_decay(cfg: SimulationConfig, n_modes):
@@ -299,7 +323,7 @@ def step_semi_implicit(state, stream: NoiseStream, step_index, cfg: SimulationCo
     if cfg.lam != 0.0:
         dw = sample_increments(stream, step_index)
         rhs += cfg.lam * cfg.sigma(state) * dw / cfg.grid.dx
-    out = cho_solve_banded((factor, False), rhs, check_finite=False)
+    out = _implicit_solve(factor, rhs)
     if not np.all(np.isfinite(out)):
         raise PathDivergedError(step_index, stream.sample_index)
     return out
@@ -335,16 +359,18 @@ def step_spectral(coeffs, stream: NoiseStream, step_index, cfg: SimulationConfig
 
 
 def _propagator(cfg: SimulationConfig):
-    """The scheme's one-step semigroup P, acting on physical (n, k) states.
+    """The scheme's one-step semigroup P, acting on physical (k, n) states,
+    one C-contiguous row per sample; the semi-implicit P overwrites its input.
 
-    Spectral: P = S diag(exp(-nu n^2 pi^2 dt)) S, S the orthonormal DST-I.
-    Semi-implicit: P = (I - nu dt L)^{-1} by the banded Cholesky factor.
+    Spectral: P = S diag(exp(-nu n^2 pi^2 dt)) S, S the orthonormal DST-I
+    along the rows. Semi-implicit: P = (I - nu dt L)^{-1} by dpttrs on
+    u.T, the Fortran (n, k) view of the same memory.
     """
     if cfg.scheme == "spectral":
-        decay = _mode_decay(cfg, cfg.grid.n_interior)[:, None]
-        return lambda u: sine_transform(decay * sine_transform(u, axis=0), axis=0)
+        decay = _mode_decay(cfg, cfg.grid.n_interior)
+        return lambda u: sine_transform(decay * sine_transform(u))
     factor = _implicit_factor(cfg)
-    return lambda u: cho_solve_banded((factor, False), u, check_finite=False)
+    return lambda u: _implicit_solve(factor, u.T).T
 
 
 def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> Ensemble:
@@ -367,7 +393,7 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> En
                    values=np.empty((k, len(obs_steps), n)),
                    log_scale=np.empty((k, len(obs_steps))))
 
-    state = np.repeat(project_initial(cfg.u0, grid)[:, None], k, axis=1)
+    state = np.repeat(project_initial(cfg.u0, grid)[None, :], k, axis=0)
     propagate = _propagator(cfg)
 
     log_offset = np.zeros(k)
@@ -377,7 +403,7 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> En
 
     def record(step):
         j = obs_row[step]
-        ens.values[:, j, :] = state.T
+        ens.values[:, j, :] = state
         ens.log_scale[:, j] = log_offset
 
     if 0 in obs_row:
@@ -387,31 +413,34 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> En
     scale = cfg.lam / grid.dx
     # one noise buffer for every chunk: a fresh block per chunk kept two
     # blocks alive at once, and where the allocator placed them set the peak RSS
-    noise = np.empty((min(chunk_steps, last_step), n, k))
+    noise = np.empty((k, min(chunk_steps, last_step), n))
     step = 0
     while step < last_step:
         block_len = min(chunk_steps, last_step - step)
         if cfg.lam != 0.0:
             for i, st in enumerate(streams):
-                blk, gens[i] = sample_block(st, block_len, generator=gens[i])
-                noise[:block_len, :, i] = blk
+                _, gens[i] = sample_block(st, block_len, generator=gens[i],
+                                          out=noise[i, :block_len])
+            # a separate multiply after sample_block's sqrt(dt dx) scaling,
+            # so the increments round exactly as dW * (lam / dx)
+            noise[:, :block_len] *= scale
         for local in range(block_len):
             # overflow to inf is legitimate here: the periodic check below
             # converts it into a PathDivergedError with the step reported
             with np.errstate(over="ignore", invalid="ignore"):
                 if cfg.lam != 0.0:
-                    state = state + cfg.sigma(state) * (noise[local] * scale)
+                    state += cfg.sigma(state) * noise[:, local]
                 state = propagate(state)
             step += 1
             if step % _RENORM_CHECK_EVERY == 0 or step in obs_row:
-                peak = np.max(np.abs(state), axis=0)
+                peak = np.max(np.abs(state), axis=1)
                 bad = ~np.isfinite(peak)
                 if np.any(bad):
                     raise PathDivergedError(step, samples[int(np.argmax(bad))])
                 if can_renorm:
                     hot = peak > RENORM_THRESHOLD
                     if np.any(hot):
-                        state[:, hot] /= peak[hot]
+                        state[hot] /= peak[hot, None]
                         log_offset[hot] += np.log(peak[hot])
             if step in obs_row:
                 record(step)

@@ -145,6 +145,22 @@ class TestCliRuns:
         b = (tmp_path / "w2" / "moments.csv").read_bytes()
         assert a == b
 
+    def test_sample_steps_in_manifest(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        counts = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}")
+            assert cli.main(["moments", "--config", cfg, "--workers", workers,
+                             "--out", out,
+                             "--override", "equation.lambda_grid=0.5, 1",
+                             "--override", "observation.times=0.05, 0.1"]) == 0
+            diag = load_manifest(out, "moments")["diagnostics"]
+            assert diag["sample_steps_per_s"] > 0
+            counts.append(diag["sample_steps"])
+        # 64 samples x 2 lambdas x last observation step 0.1 / 1e-3; the
+        # horizon's 200 steps are never taken
+        assert counts == [64 * 2 * 100] * 2
+
     def test_resumption_skips_completed_cell(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert cli.main(["moments", "--config", cfg]) == 0
@@ -234,6 +250,27 @@ functionals = sup
         assert payload["lambda_u_hat"] == 8.0
         assert [f["resolved"] for f in payload["fits"]] == [True, False]
         assert payload["fits"][1]["rate_dt"] == pytest.approx(1024 / 400, rel=1e-12)
+        # dt = 2.5e-3: only lag 1's kernel width sqrt(4 nu tau) = 0.05 is under
+        # two of the 25 cells (0.08)
+        diag = load_manifest(str(tmp_path / "out"), "thresholds")["diagnostics"]
+        assert diag == {"n_diag": 1, "n_time_panels": 400}
+
+    def test_excitation_manifest_lists_surrogate_solves(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["excitation", "--config", cfg]) == 0
+        points = json.loads((tmp_path / "out" / "excitation.json").read_text())["points"]
+        diag = load_manifest(str(tmp_path / "out"), "excitation")["diagnostics"]
+        assert diag["n_time_panels"] == 100
+        listed = diag["oracle_points"]
+        assert [d["lambda"] for d in listed] == [p["lambda"] for p in points]
+        for d, p in zip(listed, points):
+            # the surrogate covers lags d whose width sqrt(4 nu d dt) < 2 / n_x
+            dt = p["window_horizon"] / 100
+            assert d["n_diag"] == sum(1 for lag in range(1, 101)
+                                      if math.sqrt(4 * 0.5 * lag * dt) < 2 / 25)
+            assert math.isfinite(d["max_error_log"]) and d["max_error_log"] >= 0
+        # lambda >= 16 solves on so short a window that no lag gets a quadrature
+        assert [d["n_diag"] == 100 for d in listed] == [False, True, True, True]
 
 
     def test_oracle_manifest_diagnostics(self, tmp_path):

@@ -51,6 +51,22 @@ class TestReproducibility:
         second, _ = N.sample_block(s, 30, generator=g)
         assert np.array_equal(full, np.vstack([first, second]))
 
+    def test_out_fill_matches_allocating_path(self):
+        # a caller's buffer continued across chunks, with a short last chunk
+        full, _ = N.sample_block(stream(), 50)
+        buf = np.full((3, 20, GRID.n_interior), np.nan)
+        g = None
+        for i, (lo, hi) in enumerate([(0, 20), (20, 40), (40, 50)]):
+            blk, g = N.sample_block(stream(), hi - lo, generator=g,
+                                    out=buf[i, :hi - lo])
+            assert np.shares_memory(blk, buf)
+            assert np.array_equal(buf[i, :hi - lo], full[lo:hi])
+        assert np.all(np.isnan(buf[2, 10:]))   # nothing past the short chunk
+
+    def test_out_shape_checked(self):
+        with pytest.raises(N.NoiseDomainError):
+            N.sample_block(stream(), 5, out=np.empty((4, GRID.n_interior)))
+
     def test_distinct_samples_differ(self):
         a = N.sample_increments(stream(sample=0), 0)
         b = N.sample_increments(stream(sample=1), 0)

@@ -158,9 +158,10 @@ class TestReproducibility:
         for t in (0.05, 0.1):
             assert np.array_equal(pd_.field_at(t), ps.field_at(t))
 
-    def test_step_function_matches_engine(self):
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_step_function_matches_engine(self, boundary):
         grid = GridSpec(n_interior=15, dt=1e-3, horizon=0.01)
-        cfg = S.SimulationConfig(grid=grid, lam=1.0, master_seed=2,
+        cfg = S.SimulationConfig(grid=grid, lam=1.0, master_seed=2, boundary=boundary,
                                  u0=S.InitialData.sine(1), observation_times=(0.01,))
         stream = NoiseStream(2, 0, grid)
         state = S.project_initial(cfg.u0, grid)
@@ -183,6 +184,53 @@ class TestReproducibility:
         state = sine_transform(coeffs) / math.sqrt(grid.dx)
         engine = S.simulate_path(cfg, 0).field_at(0.01)
         assert np.max(np.abs(state - engine)) <= 1e-13 * np.max(np.abs(engine))
+
+
+def dense_implicit_matrix(cfg):
+    """I - nu dt L as a dense matrix, L the second difference with the
+    Dirichlet closure or the Neumann mirror ghost closure."""
+    n, dx = cfg.grid.n_interior, cfg.grid.dx
+    lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+           + np.diag(np.ones(n - 1), -1)) / dx ** 2
+    if cfg.boundary == "neumann":
+        lap[0, 0] = lap[-1, -1] = -1.0 / dx ** 2
+    return np.eye(n) - cfg.nu * cfg.grid.dt * lap
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+    def test_semi_implicit_matches_dense_solve(self, boundary):
+        grid = GridSpec(n_interior=127, dt=2.5e-4, horizon=0.01)
+        cfg = S.SimulationConfig(grid=grid, lam=1.0, boundary=boundary,
+                                 observation_times=(0.01,))
+        u = np.random.default_rng(8).standard_normal((64, 127))
+        dense = np.linalg.solve(dense_implicit_matrix(cfg), u.T).T
+        batch = u.copy()
+        got = S._propagator(cfg)(batch)
+        assert got.shape == (64, 127)
+        assert np.shares_memory(got, batch)   # solved in place, rows as columns
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_not_positive_definite_is_config_error(self):
+        # nu < 0 passes no SimulationConfig; forced here, the first pivot is
+        # negative and the factor refuses it
+        cfg = S.SimulationConfig(grid=GridSpec(n_interior=63, dt=1e-2, horizon=0.1),
+                                 lam=1.0, observation_times=(0.1,))
+        object.__setattr__(cfg, "nu", -0.5)   # diagonal 1 - 40 < 0
+        with pytest.raises(S.ConfigError):
+            S._implicit_factor(cfg)
+
+    def test_spectral_renormalized_batch_equals_single_runs(self):
+        grid = GridSpec(n_interior=31, dt=1e-3, horizon=1.0)
+        cfg = S.SimulationConfig(grid=grid, lam=20.0, scheme="spectral", master_seed=5,
+                                 u0=S.InitialData.bump(0.2),
+                                 observation_times=(0.25, 0.5, 1.0))
+        batch = S.simulate_paths(cfg, [5, 0, 3, 1])
+        assert np.all(batch.log_scale[:, -1] > 0)   # every sample renormalized
+        for i, sample in enumerate([5, 0, 3, 1]):
+            alone = S.simulate_path(cfg, sample)
+            assert np.array_equal(batch.values[i], alone.values)
+            assert np.array_equal(batch.log_scale[i], alone.log_scale)
 
 
 class TestStability:
