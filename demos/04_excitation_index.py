@@ -7,8 +7,8 @@ the index is the slope of log log E_2 against log lambda.
 Run:  python demos/04_excitation_index.py   (about half a minute)
 """
 
-from sheatlab.analysis import excitation_index
-from sheatlab.oracle import OracleConfig, energy_at, predicted_rate
+from sheatlab.analysis import energy_at, excitation_index
+from sheatlab.oracle import OracleConfig, predicted_rate
 from sheatlab.solver import InitialData
 
 lams = [8.0, 16.0, 32.0, 64.0]

@@ -6,7 +6,9 @@ log log E_p vs log lambda), and stability thresholds (largest lambda with
 significantly negative slope, smallest with significantly positive).
 "Significant" means the 95% confidence interval of the weighted fit excludes
 zero. Fits report their window; no convergence-rate claim toward the true
-limits is made.
+limits is made. The same windowed line fit gives oracle L^2 energies (with an
+exponential-regime extrapolation for rates no affordable grid resolves) and
+the growth-rate calibration against the quartic noise law.
 
 Also evaluates the weighted kernel integrals
 
@@ -111,11 +113,9 @@ def _weighted_line_fit(x, y, sigma, abscissa, window):
     )
 
 
-def _apply_window(t, window):
-    if window is None:
-        return np.ones(len(t), dtype=bool), (float(t[0]), float(t[-1]))
-    lo, hi = window
-    return (t >= lo - 1e-15) & (t <= hi + 1e-15), (float(lo), float(hi))
+def fraction_window(t_end, fraction):
+    """Fit window (f0 t_end, f1 t_end) for horizon fractions of a grid from t = 0."""
+    return (fraction[0] * t_end, fraction[1] * t_end)
 
 
 def lyapunov_exponent(estimates, window=None) -> RateFit:
@@ -128,20 +128,22 @@ def lyapunov_exponent(estimates, window=None) -> RateFit:
     f0 = ests[0].functional
     if any(e.functional != f0 for e in ests):
         raise AnalysisError("estimates mix functionals")
-    t = np.array([e.t for e in ests])
-    y = np.array([e.log_mean for e in ests])
-    s = np.array([e.log_ci_half_width / 1.96 for e in ests])
-    mask, win = _apply_window(t, window)
-    return _weighted_line_fit(t[mask], y[mask], s[mask], TIME, win)
+    return lyapunov_exponent_series([e.t for e in ests], [e.log_mean for e in ests],
+                                    [e.log_ci_half_width / 1.96 for e in ests], window)
 
 
 def lyapunov_exponent_series(t, log_values, sigmas=None, window=None) -> RateFit:
-    """Same fit from a plain (t, log value) series, e.g. the oracle envelope."""
+    """Same fit from a plain (t, log value) series, e.g. the oracle envelope;
+    window (lo, hi) keeps lo <= t <= hi, None keeps every point."""
     t = np.asarray(t, dtype=float)
     log_values = np.asarray(log_values, dtype=float)
-    mask, win = _apply_window(t, window)
+    if window is None:
+        mask, window = np.ones(len(t), dtype=bool), (t[0], t[-1])
+    else:
+        mask = (t >= window[0] - 1e-15) & (t <= window[1] + 1e-15)
     sig = None if sigmas is None else np.asarray(sigmas, dtype=float)[mask]
-    return _weighted_line_fit(t[mask], log_values[mask], sig, TIME, win)
+    return _weighted_line_fit(t[mask], log_values[mask], sig, TIME,
+                              (float(window[0]), float(window[1])))
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def excitation_index(lams, log_energies, log_cis=None, p=2.0) -> ExcitationFit:
 
     Points with E_p <= 1 cannot enter log log and are dropped with a flag.
     The quartic-vs-quadratic diagnostic fits log E_p against lambda^4 and
-    lambda^2 and reports both R^2.
+    lambda^2 (unweighted) and reports both R^2.
     """
     lams = np.asarray(lams, dtype=float)
     log_e = np.asarray(log_energies, dtype=float)
@@ -188,11 +190,8 @@ def excitation_index(lams, log_energies, log_cis=None, p=2.0) -> ExcitationFit:
 
     def shape_r2(power):
         xs = lams[ok] ** power
-        a = np.vstack([xs, np.ones_like(xs)]).T
-        coef, *_ = np.linalg.lstsq(a, log_e[ok], rcond=None)
-        resid = log_e[ok] - a @ coef
-        ss_tot = np.sum((log_e[ok] - log_e[ok].mean()) ** 2)
-        return 1.0 - float(np.sum(resid ** 2)) / float(ss_tot)
+        return _weighted_line_fit(xs, log_e[ok], None, f"lambda^{power}",
+                                  (float(xs[0]), float(xs[-1]))).r_squared
 
     return ExcitationFit(index=fit, r2_quartic=shape_r2(4), r2_quadratic=shape_r2(2),
                          p=p, dropped_lambdas=dropped)
@@ -239,14 +238,119 @@ def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
                              error_estimate=False)
     for mf in mfs:
         env = ora.lower_bound_envelope(mf, gamma)
-        lo = env.t[0] + window_fraction[0] * (env.t[-1] - env.t[0])
-        hi = env.t[0] + window_fraction[1] * (env.t[-1] - env.t[0])
-        fits.append(lyapunov_exponent_series(env.t, env.log_h, window=(lo, hi)))
+        fits.append(lyapunov_exponent_series(
+            env.t, env.log_h, window=fraction_window(env.t[-1], window_fraction)))
     rate_dt = tuple(ora.predicted_rate(float(lam), base.k_sigma, base.nu)
                     * base.horizon / base.n_time_panels for lam in lams)
     return replace(classify_thresholds(list(lams), fits), rate_dt=rate_dt,
                    resolved=tuple(r <= ora.RESOLVED_RATE_DT for r in rate_dt),
                    n_diag=mfs[0].n_diag if mfs else None)
+
+
+@dataclass
+class Theorem31Calibration:
+    """Quartic growth-law fit of oracle rates across a lambda grid."""
+
+    lams: tuple
+    k_lower: float
+    slopes: tuple
+    slope_ses: tuple
+    intercepts: tuple
+    kappa2_hat: float
+    kappa1_hat: float
+    r2_quartic: float
+    r2_quadratic: float
+    window: tuple
+
+
+def theorem31_calibration(series, k_lower, nu=0.5, window=(0.5, 1.0)):
+    """Fit late-time rates of log h and regress them on the quartic noise law.
+
+    series: list of (lam, t_grid, log_h) with one common t grid starting at
+    t = 0; window holds the fit's horizon fractions. The rate model is
+    slope(lam) + 2 nu pi^2 = kappa2 * lam^4 K_L^4, fitted through the
+    origin; R^2 against the quadratic alternative lam^2 K_L^2 is reported
+    for comparison. kappa1_hat is the geometric mean level of h at the fit
+    origin.
+    """
+    if len(series) < 4:
+        raise AnalysisError("need at least 4 lambda values")
+    t0 = np.asarray(series[0][1], dtype=float)
+    for lam, t, _ in series[1:]:
+        if len(t) != len(t0) or not np.allclose(t, t0, rtol=0, atol=1e-12):
+            raise AnalysisError("series must share one common t grid")
+    lams = tuple(float(lam) for lam, _, _ in series)
+    fits = [lyapunov_exponent_series(t, log_h, window=fraction_window(t[-1], window))
+            for _, t, log_h in series]
+    y = np.array([f.slope for f in fits]) + 2.0 * nu * math.pi ** 2
+
+    def through_origin_r2(xpow):
+        xv = (np.array(lams) * k_lower) ** xpow
+        coef = float(np.dot(xv, y) / np.dot(xv, xv))
+        resid = y - coef * xv
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        return coef, 1.0 - float(np.sum(resid ** 2)) / ss_tot
+
+    kappa2, r2_quartic = through_origin_r2(4)
+    _, r2_quadratic = through_origin_r2(2)
+    if kappa2 <= 0:
+        raise AnalysisError("fitted kappa2 is not positive")
+    intercepts = tuple(f.intercept for f in fits)
+    return Theorem31Calibration(
+        lams=lams, k_lower=float(k_lower), slopes=tuple(f.slope for f in fits),
+        slope_ses=tuple(f.slope_ci / 1.96 for f in fits), intercepts=intercepts,
+        kappa2_hat=kappa2, kappa1_hat=float(math.exp(np.mean(intercepts))),
+        r2_quartic=r2_quartic, r2_quadratic=r2_quadratic, window=tuple(window))
+
+
+@dataclass
+class EnergyPoint:
+    """Oracle E_2 at one (t, lambda), possibly rate-extrapolated.
+
+    error_log is the solve's largest grid-halving error of log m at its
+    horizon, plus the carried slope error when extrapolated; n_diag is the
+    solve's diagonal-surrogate lag count (n_diag = n_time_panels means no
+    lag had a spatial quadrature).
+    """
+
+    lam: float
+    t: float
+    log_energy: float
+    rate: float
+    rate_se: float
+    window_horizon: float
+    extrapolated: bool
+    error_log: float
+    n_diag: int
+
+
+def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0,
+              window=(0.6, 1.0)) -> EnergyPoint:
+    """log E_2(t_target, lambda), by direct solve when the grid resolves the
+    growth rate and by exponential-regime extrapolation otherwise.
+
+    The extrapolation solves on the window T = rate_budget / r_pred, fits the
+    slope of log int m dx over the horizon fractions `window`, and continues
+    log-linearly; beyond the transient (a few 1/r) the envelope is a clean
+    exponential, so the carried error is the slope's fit error times the
+    remaining span.
+    """
+    r_pred = ora.predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
+    resolvable = r_pred * (t_target / cfg.n_time_panels) <= ora.RESOLVED_RATE_DT
+    horizon = t_target if resolvable else min(t_target, rate_budget / r_pred)
+    mf = ora.second_moment_volterra(replace(cfg, horizon=horizon), error_estimate=True)
+    log_e = ora.log_l2_energy(mf)
+    fit = lyapunov_exponent_series(mf.t, 2.0 * log_e,
+                                   window=fraction_window(mf.t[-1], window))
+    slope, se = fit.slope, fit.slope_ci / 1.96
+    err = float(np.max(mf.error_log[-1]))
+    if resolvable:
+        return EnergyPoint(cfg.lam, t_target, float(log_e[-1]), slope, se,
+                           horizon, False, err, mf.n_diag)
+    span = t_target - horizon
+    log_e_t = float(log_e[-1]) + 0.5 * slope * span
+    return EnergyPoint(cfg.lam, t_target, log_e_t, slope, se + err / horizon,
+                       horizon, True, err + se * span, mf.n_diag)
 
 
 # --- weighted kernel integrals behind the quadrature-bound lemmas ---------
@@ -281,6 +385,13 @@ def integral_bound_value(spec: kern.KernelSpec, alpha, beta, x, t_max,
     inner integral is replaced by its free-kernel limit (boundary images are
     exponentially negligible there and no y grid can resolve the kernel).
     """
+    return sum(_integral_parts(spec, alpha, beta, x, t_max, kernel, n_panels, n_y,
+                               smalltime_switch))
+
+
+def _integral_parts(spec, alpha, beta, x, t_max, kernel="dirichlet", n_panels=48,
+                    n_y=512, smalltime_switch=1e-6):
+    """integral_bound_value's parts over [0, min(t_max, 1)] and [1, t_max]."""
     if not (0 < alpha < 1):
         raise AnalysisError("alpha must lie in (0,1)")
     q = 2.0 / (1.0 - alpha)
@@ -305,20 +416,20 @@ def integral_bound_value(spec: kern.KernelSpec, alpha, beta, x, t_max,
     def integrand(s):
         return math.exp(beta * s) * s ** (-alpha) * inner(s)
 
-    total = 0.0
+    head = 0.0
     t_sub = min(t_max, 1.0)
     xi_nodes, xi_w = kern.gauss_legendre_panels(0.0, t_sub ** (1.0 / q), n_panels, 8)
     for xi, w in zip(xi_nodes, xi_w):
         s = xi ** q
-        total += w * q * xi ** (q - 1.0) * integrand(s)
-    if t_max > 1.0:
-        # the tail integrand decays on the scale t_max/60 by construction of
-        # t_max, so a fixed panel count resolves it at any margin
-        s_nodes, s_w = kern.gauss_legendre_panels(1.0, t_max, n_panels, 8)
-        log_vals = np.array([beta * s - alpha * math.log(s) + log_inner(s)
-                             for s in s_nodes])
-        total += float(np.dot(s_w, np.exp(np.minimum(log_vals, 700.0))))
-    return total
+        head += w * q * xi ** (q - 1.0) * integrand(s)
+    if t_max <= 1.0:
+        return head, 0.0
+    # the tail integrand decays on the scale t_max/60 by construction of
+    # t_max, so a fixed panel count resolves it at any margin
+    s_nodes, s_w = kern.gauss_legendre_panels(1.0, t_max, n_panels, 8)
+    log_vals = np.array([beta * s - alpha * math.log(s) + log_inner(s)
+                         for s in s_nodes])
+    return head, float(np.dot(s_w, np.exp(np.minimum(log_vals, 700.0))))
 
 
 def _fit_exponent(shifts, sups):
@@ -392,10 +503,10 @@ def verify_threshold_beta(spec: kern.KernelSpec, alpha, margins,
     for m in margins:
         beta = threshold - m
         t_max = 60.0 / m
-        i_true = max(integral_bound_value(spec, alpha, beta, x, t_max)
-                     for x in x_grid)
-        tail_true = i_true - max(
-            integral_bound_value(spec, alpha, beta, x, 1.0) for x in x_grid)
+        # t_max > 1, so each x's head is its integral over [0, 1]
+        parts = [_integral_parts(spec, alpha, beta, x, t_max) for x in x_grid]
+        i_true = max(head + tail for head, tail in parts)
+        tail_true = i_true - max(head for head, _ in parts)
         major = _longtime_majorant(spec, alpha, beta, t_max)
         if not math.isfinite(i_true):
             raise AnalysisError("Dirichlet integral not finite below threshold")

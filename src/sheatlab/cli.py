@@ -55,7 +55,7 @@ class VerificationError(AssertionError):
 
 def _fmt(value):
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))    # np.float64's own repr wraps the number
     return str(value)
 
 
@@ -283,8 +283,7 @@ class Runner:
         functionals = self.cfg.functionals()
         times = self.cfg.get("observation", "times")
         n_samples = self.cfg.get("ensemble", "n_samples")
-        frac = self.cfg.get("analysis", "fit_window")
-        window = (frac[0] * max(times), frac[1] * max(times))
+        window = ana.fraction_window(max(times), self.cfg.get("analysis", "fit_window"))
         reports = []
         plot_rows = []
         for lam in self.cfg.lambda_grid():
@@ -318,7 +317,7 @@ class Runner:
     def cmd_excitation(self):
         lams = self.cfg.get("analysis", "lambda_grid")
         t_star = self.cfg.get("analysis", "excitation_time")
-        points = [ora.energy_at(self.cfg.oracle(lam=lam, horizon=t_star), t_star)
+        points = [ana.energy_at(self.cfg.oracle(lam=lam, horizon=t_star), t_star)
                   for lam in lams]
         fit = ana.excitation_index(lams, [p.log_energy for p in points], p=2.0)
         payload = {
@@ -372,10 +371,9 @@ class Runner:
 
     def cmd_thresholds(self):
         lams = self.cfg.get("analysis", "lambda_grid")
-        frac = self.cfg.get("analysis", "fit_window")
-        scan = ana.oracle_threshold_scan(self.cfg.oracle(), lams,
-                                         gamma=self.cfg.get("oracle", "gamma"),
-                                         window_fraction=tuple(frac))
+        scan = ana.oracle_threshold_scan(
+            self.cfg.oracle(), lams, gamma=self.cfg.get("oracle", "gamma"),
+            window_fraction=self.cfg.get("analysis", "fit_window"))
         self._json("thresholds.json", {
             "lambda_l_hat": scan.lambda_l_hat,
             "lambda_u_hat": scan.lambda_u_hat,
@@ -394,9 +392,7 @@ class Runner:
         })
 
     def cmd_grr_check(self):
-        params = reg.GrrParams(p=self.cfg.get("grr", "p"),
-                               delta=self.cfg.get("grr", "delta"),
-                               eps=self.cfg.get("grr", "eps"))
+        params = self.cfg.grr_params()
         n_paths = self.cfg.get("grr", "n_paths")
         sim = self.cfg.simulation()
         if sim.grid.n_interior + 2 < 64:
@@ -405,16 +401,17 @@ class Runner:
         rows = []
         violations = 0
         for path in simulate_paths(sim, range(n_paths)):
-            u = path.field_at(t_last)
-            if not np.all(np.isfinite(u)):
-                raise FloatingPointError(f"sample {path.sample_index}: u(t={t_last:g}) "
-                                         "leaves float range")
-            prof = np.concatenate([[0.0], u, [0.0]]) if sim.boundary == "dirichlet" else u
+            # the row is u / c: B(c u) = |c|^p B(u), and the Holder ratio is scale-free
+            i = path.time_index(t_last)
+            row = path.values[i]
+            b_scale = _exp_or_inf(params.p * float(path.log_scale[i]))
+            prof = (np.concatenate([[0.0], row, [0.0]]) if sim.boundary == "dirichlet"
+                    else row)
             g = reg.grr_functional(prof, params)
             rep = reg.holder_bound_check(prof, params, b_value=g.holder_b)
             violations += rep.n_violations
-            rows.append((path.sample_index, g.value, rep.max_ratio, g.cutoff,
-                         g.sensitivity, rep.n_violations, int(g.divergent)))
+            rows.append((path.sample_index, g.value * b_scale, rep.max_ratio, g.cutoff,
+                         g.sensitivity * b_scale, rep.n_violations, int(g.divergent)))
         self._csv("grr_paths.csv", ["sample", "B", "max_ratio", "cutoff",
                                     "cutoff_sensitivity", "violations", "divergent"], rows)
         # closed-form verifications

@@ -17,10 +17,11 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .kernel import KernelSpec
-from .noise import GridSpec
+from .kernel import KernelDomainError, KernelSpec
+from .noise import GridSpec, NoiseDomainError
 from .solver import InitialData, SigmaSpec, SimulationConfig, ConfigError
-from .oracle import OracleConfig
+from .oracle import OracleConfig, OracleDomainError
+from .regularity import GrrParams, RegularityError
 
 
 def _floats(text):
@@ -167,8 +168,18 @@ class ExperimentConfig:
         mc = self.get("analysis", "mc_samples")
         if mc < 0 or mc == 1:
             raise ConfigError("analysis.mc_samples must be 0 (off) or >= 2")
-        self.sigma()
-        self.initial_data()
+        if len(self.get("analysis", "fit_window")) != 2:
+            raise ConfigError("analysis.fit_window must hold two horizon fractions")
+        # oracle() builds sigma() and initial_data(); simulation() is left out,
+        # because its dt <= dx rule would reject oracle-only configs
+        try:
+            self.grid()
+            self.oracle()
+            self.kernel_spec()
+            self.grr_params()
+        except (NoiseDomainError, OracleDomainError, KernelDomainError,
+                RegularityError) as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
     def get(self, section, key):
@@ -208,6 +219,10 @@ class ExperimentConfig:
         return GridSpec(n_interior=self.get("grid", "n_interior"),
                         dt=self.get("grid", "dt"),
                         horizon=self.get("grid", "horizon"))
+
+    def grr_params(self) -> GrrParams:
+        return GrrParams(p=self.get("grr", "p"), delta=self.get("grr", "delta"),
+                         eps=self.get("grr", "eps"))
 
     def simulation(self, lam=None) -> SimulationConfig:
         return SimulationConfig(

@@ -29,9 +29,10 @@ positive, which makes the rescaled sums exact up to genuinely negligible
 underflow.
 
 The module also derives the envelope h(t) = inf_x m(t,x) over the interior
-margin, its compensated form H(t) = exp(2 nu pi^2 t) h(t), the growth-rate
-calibration against the quartic noise law, and L^p energies at p = 2 with
-an exponential-regime extrapolation for rates no affordable grid resolves.
+margin, its compensated form H(t) = exp(2 nu pi^2 t) h(t), the L^2 energy
+log E_2(t) and the renewal-theory growth-rate scale. Every fit to these
+series (rates, rate-extrapolated energies, the quartic-law calibration)
+lives in the analysis module.
 """
 
 import math
@@ -46,7 +47,7 @@ from .solver import InitialData
 _D1_MODES = 256
 _D1_QUAD_PANELS = 96
 
-# Largest predicted_rate * dt that a time grid resolves: energy_at
+# Largest predicted_rate * dt that a time grid resolves: analysis.energy_at
 # extrapolates beyond it, and threshold scans flag fits beyond it.
 RESOLVED_RATE_DT = 0.05
 
@@ -366,131 +367,6 @@ def log_l2_energy(mf: MomentField):
     return 0.5 * (logsumexp(mf.log_m, axis=1) - math.log(mf.config.n_x))
 
 
-def _window_slope(t, logv, window=(0.5, 1.0)):
-    lo = t[0] + window[0] * (t[-1] - t[0])
-    hi = t[0] + window[1] * (t[-1] - t[0])
-    mask = (t >= lo - 1e-15) & (t <= hi + 1e-15)
-    tt, yy = t[mask], logv[mask]
-    slope, intercept = np.polyfit(tt, yy, 1)
-    resid = yy - (slope * tt + intercept)
-    n = len(tt)
-    se = math.sqrt(np.sum(resid ** 2) / max(n - 2, 1) / np.sum((tt - tt.mean()) ** 2))
-    return float(slope), float(intercept), float(se)
-
-
-@dataclass
-class Theorem31Calibration:
-    """Quartic growth-law fit of oracle rates across a lambda grid."""
-
-    lams: tuple
-    k_lower: float
-    slopes: tuple
-    slope_ses: tuple
-    intercepts: tuple
-    kappa2_hat: float
-    kappa1_hat: float
-    r2_quartic: float
-    r2_quadratic: float
-    window: tuple
-
-
-def theorem31_calibration(series, k_lower, nu=0.5, window=(0.5, 1.0)):
-    """Fit late-time rates of log h and regress them on the quartic noise law.
-
-    series: list of (lam, t_grid, log_h) with one common t grid. The rate
-    model is slope(lam) + 2 nu pi^2 = kappa2 * lam^4 K_L^4, fitted through
-    the origin; R^2 against the quadratic alternative lam^2 K_L^2 is
-    reported for comparison. kappa1_hat is the geometric mean level of
-    h at the fit origin.
-    """
-    if len(series) < 4:
-        raise OracleDomainError("need at least 4 lambda values")
-    t0 = np.asarray(series[0][1], dtype=float)
-    for lam, t, _ in series[1:]:
-        if len(t) != len(t0) or not np.allclose(t, t0, rtol=0, atol=1e-12):
-            raise OracleDomainError("series must share one common t grid")
-    lams, slopes, ses, intercepts = [], [], [], []
-    for lam, t, log_h in series:
-        s, b, se = _window_slope(np.asarray(t, float), np.asarray(log_h, float), window)
-        lams.append(float(lam))
-        slopes.append(s)
-        ses.append(se)
-        intercepts.append(b)
-    lams_a = np.array(lams)
-    y = np.array(slopes) + 2.0 * nu * math.pi ** 2
-
-    def through_origin_r2(xpow):
-        xv = (lams_a * k_lower) ** xpow
-        coef = float(np.dot(xv, y) / np.dot(xv, xv))
-        resid = y - coef * xv
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        return coef, 1.0 - float(np.sum(resid ** 2)) / ss_tot
-
-    kappa2, r2_quartic = through_origin_r2(4)
-    _, r2_quadratic = through_origin_r2(2)
-    if kappa2 <= 0:
-        raise OracleDomainError("fitted kappa2 is not positive")
-    return Theorem31Calibration(
-        lams=tuple(lams),
-        k_lower=float(k_lower),
-        slopes=tuple(slopes),
-        slope_ses=tuple(ses),
-        intercepts=tuple(intercepts),
-        kappa2_hat=kappa2,
-        kappa1_hat=float(math.exp(np.mean(intercepts))),
-        r2_quartic=r2_quartic,
-        r2_quadratic=r2_quadratic,
-        window=tuple(window),
-    )
-
-
-@dataclass
-class EnergyPoint:
-    """Oracle E_2 at one (t, lambda), possibly rate-extrapolated.
-
-    error_log is the solve's largest grid-halving error of log m at its
-    horizon, plus the carried slope error when extrapolated; n_diag is the
-    solve's diagonal-surrogate lag count (n_diag = n_time_panels means no
-    lag had a spatial quadrature).
-    """
-
-    lam: float
-    t: float
-    log_energy: float
-    rate: float
-    rate_se: float
-    window_horizon: float
-    extrapolated: bool
-    error_log: float
-    n_diag: int
-
-
 def predicted_rate(lam, k_sigma, nu):
     """Renewal-equation growth-rate scale (lam k)^4 / (8 nu) of the moment."""
     return (lam * k_sigma) ** 4 / (8.0 * nu)
-
-
-def energy_at(cfg: OracleConfig, t_target, rate_budget=30.0,
-              window=(0.6, 1.0)) -> EnergyPoint:
-    """log E_2(t_target, lambda), by direct solve when the grid resolves the
-    growth rate and by exponential-regime extrapolation otherwise.
-
-    The extrapolation solves on the window T = rate_budget / r_pred, fits the
-    late-window slope of log int m dx, and continues log-linearly; beyond the
-    transient (a few 1/r) the envelope is a clean exponential, so the carried
-    error is the slope's fit error times the remaining span.
-    """
-    r_pred = predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
-    resolvable = r_pred * (t_target / cfg.n_time_panels) <= RESOLVED_RATE_DT
-    horizon = t_target if resolvable else min(t_target, rate_budget / r_pred)
-    mf = second_moment_volterra(replace(cfg, horizon=horizon), error_estimate=True)
-    log_e = log_l2_energy(mf)
-    slope, _, se = _window_slope(mf.t, 2.0 * log_e, window)
-    err = float(np.max(mf.error_log[-1])) if mf.error_log is not None else 0.0
-    if resolvable:
-        return EnergyPoint(cfg.lam, t_target, float(log_e[-1]), slope, se,
-                           horizon, False, err, mf.n_diag)
-    span = t_target - horizon
-    log_e_t = float(log_e[-1]) + 0.5 * slope * span
-    return EnergyPoint(cfg.lam, t_target, log_e_t, slope, se + err / horizon,
-                       horizon, True, err + se * span, mf.n_diag)

@@ -151,7 +151,7 @@ def test_criterion_6_excitation_index():
     for lam in lams:
         ocfg = O.OracleConfig(lam=lam, u0=S.InitialData.bump(0.2), horizon=0.1,
                               n_time_panels=2500, n_x=31)
-        points.append(O.energy_at(ocfg, 0.1))
+        points.append(A.energy_at(ocfg, 0.1))
     fit2 = A.excitation_index(lams, [p.log_energy for p in points], p=2.0)
     oracle_ok = (3.3 <= fit2.e_p_hat <= 4.5
                  and fit2.r2_quartic > fit2.r2_quadratic)
@@ -200,9 +200,9 @@ def test_criterion_7_theorem31_calibration():
          for lam, k_sigma in cells], error_estimate=False)
     envs = [O.lower_bound_envelope(mf, 0.2) for mf in fields]
     series = [(lam, env.t, env.log_h) for (lam, _), env in zip(cells, envs)]
-    cal = O.theorem31_calibration(series[:len(lams)], k_lower=1.0, nu=NU)
+    cal = A.theorem31_calibration(series[:len(lams)], k_lower=1.0, nu=NU)
     # K_L coupling: doubling k at half lambda reproduces the same rates
-    cal_k2 = O.theorem31_calibration(series[len(lams):], k_lower=2.0, nu=NU)
+    cal_k2 = A.theorem31_calibration(series[len(lams):], k_lower=2.0, nu=NU)
     coupling = [abs(a - b) <= 1.96 * (sa + sb) + 1e-9 * abs(a)
                 for a, b, sa, sb in zip(cal.slopes, cal_k2.slopes,
                                         cal.slope_ses, cal_k2.slope_ses)]

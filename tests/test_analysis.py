@@ -170,6 +170,18 @@ class TestIntegralBounds:
         assert all(math.isfinite(s) for s in rep.sups)
         assert rep.threshold == pytest.approx(1.5 * 0.5 * PI2)
 
+    def test_threshold_computes_each_head_once(self, monkeypatch):
+        calls = []
+        parts = A._integral_parts
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return parts(*args, **kwargs)
+
+        monkeypatch.setattr(A, "_integral_parts", counting)
+        A.verify_threshold_beta(SPEC, 0.5, [0.05, 0.0125, 0.003125])
+        assert len(calls) == 3 * 3   # one [0, 1] head per margin and x
+
     def test_beta_range_validation(self):
         with pytest.raises(A.AnalysisError):
             A.verify_negative_beta(SPEC, 0.5, [-1.0, 0.5])

@@ -326,6 +326,15 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path)
         assert cli.main(["moments", "--config", cfg, "--override", override]) == 1
 
+    @pytest.mark.parametrize("override", [
+        "oracle.n_x=2", "oracle.n_time_panels=3", "grid.n_interior=0", "grid.dt=-1",
+        "kernel.tol=-1", "grr.eps=5", "analysis.fit_window=0.5"])
+    def test_bad_domain_value_fails_before_compute(self, tmp_path, capsys, override):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["all", "--config", cfg, "--override", override]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config_error"
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_error(self, tmp_path):
         cfg = write_cfg(tmp_path)
         # grr-check on a grid too small to sample the functional
@@ -375,14 +384,18 @@ class TestLargeLogScale:
         last = rows[rows["t"] == 0.5]
         assert np.array_equal(np.sign(last["u"]), np.sign(path.values[-1]))
 
-    def test_grr_check_names_the_sample(self, tmp_path, capsys):
-        rc = cli.main(["grr-check", "--config", write_cfg(tmp_path),
-                       "--override", "grid.n_interior=63",
-                       "--override", "grr.n_paths=4"] + LARGE_LAMBDA)
-        assert rc == 2
-        diag = json.loads(capsys.readouterr().err)
-        assert diag["error"] == "numerical_failure"
-        assert diag["message"].startswith("sample ")
+    def test_grr_check_past_float_range(self, tmp_path):
+        # sample 0's field leaves float range (see _large_lambda_path), which
+        # the check does not need: it runs on the renormalized row
+        assert cli.main(["grr-check", "--config", write_cfg(tmp_path),
+                         "--override", "grid.n_interior=63",
+                         "--override", "grr.n_paths=4"] + LARGE_LAMBDA) == 0
+        with open(tmp_path / "out" / "grr_paths.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["sample"]) for r in rows] == [0, 1, 2, 3]
+        assert all(math.isfinite(float(r["max_ratio"])) for r in rows)
+        assert all(int(r["violations"]) == 0 for r in rows)
+        assert float(rows[0]["B"]) == math.inf      # B scales like |u|^p
 
 
 def test_grr_check_computes_each_b_once(tmp_path, monkeypatch):
@@ -449,6 +462,14 @@ class TestAll:
             assert set(listed) == files
             for name, digest in listed.items():
                 assert sha256_file(str(out / name)) == digest, name
+
+    def test_csv_cells_are_numbers(self, all_runs):
+        for path in sorted(all_runs[1].glob("*.csv")):
+            with open(path, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for column, cell in row.items():
+                        if column != "functional":      # a label, not a number
+                            float(cell)
 
     def test_outputs_identical_across_workers(self, all_runs):
         one, two = all_runs[1::2]

@@ -96,8 +96,9 @@ class TestVolterraSolve:
                              n_time_panels=1500, n_x=31)
         mf = O.second_moment_volterra(cfg, error_estimate=False)
         le = O.log_l2_energy(mf)
-        slope, _, _ = O._window_slope(mf.t, 2 * le, (0.6, 1.0))
-        assert slope == pytest.approx(r_pred, rel=0.02)
+        fit = A.lyapunov_exponent_series(mf.t, 2 * le,
+                                         window=A.fraction_window(mf.t[-1], (0.6, 1.0)))
+        assert fit.slope == pytest.approx(r_pred, rel=0.02)
 
 
 def reference_log_m(cfg):
@@ -250,8 +251,8 @@ def _envelope_series(lam, k_sigma, horizon, n_t, n_x=25):
 class TestTheorem31Calibration:
     def test_lambda_zero_slope_is_deterministic_decay(self):
         t, log_h = _envelope_series(0.0, 1.0, 0.5, 100)
-        slope, _, _ = O._window_slope(t, log_h, (0.5, 1.0))
-        assert slope == pytest.approx(-2 * 0.5 * PI2, rel=0.01)
+        fit = A.lyapunov_exponent_series(t, log_h, window=A.fraction_window(t[-1], (0.5, 1.0)))
+        assert fit.slope == pytest.approx(-2 * 0.5 * PI2, rel=0.01)
 
     def test_quartic_law_preferred(self):
         lams = [4.0, 4 * 2 ** 0.5, 8.0, 8 * 2 ** 0.5]
@@ -260,7 +261,7 @@ class TestTheorem31Calibration:
         for lam in lams:
             t, log_h = _envelope_series(lam, 1.0, horizon, n_t)
             series.append((lam, t, log_h))
-        cal = O.theorem31_calibration(series, k_lower=1.0, nu=0.5)
+        cal = A.theorem31_calibration(series, k_lower=1.0, nu=0.5)
         assert cal.kappa2_hat > 0
         assert cal.r2_quartic > cal.r2_quadratic
         assert cal.r2_quartic > 0.999
@@ -274,14 +275,14 @@ class TestTheorem31Calibration:
 
     def test_needs_four_lambdas(self):
         t, log_h = _envelope_series(1.0, 1.0, 0.1, 50)
-        with pytest.raises(O.OracleDomainError):
-            O.theorem31_calibration([(1.0, t, log_h)] * 3, k_lower=1.0)
+        with pytest.raises(A.AnalysisError):
+            A.theorem31_calibration([(1.0, t, log_h)] * 3, k_lower=1.0)
 
     def test_common_grid_enforced(self):
         t1, h1 = _envelope_series(1.0, 1.0, 0.1, 50)
         t2, h2 = _envelope_series(2.0, 1.0, 0.1, 60)
-        with pytest.raises(O.OracleDomainError):
-            O.theorem31_calibration(
+        with pytest.raises(A.AnalysisError):
+            A.theorem31_calibration(
                 [(1.0, t1, h1), (2.0, t2, h2), (3.0, t1, h1), (4.0, t1, h1)],
                 k_lower=1.0)
 
@@ -290,7 +291,7 @@ class TestEnergy:
     def test_direct_when_resolvable(self):
         cfg = O.OracleConfig(lam=1.0, u0=InitialData.bump(0.2), horizon=0.25,
                              n_time_panels=200, n_x=31)
-        p = O.energy_at(cfg, 0.25)
+        p = A.energy_at(cfg, 0.25)
         assert not p.extrapolated
         mf = O.second_moment_volterra(cfg, error_estimate=False)
         assert p.log_energy == pytest.approx(float(O.log_l2_energy(mf)[-1]), abs=1e-12)
@@ -303,7 +304,7 @@ class TestEnergy:
                              n_time_panels=4000, n_x=31)
         direct = O.second_moment_volterra(cfg, error_estimate=False)
         log_direct = float(O.log_l2_energy(direct)[-1])
-        p = O.energy_at(O.OracleConfig(lam=lam, u0=InitialData.bump(0.2),
+        p = A.energy_at(O.OracleConfig(lam=lam, u0=InitialData.bump(0.2),
                                        horizon=t_target, n_time_panels=2000, n_x=31),
                         t_target, rate_budget=20.0)
         assert p.extrapolated
