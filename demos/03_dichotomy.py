@@ -5,7 +5,7 @@ late-time rate of h(t) = inf_x E[u(t,x)^2] across a lambda grid. Under
 Dirichlet conditions the spectral gap wins at small lambda and the noise
 wins at large lambda; under Neumann there is no gap and no decay.
 
-Run:  python demos/03_dichotomy.py   (about 20 seconds)
+Run:  python demos/03_dichotomy.py   (about 5 seconds)
 """
 
 import math

@@ -170,6 +170,10 @@ class ExperimentConfig:
             raise ConfigError("analysis.mc_samples must be 0 (off) or >= 2")
         if len(self.get("analysis", "fit_window")) != 2:
             raise ConfigError("analysis.fit_window must hold two horizon fractions")
+        # the grid-halving error estimate needs an even count; OracleConfig
+        # cannot demand it, because a halved grid may be odd
+        if self.get("oracle", "n_time_panels") % 2:
+            raise ConfigError("oracle.n_time_panels must be even (grid halving)")
         # oracle() builds sigma() and initial_data(); simulation() is left out,
         # because its dt <= dx rule would reject oracle-only configs
         try:

@@ -17,6 +17,11 @@ the Brownian transition density when nu = 1/2.
 
 All rate constants are derived from ``nu`` at runtime. The first Dirichlet
 eigenvalue is ``nu * pi**2`` and shows up as the long-time decay rate.
+
+``eval_kernel`` and its two routes take many times in one call: t of shape
+(T, 1, ..., 1) broadcasts against x and y. One truncation rule gives each
+time its own route and term or image count (a loop over the count, shared
+by all times), and a batched row equals its scalar call bit for bit.
 """
 
 import math
@@ -121,24 +126,30 @@ class TruncationPlan:
 
 
 def _series_tail(nu, t, n):
-    """Upper bound on 2*sum_{k>n} exp(-nu k^2 pi^2 t).
+    """Upper bound on 2*sum_{k>n} exp(-nu k^2 pi^2 t), elementwise in t and n.
 
     Uses k^2 >= (n+1)^2 + 2(n+1)(k-n-1) to dominate the tail by a geometric
     series starting at k = n+1.
     """
     a = nu * PI2 * t
-    lead = 2.0 * math.exp(-a * (n + 1) ** 2)
-    q = math.exp(-2.0 * a * (n + 1))
+    lead = 2.0 * np.exp(-a * (n + 1) ** 2)
+    q = np.exp(-2.0 * a * (n + 1))
     return lead / (1.0 - q)
 
 
 def _series_terms(nu, t, tol, cap=100000):
-    n = 1
-    while _series_tail(nu, t, n) > tol:
-        n += 1
-        if n > cap:
-            return n, False
-    return n, True
+    """Per time, the smallest n <= cap whose series tail is <= tol (else
+    cap + 1), and whether it was reached; arrays shaped like t."""
+    t = np.asarray(t, dtype=float)
+    # the tail exceeds 2 exp(-a (n+1)^2), so no n + 1 below sqrt(log(2/tol)/a)
+    # passes; starting just under that skips the count loop's long climb
+    start = np.floor(np.sqrt(math.log(max(2.0 / tol, 1.0)) / (nu * PI2 * t))) - 2
+    n = np.clip(start, 1, cap + 1).astype(int)
+    while True:
+        more = (n <= cap) & (_series_tail(nu, t, n) > tol)
+        if not np.any(more):
+            return n, n <= cap
+        n = n + more
 
 
 def _image_tail(nu, t, m):
@@ -147,21 +158,27 @@ def _image_tail(nu, t, m):
     For x, y in [0,1] every discarded Gaussian argument has |z| >= 2m, and
     consecutive even arguments shrink each term by exp(-(8m+4)/(4 nu t)).
     """
-    phi = math.exp(-(2.0 * m) ** 2 / (4.0 * nu * t)) / math.sqrt(4.0 * math.pi * nu * t)
-    q = math.exp(-(8.0 * m + 4.0) / (4.0 * nu * t))
+    phi = np.exp(-(2.0 * m) ** 2 / (4.0 * nu * t)) / np.sqrt(4.0 * math.pi * nu * t)
+    q = np.exp(-(8.0 * m + 4.0) / (4.0 * nu * t))
     return 4.0 * phi / (1.0 - q)
 
 
 def _image_terms(nu, t, tol, cap):
-    m = 1
-    while _image_tail(nu, t, m) > tol:
-        m += 1
-        if m > cap:
+    """Per time, the smallest m whose image tail is <= tol; an array shaped
+    like t. Raises ToleranceError if some time needs more than cap."""
+    t = np.asarray(t, dtype=float)
+    m = np.ones(t.shape, dtype=int)
+    while True:
+        more = _image_tail(nu, t, m) > tol
+        if not np.any(more):
+            return m
+        m = m + more
+        if np.any(m > cap):
+            t_bad = float(np.max(t[m > cap]))
             raise ToleranceError(
-                f"image method cannot reach tol={tol:g} at t={t:g} within {cap} terms",
-                achieved=_image_tail(nu, t, cap),
+                f"image method cannot reach tol={tol:g} at t={t_bad:g} within {cap} terms",
+                achieved=float(_image_tail(nu, t_bad, cap)),
             )
-    return m
 
 
 def switch_time(spec: KernelSpec) -> float:
@@ -182,23 +199,26 @@ def switch_time(spec: KernelSpec) -> float:
     return hi
 
 
+def _plan(spec: KernelSpec, t):
+    """The truncation rule, per time: series term count, whether the series
+    reaches spec.tol within series_cap, and image count (0 where it does)."""
+    n, ok = _series_terms(spec.nu, t, spec.tol, cap=spec.series_cap)
+    m = np.zeros(t.shape, dtype=int)
+    if not np.all(ok):
+        m[~ok] = _image_terms(spec.nu, t[~ok], spec.tol, spec.image_cap)
+    return n, ok, m
+
+
 def truncation_terms(spec: KernelSpec, t: float) -> TruncationPlan:
     """Certified truncation counts for evaluating the kernel at time t."""
-    if not (t > 0):
-        raise KernelDomainError("t must be positive")
-    n, ok = _series_terms(spec.nu, t, spec.tol, cap=spec.series_cap)
-    use_images = not ok
-    if use_images:
-        m = _image_terms(spec.nu, t, spec.tol, spec.image_cap)
-        m_tail = _image_tail(spec.nu, t, m)
-    else:
-        m, m_tail = 0, 0.0
+    t = _times(t)
+    n, ok, m = _plan(spec, t)
     return TruncationPlan(
-        n_terms=n,
-        tail_bound=_series_tail(spec.nu, t, n) if ok else math.inf,
-        use_images=use_images,
-        n_images=m,
-        image_tail_bound=m_tail,
+        n_terms=int(n),
+        tail_bound=float(_series_tail(spec.nu, t, n)) if ok else math.inf,
+        use_images=not ok,
+        n_images=int(m),
+        image_tail_bound=0.0 if ok else float(_image_tail(spec.nu, t, m)),
     )
 
 
@@ -206,7 +226,24 @@ def free_kernel(nu, t, x, y):
     """Gaussian kernel (4 pi nu t)^{-1/2} exp(-(x-y)^2/(4 nu t))."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.exp(-((x - y) ** 2) / (4.0 * nu * t)) / math.sqrt(4.0 * math.pi * nu * t)
+    return np.exp(-((x - y) ** 2) / (4.0 * nu * t)) / np.sqrt(4.0 * math.pi * nu * t)
+
+
+def _times(t, x=(), y=()):
+    """t as a float array of positive times.
+
+    A scalar, or times stacked along the leading axis of shape (T, 1, ..., 1),
+    with at least as many axes as x and y, which do not vary along it.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise KernelDomainError("t must be positive")
+    if t.ndim and (t.size != len(t) or any(
+            np.ndim(a) > t.ndim or (np.ndim(a) == t.ndim and np.shape(a)[0] != 1)
+            for a in (x, y))):
+        raise KernelDomainError(
+            "array t must have shape (T, 1, ..., 1) with x, y constant along T")
+    return t
 
 
 def _check_positions(boundary, x, y):
@@ -219,63 +256,85 @@ def _check_positions(boundary, x, y):
 
 
 def eval_kernel_series(spec: KernelSpec, t, x, y, n_terms=None):
-    """Eigenfunction-series evaluation with n_terms modes (certified if None)."""
-    if not (t > 0):
-        raise KernelDomainError("t must be positive")
+    """Eigenfunction-series evaluation with n_terms modes (certified per time
+    if None); t, x, y as in eval_kernel, n_terms one count or one per time.
+
+    einsum accumulates every point's modes in order, whatever the number of
+    times, so a batched row equals its scalar call bit for bit; a BLAS
+    product does not (its blocking depends on the batch).
+    """
+    t = _times(t, x, y)
     if spec.boundary == FREE:
         return free_kernel(spec.nu, t, x, y)
     _check_positions(spec.boundary, x, y)
     if n_terms is None:
         n_terms, ok = _series_terms(spec.nu, t, spec.tol)
-        if not ok:
+        if not np.all(ok):
+            t_bad = float(np.min(t))
             raise ToleranceError(
-                f"series cannot reach tol={spec.tol:g} at t={t:g}",
-                achieved=_series_tail(spec.nu, t, n_terms),
+                f"series cannot reach tol={spec.tol:g} at t={t_bad:g}",
+                achieved=float(_series_tail(spec.nu, t_bad, np.max(n_terms))),
             )
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    n = np.arange(1, n_terms + 1)
-    decay = np.exp(-spec.nu * (n * math.pi) ** 2 * t)
-    npx = n[:, None] * math.pi * xb.ravel()[None, :]
-    npy = n[:, None] * math.pi * yb.ravel()[None, :]
-    if spec.boundary == DIRICHLET:
-        vals = 2.0 * np.einsum("n,ni,ni->i", decay, np.sin(npx), np.sin(npy))
-    else:
-        vals = 1.0 + 2.0 * np.einsum("n,ni,ni->i", decay, np.cos(npx), np.cos(npy))
-    out = vals.reshape(xb.shape)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    n_terms = np.broadcast_to(n_terms, t.shape)
+    k = np.arange(1, int(np.max(n_terms, initial=0)) + 1)
+    decay = np.where(k <= n_terms[..., None],
+                     np.exp(-spec.nu * (k * math.pi) ** 2 * t[..., None]), 0.0)
+    trig = np.sin if spec.boundary == DIRICHLET else np.cos
+    kpi = (k * math.pi).reshape(-1, *(1,) * len(shape))
+    modes = (trig(kpi * x) * trig(kpi * y)).reshape(len(k), math.prod(shape))
+    vals = 2.0 * np.einsum("tk,kp->tp", decay.reshape(t.size, len(k)), modes)
+    if spec.boundary == NEUMANN:
+        vals += 1.0
+    out = vals.reshape(np.broadcast_shapes(t.shape, shape))
     return out if out.shape else float(out)
 
 
 def eval_kernel_images(spec: KernelSpec, t, x, y, n_images=None):
-    """Method-of-images evaluation with reflections |n| <= n_images."""
-    if not (t > 0):
-        raise KernelDomainError("t must be positive")
+    """Method-of-images evaluation with reflections |n| <= n_images (certified
+    per time if None); t, x, y as in eval_kernel, n_images one count or one
+    per time."""
+    t = _times(t, x, y)
     if spec.boundary == FREE:
         return free_kernel(spec.nu, t, x, y)
     _check_positions(spec.boundary, x, y)
     if n_images is None:
         n_images = _image_terms(spec.nu, t, spec.tol, spec.image_cap)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xb, yb = np.broadcast_arrays(x, y)
-    total = np.zeros(xb.shape, dtype=float)
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    n_images = np.broadcast_to(n_images, t.shape)
+    total = np.zeros(np.broadcast_shapes(t.shape, xb.shape))
     sign = -1.0 if spec.boundary == DIRICHLET else 1.0
-    for n in range(-n_images, n_images + 1):
-        total += free_kernel(spec.nu, t, xb, yb + 2.0 * n)
-        total += sign * free_kernel(spec.nu, t, xb, -yb + 2.0 * n)
+    m_max = int(np.max(n_images, initial=0))
+    for n in range(-m_max, m_max + 1):
+        term = free_kernel(spec.nu, t, xb, yb + 2.0 * n)
+        term += sign * free_kernel(spec.nu, t, xb, -yb + 2.0 * n)
+        total += np.where(abs(n) <= n_images, term, 0.0)
     return total if total.shape else float(total)
 
 
 def eval_kernel(spec: KernelSpec, t, x, y):
-    """Heat kernel value(s) at time t, certified to spec.tol.
+    """Heat kernel value(s) at time(s) t, certified to spec.tol.
 
-    t must be a positive scalar; x and y broadcast. The representation is
-    chosen per the truncation plan: series above the switch time, images
-    below it.
+    t is a positive scalar, or times of shape (T, 1, ..., 1) stacked along a
+    leading axis that x and y do not vary along; t, x and y broadcast, and
+    the result has their broadcast shape. Each time takes its own
+    representation and count from the truncation plan (series above the
+    switch time, images below it), so a batched call equals a loop of
+    scalar calls.
     """
-    plan = truncation_terms(spec, t)
-    if plan.use_images:
-        return eval_kernel_images(spec, t, x, y, n_images=plan.n_images)
-    return eval_kernel_series(spec, t, x, y, n_terms=plan.n_terms)
+    t = _times(t, x, y)
+    n, ok, m = _plan(spec, t)
+    if np.all(ok):
+        return eval_kernel_series(spec, t, x, y, n_terms=n)
+    if not np.any(ok):
+        return eval_kernel_images(spec, t, x, y, n_images=m)
+    rows = ok.ravel()
+    out = np.empty(np.broadcast_shapes(t.shape, np.shape(x), np.shape(y)))
+    out[rows] = eval_kernel_series(spec, t[rows], x, y, n_terms=n[rows])
+    out[~rows] = eval_kernel_images(spec, t[~rows], x, y, n_images=m[~rows])
+    return out
 
 
 def log_eval_dirichlet(spec: KernelSpec, t, x, y):

@@ -19,14 +19,17 @@ m(x) g(2 tau,x,x) instead of an unresolvable quadrature.
 Configs that share a grid (every field but lam and k_sigma) are solved by
 one march. Its lag kernels are built once, with the panel weights folded in
 and stored lag-reversed, so that each step's history sum over every
-amplitude (lambda k)^2 is one matrix product.
+amplitude (lambda k)^2 is one matrix product. The build is a few batched
+kernel calls: every diagonal surrogate in one, the dense lags in chunks of
+64.
 
 Growth at large lambda exceeds float range (the rate scales like
 (lambda k)^4 / (8 nu)). The march keeps its history as m / exp(ref) with one
 log reference per amplitude, rescaled in place when the newest level leaves
 e^{+-300}, and stores each row of log m with its own offset. Every term is
 positive, which makes the rescaled sums exact up to genuinely negligible
-underflow.
+underflow. A downward rescale sets what it pushes below the normal float
+range to 0, so no subnormal slows the history product.
 
 The module also derives the envelope h(t) = inf_x m(t,x) over the interior
 margin, its compensated form H(t) = exp(2 nu pi^2 t) h(t), the L^2 energy
@@ -163,6 +166,10 @@ def _d1_field(cfg: OracleConfig, t_grid, x_grid):
     return d1
 
 
+# Dense lags per eval_kernel call: bounds the (lags, n_x, n_x) temporaries.
+_LAG_CHUNK = 64
+
+
 def _lag_kernels(cfg: OracleConfig, dt, lag_weights, n_diag):
     """Weighted squared-kernel y-integration operators for lags 1..n_lags.
 
@@ -170,20 +177,26 @@ def _lag_kernels(cfg: OracleConfig, dt, lag_weights, n_diag):
     a step's lags line up with the history in time order: row b of diag
     (n_diag, n_x) is the surrogate g(2 tau, x, x) of lag n_diag - b, and
     column block b of dense (n_x, (n_lags - n_diag) n_x) is the midpoint
-    quadrature (1/n_x) g(tau, x, y)^2 of lag n_lags - b.
+    quadrature (1/n_x) g(tau, x, y)^2 of lag n_lags - b. All surrogates come
+    from one batched eval_kernel call, the dense lags from one call per
+    _LAG_CHUNK lags.
     """
     n_lags, n_x = len(lag_weights), cfg.n_x
     spec = cfg.kernel_spec()
     x = cfg.x_grid
-    diag = np.empty((n_diag, n_x))
-    for d in range(1, n_diag + 1):
-        diag[n_diag - d] = lag_weights[d - 1] * kern.eval_kernel(spec, 2.0 * d * dt, x, x)
+    rev = np.arange(n_diag, 0, -1)  # lags in row order
+    diag = lag_weights[rev - 1, None] * kern.eval_kernel(
+        spec, 2.0 * (rev * dt)[:, None], x, x)
     dense = np.empty((n_x, (n_lags - n_diag) * n_x))
     blocks = dense.reshape(n_x, n_lags - n_diag, n_x)
     X, Y = x[:, None], x[None, :]
-    for d in range(n_diag + 1, n_lags + 1):
-        blocks[:, n_lags - d] = (lag_weights[d - 1] / n_x) * kern.eval_kernel(
-            spec, d * dt, X, Y) ** 2
+    for lo in range(n_diag, n_lags, _LAG_CHUNK):
+        hi = min(lo + _LAG_CHUNK, n_lags)
+        rev = np.arange(hi, lo, -1)  # lags hi..lo+1 fill blocks n_lags-hi..n_lags-lo-1
+        g = kern.eval_kernel(spec, (rev * dt)[:, None, None], X, Y)
+        g *= g
+        g *= (lag_weights[rev - 1] / n_x)[:, None, None]
+        blocks[:, n_lags - hi:n_lags - lo] = g.transpose(1, 0, 2)
     return diag, dense
 
 
@@ -205,6 +218,19 @@ def _product_weights(dt, n_lags):
 # A history slice is rescaled once its newest level leaves exp(+-300): far
 # enough inside float range that one step's growth and sum cannot overflow.
 _RESCALE_LOG = 300.0
+_TINY = np.finfo(float).tiny
+
+
+def _rescale(h, log_peak):
+    """Divide a history slice by exp(log_peak) in place.
+
+    A downward rescale sets the entries it takes below the smallest normal
+    float to exactly 0: they weigh nothing against the O(1) newest level,
+    and subnormal operands slow the history product.
+    """
+    h *= math.exp(-log_peak)
+    if log_peak > 0:
+        h[h < _TINY] = 0.0
 
 
 def _solve_grid(grid: OracleConfig, amps):
@@ -269,7 +295,7 @@ def _solve_grid(grid: OracleConfig, amps):
             log_m[:, i] = np.log(level) + ref
             log_peak = np.log(np.max(level, axis=1))
             for j in np.flatnonzero(np.abs(log_peak) > _RESCALE_LOG):
-                hist[j, :i + 1] *= math.exp(-log_peak[j])
+                _rescale(hist[j, :i + 1], log_peak[j])
                 ref[j] += log_peak[j]
     return [log_d1sq.copy() if amp == 0.0 else log_m[live.index(amp)]
             for amp in amps], n_diag

@@ -182,6 +182,43 @@ class TestIntegralBounds:
         A.verify_threshold_beta(SPEC, 0.5, [0.05, 0.0125, 0.003125])
         assert len(calls) == 3 * 3   # one [0, 1] head per margin and x
 
+    def test_negative_beta_reuses_refinement_integral(self, monkeypatch):
+        calls = []
+        value = A.integral_bound_value
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:4])
+            return value(*args, **kwargs)
+
+        monkeypatch.setattr(A, "integral_bound_value", counting)
+        A.verify_negative_beta(SPEC, 0.5, [-1.0, -0.25, -0.0625])
+        # per beta one free and three Dirichlet integrals, plus the 24-panel
+        # refinement; the 48-panel one is the domination loop's (-1, 0.5)
+        assert len(calls) == 3 * 4 + 1
+        assert calls.count((-1.0, 0.5)) == 3   # free, Dirichlet, 24 panels
+
+    @pytest.mark.parametrize("kernel", ["dirichlet", "free"])
+    def test_batched_head_matches_node_loop(self, kernel):
+        # the [0, 1] head as node-by-node scalar kernel calls, with the
+        # free-kernel form below smalltime_switch
+        alpha, beta, x, switch = 0.5, -0.25, 0.3, 1e-6
+        q = 2.0 / (1.0 - alpha)
+        yq, wq = K.gauss_legendre_panels(0.0, 1.0, 32, 16)
+        xi, xi_w = K.gauss_legendre_panels(0.0, 1.0, 48, 8)
+        head = 0.0
+        for node, w in zip(xi, xi_w):
+            s = node ** q
+            if kernel == "free" or s < switch:
+                inner = A._free_inner(SPEC.nu, alpha, s)
+            else:
+                g = np.abs(K.eval_kernel(SPEC, float(s), x, yq))
+                inner = float(np.dot(wq, g ** (2.0 - alpha)))
+            head += w * q * node ** (q - 1.0) * math.exp(beta * s) * s ** (-alpha) * inner
+        got, tail = A._integral_parts(SPEC, alpha, beta, x, 1.0, kernel=kernel,
+                                      smalltime_switch=switch)
+        assert tail == 0.0
+        assert got == pytest.approx(head, rel=1e-13)
+
     def test_beta_range_validation(self):
         with pytest.raises(A.AnalysisError):
             A.verify_negative_beta(SPEC, 0.5, [-1.0, 0.5])

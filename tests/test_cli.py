@@ -327,8 +327,9 @@ class TestExitCodes:
         assert cli.main(["moments", "--config", cfg, "--override", override]) == 1
 
     @pytest.mark.parametrize("override", [
-        "oracle.n_x=2", "oracle.n_time_panels=3", "grid.n_interior=0", "grid.dt=-1",
-        "kernel.tol=-1", "grr.eps=5", "analysis.fit_window=0.5"])
+        "oracle.n_x=2", "oracle.n_time_panels=3", "oracle.n_time_panels=101",
+        "grid.n_interior=0", "grid.dt=-1", "kernel.tol=-1", "grr.eps=5",
+        "analysis.fit_window=0.5"])
     def test_bad_domain_value_fails_before_compute(self, tmp_path, capsys, override):
         cfg = write_cfg(tmp_path)
         assert cli.main(["all", "--config", cfg, "--override", override]) == 1

@@ -91,6 +91,59 @@ class TestEvalKernel:
             assert abs(v - f) < s.tol
 
 
+class TestBatchedTimes:
+    # times on both sides of the series/image switch (about 1.3e-3 here)
+    TIMES = np.concatenate([np.geomspace(1e-5, 2.0, 9), [1.2e-3, 1.4e-3]])
+
+    @pytest.mark.parametrize("boundary", [K.DIRICHLET, K.NEUMANN, K.FREE])
+    @pytest.mark.parametrize("layout", ["row", "outer_col", "outer_row"])
+    def test_matches_scalar_calls(self, boundary, layout):
+        spec = K.KernelSpec(boundary=boundary)
+        xs = np.linspace(0.0, 1.0, 7)
+        ys = np.random.default_rng(5).random(7)
+        t, x, y = {
+            "row": (self.TIMES[:, None], xs, ys),
+            "outer_col": (self.TIMES[:, None, None], xs[:, None], ys[None, :]),
+            "outer_row": (self.TIMES[:, None, None], xs[None, :], ys[:, None]),
+        }[layout]
+        assert self.TIMES.min() < K.switch_time(spec) < self.TIMES.max()
+        got = K.eval_kernel(spec, t, x, y)
+        assert got.shape == np.broadcast_shapes(t.shape, x.shape, y.shape)
+        for ti, row in zip(self.TIMES, got):
+            want = K.eval_kernel(spec, float(ti), x, y)
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_each_time_keeps_its_own_counts(self):
+        x = np.linspace(0.0, 1.0, 5)
+        t = self.TIMES[:, None]
+        plans = [K.truncation_terms(SPEC, float(ti)) for ti in self.TIMES]
+        n = np.array([p.n_terms for p in plans])
+        m = np.array([p.n_images for p in plans])
+        assert len(set(n)) > 2 and len(set(m)) > 1
+        series = ~np.array([p.use_images for p in plans])
+        for route, counts, sel in ((K.eval_kernel_series, n, series),
+                                   (K.eval_kernel_images, m, ~series)):
+            got = route(SPEC, t[sel], x, x, counts[sel, None])
+            for ti, c, row in zip(self.TIMES[sel], counts[sel], got):
+                want = route(SPEC, float(ti), x, x, int(c))
+                assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("route", [K.eval_kernel, K.eval_kernel_series,
+                                       K.eval_kernel_images])
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_nonpositive_time_anywhere_rejected(self, route, bad):
+        t = np.array([0.5, bad, 1e-4])[:, None]
+        with pytest.raises(K.KernelDomainError):
+            route(SPEC, t, np.linspace(0.1, 0.9, 3), 0.5)
+
+    def test_times_must_stack_on_a_leading_axis(self):
+        x = np.linspace(0.1, 0.9, 3)
+        with pytest.raises(K.KernelDomainError):
+            K.eval_kernel(SPEC, np.full((2, 3), 0.1), x, x)   # t varies along x
+        with pytest.raises(K.KernelDomainError):
+            K.eval_kernel(SPEC, np.full((3, 1), 0.1), x[:, None], x)   # x varies along t
+
+
 class TestTruncation:
     def test_spec_example_t1(self):
         plan = K.truncation_terms(SPEC, 1.0)

@@ -138,6 +138,23 @@ def reference_log_m(cfg):
         return np.log(np.array(levels)) + np.array(offsets)[:, None]
 
 
+def reference_lag_kernels(cfg, dt, lag_weights, n_diag):
+    """_lag_kernels as one scalar-time eval_kernel call per lag."""
+    n_lags, n_x = len(lag_weights), cfg.n_x
+    spec = cfg.kernel_spec()
+    x = cfg.x_grid
+    diag = np.empty((n_diag, n_x))
+    for d in range(1, n_diag + 1):
+        diag[n_diag - d] = lag_weights[d - 1] * kern.eval_kernel(spec, 2.0 * d * dt, x, x)
+    dense = np.empty((n_x, (n_lags - n_diag) * n_x))
+    blocks = dense.reshape(n_x, n_lags - n_diag, n_x)
+    X, Y = x[:, None], x[None, :]
+    for d in range(n_diag + 1, n_lags + 1):
+        blocks[:, n_lags - d] = (lag_weights[d - 1] / n_x) * kern.eval_kernel(
+            spec, d * dt, X, Y) ** 2
+    return diag, dense
+
+
 def assert_log_close(a, b, rel=1e-12):
     assert np.array_equal(np.isneginf(a), np.isneginf(b))
     fin = np.isfinite(b)
@@ -169,6 +186,54 @@ class TestBatchedMarch:
                              n_time_panels=200, n_x=15)
         log_m = O.second_moment_volterra(cfg, error_estimate=False).log_m
         assert log_m.max() > 700 and np.all(np.isfinite(log_m[1:]))
+        assert_log_close(log_m, reference_log_m(cfg))
+
+    @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
+    def test_lag_kernels_match_per_lag_calls(self, boundary):
+        # 200 lags of dt = 2e-5 on 63 cells: past 24 surrogates, 176 dense
+        # lags in three chunks that cross the series/image switch
+        cfg = O.OracleConfig(lam=1.0, u0=InitialData.bump(0.2), horizon=0.004,
+                             boundary=boundary, n_time_panels=200, n_x=63)
+        dt = cfg.horizon / cfg.n_time_panels
+        weights = np.random.default_rng(3).random(cfg.n_time_panels) + 0.5
+        assert dt * 25 < kern.switch_time(cfg.kernel_spec()) < dt * 200
+        for n_diag in (0, 24, 200):
+            got = O._lag_kernels(cfg, dt, weights, n_diag)
+            want = reference_lag_kernels(cfg, dt, weights, n_diag)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g - w), initial=0.0) \
+                    <= 1e-14 * np.max(np.abs(w), initial=0.0)
+
+    def test_downward_rescale_leaves_no_subnormal(self, monkeypatch):
+        tiny = np.finfo(float).tiny
+        h = np.array([1.0, 1e-150, 1e-180, 1e-200, 0.0])
+        O._rescale(h, 300.0)   # 1e-180 * e^-300 would be subnormal
+        assert h[0] == math.exp(-300.0) and h[1] > tiny
+        assert np.all(h[2:] == 0.0)
+        up = np.array([1e-300, 1e-310])
+        O._rescale(up, -300.0)   # an upward rescale only multiplies
+        assert np.array_equal(up, np.array([1e-300, 1e-310]) * math.exp(300.0))
+
+        # in the march: every downward rescale flushes what it pushes
+        # under the normal range, and there is such an entry to flush
+        flushed = []
+        rescale = O._rescale
+
+        def checked(h, log_peak):
+            if log_peak > 0:
+                pushed = h * math.exp(-log_peak)
+                flushed.append(np.count_nonzero((pushed > 0) & (pushed < tiny)))
+            rescale(h, log_peak)
+            assert not np.any((h > 0) & (h < tiny))
+
+        monkeypatch.setattr(O, "_rescale", checked)
+        # log m climbs past 1300 in steps small enough to leave rows at
+        # every scale, so some land just above the flush line
+        cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
+                             n_time_panels=400, n_x=15)
+        log_m = O.second_moment_volterra(cfg, error_estimate=False).log_m
+        assert len(flushed) > 2 and sum(flushed) > 0
         assert_log_close(log_m, reference_log_m(cfg))
 
     def test_batch_equals_singles_in_input_order(self):
