@@ -4,7 +4,7 @@ The oracle solves the second-moment Volterra equation on a window that
 resolves each growth rate and continues log-linearly to the target time;
 the index is the slope of log log E_2 against log lambda.
 
-Run:  python demos/04_excitation_index.py   (about 3 seconds)
+Run:  python demos/04_excitation_index.py   (about 2 seconds)
 """
 
 from sheatlab.analysis import energy_at, excitation_index

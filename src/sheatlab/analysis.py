@@ -202,7 +202,7 @@ class ThresholdScan:
     """Empirical stability/growth bracket over a lambda grid; an oracle scan
     flags each fit whose predicted_rate * dt exceeds oracle.RESOLVED_RATE_DT
     (the fit still counts toward the bracket) and records its shared grid's
-    diagonal-surrogate lag count n_diag."""
+    march telemetry (MomentField.march)."""
 
     lams: tuple
     fits: tuple
@@ -210,7 +210,7 @@ class ThresholdScan:
     lambda_u_hat: float | None
     rate_dt: tuple = ()
     resolved: tuple = ()
-    n_diag: int | None = None
+    march: dict | None = None
 
 
 def classify_thresholds(lams, fits) -> ThresholdScan:
@@ -244,7 +244,7 @@ def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
                     * base.horizon / base.n_time_panels for lam in lams)
     return replace(classify_thresholds(list(lams), fits), rate_dt=rate_dt,
                    resolved=tuple(r <= ora.RESOLVED_RATE_DT for r in rate_dt),
-                   n_diag=mfs[0].n_diag if mfs else None)
+                   march=mfs[0].march if mfs else None)
 
 
 @dataclass
@@ -308,9 +308,9 @@ class EnergyPoint:
     """Oracle E_2 at one (t, lambda), possibly rate-extrapolated.
 
     error_log is the solve's largest grid-halving error of log m at its
-    horizon, plus the carried slope error when extrapolated; n_diag is the
-    solve's diagonal-surrogate lag count (n_diag = n_time_panels means no
-    lag had a spatial quadrature).
+    horizon, plus the carried slope error when extrapolated; march is the
+    solve's march telemetry (MomentField.march; n_diag = n_time_panels
+    means no lag had a spatial quadrature).
     """
 
     lam: float
@@ -321,7 +321,7 @@ class EnergyPoint:
     window_horizon: float
     extrapolated: bool
     error_log: float
-    n_diag: int
+    march: dict
 
 
 def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0,
@@ -346,11 +346,11 @@ def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0,
     err = float(np.max(mf.error_log[-1]))
     if resolvable:
         return EnergyPoint(cfg.lam, t_target, float(log_e[-1]), slope, se,
-                           horizon, False, err, mf.n_diag)
+                           horizon, False, err, mf.march)
     span = t_target - horizon
     log_e_t = float(log_e[-1]) + 0.5 * slope * span
     return EnergyPoint(cfg.lam, t_target, log_e_t, slope, se + err / horizon,
-                       horizon, True, err + se * span, mf.n_diag)
+                       horizon, True, err + se * span, mf.march)
 
 
 # --- weighted kernel integrals behind the quadrature-bound lemmas ---------
@@ -396,17 +396,6 @@ def _integral_parts(spec, alpha, beta, x, t_max, kernel="dirichlet", n_panels=48
         raise AnalysisError("alpha must lie in (0,1)")
     q = 2.0 / (1.0 - alpha)
     yq, wq = kern.gauss_legendre_panels(0.0, 1.0, max(1, n_y // 16), 16)
-
-    def log_inner(s):
-        # e^{beta s} and the kernel decay each overflow separately at large s
-        # near the threshold; only their product is moderate
-        if kernel == "free":
-            return math.log(_free_inner(spec.nu, alpha, s))
-        lg = kern.log_eval_dirichlet(spec, s, x, yq)
-        m = float(np.max(lg))
-        return (2.0 - alpha) * m + math.log(
-            float(np.dot(wq, np.exp((2.0 - alpha) * (lg - m)))))
-
     t_sub = min(t_max, 1.0)
     xi, xi_w = kern.gauss_legendre_panels(0.0, t_sub ** (1.0 / q), n_panels, 8)
     s = xi ** q
@@ -423,8 +412,16 @@ def _integral_parts(spec, alpha, beta, x, t_max, kernel="dirichlet", n_panels=48
     # the tail integrand decays on the scale t_max/60 by construction of
     # t_max, so a fixed panel count resolves it at any margin
     s_nodes, s_w = kern.gauss_legendre_panels(1.0, t_max, n_panels, 8)
-    log_vals = np.array([beta * s - alpha * math.log(s) + log_inner(s)
-                         for s in s_nodes])
+    # e^{beta s} and the kernel decay each overflow separately at large s
+    # near the threshold; only their product is moderate
+    if kernel == "free":
+        log_inner = np.log(_free_inner(spec.nu, alpha, s_nodes))
+    else:
+        lg = kern.log_eval_dirichlet(spec, s_nodes[:, None], x, yq)
+        peak = np.max(lg, axis=1)
+        log_inner = (2.0 - alpha) * peak + np.log(
+            np.exp((2.0 - alpha) * (lg - peak[:, None])) @ wq)
+    log_vals = beta * s_nodes - alpha * np.log(s_nodes) + log_inner
     return head, float(np.dot(s_w, np.exp(np.minimum(log_vals, 700.0))))
 
 

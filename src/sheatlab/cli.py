@@ -178,13 +178,14 @@ class Runner:
             np.linspace(0.05, 0.95, 11), np.linspace(0.05, 0.95, 11))
         rows = []
         xs = np.linspace(gamma, 1 - gamma, 5)
-        for t in np.geomspace(1e-3, 4.0, 10):
+        ts = np.geomspace(1e-3, 4.0, 10)
+        g_d = kern.eval_kernel(spec, ts[:, None, None], xs[:, None], xs[None, :])
+        for t, g_t in zip(ts, g_d):
             plan = kern.truncation_terms(spec, float(t))
-            for x in xs:
-                for y in xs:
+            for x, g_x in zip(xs, g_t):
+                for y, g in zip(xs, g_x):
                     rows.append((
-                        float(t), float(x), float(y),
-                        float(kern.eval_kernel(spec, float(t), x, y)),
+                        float(t), float(x), float(y), float(g),
                         float(kern.free_kernel(spec.nu, float(t), x, y)),
                         float(kern.kernel_lower_bound(cal.spec, spec, float(t), x, y)),
                         plan.n_images if plan.use_images else plan.n_terms,
@@ -229,8 +230,8 @@ class Runner:
         self._csv("oracle_envelope.csv", ["t", "h", "H", "log_h", "log_H"], rows)
         self.man.diagnostics.update({
             "compensation_rate": env.compensation_rate,
-            "n_diag": mf.n_diag,
             "max_error_log_at_horizon": float(np.max(mf.error_log[-1])),
+            **mf.march,
         })
 
     def _moment_cells(self):
@@ -338,8 +339,8 @@ class Runner:
         # surrogate, so its energy has no spatial quadrature behind it
         self.man.diagnostics.update({
             "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
-            "oracle_points": [{"lambda": p.lam, "n_diag": p.n_diag,
-                               "max_error_log": p.error_log} for p in points],
+            "oracle_points": [{"lambda": p.lam, "max_error_log": p.error_log,
+                               **p.march} for p in points],
         })
         mc_samples = self.cfg.get("analysis", "mc_samples")
         if mc_samples > 0:
@@ -387,8 +388,8 @@ class Runner:
         rows = [(lam, f.slope, f.slope_ci) for lam, f in zip(scan.lams, scan.fits)]
         self._csv("thresholds_series.csv", ["lambda", "slope", "slope_ci"], rows)
         self.man.diagnostics.update({
-            "n_diag": scan.n_diag,
             "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
+            **scan.march,
         })
 
     def cmd_grr_check(self):

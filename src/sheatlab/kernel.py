@@ -259,9 +259,9 @@ def eval_kernel_series(spec: KernelSpec, t, x, y, n_terms=None):
     """Eigenfunction-series evaluation with n_terms modes (certified per time
     if None); t, x, y as in eval_kernel, n_terms one count or one per time.
 
-    einsum accumulates every point's modes in order, whatever the number of
-    times, so a batched row equals its scalar call bit for bit; a BLAS
-    product does not (its blocking depends on the batch).
+    Each point sums its modes by one contiguous dot product over exactly
+    its time's term count, whatever the batch, so a batched value equals its
+    scalar call bit for bit (zero-padded counts or a BLAS product would not).
     """
     t = _times(t, x, y)
     if spec.boundary == FREE:
@@ -280,12 +280,15 @@ def eval_kernel_series(spec: KernelSpec, t, x, y, n_terms=None):
     shape = np.broadcast_shapes(x.shape, y.shape)
     n_terms = np.broadcast_to(n_terms, t.shape)
     k = np.arange(1, int(np.max(n_terms, initial=0)) + 1)
-    decay = np.where(k <= n_terms[..., None],
-                     np.exp(-spec.nu * (k * math.pi) ** 2 * t[..., None]), 0.0)
     trig = np.sin if spec.boundary == DIRICHLET else np.cos
     kpi = (k * math.pi).reshape(-1, *(1,) * len(shape))
-    modes = (trig(kpi * x) * trig(kpi * y)).reshape(len(k), math.prod(shape))
-    vals = 2.0 * np.einsum("tk,kp->tp", decay.reshape(t.size, len(k)), modes)
+    modes = np.ascontiguousarray(
+        (trig(kpi * x) * trig(kpi * y)).reshape(len(k), math.prod(shape)).T)
+    vals = np.empty((t.size, modes.shape[0]))
+    for n in np.unique(n_terms):
+        rows = (n_terms == n).ravel()
+        decay = np.exp(-spec.nu * (k[:n] * math.pi) ** 2 * t.ravel()[rows, None])
+        vals[rows] = 2.0 * np.einsum("tk,pk->tp", decay, modes[:, :n])
     if spec.boundary == NEUMANN:
         vals += 1.0
     out = vals.reshape(np.broadcast_shapes(t.shape, shape))
@@ -326,14 +329,22 @@ def eval_kernel(spec: KernelSpec, t, x, y):
     """
     t = _times(t, x, y)
     n, ok, m = _plan(spec, t)
-    if np.all(ok):
-        return eval_kernel_series(spec, t, x, y, n_terms=n)
-    if not np.any(ok):
-        return eval_kernel_images(spec, t, x, y, n_images=m)
-    rows = ok.ravel()
-    out = np.empty(np.broadcast_shapes(t.shape, np.shape(x), np.shape(y)))
-    out[rows] = eval_kernel_series(spec, t[rows], x, y, n_terms=n[rows])
-    out[~rows] = eval_kernel_images(spec, t[~rows], x, y, n_images=m[~rows])
+    return _by_route(ok, lambda r: eval_kernel_series(spec, t[r], x, y, n_terms=n[r]),
+                     lambda r: eval_kernel_images(spec, t[r], x, y, n_images=m[r]))
+
+
+def _by_route(first, route_a, route_b):
+    """route_a on the times where first holds, route_b on the others, in
+    time order; each route takes an index of the times (... for all)."""
+    if np.all(first):
+        return route_a(...)
+    if not np.any(first):
+        return route_b(...)
+    rows = first.ravel()
+    a = route_a(rows)
+    out = np.empty((len(rows),) + a.shape[1:])
+    out[rows] = a
+    out[~rows] = route_b(~rows)
     return out
 
 
@@ -345,36 +356,46 @@ def log_eval_dirichlet(spec: KernelSpec, t, x, y):
     the dominant term is factored out and the rest enters through log1p of
     ratios of exponentials: the image sum's n = 0 direct term for t <= 1/2
     (it dominates since x + y - |x-y| = 2 min(x,y) > 0 and likewise at the
-    right endpoint), the first eigenmode for t > 1/2.
+    right endpoint), the first eigenmode for t > 1/2. t is a scalar or
+    times of shape (T, 1, ..., 1), as in eval_kernel; each time takes its
+    own branch and term or image count, and a batched row equals its
+    scalar call bit for bit.
     """
-    if not (t > 0):
-        raise KernelDomainError("t must be positive")
+    t = _times(t, x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(x >= 1) or np.any(y <= 0) or np.any(y >= 1):
         raise KernelDomainError("log_eval_dirichlet needs interior x, y")
     xb, yb = np.broadcast_arrays(x, y)
-    if t <= 0.5:
-        m = _image_terms(spec.nu, t, spec.tol, spec.image_cap)
-        c = 1.0 / (4.0 * spec.nu * t)
-        lead = -c * (xb - yb) ** 2
-        rest = np.zeros(xb.shape)
-        for n in range(-m, m + 1):
-            if n != 0:
-                rest += np.exp(-c * (xb - yb - 2.0 * n) ** 2 - lead)
-            rest -= np.exp(-c * (xb + yb - 2.0 * n) ** 2 - lead)
-        out = lead + np.log1p(rest) - 0.5 * math.log(4.0 * math.pi * spec.nu * t)
-    else:
-        n_terms, _ = _series_terms(spec.nu, t, spec.tol)
-        n_terms = max(n_terms, 2)
-        lead = np.log(np.sin(math.pi * xb)) + np.log(np.sin(math.pi * yb))
-        rest = np.zeros(xb.shape)
-        for n in range(2, n_terms + 1):
-            rest += (math.exp(-spec.nu * PI2 * (n ** 2 - 1) * t)
-                     * np.sin(n * math.pi * xb) * np.sin(n * math.pi * yb)
-                     / (np.sin(math.pi * xb) * np.sin(math.pi * yb)))
-        out = math.log(2.0) - spec.rate1 * t + lead + np.log1p(rest)
+    out = _by_route(t <= 0.5, lambda r: _log_dirichlet_images(spec, t[r], xb, yb),
+                    lambda r: _log_dirichlet_series(spec, t[r], xb, yb))
     return out if out.shape else float(out)
+
+
+def _log_dirichlet_images(spec, t, xb, yb):
+    m = _image_terms(spec.nu, t, spec.tol, spec.image_cap)
+    c = 1.0 / (4.0 * spec.nu * t)
+    lead = -c * (xb - yb) ** 2
+    rest = np.zeros(lead.shape)
+    m_max = int(np.max(m))
+    for n in range(-m_max, m_max + 1):
+        kept = abs(n) <= m
+        if n != 0:
+            rest += np.where(kept, np.exp(-c * (xb - yb - 2.0 * n) ** 2 - lead), 0.0)
+        rest -= np.where(kept, np.exp(-c * (xb + yb - 2.0 * n) ** 2 - lead), 0.0)
+    return lead + np.log1p(rest) - 0.5 * np.log(4.0 * math.pi * spec.nu * t)
+
+
+def _log_dirichlet_series(spec, t, xb, yb):
+    n_terms = np.maximum(_series_terms(spec.nu, t, spec.tol)[0], 2)
+    lead = np.log(np.sin(math.pi * xb)) + np.log(np.sin(math.pi * yb))
+    rest = np.zeros(np.broadcast_shapes(t.shape, xb.shape))
+    for n in range(2, int(np.max(n_terms)) + 1):
+        rest += np.where(n <= n_terms,
+                         np.exp(-spec.nu * PI2 * (n ** 2 - 1) * t)
+                         * np.sin(n * math.pi * xb) * np.sin(n * math.pi * yb)
+                         / (np.sin(math.pi * xb) * np.sin(math.pi * yb)), 0.0)
+    return math.log(2.0) - spec.rate1 * t + lead + np.log1p(rest)
 
 
 @dataclass(frozen=True)
@@ -467,14 +488,14 @@ def calibrate_lower_bound(spec: KernelSpec, gamma, t_grid=None, n_xy=17,
     gamma2 = gamma ** 2
     # log domain throughout: the binding nodes sit where both sides are
     # exponentially small and linear evaluation loses all relative accuracy
-    log_g = {float(t): log_eval_dirichlet(spec, float(t), X, Y) for t in t_grid}
+    log_g = log_eval_dirichlet(spec, t_grid[:, None, None], X, Y)
     kappa1s = []
     for k2 in kappa2_grid:
         worst = math.inf
-        for t in t_grid:
+        for t, log_g_t in zip(t_grid, log_g):
             branch = -0.5 * math.log(t) if t <= gamma2 else 0.0
             log_shape = -spec.rate1 * t + branch - k2 * (X - Y) ** 2 / t
-            worst = min(worst, float(np.min(log_g[float(t)] - log_shape)))
+            worst = min(worst, float(np.min(log_g_t - log_shape)))
         kappa1s.append(math.exp(worst) if worst < 700 else math.inf)
     kappa1s = np.array(kappa1s)
     best = float(np.max(kappa1s))

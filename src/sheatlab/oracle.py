@@ -16,20 +16,35 @@ accuracy here). Spatial y-integrals use midpoint cells; lags whose kernel
 width falls under the cell size switch to the exact diagonal surrogate
 m(x) g(2 tau,x,x) instead of an unresolvable quadrature.
 
+The panel weights are evaluated in a cancellation-free closed form, so a
+lag weight omega_d sqrt(tau_d) = dt (1 + eps_d) keeps its tiny
+eps_d ~ 1/(16 d^2) to roundoff at any d.
+
 Configs that share a grid (every field but lam and k_sigma) are solved by
-one march. Its lag kernels are built once, with the panel weights folded in
-and stored lag-reversed, so that each step's history sum over every
-amplitude (lambda k)^2 is one matrix product. The build is a few batched
-kernel calls: every diagonal surrogate in one, the dense lags in chunks of
-64.
+one march of one renewal engine, which splits the history sum at a lag L.
+The near field, lags d <= L, has its lag kernels built once, with the
+weights folded in and stored lag-reversed, so that each step's near sum
+over every amplitude (lambda k)^2 is one matrix product; the build is a
+few batched kernel calls, every diagonal surrogate in one and the dense
+lags in chunks of 64. The far field, lags d > L, is exact in modes: the
+squared kernel is sum_{k<=l} c_kl e^{-(lam_k + lam_l) tau} psi_kl psi_kl^T
+with psi_kl = e_k e_l (sines on Dirichlet, cosines and the constant mode on
+Neumann), kept down to 1e-18 of the slowest pair at lag L+1, and eps_d is a
+fitted sum of exponentials (Beylkin & Monzon, ACHA 28, 2010). Every
+(pair, rate) channel is then a geometric recursion over the projections
+<psi_kl, m_j>, which makes a step O(L n_x^2 + pairs * rates) instead of
+O(n_t n_x^2) (the near/far split of Lubich & Schaedle, SIAM J. Sci.
+Comput. 24, 2002). L comes from a cost model of both parts; L = n_t is the
+direct march, which it keeps where no far lag pays.
 
 Growth at large lambda exceeds float range (the rate scales like
-(lambda k)^4 / (8 nu)). The march keeps its history as m / exp(ref) with one
-log reference per amplitude, rescaled in place when the newest level leaves
-e^{+-300}, and stores each row of log m with its own offset. Every term is
-positive, which makes the rescaled sums exact up to genuinely negligible
-underflow. A downward rescale sets what it pushes below the normal float
-range to 0, so no subnormal slows the history product.
+(lambda k)^4 / (8 nu)). The march keeps its history and far-field channels
+as values / exp(ref) with one log reference per amplitude, rescaled in
+place when the newest level leaves e^{+-300}, and stores each row of log m
+with its own offset. Every history term is positive, which makes the
+rescaled sums exact up to genuinely negligible underflow. A downward
+rescale sets what it pushes below the normal float range to 0, so no
+subnormal slows the history product.
 
 The module also derives the envelope h(t) = inf_x m(t,x) over the interior
 margin, its compensated form H(t) = exp(2 nu pi^2 t) h(t), the L^2 energy
@@ -97,7 +112,10 @@ class OracleConfig:
 class MomentField:
     """Second moments E[u(t,x)^2] on the oracle grid, stored as log m.
 
-    n_diag is the number of leading lags that took the diagonal surrogate.
+    The march took the diagonal surrogate for the first n_diag lags, the
+    dense quadrature up to lag n_near and the modal far field, with n_modes
+    modes per side and a weight fit whose largest residual is fit_residual,
+    beyond it; n_near = n_time_panels (n_modes = 0) is the direct march.
     error_log is the grid-halving self-difference of log m (empty unless
     solved with error_estimate=True).
     """
@@ -107,7 +125,16 @@ class MomentField:
     x: np.ndarray
     log_m: np.ndarray
     n_diag: int
+    n_near: int
+    n_modes: int
+    fit_residual: float
     error_log: np.ndarray | None = None
+
+    @property
+    def march(self):
+        """The march telemetry, as the manifests record it."""
+        return {"n_diag": self.n_diag, "n_near": self.n_near,
+                "n_modes": self.n_modes, "fit_residual": self.fit_residual}
 
     def log_m_at(self, t, x):
         i = _snap(self.t, t, "t")
@@ -129,14 +156,19 @@ def _snap(grid, value, name):
     return i
 
 
-def _sine_table(x, n_modes):
-    n = np.arange(1, n_modes + 1)
-    return math.sqrt(2.0) * np.sin(n[None, :] * math.pi * x[:, None])
-
-
-def _cosine_table(x, n_modes):
-    n = np.arange(1, n_modes + 1)
-    return math.sqrt(2.0) * np.cos(n[None, :] * math.pi * x[:, None])
+def _modes(grid, x, n_modes):
+    """Eigenmodes e_k (len(x), .) and rates lam_k, k up to n_modes, with
+    g(tau,x,y) = sum_k e^{-lam_k tau} e_k(x) e_k(y): sqrt(2) sin(k pi x)
+    from k = 1 (Dirichlet), the constant 1 and sqrt(2) cos(k pi x) from
+    k = 0 (Neumann)."""
+    if grid.boundary == kern.DIRICHLET:
+        k = np.arange(1, n_modes + 1)
+        e = math.sqrt(2.0) * np.sin(k[None, :] * math.pi * x[:, None])
+    else:
+        k = np.arange(n_modes + 1)
+        e = math.sqrt(2.0) * np.cos(k[None, :] * math.pi * x[:, None])
+        e[:, 0] = 1.0
+    return e, grid.nu * (k * math.pi) ** 2
 
 
 def _u0_values(u0, x):
@@ -149,18 +181,10 @@ def _u0_values(u0, x):
 def _d1_field(cfg: OracleConfig, t_grid, x_grid):
     """Deterministic term D1(t,x) = int g(t,x,y) u0(y) dy via eigenmodes."""
     yq, wq = kern.gauss_legendre_panels(0.0, 1.0, _D1_QUAD_PANELS, 8)
-    u0q = _u0_values(cfg.u0, yq)
-    rates = cfg.nu * (np.arange(1, _D1_MODES + 1) * math.pi) ** 2
-    if cfg.boundary == kern.DIRICHLET:
-        coef = _sine_table(yq, _D1_MODES).T @ (wq * u0q)
-        basis = _sine_table(x_grid, _D1_MODES)
-        mean = 0.0
-    else:
-        coef = _cosine_table(yq, _D1_MODES).T @ (wq * u0q)
-        basis = _cosine_table(x_grid, _D1_MODES)
-        mean = float(np.dot(wq, u0q))
+    modes_q, rates = _modes(cfg, yq, _D1_MODES)
+    coef = modes_q.T @ (wq * _u0_values(cfg.u0, yq))
     decay = np.exp(-np.outer(t_grid, rates))
-    d1 = mean + (decay * coef[None, :]) @ basis.T
+    d1 = (decay * coef[None, :]) @ _modes(cfg, x_grid, _D1_MODES)[0].T
     if t_grid[0] == 0.0:
         d1[0] = _u0_values(cfg.u0, x_grid)
     return d1
@@ -204,15 +228,96 @@ def _product_weights(dt, n_lags):
     """Closed-form panel weights for int tau^{-1/2} * (linear Psi) d tau.
 
     Panel d spans [(d-1) dt, d dt]; w_hi multiplies Psi(d dt) and w_lo
-    multiplies Psi((d-1) dt). Their sum telescopes to 2 sqrt(t).
+    multiplies Psi((d-1) dt). Their sum telescopes to 2 sqrt(t). With
+    ra = sqrt(d dt) and rb = sqrt((d-1) dt) the differences sqrt(a) - sqrt(b)
+    and a^{3/2} - b^{3/2} of the integrals divide out, so no weight loses
+    digits to cancellation at large d.
     """
     d = np.arange(1, n_lags + 1, dtype=float)
-    a, b = d * dt, (d - 1.0) * dt
-    i0 = 2.0 * (np.sqrt(a) - np.sqrt(b))
-    i1 = (2.0 / 3.0) * (a ** 1.5 - b ** 1.5)
-    w_hi = (i1 - b * i0) / dt
-    w_lo = (a * i0 - i1) / dt
-    return w_lo, w_hi
+    ra, rb = np.sqrt(d * dt), np.sqrt((d - 1.0) * dt)
+    scale = (2.0 / 3.0) * dt / (ra + rb) ** 2
+    return scale * (2.0 * ra + rb), scale * (ra + 2.0 * rb)
+
+
+# The far field keeps the mode pairs that reach 1e-18 of the slowest pair at
+# its first lag, and fits its weight correction with this many exponentials.
+_FAR_CUT = math.log(1e18)
+_FIT_RATES = 32
+
+
+def _far_modes(grid, tau):
+    """Smallest M, elementwise in tau, whose first dropped pair (k0, M+1)
+    has decayed e^{-_FAR_CUT} below the slowest pair (k0, k0) by lag time
+    tau, k0 being the lowest mode."""
+    k0 = 1 if grid.boundary == kern.DIRICHLET else 0
+    tau = np.asarray(tau, dtype=float)
+    return (np.ceil(np.sqrt(k0 ** 2 + _FAR_CUT / (grid.nu * math.pi ** 2 * tau)))
+            - 1).astype(int)
+
+
+def _mode_pairs(grid, n_modes):
+    """Pair vectors psi_kl = e_k e_l (n_x, P) on the midpoint grid, k <= l,
+    with their rates lam_k + lam_l and multiplicities (2 off the diagonal):
+    g(tau,x,y)^2 = sum_p mult_p e^{-rate_p tau} psi_p(x) psi_p(y) up to the
+    dropped pairs."""
+    e, lam = _modes(grid, grid.x_grid, n_modes)
+    kk, ll = np.triu_indices(len(lam))
+    return e[:, kk] * e[:, ll], lam[kk] + lam[ll], np.where(kk == ll, 1.0, 2.0)
+
+
+def _weight_fit(n_t, n_near):
+    """Sum of exponentials for the far lags' weight correction.
+
+    The lag weight omega_d sqrt(tau_d) is dt (1 + eps_d) with eps_d about
+    1/(16 d^2), whatever dt. Returns (rho, beta, max residual) with
+    eps_{L+1+e} ~ sum_q beta_q rho_q^e on the far lags d = L+1..n_t: a
+    linear least-squares fit on _FIT_RATES fixed rates spaced geometrically
+    from 0.1/n_t to 40/(L+1).
+    """
+    w_lo, w_hi = _product_weights(1.0, n_t + 1)
+    d = np.arange(n_near + 1, n_t + 1, dtype=float)
+    eps = (w_hi[n_near:n_t] + w_lo[n_near + 1:]) * np.sqrt(d) - 1.0
+    rates = np.geomspace(0.1 / n_t, 40.0 / (n_near + 1), _FIT_RATES)
+    basis = np.exp(-np.outer(d - d[0], rates))
+    beta = np.linalg.lstsq(basis, eps, rcond=None)[0]
+    return np.exp(-rates), beta, float(np.max(np.abs(basis @ beta - eps)))
+
+
+# Cost model, in history-product multiply-adds per amplitude and step: one
+# far-field channel update costs _CHANNEL_COST of them, a far step adds
+# _FAR_STEP for its fixed work, and building one dense lag costs
+# _BUILD_COST n_x^2 over all amplitudes. Fitted to march times on a 2-core
+# x86-64 machine with one BLAS thread; the chosen L stayed within 30% of
+# the fastest measured one on the acceptance grids.
+_CHANNEL_COST = 8.0
+_FAR_STEP = 2.0e4
+_BUILD_COST = 40.0
+
+
+def _split(grid, n_diag, n_amp):
+    """Near-lag count L and far mode count M of the cheapest march.
+
+    L = n_t (no far field, M = 0) is the direct march; a split needs
+    L >= max(n_diag, 2), since the far field is the resolved quadrature and
+    the Psi_0 rule reads lags 1 and 2.
+    """
+    n_t, n_x = grid.n_time_panels, grid.n_x
+    dt = grid.horizon / n_t
+    near = np.arange(max(n_diag, 2), n_t + 1)
+    # steps before L see i lags, later ones L of them
+    dense = near - n_diag
+    cost = (n_t * n_diag * n_x
+            + (dense * (dense + 1) / 2 + (n_t - near) * dense) * n_x ** 2
+            + _BUILD_COST * dense * n_x ** 2 / n_amp)
+    modes = _far_modes(grid, (near + 1) * dt)
+    n_k = modes + (grid.boundary != kern.DIRICHLET)  # Neumann adds mode 0
+    pairs = n_k * (n_k + 1) / 2
+    far = (n_t - near) * (_CHANNEL_COST * (_FIT_RATES + 2) * pairs
+                          + 4 * pairs * n_x + _FAR_STEP / n_amp)
+    best = int(np.argmin(cost + far))
+    if near[best] == n_t:
+        return n_t, 0
+    return int(near[best]), int(modes[best])
 
 
 # A history slice is rescaled once its newest level leaves exp(+-300): far
@@ -222,26 +327,33 @@ _TINY = np.finfo(float).tiny
 
 
 def _rescale(h, log_peak):
-    """Divide a history slice by exp(log_peak) in place.
+    """Divide a history slice or far-field state by exp(log_peak) in place.
 
     A downward rescale sets the entries it takes below the smallest normal
-    float to exactly 0: they weigh nothing against the O(1) newest level,
-    and subnormal operands slow the history product.
+    float in magnitude to exactly 0: they weigh nothing against the O(1)
+    newest level, and subnormal operands slow the history product.
     """
     h *= math.exp(-log_peak)
     if log_peak > 0:
-        h[h < _TINY] = 0.0
+        h[np.abs(h) < _TINY] = 0.0
 
 
 def _solve_grid(grid: OracleConfig, amps):
-    """log m (n_t+1, n_x) for each amplitude (lam k)^2 on one grid, and n_diag.
+    """log m (n_t+1, n_x) for each amplitude (lam k)^2 on one grid, and the
+    march's telemetry: the MomentField fields n_diag, n_near, n_modes and
+    fit_residual.
 
     Amplitude 0 is the exact log D1^2. All others march together, one
     history slice hist[j] each. Psi_d = sqrt(tau_d) A_d m_{i-d} enters step
-    i with weight w_hi[d-1] + w_lo[d], which the kernels carry, so the whole
-    history sum is one product; the lag-i term (m_0) weighs only w_hi[i-1],
-    so its w_lo[i] share is taken off again, and Psi_0 is extrapolated from
-    lags 1 and 2. The history holds m / exp(ref), one log reference per
+    i with weight w_hi[d-1] + w_lo[d]; the lag-i term (m_0) weighs only
+    w_hi[i-1], so its w_lo[i] share is taken off again, and Psi_0 is
+    extrapolated from lags 1 and 2. Lags up to n_near (from _split) are the
+    near field, one product with the kernels of _lag_kernels
+    per step. Later lags are the far field: g^2 = sum over mode pairs p of
+    mult_p e^{-rate_p tau} psi_p psi_p^T, and the weight is dt (1 + eps_d)
+    with eps_d a fitted sum of exponentials, so every (pair, rate) channel
+    is a geometric recursion over the projections <psi_p, m_j>. The history
+    and the channels hold values / exp(ref), one log reference per
     amplitude, and each log m row keeps its own offset.
     """
     n_t, n_x = grid.n_time_panels, grid.n_x
@@ -258,19 +370,22 @@ def _solve_grid(grid: OracleConfig, amps):
         n_diag += 1
     live = sorted(set(amps) - {0.0})
     if not live:
-        return [log_d1sq.copy() for _ in amps], n_diag
+        return [log_d1sq.copy() for _ in amps], dict(
+            n_diag=n_diag, n_near=n_t, n_modes=0, fit_residual=0.0)
+    n_near, n_modes = _split(grid, n_diag, len(live))
 
     w_lo, w_hi = _product_weights(dt, n_t + 1)
-    omega = w_hi[:n_t] + w_lo[1:]
-    diag, dense = _lag_kernels(grid, dt, omega * np.sqrt(np.arange(1, n_t + 1) * dt),
+    omega = w_hi[:n_near] + w_lo[1:n_near + 1]
+    diag, dense = _lag_kernels(grid, dt, omega * np.sqrt(np.arange(1, n_near + 1) * dt),
                                n_diag)
 
     def psi(d, h):
-        """Psi_d = sqrt(tau_d) A_d h for one history level h (n_amp, n_x)."""
+        """Psi_d = sqrt(tau_d) A_d h for a near lag d and one history level
+        h (n_amp, n_x)."""
         if d <= n_diag:
             term = h * diag[n_diag - d]
         else:
-            term = h @ dense[:, (n_t - d) * n_x:(n_t - d + 1) * n_x].T
+            term = h @ dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
         return term / omega[d - 1]
 
     a = np.array(live)[:, None]
@@ -278,15 +393,36 @@ def _solve_grid(grid: OracleConfig, amps):
     log_m = np.empty_like(hist)
     hist[:, 0] = m0 / peak0
     ref = np.full((len(live), 1), math.log(peak0))
+    fit_residual = 0.0
+    if n_near < n_t:
+        pair, rate, mult = _mode_pairs(grid, n_modes)
+        rho, beta, fit_residual = _weight_fit(n_t, n_near)
+        # channels per pair: the dt part of the weight, one per fitted rate
+        # of eps_d, and last the lag-i (m_0) term r_p^{i-L-1} <psi_p, m_0>
+        r = np.exp(-rate * dt)
+        ratios = r[:, None] * np.concatenate(([1.0], rho, [1.0]))
+        weights = np.concatenate(([1.0], beta, [0.0]))
+        expand = ((dt / n_x) * mult * np.exp(-rate * (n_near + 1) * dt))[:, None] * pair.T
+        state = np.zeros((len(live),) + ratios.shape)
     with np.errstate(divide="ignore"):
         log_m[:, 0] = np.log(hist[:, 0]) + ref
         for i in range(1, n_t + 1):
             nd = min(n_diag, i)
             total = np.einsum("dx,adx->ax", diag[n_diag - nd:], hist[:, i - nd:i])
             if i > n_diag:
-                total += (hist[:, :i - n_diag].reshape(len(live), -1)
-                          @ dense[:, (n_t - i) * n_x:(n_t - n_diag) * n_x].T)
-            total -= w_lo[i] * psi(i, hist[:, 0])
+                lo = max(0, i - n_near)
+                total += (hist[:, lo:i - n_diag].reshape(len(live), -1)
+                          @ dense[:, (n_near - i + lo) * n_x:(n_near - n_diag) * n_x].T)
+            if i <= n_near:
+                total -= w_lo[i] * psi(i, hist[:, 0])
+            else:
+                state *= ratios
+                state[:, :, :-1] += (hist[:, i - n_near - 1] @ pair)[:, :, None]
+                if i == n_near + 1:
+                    state[:, :, -1] = hist[:, 0] @ pair
+                # the m_0 term weighs w_hi[i-1] only: w_lo[i] comes off
+                weights[-1] = -w_lo[i] * math.sqrt(i * dt) / dt
+                total += (state @ weights) @ expand
             psi0 = psi(1, hist[:, i - 1])
             if i >= 2:
                 psi0 = np.maximum(2.0 * psi0 - psi(2, hist[:, i - 2]), 0.0)
@@ -296,23 +432,25 @@ def _solve_grid(grid: OracleConfig, amps):
             log_peak = np.log(np.max(level, axis=1))
             for j in np.flatnonzero(np.abs(log_peak) > _RESCALE_LOG):
                 _rescale(hist[j, :i + 1], log_peak[j])
+                if n_near < n_t:
+                    _rescale(state[j], log_peak[j])
                 ref[j] += log_peak[j]
-    return [log_d1sq.copy() if amp == 0.0 else log_m[live.index(amp)]
-            for amp in amps], n_diag
+    return ([log_d1sq.copy() if amp == 0.0 else log_m[live.index(amp)] for amp in amps],
+            dict(n_diag=n_diag, n_near=n_near, n_modes=n_modes, fit_residual=fit_residual))
 
 
 def _solve_all(cfgs):
-    """(log m, n_diag) for every config, one _solve_grid per shared grid:
-    every OracleConfig field but lam and k_sigma."""
+    """(log m, march telemetry) for every config, one _solve_grid per shared
+    grid: every OracleConfig field but lam and k_sigma."""
     groups = {}
     for idx, cfg in enumerate(cfgs):
         groups.setdefault(replace(cfg, lam=0.0, k_sigma=1.0), []).append(idx)
     out = [None] * len(cfgs)
     for grid, idxs in groups.items():
-        log_ms, n_diag = _solve_grid(
+        log_ms, telemetry = _solve_grid(
             grid, [(cfgs[i].lam * cfgs[i].k_sigma) ** 2 for i in idxs])
         for i, log_m in zip(idxs, log_ms):
-            out[i] = (log_m, n_diag)
+            out[i] = (log_m, telemetry)
     return out
 
 
@@ -348,8 +486,8 @@ def second_moments(cfgs, error_estimate=True) -> list[MomentField]:
         errs = [_halving_error(cfg, log_m, log_c)
                 for cfg, (log_m, _), (log_c, _) in zip(cfgs, fine, coarse)]
     return [MomentField(config=cfg, t=cfg.t_grid, x=cfg.x_grid, log_m=log_m,
-                        n_diag=n_diag, error_log=err)
-            for cfg, (log_m, n_diag), err in zip(cfgs, fine, errs)]
+                        error_log=err, **telemetry)
+            for cfg, (log_m, telemetry), err in zip(cfgs, fine, errs)]
 
 
 def second_moment_volterra(cfg: OracleConfig, error_estimate=True) -> MomentField:

@@ -219,6 +219,25 @@ class TestIntegralBounds:
         assert tail == 0.0
         assert got == pytest.approx(head, rel=1e-13)
 
+    @pytest.mark.parametrize("kernel", ["dirichlet", "free"])
+    def test_batched_tail_matches_node_loop(self, kernel):
+        # the [1, t_max] tail as node-by-node scalar log-kernel calls
+        alpha, beta, x, t_max = 0.5, 4.0, 0.3, 40.0
+        yq, wq = K.gauss_legendre_panels(0.0, 1.0, 32, 16)
+        s_nodes, s_w = K.gauss_legendre_panels(1.0, t_max, 48, 8)
+        tail = 0.0
+        for s, w in zip(s_nodes, s_w):
+            if kernel == "free":
+                log_inner = math.log(A._free_inner(SPEC.nu, alpha, s))
+            else:
+                lg = K.log_eval_dirichlet(SPEC, float(s), x, yq)
+                peak = float(np.max(lg))
+                log_inner = (2.0 - alpha) * peak + math.log(
+                    float(np.dot(wq, np.exp((2.0 - alpha) * (lg - peak)))))
+            tail += w * math.exp(min(beta * s - alpha * math.log(s) + log_inner, 700.0))
+        _, got = A._integral_parts(SPEC, alpha, beta, x, t_max, kernel=kernel)
+        assert got == pytest.approx(tail, rel=1e-13)
+
     def test_beta_range_validation(self):
         with pytest.raises(A.AnalysisError):
             A.verify_negative_beta(SPEC, 0.5, [-1.0, 0.5])

@@ -252,7 +252,11 @@ functionals = sup
         assert payload["fits"][1]["rate_dt"] == pytest.approx(1024 / 400, rel=1e-12)
         # dt = 2.5e-3: only lag 1's kernel width sqrt(4 nu tau) = 0.05 is under
         # two of the 25 cells (0.08)
+        # 400 panels over horizon 1 split the march: past lag n_near the
+        # modal far field carries the history
         diag = load_manifest(str(tmp_path / "out"), "thresholds")["diagnostics"]
+        assert 1 < diag.pop("n_near") < 400 and diag.pop("n_modes") > 0
+        assert diag.pop("fit_residual") < 1e-14
         assert diag == {"n_diag": 1, "n_time_panels": 400}
 
     def test_excitation_manifest_lists_surrogate_solves(self, tmp_path):

@@ -109,9 +109,24 @@ class TestBatchedTimes:
         assert self.TIMES.min() < K.switch_time(spec) < self.TIMES.max()
         got = K.eval_kernel(spec, t, x, y)
         assert got.shape == np.broadcast_shapes(t.shape, x.shape, y.shape)
+        # bit for bit, against a row's call and against each point's call
+        xb, yb = np.broadcast_arrays(x, y)
         for ti, row in zip(self.TIMES, got):
-            want = K.eval_kernel(spec, float(ti), x, y)
-            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(row, K.eval_kernel(spec, float(ti), x, y))
+            assert np.array_equal(row.ravel(), [K.eval_kernel(spec, float(ti), xp, yp)
+                                                for xp, yp in zip(xb.ravel(), yb.ravel())])
+
+    def test_log_dirichlet_matches_scalar_calls(self):
+        # times on both sides of the image/series branch at t = 1/2
+        times = np.concatenate([self.TIMES, [0.5, 0.7, 3.0]])
+        xs = np.linspace(0.05, 0.95, 7)
+        got = K.log_eval_dirichlet(SPEC, times[:, None, None], xs[:, None], xs[None, :])
+        assert got.shape == (len(times), 7, 7)
+        for ti, block in zip(times, got):
+            assert np.array_equal(block, K.log_eval_dirichlet(
+                SPEC, float(ti), xs[:, None], xs[None, :]))
+        with pytest.raises(K.KernelDomainError):
+            K.log_eval_dirichlet(SPEC, np.array([[0.1], [0.0]]), 0.5, xs)
 
     def test_each_time_keeps_its_own_counts(self):
         x = np.linspace(0.0, 1.0, 5)

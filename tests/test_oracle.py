@@ -180,13 +180,16 @@ class TestBatchedMarch:
             assert_log_close(mf.log_m, reference_log_m(cfg))
 
     def test_rescaled_history_matches_reference(self):
-        # log m climbs past 700: the history is rescaled at e^300 more than
-        # once, and the early rows must stay finite in the output
-        cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
-                             n_time_panels=200, n_x=15)
-        log_m = O.second_moment_volterra(cfg, error_estimate=False).log_m
-        assert log_m.max() > 700 and np.all(np.isfinite(log_m[1:]))
-        assert_log_close(log_m, reference_log_m(cfg))
+        # log m climbs past 700: the history and the far-field channels are
+        # rescaled at e^300 more than once, and the early rows must stay
+        # finite in the output
+        for boundary in (kern.DIRICHLET, kern.NEUMANN):
+            cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
+                                 boundary=boundary, n_time_panels=200, n_x=15)
+            mf = O.second_moment_volterra(cfg, error_estimate=False)
+            assert mf.n_near < 200 and mf.n_modes > 0
+            assert mf.log_m.max() > 700 and np.all(np.isfinite(mf.log_m[1:]))
+            assert_log_close(mf.log_m, reference_log_m(cfg))
 
     @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
     def test_lag_kernels_match_per_lag_calls(self, boundary):
@@ -267,6 +270,82 @@ class TestBatchedMarch:
                               n_time_panels=100, n_x=15)
         A.oracle_threshold_scan(base, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
         assert calls == [(kern.DIRICHLET, 100)]
+
+
+class TestRenewalEngine:
+    def test_product_weights_free_of_cancellation(self):
+        # the float weights round the long-double closed form to a few ulp,
+        # and that form equals the defining integrals, whose long-double
+        # differences lose about 1e-19 d^2 (1e-10 at d = 20 000; the old
+        # float differences lost 2e-7 there)
+        n_t, dt = 20_000, 4.0 / 20_000
+        w_lo, w_hi = O._product_weights(dt, n_t)
+        d = np.arange(1, n_t + 1, dtype=np.longdouble)
+        a, b = d * np.longdouble(dt), (d - 1) * np.longdouble(dt)
+        ra, rb = np.sqrt(a), np.sqrt(b)
+        scale = np.longdouble(2) / 3 * np.longdouble(dt) / (ra + rb) ** 2
+        want_lo, want_hi = scale * (2 * ra + rb), scale * (ra + 2 * rb)
+        assert np.max(np.abs(w_lo - want_lo) / want_lo) < 2e-15
+        assert np.max(np.abs(w_hi - want_hi) / want_hi) < 2e-15
+        i0 = 2 * (ra - rb)
+        i1 = np.longdouble(2) / 3 * (a * ra - b * rb)
+        assert np.max(np.abs(want_lo + want_hi - i0) / i0) < 1e-9
+        assert np.max(np.abs(b * want_lo + a * want_hi - i1) / i1) < 1e-9
+
+    def test_weight_fit_residual(self):
+        for n_t, n_near in ((2000, 24), (2500, 218), (8000, 64)):
+            rho, beta, residual = O._weight_fit(n_t, n_near)
+            assert np.all((rho > 0) & (rho < 1)) and residual < 1e-14
+
+    @pytest.mark.parametrize("grid, lams", [
+        # criterion 4's grid, every lambda of its scan in one march
+        (dict(horizon=4.0, n_time_panels=2000, n_x=31), (0.25, 0.5, 1, 2, 4, 8, 16)),
+        # criterion 6's lambda = 8 solve, which energy_at resolves directly
+        (dict(horizon=0.1, n_time_panels=2500, n_x=31), (8.0,)),
+    ])
+    def test_matches_direct_march(self, monkeypatch, grid, lams):
+        cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), **grid) for lam in lams]
+        engine = O.second_moments(cfgs)
+        assert 0 < engine[0].n_near < grid["n_time_panels"] and engine[0].n_modes > 0
+        assert engine[0].fit_residual < 1e-14
+        # the direct march: no lag in the far field
+        monkeypatch.setattr(O, "_split", lambda grid, n_diag, n_amp: (grid.n_time_panels, 0))
+        direct = O.second_moments(cfgs)
+        assert direct[0].n_near == grid["n_time_panels"] and direct[0].n_modes == 0
+        for a, b in zip(engine, direct):
+            assert_log_close(a.log_m, b.log_m, rel=1e-10)
+            fin = np.isfinite(b.log_m)
+            assert np.all(np.abs(a.error_log - b.error_log)[fin]
+                          <= 1e-10 * np.maximum(1.0, np.abs(b.log_m[fin])))
+
+    def test_cost_model_sides(self):
+        # no lag of an all-surrogate grid has a quadrature to carry by modes
+        short = O.OracleConfig(lam=0.0, horizon=30.0 / O.predicted_rate(16.0, 1.0, 0.5),
+                               n_time_panels=2500, n_x=31)
+        assert O._split(short, 2500, 1) == (2500, 0)
+        # a short march on few cells and one lambda pays no far-field overhead
+        tiny = O.OracleConfig(lam=0.0, horizon=0.5, n_time_panels=100, n_x=15)
+        assert O._split(tiny, 1, 7) == (100, 0)
+        # long marches split: criterion 4's and criterion 7's grids
+        for grid, n_diag, n_amp in (
+                (O.OracleConfig(lam=0.0, horizon=4.0, n_time_panels=2000, n_x=31), 1, 7),
+                (O.OracleConfig(lam=0.0, horizon=0.16, n_time_panels=2200, n_x=25), 43, 4)):
+            n_near, n_modes = O._split(grid, n_diag, n_amp)
+            assert n_diag < n_near < grid.n_time_panels
+            assert n_modes == O._far_modes(grid, (n_near + 1) * grid.horizon
+                                           / grid.n_time_panels)
+
+    @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
+    def test_mode_pairs_give_squared_kernel(self, boundary):
+        # past the first far lag the kept pairs reproduce g^2 on the grid
+        cfg = O.OracleConfig(lam=0.0, boundary=boundary, n_x=31)
+        tau = 0.02
+        n_modes = int(O._far_modes(cfg, tau))
+        pair, rate, mult = O._mode_pairs(cfg, n_modes)
+        got = (pair * (mult * np.exp(-rate * tau))) @ pair.T
+        x = cfg.x_grid
+        want = kern.eval_kernel(cfg.kernel_spec(), tau, x[:, None], x[None, :]) ** 2
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
 
 
 class TestEnvelope:
