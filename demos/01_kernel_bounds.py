@@ -12,17 +12,15 @@ spec = K.KernelSpec()  # Dirichlet, nu = 1/2, tol = 1e-12
 print("Dirichlet heat kernel on [0,1], nu =", spec.nu)
 print()
 print("Two independent representations, one value:")
-for t in (1e-3, 0.05, 1.0):
+times = np.array([1e-3, 0.05, 1.0])
+n_terms, use_series, n_images = K.truncation_plan(spec, times)
+for t, n, on_series, m in zip(times, n_terms, use_series, n_images):
     series = K.eval_kernel_series(spec, t, 0.3, 0.7,
                                   n_terms=K._series_terms(spec.nu, t, 1e-13)[0])
     images = K.eval_kernel_images(spec, t, 0.3, 0.7)
-    plan = K.truncation_terms(spec, t)
-    route = f"images({plan.n_images})" if plan.use_images else f"series({plan.n_terms})"
+    route = f"series({n})" if on_series else f"images({m})"
     print(f"  t={t:7g}: series {series: .12e}  images {images: .12e}"
           f"   |diff| {abs(series - images):.1e}   eval_kernel uses {route}")
-
-print()
-print(f"series/image switchover time: {K.switch_time(spec):.3e}")
 print()
 
 ub = K.kernel_upper_bounds(spec, 1.0, 0.5, 0.5)

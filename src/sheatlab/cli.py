@@ -176,20 +176,14 @@ class Runner:
         dx_rep = kern.kernel_dx_bound_check(
             spec, np.geomspace(1e-3, 1.0, 10),
             np.linspace(0.05, 0.95, 11), np.linspace(0.05, 0.95, 11))
-        rows = []
         xs = np.linspace(gamma, 1 - gamma, 5)
-        ts = np.geomspace(1e-3, 4.0, 10)
-        g_d = kern.eval_kernel(spec, ts[:, None, None], xs[:, None], xs[None, :])
-        for t, g_t in zip(ts, g_d):
-            plan = kern.truncation_terms(spec, float(t))
-            for x, g_x in zip(xs, g_t):
-                for y, g in zip(xs, g_x):
-                    rows.append((
-                        float(t), float(x), float(y), float(g),
-                        float(kern.free_kernel(spec.nu, float(t), x, y)),
-                        float(kern.kernel_lower_bound(cal.spec, spec, float(t), x, y)),
-                        plan.n_images if plan.use_images else plan.n_terms,
-                    ))
+        t, x, y = np.geomspace(1e-3, 4.0, 10)[:, None, None], xs[:, None], xs[None, :]
+        n_terms, use_series, n_images = kern.truncation_plan(spec, t)
+        columns = [c.ravel() for c in np.broadcast_arrays(
+            t, x, y, kern.eval_kernel(spec, t, x, y), kern.free_kernel(spec.nu, t, x, y),
+            kern.kernel_lower_bound(cal.spec, spec, t, x, y),
+            np.where(use_series, n_terms, n_images))]
+        rows = [(*map(float, row[:-1]), int(row[-1])) for row in zip(*columns)]
         self._csv("kernel_table.csv",
                   ["t", "x", "y", "g_D", "g_free", "lower_bound", "n_terms"], rows)
         sg = kern.semigroup_check(spec, 0.05, 0.05, 0.5, 0.5,
@@ -205,7 +199,6 @@ class Runner:
         self.man.diagnostics = {
             "semigroup_residual": sg.residual_convolution,
             "squared_kernel_residual": sg.residual_square,
-            "series_image_switch_time": kern.switch_time(spec),
         }
         self._json("kernel_calibration.json", self.man.constants)
 
@@ -236,7 +229,9 @@ class Runner:
 
     def _moment_cells(self):
         """Write one CSV per lambda-cell, skipping cells whose checksum matches
-        the previous manifest; return the cell CSVs present, in grid order."""
+        the previous manifest; return the cell CSVs present, in grid order.
+        The manifest is rewritten after each built cell, so a rerun after an
+        interruption skips the cells already done."""
         functionals = self.cfg.functionals()
         times = self.cfg.get("observation", "times")
         n_samples = self.cfg.get("ensemble", "n_samples")
@@ -249,9 +244,10 @@ class Runner:
             tag = _lambda_tag(lam)
             cell_csv = os.path.join(self.out, f"moments_cell_{tag}.csv")
             meta = recorded.get(tag, {})
-            if not (os.path.exists(cell_csv)
-                    and meta.get("sha256") == sha256_file(cell_csv)
+            if (os.path.exists(cell_csv) and meta.get("sha256") == sha256_file(cell_csv)
                     and meta.get("config_hash") == config_hash):
+                cell_meta[tag] = meta
+            else:
                 table = self._table(self.cfg.simulation(lam=lam), n_samples,
                                     functionals, times)
                 if table is None:
@@ -267,9 +263,9 @@ class Runner:
                                  est.log_mean, est.log_ci_half_width,
                                  int(est.overflowed)))
                 _write_csv(cell_csv, MOMENTS_HEADER, rows)
-                meta = {"sha256": sha256_file(cell_csv), "config_hash": config_hash,
-                        "lambda": lam}
-            cell_meta[tag] = meta
+                cell_meta[tag] = {"sha256": sha256_file(cell_csv),
+                                  "config_hash": config_hash, "lambda": lam}
+                self.man.write(self.out)
             cell_csvs.append(cell_csv)
         return cell_csvs
 

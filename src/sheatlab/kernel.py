@@ -18,10 +18,12 @@ the Brownian transition density when nu = 1/2.
 All rate constants are derived from ``nu`` at runtime. The first Dirichlet
 eigenvalue is ``nu * pi**2`` and shows up as the long-time decay rate.
 
-``eval_kernel`` and its two routes take many times in one call: t of shape
-(T, 1, ..., 1) broadcasts against x and y. One truncation rule gives each
-time its own route and term or image count (a loop over the count, shared
-by all times), and a batched row equals its scalar call bit for bit.
+``eval_kernel``, its two routes, ``log_eval_dirichlet`` and
+``kernel_lower_bound`` take many times in one call: t of shape
+(T, 1, ..., 1) broadcasts against x and y, and a batched row equals its
+scalar call bit for bit. One truncation rule, ``truncation_plan``, gives
+each time its own route and term or image count; there is no single switch
+time between the routes.
 """
 
 import math
@@ -114,17 +116,6 @@ class LowerBoundSpec:
             raise KernelDomainError("kappa1, kappa2 must be positive")
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
-    """Series-truncation decision for one evaluation time."""
-
-    n_terms: int
-    tail_bound: float
-    use_images: bool
-    n_images: int
-    image_tail_bound: float
-
-
 def _series_tail(nu, t, n):
     """Upper bound on 2*sum_{k>n} exp(-nu k^2 pi^2 t), elementwise in t and n.
 
@@ -181,45 +172,17 @@ def _image_terms(nu, t, tol, cap):
             )
 
 
-def switch_time(spec: KernelSpec) -> float:
-    """Largest t at which the series would still need more than series_cap terms.
-
-    Evaluations with t < switch_time use the image representation.
-    """
-    # series needs > cap terms iff tail at cap exceeds tol
-    lo, hi = 1e-12, 10.0
-    if _series_tail(spec.nu, hi, spec.series_cap) > spec.tol:
-        return hi
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if _series_tail(spec.nu, mid, spec.series_cap) > spec.tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _plan(spec: KernelSpec, t):
-    """The truncation rule, per time: series term count, whether the series
-    reaches spec.tol within series_cap, and image count (0 where it does)."""
+def truncation_plan(spec: KernelSpec, t):
+    """The kernel's truncation rule, per time t (a scalar or times stacked as
+    in eval_kernel): arrays (n_terms, use_series, n_images) shaped like t,
+    the series term count, whether the series reaches spec.tol within
+    series_cap, and the image count (0 where the series is used)."""
+    t = _times(t)
     n, ok = _series_terms(spec.nu, t, spec.tol, cap=spec.series_cap)
     m = np.zeros(t.shape, dtype=int)
     if not np.all(ok):
         m[~ok] = _image_terms(spec.nu, t[~ok], spec.tol, spec.image_cap)
     return n, ok, m
-
-
-def truncation_terms(spec: KernelSpec, t: float) -> TruncationPlan:
-    """Certified truncation counts for evaluating the kernel at time t."""
-    t = _times(t)
-    n, ok, m = _plan(spec, t)
-    return TruncationPlan(
-        n_terms=int(n),
-        tail_bound=float(_series_tail(spec.nu, t, n)) if ok else math.inf,
-        use_images=not ok,
-        n_images=int(m),
-        image_tail_bound=0.0 if ok else float(_image_tail(spec.nu, t, m)),
-    )
 
 
 def free_kernel(nu, t, x, y):
@@ -229,11 +192,12 @@ def free_kernel(nu, t, x, y):
     return np.exp(-((x - y) ** 2) / (4.0 * nu * t)) / np.sqrt(4.0 * math.pi * nu * t)
 
 
-def _times(t, x=(), y=()):
+def _times(t, x=None, y=None):
     """t as a float array of positive times.
 
     A scalar, or times stacked along the leading axis of shape (T, 1, ..., 1),
-    with at least as many axes as x and y, which do not vary along it.
+    with at least as many axes as x and y (if given), which do not vary
+    along it.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0):
@@ -323,12 +287,12 @@ def eval_kernel(spec: KernelSpec, t, x, y):
     t is a positive scalar, or times of shape (T, 1, ..., 1) stacked along a
     leading axis that x and y do not vary along; t, x and y broadcast, and
     the result has their broadcast shape. Each time takes its own
-    representation and count from the truncation plan (series above the
-    switch time, images below it), so a batched call equals a loop of
-    scalar calls.
+    representation and count from truncation_plan (the series wherever it
+    reaches spec.tol within series_cap, images elsewhere), so a batched call
+    equals a loop of scalar calls.
     """
     t = _times(t, x, y)
-    n, ok, m = _plan(spec, t)
+    n, ok, m = truncation_plan(spec, t)
     return _by_route(ok, lambda r: eval_kernel_series(spec, t[r], x, y, n_terms=n[r]),
                      lambda r: eval_kernel_images(spec, t[r], x, y, n_images=m[r]))
 
@@ -431,22 +395,22 @@ def kernel_upper_bounds(spec: KernelSpec, t, x, y) -> UpperBounds:
 
 
 def kernel_lower_bound(lb: LowerBoundSpec, spec: KernelSpec, t, x, y):
-    """Interior Gaussian lower bound at (t, x, y); x, y in [gamma, 1-gamma].
+    """Interior Gaussian lower bound at (t, x, y); x, y in [gamma, 1-gamma],
+    t a scalar or times stacked as in eval_kernel.
 
     The short/long time branch switches at t = gamma^2; at the switch the
     short branch carries the extra factor t^{-1/2} = 1/gamma, so the bound
     jumps down by that factor when crossing to t > gamma^2 (the convention
     follows the two-branch indicator form).
     """
-    if not (t > 0):
-        raise KernelDomainError("t must be positive")
+    t = _times(t, x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lo, hi = lb.gamma - 1e-15, 1.0 - lb.gamma + 1e-15
     if np.any(x < lo) or np.any(x > hi) or np.any(y < lo) or np.any(y > hi):
         raise KernelDomainError("x, y must lie in [gamma, 1-gamma]")
-    branch = t ** -0.5 if t <= lb.gamma ** 2 else 1.0
-    val = lb.kappa1 * math.exp(-spec.rate1 * t) * branch \
+    branch = np.where(t <= lb.gamma ** 2, t ** -0.5, 1.0)
+    val = lb.kappa1 * np.exp(-spec.rate1 * t) * branch \
         * np.exp(-lb.kappa2 * (x - y) ** 2 / t)
     return val if val.shape else float(val)
 
@@ -485,17 +449,14 @@ def calibrate_lower_bound(spec: KernelSpec, gamma, t_grid=None, n_xy=17,
         kappa2_grid = base * np.array([1.01, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0])
     kappa2_grid = np.asarray(kappa2_grid, dtype=float)
 
-    gamma2 = gamma ** 2
     # log domain throughout: the binding nodes sit where both sides are
     # exponentially small and linear evaluation loses all relative accuracy
-    log_g = log_eval_dirichlet(spec, t_grid[:, None, None], X, Y)
+    t = t_grid[:, None, None]
+    log_g = log_eval_dirichlet(spec, t, X, Y)
+    log_time = -spec.rate1 * t + np.where(t <= gamma ** 2, -0.5 * np.log(t), 0.0)
     kappa1s = []
     for k2 in kappa2_grid:
-        worst = math.inf
-        for t, log_g_t in zip(t_grid, log_g):
-            branch = -0.5 * math.log(t) if t <= gamma2 else 0.0
-            log_shape = -spec.rate1 * t + branch - k2 * (X - Y) ** 2 / t
-            worst = min(worst, float(np.min(log_g_t - log_shape)))
+        worst = float(np.min(log_g - (log_time - k2 * (X - Y) ** 2 / t)))
         kappa1s.append(math.exp(worst) if worst < 700 else math.inf)
     kappa1s = np.array(kappa1s)
     best = float(np.max(kappa1s))

@@ -7,10 +7,6 @@ a sample the stream is consumed in a fixed (step, cell) order. Every value is
 therefore a pure function of (master_seed, sample_index, step_index, cell),
 bit-identical across runs, worker counts, and batch layouts; distinct samples
 occupy disjoint counter blocks and are independent.
-
-Spectral mode increments are the orthonormal sine transform of the same cell
-increments (sine_transform(dW) / sqrt(dx)), so finite-difference and spectral
-solvers share one noise realization.
 """
 
 import math
@@ -98,19 +94,6 @@ def sample_block(stream: NoiseStream, n_steps: int, generator=None, out=None):
     g.standard_normal(out=out)
     out *= math.sqrt(stream.grid.dt * stream.grid.dx)
     return out, g
-
-
-def sample_increments(stream: NoiseStream, step_index: int):
-    """Increment vector dW for one time step, Normal(0, dt*dx) per cell.
-
-    Deterministic in (master_seed, sample_index, step_index, cell): the
-    stream prefix is regenerated, so random access costs O(step_index).
-    """
-    if not (0 <= step_index < stream.grid.n_steps):
-        raise NoiseDomainError(
-            f"step_index {step_index} outside [0, {stream.grid.n_steps})")
-    block, _ = sample_block(stream, step_index + 1)
-    return block[step_index]
 
 
 def sine_transform(values, axis=-1):

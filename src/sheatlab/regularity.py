@@ -222,15 +222,11 @@ def _stieltjes(phi_inv_of_b_over, phi, r, n_points, depth=1e-150):
     return float(np.sum(terms)), deep, prev
 
 
-def grr_general(phi_big_inv, phi, b_value, separation, n_points=200_000,
-                f=None, phi_big=None, params_for_b=None):
+def grr_general(phi_big_inv, phi, b_value, separation, n_points=200_000):
     """Evaluate 8 int_0^{|x-y|} Phi^{-1}(B/u) d phi(u) numerically.
 
     phi_big_inv: inverse Young function, vectorized, with Phi^{-1}(0) = 0;
-    phi: increasing modulus with phi(0) = 0, vectorized. When f is given
-    (with phi_big and sampling params), B is first computed as the general
-    double functional int int Phi((f(x)-f(y))/phi(|x-y|)); otherwise the
-    supplied b_value is used directly.
+    phi: increasing modulus with phi(0) = 0, vectorized; b_value: B.
 
     The integrand's endpoint singularity is handled by the geometric
     partition (equivalently, quadrature after the substitution u = r e^{-w});
@@ -241,11 +237,6 @@ def grr_general(phi_big_inv, phi, b_value, separation, n_points=200_000,
         raise RegularityError("separation must be nonnegative")
     if separation == 0.0:
         return 0.0
-    if f is not None:
-        if phi_big is None:
-            raise RegularityError("computing B from f needs Phi as well")
-        b_value = _general_b(f, phi_big, phi,
-                             cutoff_cells=2 if params_for_b is None else params_for_b)
     if b_value < 0:
         raise RegularityError("B must be nonnegative")
     if b_value == 0.0:
@@ -262,24 +253,6 @@ def grr_general(phi_big_inv, phi, b_value, separation, n_points=200_000,
         raise RegularityError("integral diverges: non-integrable singularity at 0")
     # midpoint-Stieltjes converges at second order in the partition width
     return 8.0 * ((4.0 * finer - fine) / 3.0)
-
-
-def _general_b(f, phi_big, phi, cutoff_cells=2):
-    f = np.asarray(f, dtype=float)
-    n = len(f)
-    if n < 64:
-        raise RegularityError("need >= 64 sample nodes")
-    x = np.linspace(0.0, 1.0, n)
-    h = x[1] - x[0]
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-    total = 0.0
-    for d in range(cutoff_cells, n):
-        df = f[d:] - f[:-d]
-        dx = x[d:] - x[:-d]
-        w = weights[d:] * weights[:-d]
-        total += 2.0 * float(np.sum(w * phi_big(df / phi(dx))))
-    return total
 
 
 def power_law_pair(params: GrrParams):

@@ -15,9 +15,6 @@ differ only in the one-step semigroup P:
 * spectral exponential Euler (Dirichlet only): P = S diag(exp(-nu n^2 pi^2
   dt)) S, S the orthonormal sine transform, exact on each eigenmode.
 
-step_semi_implicit and step_spectral are per-sample references for the
-batch engine; step_spectral steps the sine-mode coefficients instead.
-
 A batch of samples is stepped as one (k, n) array, one contiguous row per
 sample, with each sample's noise drawn straight into its row of one
 (k, chunk, n) buffer. It is returned as one Ensemble: snapshots at the
@@ -36,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrs
 
-from .noise import GridSpec, NoiseStream, sample_block, sample_increments, sine_transform
+from .noise import GridSpec, NoiseStream, sample_block, sine_transform
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -305,57 +302,6 @@ def _implicit_solve(factor, b):
 def _mode_decay(cfg: SimulationConfig, n_modes):
     n = np.arange(1, n_modes + 1)
     return np.exp(-cfg.nu * (n * math.pi) ** 2 * cfg.grid.dt)
-
-
-def step_semi_implicit(state, stream: NoiseStream, step_index, cfg: SimulationConfig,
-                       factor=None):
-    """One semi-implicit step: solve (I - nu dt L) u' = u + lam sigma(u) dW/dx.
-
-    Random access into the stream costs O(step_index); ensemble drivers use
-    the contiguous block path instead and produce identical values.
-    """
-    state = np.asarray(state, dtype=float)
-    if not np.all(np.isfinite(state)):
-        raise PathDivergedError(step_index, stream.sample_index)
-    if factor is None:
-        factor = _implicit_factor(cfg)
-    rhs = state.copy()
-    if cfg.lam != 0.0:
-        dw = sample_increments(stream, step_index)
-        rhs += cfg.lam * cfg.sigma(state) * dw / cfg.grid.dx
-    out = _implicit_solve(factor, rhs)
-    if not np.all(np.isfinite(out)):
-        raise PathDivergedError(step_index, stream.sample_index)
-    return out
-
-
-def step_spectral(coeffs, stream: NoiseStream, step_index, cfg: SimulationConfig):
-    """One exponential Euler step on sine-mode coefficients (Dirichlet).
-
-    a' = exp(-nu n^2 pi^2 dt) (a + lam <sigma(u), e_n> dW-projection), with
-    sigma evaluated in physical space via the DST round trip.
-    """
-    if cfg.boundary != DIRICHLET:
-        raise UnsupportedSchemeError("spectral scheme is Dirichlet only")
-    coeffs = np.asarray(coeffs, dtype=float)
-    n_modes = coeffs.shape[0]
-    if n_modes > cfg.grid.n_interior:
-        raise ConfigError("n_modes cannot exceed n_interior")
-    if not np.all(np.isfinite(coeffs)):
-        raise PathDivergedError(step_index, stream.sample_index)
-    decay = _mode_decay(cfg, n_modes)
-    sq = math.sqrt(cfg.grid.dx)
-    if cfg.lam == 0.0:
-        return decay * coeffs
-    full = np.zeros(cfg.grid.n_interior)
-    full[:n_modes] = coeffs
-    u_phys = sine_transform(full) / sq
-    dw = sample_increments(stream, step_index)
-    modal = sine_transform(cfg.sigma(u_phys) * dw)[:n_modes] / sq
-    out = decay * (coeffs + cfg.lam * modal)
-    if not np.all(np.isfinite(out)):
-        raise PathDivergedError(step_index, stream.sample_index)
-    return out
 
 
 def _propagator(cfg: SimulationConfig):

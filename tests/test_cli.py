@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sheatlab import cli, solver
+from sheatlab import kernel as kern
 from sheatlab import regularity as reg
 from sheatlab.config import ExperimentConfig, load_manifest, sha256_file
 from sheatlab.solver import ConfigError
@@ -118,6 +119,25 @@ class TestCliRuns:
             combined += cell.split(b"\r\n", 1)[1]
         assert (tmp_path / "out" / "moments.csv").read_bytes() == combined
 
+    def test_kernel_table_rows_match_scalar_calls(self, tmp_path):
+        path = write_cfg(tmp_path)
+        assert cli.main(["kernel", "--config", path]) == 0
+        out = tmp_path / "out"
+        consts = json.loads((out / "kernel_calibration.json").read_text())
+        spec = ExperimentConfig.from_file(path).kernel_spec()
+        lb = kern.LowerBoundSpec(gamma=consts["gamma"], kappa1=consts["kappa1_hat"],
+                                 kappa2=consts["kappa2_hat"])
+        with open(out / "kernel_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 250
+        for row in rows:
+            t, x, y = float(row["t"]), float(row["x"]), float(row["y"])
+            n_terms, use_series, n_images = kern.truncation_plan(spec, t)
+            assert float(row["g_D"]) == kern.eval_kernel(spec, t, x, y)
+            assert float(row["g_free"]) == kern.free_kernel(spec.nu, t, x, y)
+            assert float(row["lower_bound"]) == kern.kernel_lower_bound(lb, spec, t, x, y)
+            assert int(row["n_terms"]) == (n_terms if use_series else n_images)
+
     def test_moments_builds_no_path_objects(self, tmp_path, monkeypatch):
         def refuse(self, *args, **kwargs):
             raise AssertionError("SolutionPath built on the Monte Carlo path")
@@ -168,6 +188,36 @@ class TestCliRuns:
         before = cell.stat().st_mtime_ns
         assert cli.main(["moments", "--config", cfg]) == 0
         assert cell.stat().st_mtime_ns == before  # file untouched: cell skipped
+
+    def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        grid = ["--override", "equation.lambda_grid=0.5, 1"]
+        whole, cut = str(tmp_path / "whole"), str(tmp_path / "cut")
+        assert cli.main(["moments", "--config", cfg, "--out", whole] + grid) == 0
+        build = cli._ensemble_table
+        built = []
+
+        def interrupted(sim, *args):
+            if sim.lam == 1.0:
+                raise RuntimeError("interrupted")
+            return build(sim, *args)
+
+        def counting(sim, *args):
+            built.append(sim.lam)
+            return build(sim, *args)
+
+        monkeypatch.setattr(cli, "_ensemble_table", interrupted)
+        assert cli.main(["moments", "--config", cfg, "--out", cut] + grid) == 2
+        assert not os.path.exists(os.path.join(cut, "moments.csv"))
+        monkeypatch.setattr(cli, "_ensemble_table", counting)
+        assert cli.main(["moments", "--config", cfg, "--out", cut] + grid) == 0
+        assert built == [1.0]
+        for name in ("moments.csv", "moments_cell_0p5.csv", "moments_cell_1.csv"):
+            with open(os.path.join(whole, name), "rb") as a, \
+                    open(os.path.join(cut, name), "rb") as b:
+                assert a.read() == b.read(), name
+        assert (load_manifest(cut, "moments")["diagnostics"]["cells"]
+                == load_manifest(whole, "moments")["diagnostics"]["cells"])
 
     def test_seed_env_precedence(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
@@ -307,7 +357,8 @@ class TestShippedConfigs:
 
 
 @pytest.mark.parametrize("demo", ["01_kernel_bounds.py", "02_paths_two_schemes.py",
-                                  "03_dichotomy.py", "05_grr_modulus.py"])
+                                  "03_dichotomy.py", "04_excitation_index.py",
+                                  "05_grr_modulus.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], env=env,

@@ -106,7 +106,8 @@ class TestBatchedTimes:
             "outer_col": (self.TIMES[:, None, None], xs[:, None], ys[None, :]),
             "outer_row": (self.TIMES[:, None, None], xs[None, :], ys[:, None]),
         }[layout]
-        assert self.TIMES.min() < K.switch_time(spec) < self.TIMES.max()
+        use_series = K.truncation_plan(spec, self.TIMES)[1]
+        assert use_series.any() and not use_series.all()
         got = K.eval_kernel(spec, t, x, y)
         assert got.shape == np.broadcast_shapes(t.shape, x.shape, y.shape)
         # bit for bit, against a row's call and against each point's call
@@ -131,11 +132,8 @@ class TestBatchedTimes:
     def test_each_time_keeps_its_own_counts(self):
         x = np.linspace(0.0, 1.0, 5)
         t = self.TIMES[:, None]
-        plans = [K.truncation_terms(SPEC, float(ti)) for ti in self.TIMES]
-        n = np.array([p.n_terms for p in plans])
-        m = np.array([p.n_images for p in plans])
+        n, series, m = K.truncation_plan(SPEC, self.TIMES)
         assert len(set(n)) > 2 and len(set(m)) > 1
-        series = ~np.array([p.use_images for p in plans])
         for route, counts, sel in ((K.eval_kernel_series, n, series),
                                    (K.eval_kernel_images, m, ~series)):
             got = route(SPEC, t[sel], x, x, counts[sel, None])
@@ -144,7 +142,10 @@ class TestBatchedTimes:
                 assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("route", [K.eval_kernel, K.eval_kernel_series,
-                                       K.eval_kernel_images])
+                                       K.eval_kernel_images,
+                                       lambda spec, t, x, y: K.truncation_plan(spec, t)],
+                             ids=["eval_kernel", "eval_kernel_series", "eval_kernel_images",
+                                  "truncation_plan"])
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
     def test_nonpositive_time_anywhere_rejected(self, route, bad):
         t = np.array([0.5, bad, 1e-4])[:, None]
@@ -161,21 +162,21 @@ class TestBatchedTimes:
 
 class TestTruncation:
     def test_spec_example_t1(self):
-        plan = K.truncation_terms(SPEC, 1.0)
-        assert plan.n_terms <= 5
+        n, use_series, _ = K.truncation_plan(SPEC, 1.0)
+        assert n <= 5
         # independent check of the dominating tail bound at N = 5
         assert 2 * math.exp(-SPEC.nu * 36 * math.pi ** 2) < 1e-12
-        assert not plan.use_images
+        assert use_series
 
     def test_large_t_single_mode(self):
-        plan = K.truncation_terms(SPEC, 50.0)
-        assert plan.n_terms == 1
+        n, _, _ = K.truncation_plan(SPEC, 50.0)
+        assert n == 1
 
     def test_small_t_selects_images(self):
-        plan = K.truncation_terms(SPEC, 1e-4)
-        assert plan.use_images
-        assert plan.n_images >= 1
-        assert plan.image_tail_bound <= SPEC.tol
+        _, use_series, m = K.truncation_plan(SPEC, 1e-4)
+        assert not use_series
+        assert m >= 1
+        assert K._image_tail(SPEC.nu, 1e-4, m) <= SPEC.tol
 
     def test_tail_bound_dominates_true_tail(self):
         for t in (0.01, 0.1, 1.0):
@@ -185,25 +186,42 @@ class TestTruncation:
             )
             assert true_tail <= K._series_tail(SPEC.nu, t, n) <= SPEC.tol
 
-    def test_plan_needs_no_switch_time(self, monkeypatch):
-        def boom(spec):
-            raise AssertionError("switch_time called")
-        monkeypatch.setattr(K, "switch_time", boom)
-        plan = K.truncation_terms(SPEC, 1e-8)
-        assert plan.use_images
-        assert plan.n_images == K._image_terms(SPEC.nu, 1e-8, SPEC.tol, SPEC.image_cap)
+    def test_route_per_time(self):
+        # the series wherever it reaches tol within series_cap, images below:
+        # the route flips once along a time grid, at no stored switch time
+        t = np.geomspace(1e-6, 10.0, 61)
+        n, use_series, m = K.truncation_plan(SPEC, t)
+        assert n.shape == use_series.shape == m.shape == t.shape
+        assert np.array_equal(use_series, K._series_tail(SPEC.nu, t, SPEC.series_cap)
+                              <= SPEC.tol)
+        assert use_series.any() and not use_series.all()
+        assert np.array_equal(use_series, np.sort(use_series))
+        # tail <= tol at each chosen count, and not one term or image fewer
+        assert np.all(n[use_series] <= SPEC.series_cap)
+        assert np.all(K._series_tail(SPEC.nu, t[use_series], n[use_series]) <= SPEC.tol)
+        few = n[use_series] > 1
+        assert np.all(K._series_tail(SPEC.nu, t[use_series][few], n[use_series][few] - 1)
+                      > SPEC.tol)
+        assert np.all(m[use_series] == 0)
+        assert np.all(K._image_tail(SPEC.nu, t[~use_series], m[~use_series]) <= SPEC.tol)
+        few = m[~use_series] > 1
+        assert np.all(K._image_tail(SPEC.nu, t[~use_series][few], m[~use_series][few] - 1)
+                      > SPEC.tol)
+        # a time's plan does not depend on the other times in the call
+        for ti, row in zip(t, zip(n, use_series, m)):
+            assert tuple(K.truncation_plan(SPEC, ti)) == row
+
+    def test_plan_needs_no_switch_time(self):
+        # images at t = 1e-8, far below any series route
+        _, use_series, m = K.truncation_plan(SPEC, 1e-8)
+        assert not use_series
+        assert m == K._image_terms(SPEC.nu, 1e-8, SPEC.tol, SPEC.image_cap)
         assert K.eval_kernel(SPEC, 1e-8, 0.5, 0.5) == pytest.approx(
             K.free_kernel(SPEC.nu, 1e-8, 0.5, 0.5), rel=1e-12)
-        plan = K.truncation_terms(SPEC, 1.0)
-        assert not plan.use_images
+        _, use_series, _ = K.truncation_plan(SPEC, 1.0)
+        assert use_series
         assert K.eval_kernel(SPEC, 1.0, 0.3, 0.6) == pytest.approx(
             brute_force_series(SPEC.nu, 1.0, 0.3, 0.6), abs=1e-12)
-
-    def test_switch_time_consistent(self):
-        t_sw = K.switch_time(SPEC)
-        n_above, _ = K._series_terms(SPEC.nu, t_sw * 1.01, SPEC.tol)
-        n_below, _ = K._series_terms(SPEC.nu, t_sw * 0.99, SPEC.tol)
-        assert n_above <= SPEC.series_cap < n_below
 
 
 class TestUpperBounds:
@@ -260,6 +278,23 @@ class TestLowerBound:
         below = K.kernel_lower_bound(lb, SPEC, lb.gamma ** 2, 0.5, 0.5)
         above = K.kernel_lower_bound(lb, SPEC, lb.gamma ** 2 * (1 + 1e-12), 0.5, 0.5)
         assert below / above == pytest.approx(1.0 / lb.gamma, rel=1e-9)
+
+    def test_batched_rows_match_scalar_calls(self, cal):
+        # times on both sides of the t <= gamma^2 branch, the switch itself
+        # included
+        times = np.concatenate([np.geomspace(1e-3, 4.0, 10), [cal.spec.gamma ** 2]])
+        xs = np.linspace(0.2, 0.8, 5)
+        got = K.kernel_lower_bound(cal.spec, SPEC, times[:, None, None],
+                                   xs[:, None], xs[None, :])
+        assert got.shape == (len(times), 5, 5)
+        for ti, block in zip(times, got):
+            assert np.array_equal(block, K.kernel_lower_bound(
+                cal.spec, SPEC, float(ti), xs[:, None], xs[None, :]))
+            assert np.array_equal(block.ravel(), [
+                K.kernel_lower_bound(cal.spec, SPEC, float(ti), x, y)
+                for x in xs for y in xs])
+        with pytest.raises(K.KernelDomainError):
+            K.kernel_lower_bound(cal.spec, SPEC, np.array([[0.1], [0.0]]), 0.5, xs)
 
     def test_large_t_ratio_at_least_one(self, cal):
         for t in (2.0, 5.0, 10.0):

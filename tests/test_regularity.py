@@ -125,26 +125,6 @@ class TestGrrGeneral:
         pinv, phi = R.power_law_pair(PARAMS)
         assert R.grr_general(pinv, phi, 1.0, 0.0) == 0.0
 
-    def test_b_from_general_functional(self):
-        # brute-force oracle: explicit double loop over the same pair sum
-        n = 65
-        f = np.sin(np.linspace(0, 3, n))
-        x = np.linspace(0, 1, n)
-        h = x[1] - x[0]
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2
-        expo = (2 + PARAMS.delta - PARAMS.eps) / PARAMS.p
-        brute = 0.0
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) >= 2:
-                    brute += w[i] * w[j] * abs(
-                        (f[i] - f[j]) / abs(x[i] - x[j]) ** expo) ** PARAMS.p
-        phi_big = lambda v: np.abs(v) ** PARAMS.p
-        phi = lambda u: np.asarray(u) ** expo
-        b_gen = R._general_b(f, phi_big, phi)
-        assert b_gen == pytest.approx(brute, rel=1e-12)
-
     def test_nonintegrable_singularity_flagged(self):
         # phi with zero power at 0 makes Phi^{-1}(B/u) d phi non-integrable
         pinv = lambda v: np.asarray(v) ** 2.0

