@@ -12,11 +12,14 @@ Errors print a JSON diagnostic on stderr.
 Runner.dispatch writes each subcommand's manifest_<subcommand>.json after
 its outputs, also when a verification fails.
 
-Monte Carlo work is sharded into fixed 64-sample blocks merged in index
-order, so every output is bit-identical for any --workers value; the seed
-comes from --seed, else the SHEAT_SEED environment variable, else the config.
-One run builds each ensemble table once: under `all`, lyapunov reuses the
-tables that moments built.
+Monte Carlo paths are simulated in fixed 64-sample blocks, and estimates
+are merged over the same blocks in index order, so every output is
+bit-identical for any --workers value; the seed comes from --seed, else the
+SHEAT_SEED environment variable, else the config. A runner holds one
+ensemble per simulation config, samples 0..n-1, and simulate, moments,
+lyapunov, grr-check and the Monte Carlo half of excitation all read it: a
+request for n samples or fewer slices it, a larger one rebuilds it from
+sample 0. Under `all`, only sample 0 of one config is simulated twice.
 """
 
 import argparse
@@ -38,9 +41,13 @@ from . import oracle as ora
 from . import regularity as reg
 from . import stats as st
 from .config import ExperimentConfig, RunManifest, load_manifest, sha256_file
-from .solver import ConfigError, PathDivergedError, simulate_path, simulate_paths
+from .solver import ConfigError, Ensemble, PathDivergedError, simulate_paths
 
 SHARD_SIZE = 64
+
+# per-step noise lambda^2 Lip^2 dt / dx above which a cell is flagged: the
+# scheme's own moment then drifts from the continuum (ROADMAP.md item 2)
+UNDER_RESOLVED_NOISE = 0.1
 
 MOMENTS_HEADER = ["lambda", "p", "functional", "t", "n", "mean", "ci_half_width",
                   "log_mean", "log_ci_half_width", "log_mode"]
@@ -71,21 +78,20 @@ def _exp_or_inf(log_value):
     return float(math.exp(log_value)) if log_value < 700 else math.inf
 
 
-def _moment_shard(args):
-    sim_cfg, samples, functionals, times = args
-    return st.ensemble_estimates(simulate_paths(sim_cfg, samples), functionals, times)
-
-
-def _ensemble_table(sim_cfg, n_samples, functionals, times, workers):
-    shards = [list(range(lo, min(lo + SHARD_SIZE, n_samples)))
+def _ensemble_table(sim_cfg, n_samples, workers):
+    """Samples 0..n_samples-1 of sim_cfg as one Ensemble, simulated in
+    SHARD_SIZE blocks and concatenated in index order. A single block runs
+    in this process: a pool would only add its start-up."""
+    shards = [range(lo, min(lo + SHARD_SIZE, n_samples))
               for lo in range(0, n_samples, SHARD_SIZE)]
-    tasks = [(sim_cfg, shard, functionals, times) for shard in shards]
-    if workers > 1:
+    if workers > 1 and len(shards) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(_moment_shard, tasks))
+            parts = list(pool.map(simulate_paths, [sim_cfg] * len(shards), shards))
     else:
-        tables = [_moment_shard(t) for t in tasks]
-    return st.merge_tables(tables)
+        parts = [simulate_paths(sim_cfg, shard) for shard in shards]
+    return Ensemble(config=sim_cfg, samples=np.arange(n_samples), times=parts[0].times,
+                    values=np.concatenate([p.values for p in parts]),
+                    log_scale=np.concatenate([p.log_scale for p in parts]))
 
 
 def _functional_label(f):
@@ -112,7 +118,7 @@ class Runner:
         self.out = out_dir
         self.workers = workers
         self.man = None
-        self._tables = {}
+        self._ensembles = {}
         os.makedirs(out_dir, exist_ok=True)
 
     def dispatch(self, name):
@@ -139,25 +145,39 @@ class Runner:
             json.dump(payload, fh, indent=2, sort_keys=True)
         self.man.add_output(path)
 
-    def _table(self, sim, n_samples, functionals, times):
-        """The merged estimate table of one ensemble, built at most once per
-        runner; None if it diverged, which each asking manifest lists."""
-        key = (sim, n_samples, tuple(functionals), tuple(times))
-        if key not in self._tables:
+    def _ensemble(self, sim, n_samples):
+        """Samples 0..n_samples-1 of sim, sliced from the runner's one
+        ensemble of sim, which is rebuilt from sample 0 when it holds fewer.
+        A diverged build is kept for its size, and a request of that size
+        raises its PathDivergedError again without simulating."""
+        n_held, held = self._ensembles.get(sim, (0, None))
+        if n_held < n_samples or (isinstance(held, PathDivergedError)
+                                  and n_held != n_samples):
             start = time.perf_counter()
             try:
-                self._tables[key] = _ensemble_table(sim, n_samples, functionals,
-                                                    times, self.workers)
+                held = _ensemble_table(sim, n_samples, self.workers)
             except PathDivergedError as exc:
-                self._tables[key] = exc
+                held = exc
             else:
                 self._count_throughput(n_samples * max(sim.observation_steps()),
                                        time.perf_counter() - start)
-        table = self._tables[key]
-        if isinstance(table, PathDivergedError):
-            self.man.failed_cells.append({"lambda": sim.lam, "error": str(table)})
+            self._ensembles[sim] = n_samples, held
+        if isinstance(held, PathDivergedError):
+            raise held
+        return held[:n_samples]
+
+    def _table(self, sim, n_samples, functionals, times):
+        """The estimate table of samples 0..n_samples-1 of sim, merged over
+        SHARD_SIZE blocks in index order; None if the ensemble diverged,
+        which each asking manifest lists."""
+        try:
+            ens = self._ensemble(sim, n_samples)
+        except PathDivergedError as exc:
+            self.man.failed_cells.append({"lambda": sim.lam, "error": str(exc)})
             return None
-        return table
+        return st.merge_tables(
+            st.ensemble_estimates(ens[lo:lo + SHARD_SIZE], functionals, times)
+            for lo in range(0, n_samples, SHARD_SIZE))
 
     def _count_throughput(self, sample_steps, seconds):
         """Add one built ensemble to the manifest's sample-step count (exact)
@@ -204,7 +224,7 @@ class Runner:
 
     def cmd_simulate(self):
         sim = self.cfg.simulation()
-        path = simulate_path(sim, 0)
+        path = self._ensemble(sim, 1)[0]
         rows = [(float(t), float(x), float(v), float(lv))
                 for t in path.times
                 for x, v, lv in zip(sim.grid.x, path.field_at(t), path.log_abs_at(t))]
@@ -248,8 +268,8 @@ class Runner:
                     and meta.get("config_hash") == config_hash):
                 cell_meta[tag] = meta
             else:
-                table = self._table(self.cfg.simulation(lam=lam), n_samples,
-                                    functionals, times)
+                sim = self.cfg.simulation(lam=lam)
+                table = self._table(sim, n_samples, functionals, times)
                 if table is None:
                     continue
                 rows = []
@@ -264,10 +284,21 @@ class Runner:
                                  int(est.overflowed)))
                 _write_csv(cell_csv, MOMENTS_HEADER, rows)
                 cell_meta[tag] = {"sha256": sha256_file(cell_csv),
-                                  "config_hash": config_hash, "lambda": lam}
+                                  "config_hash": config_hash, "lambda": lam,
+                                  **self._regime(sim, n_samples)}
                 self.man.write(self.out)
             cell_csvs.append(cell_csv)
         return cell_csvs
+
+    def _regime(self, sim, n_samples):
+        """A cell's per-step noise, flagged when under-resolved, and its
+        ensemble's renormalization: the largest log scale, and the samples
+        renormalized by the last observation time."""
+        ens = self._ensemble(sim, n_samples)
+        noise = sim.lam ** 2 * sim.sigma.lipschitz_upper ** 2 * sim.grid.dt / sim.grid.dx
+        return {"noise_per_step": noise, "under_resolved": noise > UNDER_RESOLVED_NOISE,
+                "max_log_scale": float(np.max(ens.log_scale)),
+                "renormalized_samples": int(np.count_nonzero(ens.log_scale[:, -1]))}
 
     def cmd_moments(self):
         rows = []
@@ -394,20 +425,21 @@ class Runner:
         sim = self.cfg.simulation()
         if sim.grid.n_interior + 2 < 64:
             raise ConfigError("grr-check needs n_interior >= 62 sample nodes")
-        t_last = max(sim.observation_times)
+        if n_paths < 1:
+            raise ConfigError("grr-check needs grr.n_paths >= 1")
+        ens = self._ensemble(sim, n_paths)
+        i = ens.time_index(max(sim.observation_times))
         rows = []
         violations = 0
-        for path in simulate_paths(sim, range(n_paths)):
-            # the row is u / c: B(c u) = |c|^p B(u), and the Holder ratio is scale-free
-            i = path.time_index(t_last)
-            row = path.values[i]
-            b_scale = _exp_or_inf(params.p * float(path.log_scale[i]))
+        # each row is u / c: B(c u) = |c|^p B(u), and the Holder ratio is scale-free
+        for sample, row, log_scale in zip(ens.samples, ens.values[:, i], ens.log_scale[:, i]):
+            b_scale = _exp_or_inf(params.p * float(log_scale))
             prof = (np.concatenate([[0.0], row, [0.0]]) if sim.boundary == "dirichlet"
                     else row)
             g = reg.grr_functional(prof, params)
             rep = reg.holder_bound_check(prof, params, b_value=g.holder_b)
             violations += rep.n_violations
-            rows.append((path.sample_index, g.value * b_scale, rep.max_ratio, g.cutoff,
+            rows.append((int(sample), g.value * b_scale, rep.max_ratio, g.cutoff,
                          g.sensitivity * b_scale, rep.n_violations, int(g.divergent)))
         self._csv("grr_paths.csv", ["sample", "B", "max_ratio", "cutoff",
                                     "cutoff_sensitivity", "violations", "divergent"], rows)

@@ -28,7 +28,7 @@ clamping would silently distort genuine moment blow-up.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpttrs
@@ -220,7 +220,8 @@ class Ensemble(_Observed):
     """Snapshots of a batch of trajectories at the observation times: values
     (k, n_obs, n) and log_scale (k, n_obs), with physical field values[i, j]
     * exp(log_scale[i, j]); log_scale is nonzero only where renormalization
-    fired. ens[i] is sample i as a SolutionPath view."""
+    fired. ens[i] is sample i as a SolutionPath view, ens[lo:hi] samples lo
+    to hi - 1 as an Ensemble view."""
 
     config: SimulationConfig
     samples: np.ndarray
@@ -232,6 +233,9 @@ class Ensemble(_Observed):
         return len(self.samples)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, samples=self.samples[i], values=self.values[i],
+                           log_scale=self.log_scale[i])
         return SolutionPath(config=self.config, sample_index=int(self.samples[i]),
                             times=self.times, values=self.values[i],
                             log_scale=self.log_scale[i])

@@ -1,5 +1,6 @@
 """CLI tests: config schema, manifests, determinism, resumption, exit codes."""
 
+import collections
 import csv
 import glob
 import json
@@ -41,6 +42,29 @@ functionals = pointwise:0.5, lp
 [oracle]
 n_time_panels = 100
 n_x = 25
+"""
+
+
+# nonlinear sigma cannot renormalize: the absurd-lambda cell diverges
+DIVERGING = """
+[equation]
+lambda_grid = 0.5, 100000
+sigma_kind = linear_plus_sine
+sigma_c = 1.5
+sigma_d = 0.5
+
+[grid]
+n_interior = 15
+dt = 1e-3
+horizon = 0.3
+
+[ensemble]
+n_samples = 8
+master_seed = 777
+
+[observation]
+times = 0.15, 0.2, 0.3
+functionals = sup
 """
 
 
@@ -180,6 +204,16 @@ class TestCliRuns:
         # 64 samples x 2 lambdas x last observation step 0.1 / 1e-3; the
         # horizon's 200 steps are never taken
         assert counts == [64 * 2 * 100] * 2
+        # simulate builds sample 0 and a standalone grr-check its n_paths
+        # samples, each to the last observation step 0.2 / 1e-3
+        for command, n_paths in (("simulate", 1), ("grr-check", 4)):
+            out = str(tmp_path / command)
+            assert cli.main([command, "--config", cfg, "--out", out,
+                             "--override", "grid.n_interior=63",
+                             "--override", "grr.n_paths=4"]) == 0
+            diag = load_manifest(out, command)["diagnostics"]
+            assert diag["sample_steps"] == n_paths * 200
+            assert diag["sample_steps_per_s"] > 0
 
     def test_resumption_skips_completed_cell(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -233,29 +267,8 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("command", ["moments", "lyapunov"])
     def test_partial_failure_lists_cell(self, tmp_path, command):
-        # nonlinear sigma cannot renormalize: the absurd-lambda cell diverges
-        # and is listed in the manifest while the sane cell persists
-        body = """
-[equation]
-lambda_grid = 0.5, 100000
-sigma_kind = linear_plus_sine
-sigma_c = 1.5
-sigma_d = 0.5
-
-[grid]
-n_interior = 15
-dt = 1e-3
-horizon = 0.3
-
-[ensemble]
-n_samples = 8
-master_seed = 777
-
-[observation]
-times = 0.15, 0.2, 0.3
-functionals = sup
-"""
-        cfg = write_cfg(tmp_path, body=body)
+        # the diverged cell is listed in the manifest while the sane cell persists
+        cfg = write_cfg(tmp_path, body=DIVERGING)
         assert cli.main([command, "--config", cfg]) == 0
         man = load_manifest(str(tmp_path / "out"), command)
         assert len(man["failed_cells"]) == 1
@@ -287,6 +300,71 @@ functionals = sup
         for name in ("lyapunov.json", "lyapunov_series.csv"):
             assert ((tmp_path / "shared" / name).read_bytes()
                     == (tmp_path / "alone" / name).read_bytes())
+
+    def test_diverged_cell_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli._ensemble_table
+
+        def counting(sim, *args):
+            built.append(sim.lam)
+            return build(sim, *args)
+
+        monkeypatch.setattr(cli, "_ensemble_table", counting)
+        out = str(tmp_path / "out")
+        runner = cli.Runner(ExperimentConfig.from_file(write_cfg(tmp_path, body=DIVERGING)),
+                            out, 1)
+        runner.dispatch("moments")
+        runner.dispatch("lyapunov")
+        assert built == [0.5, 100000]
+        for command in ("moments", "lyapunov"):
+            assert [c["lambda"] for c in load_manifest(out, command)["failed_cells"]] \
+                == [100000]
+
+    def test_runner_simulates_each_sample_once(self, tmp_path, monkeypatch):
+        simulated = collections.Counter()
+        simulate = cli.simulate_paths
+
+        def counting(sim, samples, *args):
+            samples = list(samples)
+            simulated.update((sim, s) for s in samples)
+            return simulate(sim, samples, *args)
+
+        monkeypatch.setattr(cli, "simulate_paths", counting)
+        cfg = ExperimentConfig.from_file(
+            write_cfg(tmp_path), overrides=ALL_OVERRIDES[1::2]
+            + ["equation.lambda_grid=0.5, 1"])
+        commands = {"simulate": "path.csv", "moments": "moments.csv",
+                    "lyapunov": "lyapunov.json", "grr-check": "grr_paths.csv"}
+        shared = cli.Runner(cfg, str(tmp_path / "shared"), 1)
+        for command in commands:
+            shared.dispatch(command)
+        # simulate built sample 0 alone; moments rebuilt it with the rest
+        assert [key for key, n in simulated.items() if n > 1] == [(cfg.simulation(), 0)]
+        for command in ("lyapunov", "grr-check"):     # reuse only: nothing built
+            diag = load_manifest(str(tmp_path / "shared"), command)["diagnostics"]
+            assert "sample_steps" not in diag
+        for command, name in commands.items():
+            cli.Runner(cfg, str(tmp_path / command), 1).dispatch(command)
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / command / name).read_bytes()), name
+
+    def test_cell_regime_telemetry(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        base, large = str(tmp_path / "base"), str(tmp_path / "large")
+        assert cli.main(["moments", "--config", cfg, "--out", base]) == 0
+        assert cli.main(["moments", "--config", cfg, "--out", large] + LARGE_LAMBDA) == 0
+        cell = load_manifest(base, "moments")["diagnostics"]["cells"]["1"]
+        # lambda^2 Lip^2 dt / dx = 1e-3 * 32
+        assert cell["noise_per_step"] == pytest.approx(0.032, rel=1e-12)
+        assert not cell["under_resolved"] and cell["renormalized_samples"] == 0
+        cells = load_manifest(large, "moments")["diagnostics"]["cells"]
+        cell = cells["60"]
+        assert cell["noise_per_step"] == pytest.approx(3600 * 0.032, rel=1e-12)
+        assert cell["under_resolved"]
+        assert cell["max_log_scale"] > 800 and cell["renormalized_samples"] >= 1
+        # a resumed cell carries its telemetry over
+        assert cli.main(["moments", "--config", cfg, "--out", large] + LARGE_LAMBDA) == 0
+        assert load_manifest(large, "moments")["diagnostics"]["cells"] == cells
 
     def test_thresholds_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
