@@ -12,14 +12,15 @@ Errors print a JSON diagnostic on stderr.
 Runner.dispatch writes each subcommand's manifest_<subcommand>.json after
 its outputs, also when a verification fails.
 
-Monte Carlo paths are simulated in fixed 64-sample blocks, and estimates
-are merged over the same blocks in index order, so every output is
-bit-identical for any --workers value; the seed comes from --seed, else the
-SHEAT_SEED environment variable, else the config. A runner holds one
-ensemble per simulation config, samples 0..n-1, and simulate, moments,
-lyapunov, grr-check and the Monte Carlo half of excitation all read it: a
-request for n samples or fewer slices it, a larger one rebuilds it from
-sample 0. Under `all`, only sample 0 of one config is simulated twice.
+Monte Carlo paths are simulated in fixed 64-sample blocks, concatenated in
+index order, and every estimate and GRR check is taken over the whole held
+ensemble as one array, so every output is bit-identical for any --workers
+value; the seed comes from --seed, else the SHEAT_SEED environment
+variable, else the config. A runner holds one ensemble per simulation
+config, samples 0..n-1, and simulate, moments, lyapunov, grr-check and the
+Monte Carlo half of excitation all read it: a request for n samples or
+fewer slices it, a larger one rebuilds it from sample 0. Under `all`, only
+sample 0 of one config is simulated twice.
 """
 
 import argparse
@@ -167,17 +168,14 @@ class Runner:
         return held[:n_samples]
 
     def _table(self, sim, n_samples, functionals, times):
-        """The estimate table of samples 0..n_samples-1 of sim, merged over
-        SHARD_SIZE blocks in index order; None if the ensemble diverged,
-        which each asking manifest lists."""
+        """The estimate table of samples 0..n_samples-1 of sim; None if the
+        ensemble diverged, which each asking manifest lists."""
         try:
             ens = self._ensemble(sim, n_samples)
         except PathDivergedError as exc:
             self.man.failed_cells.append({"lambda": sim.lam, "error": str(exc)})
             return None
-        return st.merge_tables(
-            st.ensemble_estimates(ens[lo:lo + SHARD_SIZE], functionals, times)
-            for lo in range(0, n_samples, SHARD_SIZE))
+        return st.ensemble_estimates(ens, functionals, times)
 
     def _count_throughput(self, sample_steps, seconds):
         """Add one built ensemble to the manifest's sample-step count (exact)
@@ -285,6 +283,8 @@ class Runner:
                 _write_csv(cell_csv, MOMENTS_HEADER, rows)
                 cell_meta[tag] = {"sha256": sha256_file(cell_csv),
                                   "config_hash": config_hash, "lambda": lam,
+                                  "log_mode_estimates": sum(est.overflowed
+                                                            for est in table.values()),
                                   **self._regime(sim, n_samples)}
                 self.man.write(self.out)
             cell_csvs.append(cell_csv)
@@ -345,8 +345,8 @@ class Runner:
     def cmd_excitation(self):
         lams = self.cfg.get("analysis", "lambda_grid")
         t_star = self.cfg.get("analysis", "excitation_time")
-        points = [ana.energy_at(self.cfg.oracle(lam=lam, horizon=t_star), t_star)
-                  for lam in lams]
+        solves = [self.cfg.oracle(lam=lam, horizon=t_star) for lam in lams]
+        points = [ana.energy_at(oc, t_star) for oc in solves]
         fit = ana.excitation_index(lams, [p.log_energy for p in points], p=2.0)
         payload = {
             "t": t_star,
@@ -363,11 +363,14 @@ class Runner:
                        for p in points],
         }
         # n_diag = n_time_panels: every lag of that solve took the diagonal
-        # surrogate, so its energy has no spatial quadrature behind it
+        # surrogate, so its energy has no spatial quadrature behind it; a
+        # point is extrapolated when its rate_dt exceeds RESOLVED_RATE_DT
         self.man.diagnostics.update({
             "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
             "oracle_points": [{"lambda": p.lam, "max_error_log": p.error_log,
-                               **p.march} for p in points],
+                               "rate_dt": ora.predicted_rate(oc.lam, oc.k_sigma, oc.nu)
+                               * (t_star / oc.n_time_panels),
+                               **p.march} for p, oc in zip(points, solves)],
         })
         mc_samples = self.cfg.get("analysis", "mc_samples")
         if mc_samples > 0:
@@ -391,11 +394,16 @@ class Runner:
             energy = None if table is None else st.p_energy(table[(f, t_star)])
             log_es.append(energy.log_value if energy else math.nan)
             log_cis.append(energy.log_ci_half_width if energy else math.nan)
-        fit = ana.excitation_index(lams, log_es, log_cis=log_cis, p=p_mc)
-        return {"p": p_mc, "n_samples": n_samples,
-                "e_p_hat": fit.e_p_hat, "slope_ci": fit.index.slope_ci,
-                "log_energies": log_es, "log_cis": log_cis,
-                "dropped_lambdas": fit.dropped_lambdas}
+        # listed as the fit drops them: E_p <= 1, or diverged (nan)
+        mc = {"p": p_mc, "n_samples": n_samples, "log_energies": log_es, "log_cis": log_cis,
+              "dropped_lambdas": [float(lam) for lam, e in zip(lams, log_es) if not e > 0]}
+        try:
+            fit = ana.excitation_index(lams, log_es, log_cis=log_cis, p=p_mc)
+        except ana.AnalysisError as exc:
+            # the oracle half stands; the manifest lists the failed fit
+            self.man.failed_cells.append({"functional": "lp", "p": p_mc, "error": str(exc)})
+            return {**mc, "e_p_hat": None, "slope_ci": None, "error": str(exc)}
+        return {**mc, "e_p_hat": fit.e_p_hat, "slope_ci": fit.index.slope_ci}
 
     def cmd_thresholds(self):
         lams = self.cfg.get("analysis", "lambda_grid")
@@ -429,20 +437,22 @@ class Runner:
             raise ConfigError("grr-check needs grr.n_paths >= 1")
         ens = self._ensemble(sim, n_paths)
         i = ens.time_index(max(sim.observation_times))
-        rows = []
-        violations = 0
-        # each row is u / c: B(c u) = |c|^p B(u), and the Holder ratio is scale-free
-        for sample, row, log_scale in zip(ens.samples, ens.values[:, i], ens.log_scale[:, i]):
-            b_scale = _exp_or_inf(params.p * float(log_scale))
-            prof = (np.concatenate([[0.0], row, [0.0]]) if sim.boundary == "dirichlet"
-                    else row)
-            g = reg.grr_functional(prof, params)
-            rep = reg.holder_bound_check(prof, params, b_value=g.holder_b)
-            violations += rep.n_violations
-            rows.append((int(sample), g.value * b_scale, rep.max_ratio, g.cutoff,
-                         g.sensitivity * b_scale, rep.n_violations, int(g.divergent)))
+        # profiles on [0, 1] at spacing dx: Dirichlet zeros, or the Neumann
+        # mirror ghosts u_0 = u_1 and u_{n+1} = u_n of the solver's closure
+        profiles = np.pad(ens.values[:, i], ((0, 0), (1, 1)),
+                          mode="constant" if sim.boundary == "dirichlet" else "edge")
+        g = reg.grr_functional(profiles, params)
+        rep = reg.holder_bound_check(profiles, params, b_value=g.holder_b)
+        violations = int(np.sum(rep.n_violations))
+        # each row is u / c: B(c u) = |c|^p B(u), and the Holder ratio is
+        # scale-free; |c|^p is inf past exp(700), as _exp_or_inf
+        log_c = params.p * ens.log_scale[:, i]
+        b_scale = np.exp(np.where(log_c < 700, log_c, np.inf))
         self._csv("grr_paths.csv", ["sample", "B", "max_ratio", "cutoff",
-                                    "cutoff_sensitivity", "violations", "divergent"], rows)
+                                    "cutoff_sensitivity", "violations", "divergent"],
+                  zip(ens.samples, g.value * b_scale, rep.max_ratio,
+                      np.full(n_paths, g.cutoff), g.sensitivity * b_scale,
+                      rep.n_violations, g.divergent.astype(int)))
         # closed-form verifications
         lin_params = reg.GrrParams(p=2, delta=1, eps=0.5)
         b_lin = reg.grr_functional(np.linspace(0, 1, 1025), lin_params).value

@@ -17,6 +17,10 @@ midpoint Riemann-Stieltjes sum on a geometric partition with Richardson
 extrapolation. For the power pair Phi = |.|^p, phi(u) = u^{(1+delta-eps)/p}
 the integral has the closed form kappa B^{1/p} r^{(delta-eps)/p} above
 (direct calculus); note the B-definition's exponent stays 2+delta-eps.
+
+grr_functional and holder_bound_check take profiles along the last axis of
+one array, with any leading axes, and give each profile the same result
+as a call on it alone.
 """
 
 import math
@@ -55,43 +59,40 @@ class GrrParams:
 
 
 def _offset_means(f, h, power):
-    """T_d = int |f(x+r_d) - f(x)|^power dx (trapezoid in x) for every offset."""
-    n = len(f)
-    t = np.zeros(n)
+    """T_d = int |f(x+r_d) - f(x)|^power dx (trapezoid in x) for every offset
+    d and every profile along the last axis of f."""
+    n = f.shape[-1]
+    t = np.zeros(f.shape)
     for d in range(1, n):
-        df = np.abs(f[d:] - f[:-d]) ** power
+        df = np.abs(f[..., d:] - f[..., :-d]) ** power
         w = np.full(n - d, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        if n - d == 1:
-            w[0] = h * 0.5
-        t[d] = float(np.sum(df * w))
+        w[[0, -1]] = 0.5 * h
+        t[..., d] = np.sum(df * w, axis=-1)
     return t
 
 
 @dataclass(frozen=True)
 class GrrValue:
-    """B approximation with cutoff sensitivity."""
+    """B approximation with cutoff sensitivity, one value per profile."""
 
     value: float
-    value_at_cutoff: float
     value_at_half_cutoff: float
     cutoff: float
     divergent: bool
-    params: GrrParams
 
     @property
     def sensitivity(self):
-        return abs(self.value_at_half_cutoff - self.value_at_cutoff)
+        return np.abs(self.value_at_half_cutoff - self.value)
 
     @property
     def holder_b(self):
         """B for the Holder check: the larger of the two cutoff values."""
-        return max(self.value_at_cutoff, self.value_at_half_cutoff)
+        return np.maximum(self.value, self.value_at_half_cutoff)
 
 
 def _b_with_cutoff(t_means, h, power, expo, cutoff_cells):
-    """Product integration over the offset variable r = |x - y|.
+    """Product integration over the offset variable r = |x - y|, for every
+    profile along the last axis of t_means.
 
     B = 2 int_0^1 r^{power-expo} Q(r) dr with Q(r) = T(r)/r^power smooth for
     smooth data; Q is interpolated linearly between offset nodes and the
@@ -99,43 +100,40 @@ def _b_with_cutoff(t_means, h, power, expo, cutoff_cells):
     cutoff Q is extrapolated linearly from its first two nodes; that closed
     form replaces the sub-grid information a sampled path cannot carry.
     """
-    n = len(t_means)
-    r = np.arange(n) * h
+    n = t_means.shape[-1]
     a = power - expo            # in (-1, power): integrable at 0 when a > -1
     if a <= -1.0:
-        return math.inf
-    q = np.zeros(n)
-    q[1:] = t_means[1:] / r[1:] ** power
-
-    def moments(lo, hi):
-        m0 = (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
-        m1 = (hi ** (a + 2) - lo ** (a + 2)) / (a + 2)
-        return m0, m1
-
-    total = 0.0
+        return np.full(t_means.shape[:-1], math.inf)[()]
+    r = np.arange(n) * h
+    q = np.zeros(t_means.shape)
+    q[..., 1:] = t_means[..., 1:] / r[1:] ** power
+    # bands [r_d, r_{d+1}] for d = c..n-2 with Q's line through nodes d and
+    # d+1, then [0, r_c] with the line through nodes c and c+1 extrapolated
     c = cutoff_cells
-    for d in range(c, n - 1):
-        m0, m1 = moments(r[d], r[d + 1])
-        slope = (q[d + 1] - q[d]) / h
-        total += q[d] * m0 + slope * (m1 - r[d] * m0)
-    # below the cutoff: Q extrapolated linearly through its first two nodes
-    m0, m1 = moments(0.0, r[c])
-    slope = (q[c + 1] - q[c]) / h
-    total += q[c] * m0 + slope * (m1 - r[c] * m0)
-    return 2.0 * total
+    node = np.append(np.arange(c, n - 1), c)
+    lo = np.append(r[c:n - 1], 0.0)
+    hi = np.append(r[c + 1:], r[c])
+    m0 = (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
+    m1 = (hi ** (a + 2) - lo ** (a + 2)) / (a + 2)
+    slope = (q[..., node + 1] - q[..., node]) / h
+    bands = q[..., node] * m0 + slope * (m1 - r[node] * m0)
+    # indexing the last axis leaves bands F-ordered: sum each row in C order,
+    # so that a profile's B does not depend on the batch it comes in
+    return 2.0 * np.sum(np.ascontiguousarray(bands), axis=-1)
 
 
 def grr_functional(f, params: GrrParams, cutoff_cells=2) -> GrrValue:
     """Double-quadrature approximation of B on a uniform sample of [0,1].
 
-    f holds samples at x_i = i/(n-1), n >= 64. The diagonal strip below
+    f holds profiles along its last axis, sampled at x_i = i/(n-1), n >= 64;
+    each result field has f's leading shape. The diagonal strip below
     `cutoff_cells` grid cells carries no sampled information; its mass is
     recovered from the linear extrapolation of the smooth offset profile.
     Values at the cutoff and at half the cutoff are both reported; a growing
     trend as the cutoff shrinks flags data too rough for these exponents.
     """
     f = np.asarray(f, dtype=float)
-    n = len(f)
+    n = f.shape[-1]
     if n < 64:
         raise RegularityError("need >= 64 sample nodes")
     if cutoff_cells < 2 or cutoff_cells % 2:
@@ -148,61 +146,53 @@ def grr_functional(f, params: GrrParams, cutoff_cells=2) -> GrrValue:
     b_c = _b_with_cutoff(t_means, h, params.p, expo, cutoff_cells)
     b_2c = _b_with_cutoff(t_means, h, params.p, expo, 2 * cutoff_cells)
 
-    d_small = b_half - b_c     # gained by halving the cutoff
-    d_large = b_c - b_2c
-    scale = max(abs(b_c), 1e-300)
-    divergent = (not math.isfinite(b_half)) or (
-        d_small > 0 and d_large > 0 and d_small >= d_large
-        and d_small > 1e-6 * scale)
-    return GrrValue(value=b_c, value_at_cutoff=b_c, value_at_half_cutoff=b_half,
-                    cutoff=cutoff_cells * h, divergent=divergent, params=params)
+    with np.errstate(invalid="ignore"):        # inf - inf where B diverges
+        d_small = b_half - b_c     # gained by halving the cutoff
+        d_large = b_c - b_2c
+        scale = np.maximum(np.abs(b_c), 1e-300)
+        divergent = ~np.isfinite(b_half) | (
+            (d_small > 0) & (d_large > 0) & (d_small >= d_large)
+            & (d_small > 1e-6 * scale))
+    return GrrValue(value=b_c, value_at_half_cutoff=b_half,
+                    cutoff=cutoff_cells * h, divergent=divergent)
 
 
 @dataclass(frozen=True)
 class HolderReport:
     max_ratio: float
     n_violations: int
-    n_pairs: int
-    b_used: float
-    slack: float
-    kappa: float
 
 
 def holder_bound_check(f, params: GrrParams, b_value=None, slack=1.05,
                        cutoff_cells=2) -> HolderReport:
-    """Verify |f_i - f_j| <= kappa (B*slack)^{1/p} |x_i-x_j|^{(delta-eps)/p}.
+    """Verify |f_i - f_j| <= kappa (B*slack)^{1/p} |x_i-x_j|^{(delta-eps)/p}
+    for every profile along the last axis of f.
 
     B defaults to grr_functional's holder_b; a caller that has that value
-    already passes it as b_value. The multiplicative slack absorbs its
-    quadrature error (violations are report content, not exceptions, since B
-    is approximate).
+    already passes it as b_value (broadcast over f's leading shape). The
+    multiplicative slack absorbs its quadrature error (violations are report
+    content, not exceptions, since B is approximate). At B = 0 every nonzero
+    increment has ratio inf and is a violation.
     """
     f = np.asarray(f, dtype=float)
-    n = len(f)
+    n = f.shape[-1]
     x = np.linspace(0.0, 1.0, n)
     if b_value is None:
         b_value = grr_functional(f, params, cutoff_cells).holder_b
-    scale = params.kappa * (b_value * slack) ** (1.0 / params.p)
-    max_ratio = 0.0
-    violations = 0
-    pairs = 0
-    if scale > 0:
-        for d in range(1, n):
-            df = np.abs(f[d:] - f[:-d])
-            dx = x[d:] - x[:-d]
-            ratio = df / (scale * dx ** params.holder_exponent)
-            max_ratio = max(max_ratio, float(np.max(ratio)))
-            violations += int(np.sum(ratio > 1.0))
-            pairs += len(ratio)
-    else:
-        for d in range(1, n):
-            df = np.abs(f[d:] - f[:-d])
-            violations += int(np.sum(df > 0))
-            pairs += len(df)
-        max_ratio = 0.0 if violations == 0 else math.inf
-    return HolderReport(max_ratio=max_ratio, n_violations=violations,
-                        n_pairs=pairs, b_used=b_value, slack=slack,
-                        kappa=params.kappa)
+    # the power runs on a 1-d array whatever f's shape: numpy's SIMD power
+    # and its 0-d path can differ in the last bit
+    b = np.broadcast_to(b_value, f.shape[:-1]).reshape(-1)
+    scale = (params.kappa * (b * slack) ** (1.0 / params.p)).reshape(f.shape[:-1] + (1,))
+    max_ratio = np.zeros(f.shape[:-1])
+    violations = np.zeros(f.shape[:-1], dtype=int)
+    for d in range(1, n):
+        df = np.abs(f[..., d:] - f[..., :-d])
+        dx = x[d:] - x[:-d]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(df > 0, df / (scale * dx ** params.holder_exponent), 0.0)
+        max_ratio = np.maximum(max_ratio, np.max(ratio, axis=-1))
+        violations += np.sum(ratio > 1.0, axis=-1)
+    return HolderReport(max_ratio=max_ratio[()], n_violations=violations[()])
 
 
 def _stieltjes(phi_inv_of_b_over, phi, r, n_points, depth=1e-150):

@@ -3,10 +3,11 @@
 A MomentEstimate accumulates |u(t,x*)|^p (nearest node), the discrete sup
 norm max_j |u(t,x_j)|^p, or the L^p mass dx * sum_j |u(t,x_j)|^p over an
 ensemble. A Functional gives the log values of a whole solver Ensemble at
-one time; their batch moments enter the estimate through the pairwise
-update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242), the same merge
-that combines shards, so workers can accumulate privately and combine at
-barriers in any tree shape (results agree to roundoff, about 1e-12 relative).
+one time, and ensemble_estimates takes each (functional, time) estimate
+over the whole ensemble in one batch. merge combines two estimates by the
+pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242), so
+partial estimates combine in any tree shape (results agree to roundoff,
+about 1e-12 relative).
 
 Every sample also feeds log-domain accumulators (logsumexp of the values
 and their squares). When any sample exceeds the float comfort zone the
@@ -91,7 +92,6 @@ class MomentEstimate:
     m2: float = 0.0
     log_sum: float = -math.inf
     log_sum_sq: float = -math.inf
-    log_max: float = -math.inf
     overflowed: bool = False
 
     def add_log_values(self, logv):
@@ -100,7 +100,6 @@ class MomentEstimate:
         batch = MomentEstimate(
             functional=self.functional, t=self.t, n=logv.size,
             log_sum=float(logsumexp(logv)), log_sum_sq=float(logsumexp(2.0 * logv)),
-            log_max=float(np.max(logv)),
             overflowed=bool(np.any(logv > _LINEAR_LIMIT_LOG)))
         if not batch.overflowed:
             v = np.exp(logv)
@@ -166,7 +165,6 @@ def merge(a: MomentEstimate, b: MomentEstimate) -> MomentEstimate:
     out.m2 = a.m2 + b.m2 + delta * delta * a.n * b.n / n
     out.log_sum = float(np.logaddexp(a.log_sum, b.log_sum))
     out.log_sum_sq = float(np.logaddexp(a.log_sum_sq, b.log_sum_sq))
-    out.log_max = max(a.log_max, b.log_max)
     return out
 
 
@@ -209,15 +207,15 @@ def p_energy(est: MomentEstimate) -> EnergyValue:
 def ensemble_estimates(paths: Ensemble, functionals, times):
     """Estimate every (functional, time) pair over one Ensemble.
 
-    Returns {(functional, t): MomentEstimate}. Order-independent up to
-    roundoff by the merge contract; used by the sweep driver per shard.
+    Returns {(functional, t): MomentEstimate}, each taken over all samples
+    in one batch.
     """
     return {(f, t): MomentEstimate(functional=f, t=t).add_log_values(f.log_values(paths, t))
             for f in functionals for t in times}
 
 
 def merge_tables(tables):
-    """Merge shard tables in the given (fixed) order."""
+    """Merge estimate tables in the given (fixed) order."""
     out = None
     for tab in tables:
         if out is None:

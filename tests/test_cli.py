@@ -14,6 +14,7 @@ import pytest
 
 from sheatlab import cli, solver
 from sheatlab import kernel as kern
+from sheatlab import oracle as ora
 from sheatlab import regularity as reg
 from sheatlab.config import ExperimentConfig, load_manifest, sha256_file
 from sheatlab.solver import ConfigError
@@ -357,14 +358,62 @@ class TestCliRuns:
         # lambda^2 Lip^2 dt / dx = 1e-3 * 32
         assert cell["noise_per_step"] == pytest.approx(0.032, rel=1e-12)
         assert not cell["under_resolved"] and cell["renormalized_samples"] == 0
+        assert cell["log_mode_estimates"] == 0
         cells = load_manifest(large, "moments")["diagnostics"]["cells"]
         cell = cells["60"]
         assert cell["noise_per_step"] == pytest.approx(3600 * 0.032, rel=1e-12)
         assert cell["under_resolved"]
         assert cell["max_log_scale"] > 800 and cell["renormalized_samples"] >= 1
+        with open(os.path.join(large, "moments.csv"), newline="") as fh:
+            flipped = sum(int(r["log_mode"]) for r in csv.DictReader(fh))
+        assert cell["log_mode_estimates"] == flipped >= 1
         # a resumed cell carries its telemetry over
         assert cli.main(["moments", "--config", cfg, "--out", large] + LARGE_LAMBDA) == 0
         assert load_manifest(large, "moments")["diagnostics"]["cells"] == cells
+
+    def test_excitation_rate_dt_marks_extrapolated(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["excitation", "--config", cfg,
+                         "--override", "analysis.lambda_grid=4, 8, 16, 32",
+                         "--override", "oracle.n_time_panels=200"]) == 0
+        points = json.loads((tmp_path / "out" / "excitation.json").read_text())["points"]
+        listed = load_manifest(str(tmp_path / "out"), "excitation")["diagnostics"][
+            "oracle_points"]
+        # predicted rate lambda^4 / 4 times t* / n_time_panels = 0.1 / 200
+        assert [d["rate_dt"] for d in listed] == pytest.approx(
+            [lam ** 4 / 4 * 0.1 / 200 for lam in (4, 8, 16, 32)], rel=1e-12)
+        assert [d["rate_dt"] > ora.RESOLVED_RATE_DT for d in listed] \
+            == [p["extrapolated"] for p in points] == [False, True, True, True]
+
+    def test_excitation_mc_fit_failure_keeps_oracle_half(self, tmp_path):
+        # on 127 nodes the lambda = 8 Monte Carlo energy is below 1, so only
+        # 3 lambdas enter the e_4 fit
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["excitation", "--config", cfg,
+                         "--override", "grid.n_interior=127",
+                         "--override", "grid.dt=2.5e-4",
+                         "--override", "analysis.mc_samples=16"]) == 0
+        payload = json.loads((tmp_path / "out" / "excitation.json").read_text())
+        assert 3.9 < payload["e2_hat"] < 4.1
+        mc = payload["mc"]
+        assert mc["error"] == "fewer than 4 lambdas with E_p > 1"
+        assert mc["e_p_hat"] is None and mc["slope_ci"] is None
+        assert mc["dropped_lambdas"] == [8.0] and mc["log_energies"][0] < 0
+        assert len(mc["log_cis"]) == 4
+        man = load_manifest(str(tmp_path / "out"), "excitation")
+        assert man["failed_cells"] == [{"functional": "lp", "p": 4.0,
+                                        "error": mc["error"]}]
+
+    def test_excitation_mc_fit(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["excitation", "--config", cfg,
+                         "--override", "analysis.lambda_grid=32, 45, 64, 90",
+                         "--override", "analysis.mc_samples=16"]) == 0
+        mc = json.loads((tmp_path / "out" / "excitation.json").read_text())["mc"]
+        assert math.isfinite(mc["e_p_hat"]) and math.isfinite(mc["slope_ci"])
+        assert mc["dropped_lambdas"] == [] and "error" not in mc
+        assert mc["n_samples"] == 16 and mc["p"] == 4.0
+        assert load_manifest(str(tmp_path / "out"), "excitation")["failed_cells"] == []
 
     def test_thresholds_output(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -533,18 +582,46 @@ class TestLargeLogScale:
 
 
 def test_grr_check_computes_each_b_once(tmp_path, monkeypatch):
-    calls = []
+    profiles = []
     functional = reg.grr_functional
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return functional(*args, **kwargs)
+    def counting(f, *args, **kwargs):
+        profiles.append(int(np.prod(np.shape(f)[:-1])))
+        return functional(f, *args, **kwargs)
 
     monkeypatch.setattr(reg, "grr_functional", counting)
     assert cli.main(["grr-check", "--config", write_cfg(tmp_path),
                      "--override", "grid.n_interior=63",
                      "--override", "grr.n_paths=4"]) == 0
-    assert len(calls) == 4 + 1   # one per path, one for the linear profile
+    assert sum(profiles) == 4 + 1   # one per path, one for the linear profile
+
+
+def _grr_rows(out):
+    with open(os.path.join(out, "grr_paths.csv"), newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_grr_check_rows_do_not_depend_on_n_paths(tmp_path):
+    cfg = write_cfg(tmp_path)
+    for n_paths in (4, 100):
+        assert cli.main(["grr-check", "--config", cfg,
+                         "--out", str(tmp_path / f"n{n_paths}"),
+                         "--override", "grid.n_interior=63",
+                         "--override", f"grr.n_paths={n_paths}"]) == 0
+    few, many = _grr_rows(tmp_path / "n4"), _grr_rows(tmp_path / "n100")
+    assert len(many) == 100
+    assert few == many[:4]
+
+
+def test_grr_check_neumann_profiles_span_unit_interval(tmp_path):
+    # 62 interior nodes plus the two mirror-ghost edge values: 64 nodes at dx
+    assert cli.main(["grr-check", "--config", write_cfg(tmp_path),
+                     "--override", "equation.boundary=neumann",
+                     "--override", "grid.n_interior=62",
+                     "--override", "grr.n_paths=4"]) == 0
+    rows = _grr_rows(tmp_path / "out")
+    assert len(rows) == 4
+    assert all(float(r["cutoff"]) == pytest.approx(2 / 63, rel=1e-15) for r in rows)
 
 
 ALL_OVERRIDES = ["--override", "grid.n_interior=63", "--override", "grr.n_paths=8",

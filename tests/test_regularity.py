@@ -23,6 +23,28 @@ def sampled_paths(n_paths, n_interior=127, t=0.1, lam=1.0, seed=77):
     return out
 
 
+def reference_b(f, params, cutoff_cells):
+    """B by the per-band loop: each band's power moments in scalar
+    arithmetic, added in band order, then the extrapolated [0, r_c] band."""
+    n = len(f)
+    h = 1.0 / (n - 1)
+    a = params.p - (2.0 + params.delta - params.eps)
+    r = np.arange(n) * h
+    q = np.zeros(n)
+    q[1:] = R._offset_means(f, h, params.p)[1:] / r[1:] ** params.p
+
+    def band(d, lo, hi):
+        m0 = (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
+        m1 = (hi ** (a + 2) - lo ** (a + 2)) / (a + 2)
+        return q[d] * m0 + (q[d + 1] - q[d]) / h * (m1 - r[d] * m0)
+
+    c = cutoff_cells
+    total = 0.0
+    for d in range(c, n - 1):
+        total += band(d, float(r[d]), float(r[d + 1]))
+    return 2.0 * (total + band(c, 0.0, float(r[c])))
+
+
 class TestParams:
     def test_kappa_closed_form(self):
         assert PARAMS.kappa == pytest.approx(8 * (1 + 1 / (1 - 0.5)))
@@ -105,6 +127,54 @@ class TestHolderBound:
         dx_coarse = 8.0 / 1024.0
         bound = np.max(coarse) + R.closed_form_bound(PARAMS, g.value, dx_coarse)
         assert np.max(f_fine) <= bound
+
+
+class TestBatch:
+    @pytest.mark.parametrize("params", [PARAMS, R.GrrParams(p=8, delta=1, eps=0.25),
+                                        R.GrrParams(p=3.5, delta=0.7, eps=0.3)],
+                             ids=["p2", "p8", "p3.5"])
+    def test_rows_match_single_calls(self, params):
+        # simulated paths, then a constant row, a smooth row and white noise;
+        # simulated path 4 is checked against B = 0
+        paths = sampled_paths(24)
+        const, smooth, noise = len(paths), len(paths) + 1, len(paths) + 2
+        batch = np.vstack(paths + [
+            np.full(129, 3.7), np.sin(np.linspace(0, 6, 129)),
+            np.random.default_rng(1).standard_normal(129)])
+        g = R.grr_functional(batch, params)
+        b_value = g.holder_b.copy()
+        b_value[4] = 0.0
+        rep = R.holder_bound_check(batch, params, b_value=b_value)
+        assert rep.n_violations[4] > 0 and rep.max_ratio[4] == math.inf
+        for k, prof in enumerate(batch):
+            one = R.grr_functional(prof, params)
+            one_rep = R.holder_bound_check(prof, params, b_value=b_value[k])
+            assert g.value[k] == one.value
+            assert g.value_at_half_cutoff[k] == one.value_at_half_cutoff
+            assert g.divergent[k] == one.divergent
+            assert rep.max_ratio[k] == one_rep.max_ratio
+            assert rep.n_violations[k] == one_rep.n_violations
+        assert g.value[const] == 0.0 and rep.max_ratio[const] == 0.0
+        assert g.divergent[noise] and not g.divergent[[const, smooth]].any()
+
+    def test_b_matches_band_loop(self):
+        # the bands are now summed pairwise with numpy's powers, not in order
+        # with scalar ones: agreement to roundoff over ~128 bands
+        params = R.GrrParams(p=8, delta=1, eps=0.25)
+        batch = np.vstack(sampled_paths(4) + [np.sin(np.linspace(0, 6, 129))])
+        g = R.grr_functional(batch, params)
+        for k, prof in enumerate(batch):
+            assert g.value[k] == pytest.approx(reference_b(prof, params, 2), rel=1e-13)
+            assert g.value_at_half_cutoff[k] == pytest.approx(
+                reference_b(prof, params, 1), rel=1e-13)
+
+    def test_leading_axes(self):
+        batch = np.stack(sampled_paths(6)).reshape(2, 3, 129)
+        g = R.grr_functional(batch, PARAMS)
+        rep = R.holder_bound_check(batch, PARAMS)
+        assert g.value.shape == rep.n_violations.shape == (2, 3)
+        flat = R.grr_functional(batch.reshape(6, 129), PARAMS)
+        assert np.array_equal(g.value.ravel(), flat.value)
 
 
 class TestGrrGeneral:
