@@ -347,15 +347,17 @@ class Runner:
         t_star = self.cfg.get("analysis", "excitation_time")
         solves = [self.cfg.oracle(lam=lam, horizon=t_star) for lam in lams]
         points = [ana.energy_at(oc, t_star) for oc in solves]
-        fit = ana.excitation_index(lams, [p.log_energy for p in points], p=2.0)
+        fit, failure = self._excitation_fit({"backend": "oracle", "p": 2.0}, lams,
+                                            [p.log_energy for p in points], p=2.0)
         payload = {
             "t": t_star,
             "p": 2,
             "backend": "oracle",
-            "e2_hat": fit.e_p_hat,
-            "slope_ci": fit.index.slope_ci,
-            "r2_quartic": fit.r2_quartic,
-            "r2_quadratic": fit.r2_quadratic,
+            "e2_hat": fit and fit.e_p_hat,
+            "slope_ci": fit and fit.index.slope_ci,
+            "r2_quartic": fit and fit.r2_quartic,
+            "r2_quadratic": fit and fit.r2_quadratic,
+            **failure,
             "points": [{"lambda": p.lam, "log_energy": p.log_energy,
                         "rate": p.rate, "window_horizon": p.window_horizon,
                         "extrapolated": p.extrapolated,
@@ -384,12 +386,15 @@ class Runner:
         p_mc = self.cfg.get("analysis", "mc_p")
         f = st.Functional.lp(p_mc)
         log_es, log_cis = [], []
+        regimes = self.man.diagnostics["mc_points"] = []
         for lam in lams:
             base = self.cfg.simulation(lam=lam)
             sim = dataclasses.replace(
                 base, grid=dataclasses.replace(base.grid, horizon=t_star),
                 observation_times=(t_star,))
             table = self._table(sim, n_samples, [f], (t_star,))
+            if table is not None:
+                regimes.append({"lambda": lam, **self._regime(sim, n_samples)})
             # a diverged lambda enters as nan, which the fit drops
             energy = None if table is None else st.p_energy(table[(f, t_star)])
             log_es.append(energy.log_value if energy else math.nan)
@@ -397,13 +402,19 @@ class Runner:
         # listed as the fit drops them: E_p <= 1, or diverged (nan)
         mc = {"p": p_mc, "n_samples": n_samples, "log_energies": log_es, "log_cis": log_cis,
               "dropped_lambdas": [float(lam) for lam, e in zip(lams, log_es) if not e > 0]}
+        fit, failure = self._excitation_fit({"functional": "lp", "p": p_mc}, lams,
+                                            log_es, log_cis=log_cis, p=p_mc)
+        return {**mc, "e_p_hat": fit and fit.e_p_hat,
+                "slope_ci": fit and fit.index.slope_ci, **failure}
+
+    def _excitation_fit(self, cell, lams, log_es, **kwargs):
+        """(fit, {}) from ana.excitation_index, or (None, {"error": ...}) with
+        the failure listed as a failed cell: the energies behind it stand."""
         try:
-            fit = ana.excitation_index(lams, log_es, log_cis=log_cis, p=p_mc)
+            return ana.excitation_index(lams, log_es, **kwargs), {}
         except ana.AnalysisError as exc:
-            # the oracle half stands; the manifest lists the failed fit
-            self.man.failed_cells.append({"functional": "lp", "p": p_mc, "error": str(exc)})
-            return {**mc, "e_p_hat": None, "slope_ci": None, "error": str(exc)}
-        return {**mc, "e_p_hat": fit.e_p_hat, "slope_ci": fit.index.slope_ci}
+            self.man.failed_cells.append({**cell, "error": str(exc)})
+            return None, {"error": str(exc)}
 
     def cmd_thresholds(self):
         lams = self.cfg.get("analysis", "lambda_grid")

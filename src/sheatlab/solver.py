@@ -16,11 +16,16 @@ differ only in the one-step semigroup P:
   dt)) S, S the orthonormal sine transform, exact on each eigenmode.
 
 A batch of samples is stepped as one (k, n) array, one contiguous row per
-sample, with each sample's noise drawn straight into its row of one
-(k, chunk, n) buffer. It is returned as one Ensemble: snapshots at the
-configured observation times only, values of shape (k, n_obs, n) filled in
-place at each observation step. ens[i] is sample i as a SolutionPath view
-(no copy). Large noise intensities drive |u| past float range; for linear
+sample, in chunks of steps. Each sample's noise is drawn straight into its
+row of one of two (k, chunk, n) buffers: a producer thread fills the next
+chunk into one while the march steps the other (numpy draws without the
+GIL), and the march, its chunk stepped, draws the samples the producer has
+not reached. Each sample's generator still consumes its stream in order,
+so values depend neither on the chunk length nor on which thread drew.
+The batch is returned as one Ensemble: snapshots at the configured
+observation times only, values of shape (k, n_obs, n) filled in place at
+each observation step. ens[i] is sample i as a SolutionPath view (no
+copy). Large noise intensities drive |u| past float range; for linear
 sigma the step map is homogeneous in u, so each sample carries an exact log
 scale offset (values * exp(log_scale) is the physical field). Non-finite
 states abort the batch with the offending step and sample reported;
@@ -28,6 +33,8 @@ clamping would silently distort genuine moment blow-up.
 """
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -323,14 +330,18 @@ def _propagator(cfg: SimulationConfig):
     return lambda u: _implicit_solve(factor, u.T).T
 
 
-def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> Ensemble:
+def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> Ensemble:
     """Simulate a batch of paths; returns one Ensemble in sample order.
 
     Pure function of (cfg, sample_index): results are bit-identical however
     samples are grouped into batches or distributed over workers. Diverging
     samples raise PathDivergedError; with linear sigma the state is instead
     rescaled in place (exact homogeneity) and the log offset accumulated.
+    chunk_steps (>= 1) steps of noise are drawn at a time; it sets the
+    buffers' size, never the values.
     """
+    if chunk_steps < 1:
+        raise ConfigError(f"chunk_steps must be >= 1, not {chunk_steps}")
     samples = list(sample_indices)
     grid = cfg.grid
     n, k = grid.n_interior, len(samples)
@@ -360,40 +371,64 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=256) -> En
         record(0)
 
     last_step = max(obs_steps)
+    lengths = [min(chunk_steps, last_step - lo) for lo in range(0, last_step, chunk_steps)]
+    noisy = cfg.lam != 0.0
     scale = cfg.lam / grid.dx
-    # one noise buffer for every chunk: a fresh block per chunk kept two
-    # blocks alive at once, and where the allocator placed them set the peak RSS
-    noise = np.empty((k, min(chunk_steps, last_step), n))
-    step = 0
-    while step < last_step:
-        block_len = min(chunk_steps, last_step - step)
-        if cfg.lam != 0.0:
-            for i, st in enumerate(streams):
-                _, gens[i] = sample_block(st, block_len, generator=gens[i],
-                                          out=noise[i, :block_len])
+    # two buffers: the producer fills one while the march steps the other
+    # (with one chunk the second is never touched and costs no memory)
+    buffers = [np.empty((k, min(chunk_steps, last_step), n)) for _ in range(2)]
+
+    def fill(c, todo):
+        """Draw chunk c's noise for each sample taken from todo, a deque the
+        producer and the march may both take from (popleft is atomic)."""
+        noise, length = buffers[c % 2], lengths[c]
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return noise
+            _, gens[i] = sample_block(streams[i], length, generator=gens[i],
+                                      out=noise[i, :length])
             # a separate multiply after sample_block's sqrt(dt dx) scaling,
             # so the increments round exactly as dW * (lam / dx)
-            noise[:, :block_len] *= scale
-        for local in range(block_len):
-            # overflow to inf is legitimate here: the periodic check below
-            # converts it into a PathDivergedError with the step reported
-            with np.errstate(over="ignore", invalid="ignore"):
-                if cfg.lam != 0.0:
-                    state += cfg.sigma(state) * noise[:, local]
-                state = propagate(state)
-            step += 1
-            if step % _RENORM_CHECK_EVERY == 0 or step in obs_row:
-                peak = np.max(np.abs(state), axis=1)
-                bad = ~np.isfinite(peak)
-                if np.any(bad):
-                    raise PathDivergedError(step, samples[int(np.argmax(bad))])
-                if can_renorm:
-                    hot = peak > RENORM_THRESHOLD
-                    if np.any(hot):
-                        state[hot] /= peak[hot, None]
-                        log_offset[hot] += np.log(peak[hot])
-            if step in obs_row:
-                record(step)
+            noise[i, :length] *= scale
+
+    step = 0
+    todo, pending = deque(range(k)), None
+    # the pool starts its thread at the first submit, so lam = 0 or a single
+    # chunk starts none
+    with ThreadPoolExecutor(max_workers=1) as producer:
+        for c, block_len in enumerate(lengths):
+            if noisy:
+                # the producer has been drawing chunk c since chunk c - 1 was
+                # stepped; the march draws the samples it has not reached yet,
+                # then waits for the one it is drawing
+                noise = fill(c, todo)
+                if pending is not None:
+                    pending.result()
+                if c + 1 < len(lengths):
+                    todo = deque(range(k))
+                    pending = producer.submit(fill, c + 1, todo)
+            for local in range(block_len):
+                # overflow to inf is legitimate here: the periodic check below
+                # converts it into a PathDivergedError with the step reported
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if noisy:
+                        state += cfg.sigma(state) * noise[:, local]
+                    state = propagate(state)
+                step += 1
+                if step % _RENORM_CHECK_EVERY == 0 or step in obs_row:
+                    peak = np.max(np.abs(state), axis=1)
+                    bad = ~np.isfinite(peak)
+                    if np.any(bad):
+                        raise PathDivergedError(step, samples[int(np.argmax(bad))])
+                    if can_renorm:
+                        hot = peak > RENORM_THRESHOLD
+                        if np.any(hot):
+                            state[hot] /= peak[hot, None]
+                            log_offset[hot] += np.log(peak[hot])
+                if step in obs_row:
+                    record(step)
     return ens
 
 

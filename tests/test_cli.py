@@ -404,6 +404,36 @@ class TestCliRuns:
         assert man["failed_cells"] == [{"functional": "lp", "p": 4.0,
                                         "error": mc["error"]}]
 
+    def test_excitation_oracle_fit_failure_keeps_points(self, tmp_path):
+        # on the base grid only lambda = 4 and 8 reach E_2 > 1
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["excitation", "--config", cfg,
+                         "--override", "analysis.lambda_grid=1, 2, 4, 8"]) == 0
+        payload = json.loads((tmp_path / "out" / "excitation.json").read_text())
+        assert payload["error"] == "fewer than 4 lambdas with E_p > 1"
+        assert all(payload[key] is None
+                   for key in ("e2_hat", "slope_ci", "r2_quartic", "r2_quadratic"))
+        assert [p["lambda"] for p in payload["points"]] == [1.0, 2.0, 4.0, 8.0]
+        assert [p["log_energy"] > 0 for p in payload["points"]] == [False, False, True, True]
+        man = load_manifest(str(tmp_path / "out"), "excitation")
+        assert man["failed_cells"] == [{"backend": "oracle", "p": 2.0,
+                                        "error": payload["error"]}]
+        assert len(man["diagnostics"]["oracle_points"]) == 4
+        assert (tmp_path / "out" / "excitation_series.csv").exists()
+
+    def test_excitation_mc_points_skip_diverged_cells(self, tmp_path):
+        cfg = write_cfg(tmp_path, DIVERGING)
+        assert cli.main(["excitation", "--config", cfg,
+                         "--override", "analysis.lambda_grid=0.5, 100000",
+                         "--override", "analysis.mc_samples=8"]) == 0
+        man = load_manifest(str(tmp_path / "out"), "excitation")
+        # lambda = 100000 diverged: no regime fields, one failed cell
+        assert man["diagnostics"]["mc_points"] == [
+            {"lambda": 0.5, "noise_per_step": 0.5 ** 2 * 2.0 ** 2 * 1e-3 * 16,
+             "under_resolved": False, "max_log_scale": 0.0, "renormalized_samples": 0}]
+        assert {"lambda": 100000.0, "error": "non-finite state at step 96, sample 0"} \
+            in man["failed_cells"]
+
     def test_excitation_mc_fit(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert cli.main(["excitation", "--config", cfg,
@@ -413,7 +443,14 @@ class TestCliRuns:
         assert math.isfinite(mc["e_p_hat"]) and math.isfinite(mc["slope_ci"])
         assert mc["dropped_lambdas"] == [] and "error" not in mc
         assert mc["n_samples"] == 16 and mc["p"] == 4.0
-        assert load_manifest(str(tmp_path / "out"), "excitation")["failed_cells"] == []
+        man = load_manifest(str(tmp_path / "out"), "excitation")
+        assert man["failed_cells"] == []
+        regimes = man["diagnostics"]["mc_points"]
+        assert [d["lambda"] for d in regimes] == [32.0, 45.0, 64.0, 90.0]
+        # lambda^2 Lip^2 dt / dx on 31 nodes, dt = 1e-3: all far past 0.1
+        assert [d["noise_per_step"] for d in regimes] == pytest.approx(
+            [lam ** 2 * 1e-3 * 32 for lam in (32, 45, 64, 90)], rel=1e-12)
+        assert all(d["under_resolved"] for d in regimes)
 
     def test_thresholds_output(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -1,6 +1,8 @@
 """Solver tests: exact deterministic limits, reproducibility, scheme agreement."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +271,185 @@ class TestStability:
         with pytest.raises(S.ConfigError):
             S.SimulationConfig(grid=GridSpec(n_interior=63, dt=0.1, horizon=1.0),
                                lam=1.0, observation_times=(1.0,))
+
+
+PRODUCER_CASES = {
+    "semi_implicit": dict(lam=2.0),
+    "spectral": dict(lam=2.0, scheme="spectral"),
+    "neumann": dict(lam=2.0, boundary="neumann"),
+    "linear_plus_sine": dict(lam=2.0, sigma=S.SigmaSpec.linear_plus_sine(1.5, 0.5)),
+    "lam0": dict(lam=0.0),
+}
+
+
+def reference_march(cfg, sample):
+    """One sample stepped to the horizon by the per-sample reference steppers."""
+    grid = cfg.grid
+    stream = NoiseStream(cfg.master_seed, sample, grid)
+    state = S.project_initial(cfg.u0, grid)
+    if cfg.scheme == "spectral":
+        coeffs = sine_transform(state) * math.sqrt(grid.dx)
+        for k in range(grid.n_steps):
+            coeffs = step_spectral(coeffs, stream, k, cfg)
+        return sine_transform(coeffs) / math.sqrt(grid.dx)
+    factor = S._implicit_factor(cfg)
+    for k in range(grid.n_steps):
+        state = step_semi_implicit(state, stream, k, cfg, factor=factor)
+    return state
+
+
+class TestNoiseProducer:
+    """The next chunk's noise is drawn on a producer thread while the march
+    steps the current one, and the march draws the samples the producer has
+    not reached; values must depend on neither."""
+
+    @staticmethod
+    def config(horizon=0.2, **kwargs):
+        grid = GridSpec(n_interior=15, dt=1e-3, horizon=horizon)
+        return S.SimulationConfig(grid=grid, master_seed=9, u0=S.InitialData.sine(1),
+                                  observation_times=(0.05, horizon), **kwargs)
+
+    @pytest.mark.parametrize("case", PRODUCER_CASES)
+    def test_chunking_is_bit_identical_and_matches_steppers(self, case):
+        cfg = self.config(**PRODUCER_CASES[case])
+        samples = [4, 0, 2]
+        runs = [S.simulate_paths(cfg, samples, chunk_steps=c)
+                for c in (1, 7, 128, cfg.grid.n_steps + 5)]
+        for run in runs[1:]:
+            assert np.array_equal(run.values, runs[0].values)
+            assert np.array_equal(run.log_scale, runs[0].log_scale)
+        for path, sample in zip(runs[0], samples):
+            engine = path.field_at(0.2)
+            ref = reference_march(cfg, sample)
+            assert np.max(np.abs(ref - engine)) <= 1e-12 * np.max(np.abs(engine))
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # more callers than cores, each handing 3-step chunks between its
+        # march and its producer with a thread switch every microsecond: a
+        # buffer refilled while still read would move a value
+        cfg = self.config(lam=2.0, scheme="spectral")
+        expected = S.simulate_paths(cfg, range(4), chunk_steps=3).values
+        results = {}
+
+        def run(i):
+            results[i] = S.simulate_paths(cfg, range(4), chunk_steps=3).values
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(np.array_equal(v, expected) for v in results.values())
+
+    def test_one_producer_thread_and_none_for_lam0(self, monkeypatch):
+        started = []
+        thread_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        before = threading.active_count()
+        S.simulate_paths(self.config(lam=0.0), [0, 1], chunk_steps=7)
+        assert started == []
+        S.simulate_paths(self.config(lam=1.0), [0, 1], chunk_steps=7)
+        assert len(started) == 1
+        assert threading.active_count() == before
+
+    def test_divergence_mid_chunk_waits_for_the_running_fill(self, monkeypatch):
+        # 300 steps in chunks of 128 with 2 samples: a nan enters at step 40,
+        # while the producer's fill of chunk 1 is held, and the check at the
+        # step-50 observation raises; every wait is bounded, so a fault
+        # cannot hang
+        cfg = self.config(horizon=0.3, lam=1.0)
+        diverged = S.PathDivergedError
+        fill_started, fill_done, raised = (threading.Event() for _ in range(3))
+        in_flight = []
+        calls = []
+        real_block, real_propagator = S.sample_block, S._propagator
+
+        def held_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:          # chunk 1, sample 0: on the producer
+                fill_started.set()
+                raised.wait(5)
+            out = real_block(*args, **kwargs)
+            if len(calls) == 4:
+                fill_done.set()
+            return out
+
+        def poisoned_propagator(cfg):
+            propagate, steps = real_propagator(cfg), []
+
+            def poisoned(u):
+                steps.append(None)
+                if len(steps) == 40:
+                    fill_started.wait(5)
+                    u[:] = np.nan
+                return propagate(u)
+            return poisoned
+
+        class RecordingDiverged(diverged):
+            def __init__(self, *args):
+                in_flight.append(fill_started.is_set() and not fill_done.is_set())
+                raised.set()
+                super().__init__(*args)
+
+        monkeypatch.setattr(S, "sample_block", held_block)
+        monkeypatch.setattr(S, "_propagator", poisoned_propagator)
+        monkeypatch.setattr(S, "PathDivergedError", RecordingDiverged)
+        before = threading.active_count()
+        with pytest.raises(diverged) as err:
+            S.simulate_paths(cfg, [0, 1], chunk_steps=128)
+        assert err.value.step_index == 50
+        assert in_flight == [True]
+        assert fill_done.is_set()       # the call returned after the fill ended
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing_call", [1, 3])   # main thread, producer
+    def test_fill_exception_surfaces_as_itself(self, monkeypatch, failing_call):
+        boom = RuntimeError("noise source failed")
+        calls = []
+        real_block = S.sample_block
+
+        def failing_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise boom
+            return real_block(*args, **kwargs)
+
+        monkeypatch.setattr(S, "sample_block", failing_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as err:
+            S.simulate_paths(self.config(lam=1.0), [0, 1], chunk_steps=7)
+        assert err.value is boom
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("chunk_steps", [0, -1])
+    def test_chunk_steps_below_one_is_config_error(self, monkeypatch, chunk_steps):
+        # a chunk of no steps never advances the march; should the check be
+        # missing, the guard turns that loop into a failure, not a hang
+        calls = []
+        real_block = S.sample_block
+
+        def guarded_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 100:
+                raise AssertionError("the march does not advance")
+            return real_block(*args, **kwargs)
+
+        monkeypatch.setattr(S, "sample_block", guarded_block)
+        with pytest.raises(S.ConfigError):
+            S.simulate_paths(self.config(lam=1.0), [0], chunk_steps=chunk_steps)
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
