@@ -200,7 +200,7 @@ def excitation_index(lams, log_energies, log_cis=None, p=2.0) -> ExcitationFit:
 @dataclass(frozen=True)
 class ThresholdScan:
     """Empirical stability/growth bracket over a lambda grid; an oracle scan
-    flags each fit whose predicted_rate * dt exceeds oracle.RESOLVED_RATE_DT
+    flags each fit whose OracleConfig.rate_dt exceeds oracle.RESOLVED_RATE_DT
     (the fit still counts toward the bracket) and records its shared grid's
     march telemetry (MomentField.march)."""
 
@@ -234,14 +234,13 @@ def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
     """Threshold scan driven by the p = 2 oracle envelope h(t); every lambda
     is solved on base's grid and coefficients, all in one oracle march."""
     fits = []
-    mfs = ora.second_moments([replace(base, lam=float(lam)) for lam in lams],
-                             error_estimate=False)
+    cfgs = [replace(base, lam=float(lam)) for lam in lams]
+    mfs = ora.second_moments(cfgs, error_estimate=False)
     for mf in mfs:
         env = ora.lower_bound_envelope(mf, gamma)
         fits.append(lyapunov_exponent_series(
             env.t, env.log_h, window=fraction_window(env.t[-1], window_fraction)))
-    rate_dt = tuple(ora.predicted_rate(float(lam), base.k_sigma, base.nu)
-                    * base.horizon / base.n_time_panels for lam in lams)
+    rate_dt = tuple(cfg.rate_dt for cfg in cfgs)
     return replace(classify_thresholds(list(lams), fits), rate_dt=rate_dt,
                    resolved=tuple(r <= ora.RESOLVED_RATE_DT for r in rate_dt),
                    march=mfs[0].march if mfs else None)
@@ -335,8 +334,8 @@ def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0,
     exponential, so the carried error is the slope's fit error times the
     remaining span.
     """
+    resolvable = replace(cfg, horizon=t_target).rate_dt <= ora.RESOLVED_RATE_DT
     r_pred = ora.predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
-    resolvable = r_pred * (t_target / cfg.n_time_panels) <= ora.RESOLVED_RATE_DT
     horizon = t_target if resolvable else min(t_target, rate_budget / r_pred)
     mf = ora.second_moment_volterra(replace(cfg, horizon=horizon), error_estimate=True)
     log_e = ora.log_l2_energy(mf)
@@ -375,22 +374,22 @@ def _free_inner(nu, alpha, s):
 
 
 def integral_bound_value(spec: kern.KernelSpec, alpha, beta, x, t_max,
-                         kernel="dirichlet", n_panels=48, n_y=512,
-                         smalltime_switch=1e-6):
+                         n_panels=48, n_y=512, smalltime_switch=1e-6):
     """Quadrature of int_0^{t_max} e^{beta s} s^{-alpha} F(s,x) ds.
 
-    F(s,x) = int_0^1 |g(s,x,y)|^{2-alpha} dy. The s -> 0 endpoint behaves
-    like s^{-(1+alpha)/2}; the substitution s = xi^{2/(1-alpha)} makes the
-    transformed integrand bounded. Below `smalltime_switch` the Dirichlet
-    inner integral is replaced by its free-kernel limit (boundary images are
-    exponentially negligible there and no y grid can resolve the kernel).
+    F(s,x) = int_0^1 |g(s,x,y)|^{2-alpha} dy, in closed form over R for a
+    FREE spec. The s -> 0 endpoint behaves like s^{-(1+alpha)/2}; the
+    substitution s = xi^{2/(1-alpha)} makes the transformed integrand
+    bounded. Below `smalltime_switch` the Dirichlet inner integral is
+    replaced by its free-kernel limit (boundary images are exponentially
+    negligible there and no y grid can resolve the kernel).
     """
-    return sum(_integral_parts(spec, alpha, beta, x, t_max, kernel, n_panels, n_y,
+    return sum(_integral_parts(spec, alpha, beta, x, t_max, n_panels, n_y,
                                smalltime_switch))
 
 
-def _integral_parts(spec, alpha, beta, x, t_max, kernel="dirichlet", n_panels=48,
-                    n_y=512, smalltime_switch=1e-6):
+def _integral_parts(spec, alpha, beta, x, t_max, n_panels=48, n_y=512,
+                    smalltime_switch=1e-6):
     """integral_bound_value's parts over [0, min(t_max, 1)] and [1, t_max]."""
     if not (0 < alpha < 1):
         raise AnalysisError("alpha must lie in (0,1)")
@@ -401,7 +400,7 @@ def _integral_parts(spec, alpha, beta, x, t_max, kernel="dirichlet", n_panels=48
     s = xi ** q
     inner = _free_inner(spec.nu, alpha, s)
     # all head nodes above smalltime_switch in one batched kernel call
-    resolved = (s >= smalltime_switch) & (kernel != "free")
+    resolved = (s >= smalltime_switch) & (spec.boundary != kern.FREE)
     if np.any(resolved):
         g = np.abs(kern.eval_kernel(spec, s[resolved, None], x, yq))
         inner[resolved] = g ** (2.0 - alpha) @ wq
@@ -414,7 +413,7 @@ def _integral_parts(spec, alpha, beta, x, t_max, kernel="dirichlet", n_panels=48
     s_nodes, s_w = kern.gauss_legendre_panels(1.0, t_max, n_panels, 8)
     # e^{beta s} and the kernel decay each overflow separately at large s
     # near the threshold; only their product is moderate
-    if kernel == "free":
+    if spec.boundary == kern.FREE:
         log_inner = np.log(_free_inner(spec.nu, alpha, s_nodes))
     else:
         lg = kern.log_eval_dirichlet(spec, s_nodes[:, None], x, yq)
@@ -431,8 +430,11 @@ def _fit_exponent(shifts, sups):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def verify_negative_beta(spec: kern.KernelSpec, alpha, betas,
-                         x_grid=(0.25, 0.5, 0.75)) -> IntegralBoundReport:
+# The positions x at which the lemma checks take the Dirichlet integral.
+LEMMA_X = (0.25, 0.5, 0.75)
+
+
+def verify_negative_beta(spec: kern.KernelSpec, alpha, betas) -> IntegralBoundReport:
     """Check the beta < 0 lemma along its proof chain.
 
     (i) The Dirichlet integral is dominated by the free-kernel integral on
@@ -443,11 +445,12 @@ def verify_negative_beta(spec: kern.KernelSpec, alpha, betas,
     betas = tuple(sorted(float(b) for b in betas))
     if any(b >= 0 for b in betas):
         raise AnalysisError("this lemma needs beta < 0")
+    free = replace(spec, boundary=kern.FREE)
     sups_free, by_x = [], []
     for b in betas:
         t_max = 60.0 / abs(b)
-        i_free = integral_bound_value(spec, alpha, b, 0.5, t_max, kernel="free")
-        i_d = {x: integral_bound_value(spec, alpha, b, x, t_max) for x in x_grid}
+        i_free = integral_bound_value(free, alpha, b, 0.5, t_max)
+        i_d = {x: integral_bound_value(spec, alpha, b, x, t_max) for x in LEMMA_X}
         if max(i_d.values()) > i_free * (1 + 1e-8):
             raise AnalysisError("free-kernel majorant violated")
         sups_free.append(i_free)
@@ -458,9 +461,7 @@ def verify_negative_beta(spec: kern.KernelSpec, alpha, betas,
     # the refinement check halves the panels of the first beta's x = 0.5 integral
     b0 = betas[0]
     coarse = integral_bound_value(spec, alpha, b0, 0.5, 60.0 / abs(b0), n_panels=24)
-    fine = by_x[0].get(0.5)
-    if fine is None:
-        fine = integral_bound_value(spec, alpha, b0, 0.5, 60.0 / abs(b0), n_panels=48)
+    fine = by_x[0][0.5]
     return IntegralBoundReport(
         alpha=alpha, betas=betas, sups=tuple(sups_free), c_hats=c_hats,
         fitted_exponent=fitted, expected_exponent=(alpha - 1.0) / 2.0,
@@ -480,8 +481,7 @@ def _longtime_majorant(spec, alpha, beta, t_max, n_panels=48):
     return k3 * float(np.dot(s_w, np.exp(rate * s_nodes)))
 
 
-def verify_threshold_beta(spec: kern.KernelSpec, alpha, margins,
-                          x_grid=(0.25, 0.5, 0.75)) -> IntegralBoundReport:
+def verify_threshold_beta(spec: kern.KernelSpec, alpha, margins) -> IntegralBoundReport:
     """Check the 0 < beta < (2-alpha) nu pi^2 lemma along its proof chain.
 
     (i) The Dirichlet integral stays finite up to the threshold and its tail
@@ -500,7 +500,7 @@ def verify_threshold_beta(spec: kern.KernelSpec, alpha, margins,
         beta = threshold - m
         t_max = 60.0 / m
         # t_max > 1, so each x's head is its integral over [0, 1]
-        parts = [_integral_parts(spec, alpha, beta, x, t_max) for x in x_grid]
+        parts = [_integral_parts(spec, alpha, beta, x, t_max) for x in LEMMA_X]
         i_true = max(head + tail for head, tail in parts)
         tail_true = i_true - max(head for head, _ in parts)
         major = _longtime_majorant(spec, alpha, beta, t_max)

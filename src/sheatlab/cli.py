@@ -26,7 +26,6 @@ sample 0 of one config is simulated twice.
 import argparse
 import configparser
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -41,7 +40,7 @@ from . import kernel as kern
 from . import oracle as ora
 from . import regularity as reg
 from . import stats as st
-from .config import ExperimentConfig, RunManifest, load_manifest, sha256_file
+from .config import ExperimentConfig, RunManifest, load_manifest, sha256_file, write_json
 from .solver import ConfigError, Ensemble, PathDivergedError, simulate_paths
 
 SHARD_SIZE = 64
@@ -95,12 +94,6 @@ def _ensemble_table(sim_cfg, n_samples, workers):
                     log_scale=np.concatenate([p.log_scale for p in parts]))
 
 
-def _functional_label(f):
-    if f.kind == st.POINTWISE:
-        return f"pointwise:{f.x:g}"
-    return f.kind
-
-
 def _lambda_tag(lam):
     return f"{lam:g}".replace(".", "p").replace("-", "m")
 
@@ -142,8 +135,7 @@ class Runner:
 
     def _json(self, name, payload):
         path = os.path.join(self.out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(path, payload)
         self.man.add_output(path)
 
     def _ensemble(self, sim, n_samples):
@@ -273,8 +265,8 @@ class Runner:
                 rows = []
                 for (f, t), est in sorted(
                         table.items(),
-                        key=lambda kv: (kv[0][1], _functional_label(kv[0][0]), kv[0][0].p)):
-                    rows.append((lam, f.p, _functional_label(f), t, est.n,
+                        key=lambda kv: (kv[0][1], kv[0][0].label, kv[0][0].p)):
+                    rows.append((lam, f.p, f.label, t, est.n,
                                  est.mean if not est.overflowed else math.inf,
                                  est.ci_half_width if (est.n >= 2 and not est.overflowed)
                                  else math.nan,
@@ -320,7 +312,7 @@ class Runner:
             if table is None:
                 continue
             for f in functionals:
-                label = _functional_label(f)
+                label = f.label
                 ests = [table[(f, t)] for t in times]
                 try:
                     fit = ana.lyapunov_exponent(ests, window=window)
@@ -370,9 +362,8 @@ class Runner:
         self.man.diagnostics.update({
             "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
             "oracle_points": [{"lambda": p.lam, "max_error_log": p.error_log,
-                               "rate_dt": ora.predicted_rate(oc.lam, oc.k_sigma, oc.nu)
-                               * (t_star / oc.n_time_panels),
-                               **p.march} for p, oc in zip(points, solves)],
+                               "rate_dt": oc.rate_dt, **p.march}
+                              for p, oc in zip(points, solves)],
         })
         mc_samples = self.cfg.get("analysis", "mc_samples")
         if mc_samples > 0:
@@ -388,10 +379,7 @@ class Runner:
         log_es, log_cis = [], []
         regimes = self.man.diagnostics["mc_points"] = []
         for lam in lams:
-            base = self.cfg.simulation(lam=lam)
-            sim = dataclasses.replace(
-                base, grid=dataclasses.replace(base.grid, horizon=t_star),
-                observation_times=(t_star,))
+            sim = self.cfg.simulation(lam=lam, t_end=t_star)
             table = self._table(sim, n_samples, [f], (t_star,))
             if table is not None:
                 regimes.append({"lambda": lam, **self._regime(sim, n_samples)})

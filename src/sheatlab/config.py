@@ -1,8 +1,9 @@
 """Declarative experiment configuration and run manifests.
 
 Configs are flat key-value text files with sections (INI syntax). The schema
-is closed: unknown sections or keys are rejected before any compute. Every
-run writes a manifest JSON carrying the resolved config snapshot, the code
+is closed: unknown sections or keys are rejected before any compute, and
+each key is declared once, with its parser and default. Every run writes a
+strict-JSON manifest carrying the resolved config snapshot, the code
 version, wall clock, calibrated constants when produced, and a sha256 per
 output file; re-running from the same snapshot reproduces Monte Carlo
 outputs bit-identically.
@@ -12,9 +13,10 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .kernel import KernelDomainError, KernelSpec
@@ -32,88 +34,70 @@ def _strings(text):
     return tuple(v.strip() for v in text.replace(",", " ").split() if v.strip())
 
 
+# (parser, default) for every key; None where the key has no default.
 _SCHEMA = {
     "equation": {
-        "nu": float,
-        "lambda": float,
-        "lambda_grid": _floats,
-        "boundary": str,
-        "sigma_kind": str,
-        "sigma_k": float,
-        "sigma_c": float,
-        "sigma_d": float,
+        "nu": (float, "0.5"),
+        "lambda": (float, "1.0"),
+        "lambda_grid": (_floats, None),
+        "boundary": (str, "dirichlet"),
+        "sigma_kind": (str, "linear"),
+        "sigma_k": (float, "1.0"),
+        "sigma_c": (float, None),
+        "sigma_d": (float, None),
     },
     "initial": {
-        "kind": str,
-        "gamma": float,
-        "mode": int,
-        "values": _floats,
+        "kind": (str, "bump"),
+        "gamma": (float, "0.2"),
+        "mode": (int, "1"),
+        "values": (_floats, None),
     },
     "grid": {
-        "n_interior": int,
-        "dt": float,
-        "horizon": float,
+        "n_interior": (int, "127"),
+        "dt": (float, "1e-3"),
+        "horizon": (float, "0.5"),
     },
     "ensemble": {
-        "n_samples": int,
-        "master_seed": int,
-        "scheme": str,
+        "n_samples": (int, "256"),
+        "master_seed": (int, "20240601"),
+        "scheme": (str, "semi_implicit"),
     },
     "observation": {
-        "times": _floats,
-        "p_values": _floats,
-        "functionals": _strings,
+        "times": (_floats, "0.25, 0.5"),
+        "p_values": (_floats, "2"),
+        "functionals": (_strings, "pointwise:0.5"),
     },
     "oracle": {
-        "n_time_panels": int,
-        "n_x": int,
-        "gamma": float,
+        "n_time_panels": (int, "400"),
+        "n_x": (int, "31"),
+        "gamma": (float, "0.2"),
     },
     "analysis": {
-        "fit_window": _floats,
-        "lambda_grid": _floats,
-        "excitation_time": float,
-        "mc_samples": int,
-        "mc_p": float,
+        "fit_window": (_floats, "0.5, 1.0"),
+        "lambda_grid": (_floats, "8, 16, 32, 64"),
+        "excitation_time": (float, "0.1"),
+        "mc_samples": (int, "0"),
+        "mc_p": (float, "4"),
     },
     "kernel": {
-        "tol": float,
-        "quad_points": int,
-        "gamma": float,
+        "tol": (float, "1e-12"),
+        "quad_points": (int, "2048"),
+        "gamma": (float, "0.2"),
     },
     "grr": {
-        "p": float,
-        "delta": float,
-        "eps": float,
-        "n_paths": int,
+        "p": (float, "8"),
+        "delta": (float, "1.0"),
+        "eps": (float, "0.25"),
+        "n_paths": (int, "100"),
     },
     "bounds": {
-        "alpha": float,
-        "betas": _floats,
-        "margins": _floats,
+        "alpha": (float, "0.5"),
+        "betas": (_floats, "-1, -0.25, -0.0625"),
+        "margins": (_floats, "0.05, 0.0125, 0.003125"),
     },
     "output": {
-        "directory": str,
+        "directory": (str, "out"),
     },
-}
-
-_DEFAULTS = {
-    "equation": {"nu": "0.5", "lambda": "1.0", "boundary": "dirichlet",
-                 "sigma_kind": "linear", "sigma_k": "1.0"},
-    "initial": {"kind": "bump", "gamma": "0.2", "mode": "1"},
-    "grid": {"n_interior": "127", "dt": "1e-3", "horizon": "0.5"},
-    "ensemble": {"n_samples": "256", "master_seed": "20240601",
-                 "scheme": "semi_implicit"},
-    "observation": {"times": "0.25, 0.5", "p_values": "2",
-                    "functionals": "pointwise:0.5"},
-    "oracle": {"n_time_panels": "400", "n_x": "31", "gamma": "0.2"},
-    "analysis": {"fit_window": "0.5, 1.0", "lambda_grid": "8, 16, 32, 64",
-                 "excitation_time": "0.1", "mc_samples": "0", "mc_p": "4"},
-    "kernel": {"tol": "1e-12", "quad_points": "2048", "gamma": "0.2"},
-    "grr": {"p": "8", "delta": "1.0", "eps": "0.25", "n_paths": "100"},
-    "bounds": {"alpha": "0.5", "betas": "-1, -0.25, -0.0625",
-               "margins": "0.05, 0.0125, 0.003125"},
-    "output": {"directory": "out"},
 }
 
 
@@ -140,7 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def defaults(cls):
-        return cls(raw={s: dict(_DEFAULTS.get(s, {})) for s in _SCHEMA})
+        return cls(raw={s: {k: d for k, (_, d) in keys.items() if d is not None}
+                        for s, keys in _SCHEMA.items()})
 
     def resolve(self, overrides=(), seed=None):
         """Apply ``section.key=value`` overrides, then the seed; validate."""
@@ -160,7 +145,7 @@ class ExperimentConfig:
         for section, entries in self.raw.items():
             for key, value in entries.items():
                 try:
-                    _SCHEMA[section][key](value)
+                    _SCHEMA[section][key][0](value)
                 except (ValueError, KeyError) as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
         if self.get("ensemble", "n_samples") < 2:
@@ -190,7 +175,7 @@ class ExperimentConfig:
         value = self.raw[section].get(key)
         if value is None:
             raise ConfigError(f"missing config value {section}.{key}")
-        return _SCHEMA[section][key](value)
+        return _SCHEMA[section][key][0](value)
 
     def has(self, section, key):
         return key in self.raw[section]
@@ -228,9 +213,13 @@ class ExperimentConfig:
         return GrrParams(p=self.get("grr", "p"), delta=self.get("grr", "delta"),
                          eps=self.get("grr", "eps"))
 
-    def simulation(self, lam=None) -> SimulationConfig:
+    def simulation(self, lam=None, t_end=None) -> SimulationConfig:
+        """The path law at lam; t_end sets the horizon and only observation time."""
+        grid, times = self.grid(), self.get("observation", "times")
+        if t_end is not None:
+            grid, times = replace(grid, horizon=t_end), (t_end,)
         return SimulationConfig(
-            grid=self.grid(),
+            grid=grid,
             lam=self.get("equation", "lambda") if lam is None else float(lam),
             sigma=self.sigma(),
             u0=self.initial_data(),
@@ -238,7 +227,7 @@ class ExperimentConfig:
             boundary=self.get("equation", "boundary"),
             scheme=self.get("ensemble", "scheme"),
             master_seed=self.get("ensemble", "master_seed"),
-            observation_times=self.get("observation", "times"),
+            observation_times=times,
         )
 
     def oracle(self, lam=None, horizon=None) -> OracleConfig:
@@ -255,18 +244,8 @@ class ExperimentConfig:
 
     def functionals(self):
         from .stats import Functional
-        out = []
-        for p in self.get("observation", "p_values"):
-            for token in self.get("observation", "functionals"):
-                if token.startswith("pointwise:"):
-                    out.append(Functional.pointwise(float(token.split(":")[1]), p))
-                elif token == "sup":
-                    out.append(Functional.sup(p))
-                elif token == "lp":
-                    out.append(Functional.lp(p))
-                else:
-                    raise ConfigError(f"unknown functional {token!r}")
-        return out
+        return [Functional.parse(token, p) for p in self.get("observation", "p_values")
+                for token in self.get("observation", "functionals")]
 
     def lambda_grid(self):
         if self.has("equation", "lambda_grid"):
@@ -288,6 +267,21 @@ class ExperimentConfig:
         parser.write(buf)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
+
+
+def _strict(node):
+    """node with every non-finite float (a diverged cell's nan) as None."""
+    if isinstance(node, dict):
+        return {k: _strict(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_strict(v) for v in node]
+    return None if isinstance(node, float) and not math.isfinite(node) else node
+
+
+def write_json(path, payload):
+    """Write payload as strict JSON, sorted and indented: non-finite as null."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True)
 
 
 def sha256_file(path):
@@ -331,8 +325,7 @@ class RunManifest:
             "failed_cells": self.failed_cells,
         }
         path = os.path.join(directory, f"manifest_{self.command.replace('-', '_')}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(path, payload)
         return path
 
 

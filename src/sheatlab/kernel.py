@@ -125,7 +125,8 @@ def _series_tail(nu, t, n):
     a = nu * PI2 * t
     lead = 2.0 * np.exp(-a * (n + 1) ** 2)
     q = np.exp(-2.0 * a * (n + 1))
-    return lead / (1.0 - q)
+    with np.errstate(divide="ignore"):  # q rounds to 1 as t -> 0: an infinite tail
+        return lead / (1.0 - q)
 
 
 def _series_terms(nu, t, tol, cap=100000):

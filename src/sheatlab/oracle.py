@@ -65,7 +65,7 @@ from .solver import InitialData
 _D1_MODES = 256
 _D1_QUAD_PANELS = 96
 
-# Largest predicted_rate * dt that a time grid resolves: analysis.energy_at
+# Largest OracleConfig.rate_dt that a time grid resolves: analysis.energy_at
 # extrapolates beyond it, and threshold scans flag fits beyond it.
 RESOLVED_RATE_DT = 0.05
 
@@ -106,6 +106,12 @@ class OracleConfig:
 
     def kernel_spec(self):
         return kern.KernelSpec(boundary=self.boundary, nu=self.nu)
+
+    @property
+    def rate_dt(self):
+        """The growth-rate scale times the time step, predicted_rate * dt."""
+        return predicted_rate(self.lam, self.k_sigma, self.nu) * self.horizon \
+            / self.n_time_panels
 
 
 @dataclass
@@ -171,22 +177,15 @@ def _modes(grid, x, n_modes):
     return e, grid.nu * (k * math.pi) ** 2
 
 
-def _u0_values(u0, x):
-    if u0.kind == "table":
-        xs = (np.arange(len(u0.values)) + 1.0) / (len(u0.values) + 1.0)
-        return np.interp(x, xs, u0.values)
-    return u0(x)
-
-
 def _d1_field(cfg: OracleConfig, t_grid, x_grid):
     """Deterministic term D1(t,x) = int g(t,x,y) u0(y) dy via eigenmodes."""
     yq, wq = kern.gauss_legendre_panels(0.0, 1.0, _D1_QUAD_PANELS, 8)
     modes_q, rates = _modes(cfg, yq, _D1_MODES)
-    coef = modes_q.T @ (wq * _u0_values(cfg.u0, yq))
+    coef = modes_q.T @ (wq * cfg.u0(yq))
     decay = np.exp(-np.outer(t_grid, rates))
     d1 = (decay * coef[None, :]) @ _modes(cfg, x_grid, _D1_MODES)[0].T
     if t_grid[0] == 0.0:
-        d1[0] = _u0_values(cfg.u0, x_grid)
+        d1[0] = cfg.u0(x_grid)
     return d1
 
 
@@ -360,7 +359,7 @@ def _solve_grid(grid: OracleConfig, amps):
     dt = grid.horizon / n_t
     with np.errstate(divide="ignore"):
         log_d1sq = 2.0 * np.log(np.abs(_d1_field(grid, grid.t_grid, grid.x_grid)))
-    m0 = _u0_values(grid.u0, grid.x_grid) ** 2
+    m0 = grid.u0(grid.x_grid) ** 2
     peak0 = float(np.max(m0))
     if peak0 <= 0:
         raise OracleDomainError("u0 vanishes on the oracle grid")

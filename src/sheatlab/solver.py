@@ -124,7 +124,8 @@ class SigmaSpec:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial profile: a sine eigenmode, an interior bump, or a node table."""
+    """Initial profile: a sine eigenmode, an interior bump, or a node table,
+    values at x = j/(len+1), linearly interpolated (constant outside)."""
 
     kind: str
     mode: int = 1
@@ -158,7 +159,8 @@ class InitialData:
             inside = np.abs(s) < 1.0
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
             return out
-        raise ConfigError("table initial data has no closed form; use project_initial")
+        nodes = np.arange(1, len(self.values) + 1) / (len(self.values) + 1.0)
+        return np.interp(x, nodes, self.values)
 
 
 def project_initial(u0: InitialData, grid: GridSpec):

@@ -2,12 +2,13 @@
 
 A MomentEstimate accumulates |u(t,x*)|^p (nearest node), the discrete sup
 norm max_j |u(t,x_j)|^p, or the L^p mass dx * sum_j |u(t,x_j)|^p over an
-ensemble. A Functional gives the log values of a whole solver Ensemble at
-one time, and ensemble_estimates takes each (functional, time) estimate
-over the whole ensemble in one batch. merge combines two estimates by the
-pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242), so
-partial estimates combine in any tree shape (results agree to roundoff,
-about 1e-12 relative).
+ensemble. A Functional is parsed from, and labelled by, its config token
+(pointwise:<x>, sup or lp); it gives the log values of a whole solver
+Ensemble at one time, and ensemble_estimates takes each (functional, time)
+estimate over the whole ensemble in one batch. merge combines two
+estimates by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37
+(1983) 242), so partial estimates combine in any tree shape (results agree
+to roundoff, about 1e-12 relative).
 
 Every sample also feeds log-domain accumulators (logsumexp of the values
 and their squares). When any sample exceeds the float comfort zone the
@@ -63,6 +64,21 @@ class Functional:
     @classmethod
     def lp(cls, p=2.0):
         return cls(kind=LPNORM, p=float(p))
+
+    @classmethod
+    def parse(cls, token, p):
+        """The functional of a config token, ``pointwise:<x>``, ``sup`` or
+        ``lp``, at power p; the inverse of label."""
+        if token.startswith(POINTWISE + ":"):
+            return cls.pointwise(float(token.split(":")[1]), p)
+        if token in (SUPNORM, LPNORM):
+            return cls(kind=token, p=float(p))
+        raise ConfigError(f"unknown functional {token!r}")
+
+    @property
+    def label(self):
+        """The config token of this functional, as outputs name it."""
+        return f"{POINTWISE}:{self.x:g}" if self.kind == POINTWISE else self.kind
 
     def log_values(self, ens: Ensemble, t):
         """log of the functional value on every sample, shape (k,); safe at

@@ -1,6 +1,7 @@
 """Analysis tests: fit sanity, thresholds, integral-bound lemma checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,8 +198,8 @@ class TestIntegralBounds:
         assert len(calls) == 3 * 4 + 1
         assert calls.count((-1.0, 0.5)) == 3   # free, Dirichlet, 24 panels
 
-    @pytest.mark.parametrize("kernel", ["dirichlet", "free"])
-    def test_batched_head_matches_node_loop(self, kernel):
+    @pytest.mark.parametrize("boundary", [K.DIRICHLET, K.FREE])
+    def test_batched_head_matches_node_loop(self, boundary):
         # the [0, 1] head as node-by-node scalar kernel calls, with the
         # free-kernel form below smalltime_switch
         alpha, beta, x, switch = 0.5, -0.25, 0.3, 1e-6
@@ -208,26 +209,26 @@ class TestIntegralBounds:
         head = 0.0
         for node, w in zip(xi, xi_w):
             s = node ** q
-            if kernel == "free" or s < switch:
+            if boundary == K.FREE or s < switch:
                 inner = A._free_inner(SPEC.nu, alpha, s)
             else:
                 g = np.abs(K.eval_kernel(SPEC, float(s), x, yq))
                 inner = float(np.dot(wq, g ** (2.0 - alpha)))
             head += w * q * node ** (q - 1.0) * math.exp(beta * s) * s ** (-alpha) * inner
-        got, tail = A._integral_parts(SPEC, alpha, beta, x, 1.0, kernel=kernel,
-                                      smalltime_switch=switch)
+        got, tail = A._integral_parts(replace(SPEC, boundary=boundary), alpha, beta, x,
+                                      1.0, smalltime_switch=switch)
         assert tail == 0.0
         assert got == pytest.approx(head, rel=1e-13)
 
-    @pytest.mark.parametrize("kernel", ["dirichlet", "free"])
-    def test_batched_tail_matches_node_loop(self, kernel):
+    @pytest.mark.parametrize("boundary", [K.DIRICHLET, K.FREE])
+    def test_batched_tail_matches_node_loop(self, boundary):
         # the [1, t_max] tail as node-by-node scalar log-kernel calls
         alpha, beta, x, t_max = 0.5, 4.0, 0.3, 40.0
         yq, wq = K.gauss_legendre_panels(0.0, 1.0, 32, 16)
         s_nodes, s_w = K.gauss_legendre_panels(1.0, t_max, 48, 8)
         tail = 0.0
         for s, w in zip(s_nodes, s_w):
-            if kernel == "free":
+            if boundary == K.FREE:
                 log_inner = math.log(A._free_inner(SPEC.nu, alpha, s))
             else:
                 lg = K.log_eval_dirichlet(SPEC, float(s), x, yq)
@@ -235,7 +236,7 @@ class TestIntegralBounds:
                 log_inner = (2.0 - alpha) * peak + math.log(
                     float(np.dot(wq, np.exp((2.0 - alpha) * (lg - peak)))))
             tail += w * math.exp(min(beta * s - alpha * math.log(s) + log_inner, 700.0))
-        _, got = A._integral_parts(SPEC, alpha, beta, x, t_max, kernel=kernel)
+        _, got = A._integral_parts(replace(SPEC, boundary=boundary), alpha, beta, x, t_max)
         assert got == pytest.approx(tail, rel=1e-13)
 
     def test_beta_range_validation(self):

@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import dataclasses
 import glob
 import json
 import math
@@ -113,6 +114,16 @@ class TestConfig:
         cfg = ExperimentConfig.from_file(write_cfg(tmp_path))
         kinds = {(f.kind, f.p) for f in cfg.functionals()}
         assert kinds == {("pointwise", 2.0), ("lp", 2.0)}
+
+    def test_simulation_t_end_sets_horizon_and_only_time(self, tmp_path):
+        # equal and equally hashed: the runner's ensemble cache key
+        cfg = ExperimentConfig.from_file(write_cfg(tmp_path))
+        base = cfg.simulation(lam=2.0)
+        derived = dataclasses.replace(
+            base, grid=dataclasses.replace(base.grid, horizon=0.1),
+            observation_times=(0.1,))
+        sim = cfg.simulation(lam=2.0, t_end=0.1)
+        assert sim == derived and hash(sim) == hash(derived)
 
 
 class TestCliRuns:
@@ -434,6 +445,17 @@ class TestCliRuns:
         assert {"lambda": 100000.0, "error": "non-finite state at step 96, sample 0"} \
             in man["failed_cells"]
 
+        # strict JSON: the diverged cell's nan is written as null
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        mc = json.loads((tmp_path / "out" / "excitation.json").read_text(),
+                        parse_constant=reject)["mc"]
+        assert mc["log_energies"][1] is None and mc["log_cis"][1] is None
+        assert 100000.0 in mc["dropped_lambdas"]
+        json.loads((tmp_path / "out" / "manifest_excitation.json").read_text(),
+                   parse_constant=reject)
+
     def test_excitation_mc_fit(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert cli.main(["excitation", "--config", cfg,
@@ -464,6 +486,10 @@ class TestCliRuns:
         assert payload["lambda_u_hat"] == 8.0
         assert [f["resolved"] for f in payload["fits"]] == [True, False]
         assert payload["fits"][1]["rate_dt"] == pytest.approx(1024 / 400, rel=1e-12)
+        loaded = ExperimentConfig.from_file(cfg, ["grid.horizon=1.0",
+                                                  "oracle.n_time_panels=400"])
+        assert [f["rate_dt"] for f in payload["fits"]] == [
+            loaded.oracle(lam=lam).rate_dt for lam in (0.5, 8.0)]
         # dt = 2.5e-3: only lag 1's kernel width sqrt(4 nu tau) = 0.05 is under
         # two of the 25 cells (0.08)
         # 400 panels over horizon 1 split the march: past lag n_near the
@@ -533,6 +559,12 @@ def test_demo_runs(demo):
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         assert cli.main(["moments", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    def test_unknown_functional_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["moments", "--config", cfg, "--override",
+                         "observation.functionals=pointwise:0.5, median"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config_error"
 
     def test_unknown_override(self, tmp_path):
         cfg = write_cfg(tmp_path)

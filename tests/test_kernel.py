@@ -1,6 +1,7 @@
 """Kernel module tests: dual-route agreement, bounds, identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,15 @@ class TestTruncation:
         # a time's plan does not depend on the other times in the call
         for ti, row in zip(t, zip(n, use_series, m)):
             assert tuple(K.truncation_plan(SPEC, ti)) == row
+
+    def test_vanishing_times_warn_nothing(self):
+        # the lag times of a lambda = 1e5 energy window, horizon 1.2e-18 on
+        # 400 panels: the series ratio q rounds to 1, an infinite tail
+        t = np.linspace(0.0, 1.2e-18, 401)[1:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, use_series, m = K.truncation_plan(SPEC, t)
+        assert not use_series.any() and np.all(m >= 1)
 
     def test_plan_needs_no_switch_time(self):
         # images at t = 1e-8, far below any series route

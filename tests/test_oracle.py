@@ -121,7 +121,7 @@ def reference_log_m(cfg):
         else:
             ops.append(kern.eval_kernel(spec, d * dt, x[:, None], x[None, :]) ** 2 / n_x)
     w_lo, w_hi = O._product_weights(dt, n_t)
-    m0 = O._u0_values(cfg.u0, x) ** 2
+    m0 = cfg.u0(x) ** 2
     levels, offsets = [m0 / m0.max()], [math.log(m0.max())]
     for i in range(1, n_t + 1):
         ref = max(offsets)

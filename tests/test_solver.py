@@ -61,6 +61,15 @@ class TestInitialData:
         # (A1): support meets [gamma, 1-gamma] in positive measure
         assert np.mean(vals > 0) * 1.0 >= (1 - 2 * 0.2) * 0.9
 
+    def test_table_evaluates_at_its_nodes(self):
+        vals = (0.5, -1.0, 2.0, 0.25)
+        u0 = S.InitialData.table(vals)
+        nodes = (np.arange(len(vals)) + 1.0) / (len(vals) + 1.0)
+        assert np.array_equal(u0(nodes), vals)
+        # linear between nodes, constant beyond the outer ones
+        assert u0(0.3) == pytest.approx(-0.25, rel=1e-14)
+        assert u0(0.0) == 0.5 and u0(1.0) == 0.25
+
     def test_table_mismatch(self):
         grid = GridSpec(n_interior=8, dt=1e-3, horizon=0.1)
         with pytest.raises(S.ConfigError):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sheatlab import stats as S
 from sheatlab.noise import GridSpec
-from sheatlab.solver import Ensemble, InitialData, SimulationConfig, simulate_paths
+from sheatlab.solver import (ConfigError, Ensemble, InitialData, SimulationConfig,
+                             simulate_paths)
 
 
 def make_path(values, t=1.0, n=None, log_scale=0.0):
@@ -27,6 +28,22 @@ def make_path(values, t=1.0, n=None, log_scale=0.0):
 
 def fold(est, ens):
     return est.add_log_values(est.functional.log_values(ens, est.t))
+
+
+class TestFunctionalTokens:
+    FUNCTIONALS = [S.Functional.pointwise(0.25, 4.0), S.Functional.sup(2.0),
+                   S.Functional.lp(3.0)]
+
+    @pytest.mark.parametrize("f", FUNCTIONALS)
+    def test_parse_inverts_label(self, f):
+        assert S.Functional.parse(f.label, f.p) == f
+
+    def test_labels(self):
+        assert [f.label for f in self.FUNCTIONALS] == ["pointwise:0.25", "sup", "lp"]
+
+    def test_unknown_token_is_config_error(self):
+        with pytest.raises(ConfigError):
+            S.Functional.parse("median", 2.0)
 
 
 class TestAccumulate:
