@@ -23,17 +23,17 @@ for t, n, on_series, m in zip(times, n_terms, use_series, n_images):
           f"   |diff| {abs(series - images):.1e}   eval_kernel uses {route}")
 print()
 
-ub = K.kernel_upper_bounds(spec, 1.0, 0.5, 0.5)
-print(f"upper bounds at (t,x,y)=(1, 1/2, 1/2): free kernel {ub.free_bound:.6f},")
-print(f"  long-time K3 e^(-nu pi^2 t) with K3 = {ub.k3:.6f}")
+print(f"upper bounds at (t,x,y)=(1, 1/2, 1/2): free kernel"
+      f" {K.free_kernel(spec.nu, 1.0, 0.5, 0.5):.6f},")
+print(f"  long-time K3 e^(-nu pi^2 t) with K3 = {K.k3_constant(spec):.6f}")
 print(f"  actual g_D = {K.eval_kernel(spec, 1.0, 0.5, 0.5):.6f}")
 print()
 
 print("calibrating the interior Gaussian lower bound on [0.2, 0.8] ...")
-cal = K.calibrate_lower_bound(spec, gamma=0.2)
-print(f"  kappa1 = {cal.spec.kappa1:.6f}   (compare (4 pi nu)^(-1/2) ="
+lb = K.calibrate_lower_bound(spec, gamma=0.2)
+print(f"  kappa1 = {lb.kappa1:.6f}   (compare (4 pi nu)^(-1/2) ="
       f" {(4 * np.pi * spec.nu) ** -0.5:.6f})")
-print(f"  kappa2 = {cal.spec.kappa2:.6f}   (compare 1/(4 nu) = {1 / (4 * spec.nu):.3f})")
+print(f"  kappa2 = {lb.kappa2:.6f}   (compare 1/(4 nu) = {1 / (4 * spec.nu):.3f})")
 print()
 
 sg = K.semigroup_check(spec, 0.05, 0.08, 0.3, 0.6, n_quad=2048)

@@ -31,10 +31,6 @@ import numpy as np
 from . import kernel as kern
 from . import oracle as ora
 
-TIME = "time"
-LOG_LAMBDA = "log_lambda"
-
-
 class AnalysisError(ValueError):
     """Degenerate fit input or violated ordering assertion."""
 
@@ -43,15 +39,12 @@ class AnalysisError(ValueError):
 class RateFit:
     """Weighted straight-line fit of a log quantity against an abscissa."""
 
-    abscissa: str
     slope: float
     slope_ci: float
     intercept: float
     r_squared: float
     window: tuple
-    n_points: int
     n_dropped: int
-    points: tuple
 
     @property
     def significantly_negative(self):
@@ -62,7 +55,7 @@ class RateFit:
         return self.slope - self.slope_ci > 0.0
 
 
-def _weighted_line_fit(x, y, sigma, abscissa, window):
+def _weighted_line_fit(x, y, sigma, window):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(x) & np.isfinite(y)
@@ -101,15 +94,12 @@ def _weighted_line_fit(x, y, sigma, abscissa, window):
     ss_tot = float(np.sum(w * (y - yb) ** 2))
     r2 = 1.0 - float(np.sum(w * resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return RateFit(
-        abscissa=abscissa,
         slope=float(slope),
         slope_ci=1.96 * se,
         intercept=float(intercept),
         r_squared=r2,
         window=window,
-        n_points=len(x),
         n_dropped=n_dropped,
-        points=tuple(zip(x.tolist(), y.tolist())),
     )
 
 
@@ -142,7 +132,7 @@ def lyapunov_exponent_series(t, log_values, sigmas=None, window=None) -> RateFit
     else:
         mask = (t >= window[0] - 1e-15) & (t <= window[1] + 1e-15)
     sig = None if sigmas is None else np.asarray(sigmas, dtype=float)[mask]
-    return _weighted_line_fit(t[mask], log_values[mask], sig, TIME,
+    return _weighted_line_fit(t[mask], log_values[mask], sig,
                               (float(window[0]), float(window[1])))
 
 
@@ -186,11 +176,11 @@ def excitation_index(lams, log_energies, log_cis=None, p=2.0) -> ExcitationFit:
     sig = None
     if log_cis is not None:
         sig = np.asarray(log_cis, dtype=float)[ok] / 1.96 / log_e[ok]
-    fit = _weighted_line_fit(x, y, sig, LOG_LAMBDA, (float(x[0]), float(x[-1])))
+    fit = _weighted_line_fit(x, y, sig, (float(x[0]), float(x[-1])))
 
     def shape_r2(power):
         xs = lams[ok] ** power
-        return _weighted_line_fit(xs, log_e[ok], None, f"lambda^{power}",
+        return _weighted_line_fit(xs, log_e[ok], None,
                                   (float(xs[0]), float(xs[-1]))).r_squared
 
     return ExcitationFit(index=fit, r2_quartic=shape_r2(4), r2_quadratic=shape_r2(2),
@@ -250,27 +240,25 @@ def oracle_threshold_scan(base: ora.OracleConfig, lams, gamma=0.2,
 class Theorem31Calibration:
     """Quartic growth-law fit of oracle rates across a lambda grid."""
 
-    lams: tuple
-    k_lower: float
     slopes: tuple
     slope_ses: tuple
-    intercepts: tuple
     kappa2_hat: float
-    kappa1_hat: float
     r2_quartic: float
     r2_quadratic: float
-    window: tuple
 
 
-def theorem31_calibration(series, k_lower, nu=0.5, window=(0.5, 1.0)):
+# Horizon fractions of theorem31_calibration's late-time rate fits.
+_T31_WINDOW = (0.5, 1.0)
+
+
+def theorem31_calibration(series, k_lower, nu=0.5):
     """Fit late-time rates of log h and regress them on the quartic noise law.
 
     series: list of (lam, t_grid, log_h) with one common t grid starting at
-    t = 0; window holds the fit's horizon fractions. The rate model is
-    slope(lam) + 2 nu pi^2 = kappa2 * lam^4 K_L^4, fitted through the
-    origin; R^2 against the quadratic alternative lam^2 K_L^2 is reported
-    for comparison. kappa1_hat is the geometric mean level of h at the fit
-    origin.
+    t = 0; each rate is fitted over the second half of the horizon. The
+    rate model is slope(lam) + 2 nu pi^2 = kappa2 * lam^4 K_L^4, fitted
+    through the origin; R^2 against the quadratic alternative lam^2 K_L^2
+    is reported for comparison.
     """
     if len(series) < 4:
         raise AnalysisError("need at least 4 lambda values")
@@ -279,7 +267,7 @@ def theorem31_calibration(series, k_lower, nu=0.5, window=(0.5, 1.0)):
         if len(t) != len(t0) or not np.allclose(t, t0, rtol=0, atol=1e-12):
             raise AnalysisError("series must share one common t grid")
     lams = tuple(float(lam) for lam, _, _ in series)
-    fits = [lyapunov_exponent_series(t, log_h, window=fraction_window(t[-1], window))
+    fits = [lyapunov_exponent_series(t, log_h, window=fraction_window(t[-1], _T31_WINDOW))
             for _, t, log_h in series]
     y = np.array([f.slope for f in fits]) + 2.0 * nu * math.pi ** 2
 
@@ -294,12 +282,10 @@ def theorem31_calibration(series, k_lower, nu=0.5, window=(0.5, 1.0)):
     _, r2_quadratic = through_origin_r2(2)
     if kappa2 <= 0:
         raise AnalysisError("fitted kappa2 is not positive")
-    intercepts = tuple(f.intercept for f in fits)
     return Theorem31Calibration(
-        lams=lams, k_lower=float(k_lower), slopes=tuple(f.slope for f in fits),
-        slope_ses=tuple(f.slope_ci / 1.96 for f in fits), intercepts=intercepts,
-        kappa2_hat=kappa2, kappa1_hat=float(math.exp(np.mean(intercepts))),
-        r2_quartic=r2_quartic, r2_quadratic=r2_quadratic, window=tuple(window))
+        slopes=tuple(f.slope for f in fits),
+        slope_ses=tuple(f.slope_ci / 1.96 for f in fits), kappa2_hat=kappa2,
+        r2_quartic=r2_quartic, r2_quadratic=r2_quadratic)
 
 
 @dataclass
@@ -316,20 +302,22 @@ class EnergyPoint:
     t: float
     log_energy: float
     rate: float
-    rate_se: float
     window_horizon: float
     extrapolated: bool
     error_log: float
     march: dict
 
 
-def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0,
-              window=(0.6, 1.0)) -> EnergyPoint:
+# Horizon fractions of energy_at's slope fit.
+_ENERGY_WINDOW = (0.6, 1.0)
+
+
+def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0) -> EnergyPoint:
     """log E_2(t_target, lambda), by direct solve when the grid resolves the
     growth rate and by exponential-regime extrapolation otherwise.
 
     The extrapolation solves on the window T = rate_budget / r_pred, fits the
-    slope of log int m dx over the horizon fractions `window`, and continues
+    slope of log int m dx over the last 40% of that window, and continues
     log-linearly; beyond the transient (a few 1/r) the envelope is a clean
     exponential, so the carried error is the slope's fit error times the
     remaining span.
@@ -340,15 +328,15 @@ def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0,
     mf = ora.second_moment_volterra(replace(cfg, horizon=horizon), error_estimate=True)
     log_e = ora.log_l2_energy(mf)
     fit = lyapunov_exponent_series(mf.t, 2.0 * log_e,
-                                   window=fraction_window(mf.t[-1], window))
+                                   window=fraction_window(mf.t[-1], _ENERGY_WINDOW))
     slope, se = fit.slope, fit.slope_ci / 1.96
     err = float(np.max(mf.error_log[-1]))
     if resolvable:
-        return EnergyPoint(cfg.lam, t_target, float(log_e[-1]), slope, se,
+        return EnergyPoint(cfg.lam, t_target, float(log_e[-1]), slope,
                            horizon, False, err, mf.march)
     span = t_target - horizon
     log_e_t = float(log_e[-1]) + 0.5 * slope * span
-    return EnergyPoint(cfg.lam, t_target, log_e_t, slope, se + err / horizon,
+    return EnergyPoint(cfg.lam, t_target, log_e_t, slope,
                        horizon, True, err + se * span, mf.march)
 
 
@@ -356,13 +344,11 @@ def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0,
 
 @dataclass(frozen=True)
 class IntegralBoundReport:
-    alpha: float
     betas: tuple
     sups: tuple
     c_hats: tuple
     fitted_exponent: float
     expected_exponent: float
-    kernel: str
     threshold: float | None = None
     domination_checked: bool = False
     refinement_change: float = 0.0
@@ -373,34 +359,41 @@ def _free_inner(nu, alpha, s):
     return (4.0 * math.pi * nu * s) ** (-(1.0 - alpha) / 2.0) / math.sqrt(2.0 - alpha)
 
 
+# Panels (of 8 Gauss-Legendre nodes) in s of the kernel integrals and the
+# long-time majorant; panels (of 16 nodes, 512 in all) in y of the inner
+# integral; and the time below which that inner integral takes its
+# free-kernel limit.
+_S_PANELS = 48
+_Y_PANELS = 32
+SMALLTIME_SWITCH = 1e-6
+
+
 def integral_bound_value(spec: kern.KernelSpec, alpha, beta, x, t_max,
-                         n_panels=48, n_y=512, smalltime_switch=1e-6):
+                         n_panels=_S_PANELS):
     """Quadrature of int_0^{t_max} e^{beta s} s^{-alpha} F(s,x) ds.
 
     F(s,x) = int_0^1 |g(s,x,y)|^{2-alpha} dy, in closed form over R for a
     FREE spec. The s -> 0 endpoint behaves like s^{-(1+alpha)/2}; the
     substitution s = xi^{2/(1-alpha)} makes the transformed integrand
-    bounded. Below `smalltime_switch` the Dirichlet inner integral is
+    bounded. Below SMALLTIME_SWITCH the Dirichlet inner integral is
     replaced by its free-kernel limit (boundary images are exponentially
     negligible there and no y grid can resolve the kernel).
     """
-    return sum(_integral_parts(spec, alpha, beta, x, t_max, n_panels, n_y,
-                               smalltime_switch))
+    return sum(_integral_parts(spec, alpha, beta, x, t_max, n_panels))
 
 
-def _integral_parts(spec, alpha, beta, x, t_max, n_panels=48, n_y=512,
-                    smalltime_switch=1e-6):
+def _integral_parts(spec, alpha, beta, x, t_max, n_panels=_S_PANELS):
     """integral_bound_value's parts over [0, min(t_max, 1)] and [1, t_max]."""
     if not (0 < alpha < 1):
         raise AnalysisError("alpha must lie in (0,1)")
     q = 2.0 / (1.0 - alpha)
-    yq, wq = kern.gauss_legendre_panels(0.0, 1.0, max(1, n_y // 16), 16)
+    yq, wq = kern.gauss_legendre_panels(0.0, 1.0, _Y_PANELS, 16)
     t_sub = min(t_max, 1.0)
     xi, xi_w = kern.gauss_legendre_panels(0.0, t_sub ** (1.0 / q), n_panels, 8)
     s = xi ** q
     inner = _free_inner(spec.nu, alpha, s)
-    # all head nodes above smalltime_switch in one batched kernel call
-    resolved = (s >= smalltime_switch) & (spec.boundary != kern.FREE)
+    # all head nodes above SMALLTIME_SWITCH in one batched kernel call
+    resolved = (s >= SMALLTIME_SWITCH) & (spec.boundary != kern.FREE)
     if np.any(resolved):
         g = np.abs(kern.eval_kernel(spec, s[resolved, None], x, yq))
         inner[resolved] = g ** (2.0 - alpha) @ wq
@@ -463,13 +456,12 @@ def verify_negative_beta(spec: kern.KernelSpec, alpha, betas) -> IntegralBoundRe
     coarse = integral_bound_value(spec, alpha, b0, 0.5, 60.0 / abs(b0), n_panels=24)
     fine = by_x[0][0.5]
     return IntegralBoundReport(
-        alpha=alpha, betas=betas, sups=tuple(sups_free), c_hats=c_hats,
+        betas=betas, sups=tuple(sups_free), c_hats=c_hats,
         fitted_exponent=fitted, expected_exponent=(alpha - 1.0) / 2.0,
-        kernel="free-majorant", domination_checked=True,
-        refinement_change=abs(fine - coarse) / fine)
+        domination_checked=True, refinement_change=abs(fine - coarse) / fine)
 
 
-def _longtime_majorant(spec, alpha, beta, t_max, n_panels=48):
+def _longtime_majorant(spec, alpha, beta, t_max):
     """int_1^{t_max} e^{beta s} (K3 e^{-nu pi^2 s})^{2-alpha} ds by quadrature.
 
     This is the lemma's long-time bound with s^{-alpha} <= 1 dropped, the
@@ -477,7 +469,7 @@ def _longtime_majorant(spec, alpha, beta, t_max, n_panels=48):
     """
     k3 = kern.k3_constant(spec) ** (2.0 - alpha)
     rate = beta - (2.0 - alpha) * spec.nu * math.pi ** 2
-    s_nodes, s_w = kern.gauss_legendre_panels(1.0, t_max, n_panels, 8)
+    s_nodes, s_w = kern.gauss_legendre_panels(1.0, t_max, _S_PANELS, 8)
     return k3 * float(np.dot(s_w, np.exp(rate * s_nodes)))
 
 
@@ -513,7 +505,6 @@ def verify_threshold_beta(spec: kern.KernelSpec, alpha, margins) -> IntegralBoun
     c_hats = tuple(mj * m for mj, m in zip(majors, margins))
     fitted = _fit_exponent(margins, majors)
     return IntegralBoundReport(
-        alpha=alpha, betas=tuple(threshold - m for m in margins),
+        betas=tuple(threshold - m for m in margins),
         sups=tuple(sups_true), c_hats=c_hats, fitted_exponent=fitted,
-        expected_exponent=-1.0, kernel="longtime-majorant", threshold=threshold,
-        domination_checked=True)
+        expected_exponent=-1.0, threshold=threshold, domination_checked=True)

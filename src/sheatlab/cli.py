@@ -182,7 +182,7 @@ class Runner:
     def cmd_kernel(self):
         spec = self.cfg.kernel_spec()
         gamma = self.cfg.get("kernel", "gamma")
-        cal = kern.calibrate_lower_bound(spec, gamma)
+        lb = kern.calibrate_lower_bound(spec, gamma)
         dx_rep = kern.kernel_dx_bound_check(
             spec, np.geomspace(1e-3, 1.0, 10),
             np.linspace(0.05, 0.95, 11), np.linspace(0.05, 0.95, 11))
@@ -191,7 +191,7 @@ class Runner:
         n_terms, use_series, n_images = kern.truncation_plan(spec, t)
         columns = [c.ravel() for c in np.broadcast_arrays(
             t, x, y, kern.eval_kernel(spec, t, x, y), kern.free_kernel(spec.nu, t, x, y),
-            kern.kernel_lower_bound(cal.spec, spec, t, x, y),
+            kern.kernel_lower_bound(lb, spec, t, x, y),
             np.where(use_series, n_terms, n_images))]
         rows = [(*map(float, row[:-1]), int(row[-1])) for row in zip(*columns)]
         self._csv("kernel_table.csv",
@@ -199,8 +199,8 @@ class Runner:
         sg = kern.semigroup_check(spec, 0.05, 0.05, 0.5, 0.5,
                                   n_quad=self.cfg.get("kernel", "quad_points"))
         self.man.constants = {
-            "kappa1_hat": cal.spec.kappa1,
-            "kappa2_hat": cal.spec.kappa2,
+            "kappa1_hat": lb.kappa1,
+            "kappa2_hat": lb.kappa2,
             "k1_hat": dx_rep.k1,
             "k2_hat": dx_rep.k2,
             "k3": kern.k3_constant(spec),

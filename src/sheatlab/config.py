@@ -19,11 +19,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .kernel import KernelDomainError, KernelSpec
-from .noise import GridSpec, NoiseDomainError
+from .kernel import KernelSpec
+from .noise import GridSpec
 from .solver import InitialData, SigmaSpec, SimulationConfig, ConfigError
-from .oracle import OracleConfig, OracleDomainError
-from .regularity import GrrParams, RegularityError
+from .oracle import OracleConfig
+from .regularity import GrrParams
 
 
 def _floats(text):
@@ -166,8 +166,10 @@ class ExperimentConfig:
             self.oracle()
             self.kernel_spec()
             self.grr_params()
-        except (NoiseDomainError, OracleDomainError, KernelDomainError,
-                RegularityError) as exc:
+            self.functionals()
+        except ConfigError:
+            raise
+        except ValueError as exc:  # every domain error of the builders
             raise ConfigError(str(exc)) from exc
         return self
 

@@ -187,7 +187,8 @@ def truncation_plan(spec: KernelSpec, t):
 
 
 def free_kernel(nu, t, x, y):
-    """Gaussian kernel (4 pi nu t)^{-1/2} exp(-(x-y)^2/(4 nu t))."""
+    """Gaussian kernel (4 pi nu t)^{-1/2} exp(-(x-y)^2/(4 nu t)); with the
+    same nu it bounds g_D from above at every (t, x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.exp(-((x - y) ** 2) / (4.0 * nu * t)) / np.sqrt(4.0 * math.pi * nu * t)
@@ -363,16 +364,6 @@ def _log_dirichlet_series(spec, t, xb, yb):
     return math.log(2.0) - spec.rate1 * t + lead + np.log1p(rest)
 
 
-@dataclass(frozen=True)
-class UpperBounds:
-    """Pointwise free-kernel bound and long-time spectral-gap bound for g_D."""
-
-    free_bound: np.ndarray
-    longtime_bound: np.ndarray
-    k3: float
-    longtime_valid_from: float = 1.0
-
-
 def k3_constant(spec: KernelSpec) -> float:
     """Long-time constant: g_D(t,x,y) <= K3 exp(-nu pi^2 t) for t >= 1.
 
@@ -380,19 +371,6 @@ def k3_constant(spec: KernelSpec) -> float:
     the geometric factor 1/(1 - exp(-3 nu pi^2)).
     """
     return 2.0 / (1.0 - math.exp(-3.0 * spec.nu * PI2))
-
-
-def kernel_upper_bounds(spec: KernelSpec, t, x, y) -> UpperBounds:
-    """Evaluate both upper bounds for the Dirichlet kernel at (t, x, y)."""
-    if spec.boundary != DIRICHLET:
-        raise KernelDomainError("upper bounds are stated for the Dirichlet kernel")
-    if not (t > 0):
-        raise KernelDomainError("t must be positive")
-    k3 = k3_constant(spec)
-    free = free_kernel(spec.nu, t, x, y)
-    longtime = np.broadcast_to(k3 * math.exp(-spec.rate1 * t), np.shape(free)).copy() \
-        if np.shape(free) else k3 * math.exp(-spec.rate1 * t)
-    return UpperBounds(free_bound=free, longtime_bound=longtime, k3=k3)
 
 
 def kernel_lower_bound(lb: LowerBoundSpec, spec: KernelSpec, t, x, y):
@@ -416,43 +394,34 @@ def kernel_lower_bound(lb: LowerBoundSpec, spec: KernelSpec, t, x, y):
     return val if val.shape else float(val)
 
 
-@dataclass(frozen=True)
-class LowerBoundCalibration:
-    spec: LowerBoundSpec
-    min_ratio: float
-    kappa2_grid: tuple
-    kappa1_by_kappa2: tuple
-    t_grid: tuple
-    n_xy: int
+# The lower-bound calibration's times, its kappa2 candidates in units of
+# 1/(4 nu), and the share of the best kappa1 its chosen kappa2 must keep.
+LOWER_BOUND_T_GRID = np.geomspace(1e-4, 10.0, 25)
+_KAPPA2_FACTORS = np.array([1.01, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0])
+_KAPPA1_SATURATION = 0.5
 
 
-def calibrate_lower_bound(spec: KernelSpec, gamma, t_grid=None, n_xy=17,
-                          kappa2_grid=None, saturation=0.5) -> LowerBoundCalibration:
-    """Search the largest kappa1 and smallest kappa2 validating the lower bound.
+def calibrate_lower_bound(spec: KernelSpec, gamma, n_xy=17) -> LowerBoundSpec:
+    """Search the largest kappa1 and smallest kappa2 validating the lower bound
+    on LOWER_BOUND_T_GRID and an n_xy by n_xy grid of [gamma, 1-gamma]^2.
 
     For fixed kappa2 the best kappa1 is the grid minimum of
     g_D / (exp(-nu pi^2 t) exp(-kappa2 (x-y)^2/t) branch(t)), which is
     nondecreasing in kappa2. The returned kappa2 is the smallest candidate
-    whose kappa1 reaches `saturation` times the best achievable kappa1, i.e.
-    the tightest Gaussian width that does not crush the prefactor. The
-    Gaussian decay of g_D itself forces kappa2 >= 1/(4 nu) as t -> 0, which
-    anchors the candidate grid.
+    whose kappa1 reaches half the best achievable kappa1, i.e. the tightest
+    Gaussian width that does not crush the prefactor. The Gaussian decay of
+    g_D itself forces kappa2 >= 1/(4 nu) as t -> 0, which anchors the
+    candidate grid.
     """
     if spec.boundary != DIRICHLET:
         raise KernelDomainError("lower bound is stated for the Dirichlet kernel")
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 10.0, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
     xs = np.linspace(gamma, 1.0 - gamma, n_xy)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    if kappa2_grid is None:
-        base = 1.0 / (4.0 * spec.nu)
-        kappa2_grid = base * np.array([1.01, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0])
-    kappa2_grid = np.asarray(kappa2_grid, dtype=float)
+    kappa2_grid = 1.0 / (4.0 * spec.nu) * _KAPPA2_FACTORS
 
     # log domain throughout: the binding nodes sit where both sides are
     # exponentially small and linear evaluation loses all relative accuracy
-    t = t_grid[:, None, None]
+    t = LOWER_BOUND_T_GRID[:, None, None]
     log_g = log_eval_dirichlet(spec, t, X, Y)
     log_time = -spec.rate1 * t + np.where(t <= gamma ** 2, -0.5 * np.log(t), 0.0)
     kappa1s = []
@@ -463,18 +432,10 @@ def calibrate_lower_bound(spec: KernelSpec, gamma, t_grid=None, n_xy=17,
     best = float(np.max(kappa1s))
     if best <= 0:
         raise ToleranceError("calibration failed: nonpositive ratio on grid", achieved=best)
-    idx = int(np.argmax(kappa1s >= saturation * best))
+    idx = int(np.argmax(kappa1s >= _KAPPA1_SATURATION * best))
     # shave one ulp-scale factor so the inequality is strict under roundoff
     kappa1 = kappa1s[idx] * (1.0 - 1e-12)
-    lb = LowerBoundSpec(gamma=gamma, kappa1=float(kappa1), kappa2=float(kappa2_grid[idx]))
-    return LowerBoundCalibration(
-        spec=lb,
-        min_ratio=float(kappa1s[idx]),
-        kappa2_grid=tuple(float(v) for v in kappa2_grid),
-        kappa1_by_kappa2=tuple(float(v) for v in kappa1s),
-        t_grid=tuple(float(v) for v in t_grid),
-        n_xy=n_xy,
-    )
+    return LowerBoundSpec(gamma=gamma, kappa1=float(kappa1), kappa2=float(kappa2_grid[idx]))
 
 
 def _dx_series_tail(nu, t, n):
@@ -522,50 +483,44 @@ def kernel_dx(spec: KernelSpec, t, x, y):
 class DxBoundReport:
     k1: float
     k2: float
-    max_abs_dx: float
     finite: bool
-    k2_grid: tuple
-    k1_by_k2: tuple
 
 
-def kernel_dx_bound_check(spec: KernelSpec, t_grid, x_grid, y_grid,
-                          k2_grid=None, headroom=2.0) -> DxBoundReport:
+# The derivative check's K2 candidates in units of 1/(4 nu), and how far
+# above the smallest K1 the chosen K2's K1 may sit.
+_DX_K2_FACTORS = np.array([0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+_DX_K1_HEADROOM = 2.0
+
+
+def kernel_dx_bound_check(spec: KernelSpec, t_grid, x_grid, y_grid) -> DxBoundReport:
     """Fit |dx g_D| <= K1 t^{-1} exp(-K2 (x-y)^2 / t) on a grid.
 
     For fixed K2 the minimal K1 is the grid maximum of
     |dx g_D| * t * exp(K2 (x-y)^2 / t), nondecreasing in K2; the Gaussian
     decay of the derivative caps usable K2 at 1/(4 nu). Reported is the
-    largest candidate K2 whose K1 stays within `headroom` of the smallest
-    K1 over all candidates.
+    largest candidate K2 whose K1 stays within twice the smallest K1 over
+    all candidates; finite is False if some |dx g_D| or K1 is infinite.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     xs = np.asarray(x_grid, dtype=float)
     ys = np.asarray(y_grid, dtype=float)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    if k2_grid is None:
-        cap = 1.0 / (4.0 * spec.nu)
-        k2_grid = cap * np.array([0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
-    k2_grid = np.asarray(k2_grid, dtype=float)
+    k2_grid = 1.0 / (4.0 * spec.nu) * _DX_K2_FACTORS
 
-    max_abs = 0.0
     k1s = np.zeros_like(k2_grid)
     for t in t_grid:
         d = np.abs(kernel_dx(spec, float(t), X, Y))
-        max_abs = max(max_abs, float(np.max(d)))
         for i, k2 in enumerate(k2_grid):
+            # exp(...) >= 1, so an infinite |dx g_D| makes this K1 infinite
             ratio = d * t * np.exp(k2 * (X - Y) ** 2 / t)
             k1s[i] = max(k1s[i], float(np.max(ratio)))
-    finite = bool(np.all(np.isfinite(k1s))) and math.isfinite(max_abs)
     k1_min = float(np.min(k1s))
-    ok = k1s <= headroom * k1_min
+    ok = k1s <= _DX_K1_HEADROOM * k1_min
     idx = int(np.max(np.nonzero(ok)[0]))
     return DxBoundReport(
         k1=float(k1s[idx]),
         k2=float(k2_grid[idx]),
-        max_abs_dx=max_abs,
-        finite=finite,
-        k2_grid=tuple(float(v) for v in k2_grid),
-        k1_by_k2=tuple(float(v) for v in k1s),
+        finite=bool(np.all(np.isfinite(k1s))),
     )
 
 
@@ -584,7 +539,6 @@ def gauss_legendre_panels(a, b, n_panels, nodes_per_panel=16):
 class SemigroupReport:
     residual_convolution: float
     residual_square: float
-    n_quad: int
 
 
 def semigroup_check(spec: KernelSpec, s, t, x, z, n_quad=2048) -> SemigroupReport:
@@ -597,7 +551,7 @@ def semigroup_check(spec: KernelSpec, s, t, x, z, n_quad=2048) -> SemigroupRepor
     if not (s > 0 and t > 0):
         raise KernelDomainError("s, t must be positive")
     if spec.boundary == FREE:
-        return SemigroupReport(0.0, 0.0, 0)
+        return SemigroupReport(0.0, 0.0)
     n_panels = max(1, n_quad // 16)
     ys, ws = gauss_legendre_panels(0.0, 1.0, n_panels, 16)
     left = eval_kernel(spec, s, x, ys)
@@ -606,10 +560,14 @@ def semigroup_check(spec: KernelSpec, s, t, x, z, n_quad=2048) -> SemigroupRepor
     res_conv = abs(conv - eval_kernel(spec, s + t, x, z))
     sq = float(np.dot(ws, left ** 2))
     res_sq = abs(sq - eval_kernel(spec, 2.0 * s, x, x))
-    return SemigroupReport(res_conv, res_sq, len(ys))
+    return SemigroupReport(res_conv, res_sq)
 
 
-def kernel_mass(spec: KernelSpec, t, x, n_quad=1024):
+# kernel_mass's composite Gauss-Legendre panels of 16 nodes: 1024 nodes in y
+_MASS_PANELS = 64
+
+
+def kernel_mass(spec: KernelSpec, t, x):
     """int_0^1 g(t,x,y) dy by composite Gauss-Legendre quadrature."""
-    ys, ws = gauss_legendre_panels(0.0, 1.0, max(1, n_quad // 16), 16)
+    ys, ws = gauss_legendre_panels(0.0, 1.0, _MASS_PANELS, 16)
     return float(np.dot(ws, eval_kernel(spec, t, x, ys)))

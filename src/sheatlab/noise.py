@@ -96,7 +96,8 @@ def sample_block(stream: NoiseStream, n_steps: int, generator=None, out=None):
     return out, g
 
 
-def sine_transform(values, axis=-1):
-    """Orthonormal DST-I; its own inverse. Basis rows are sin(m pi x_j)."""
-    return scipy.fft.dst(values, type=1, norm="ortho", axis=axis)
+def sine_transform(values):
+    """Orthonormal DST-I along the last axis; its own inverse. Basis rows
+    are sin(m pi x_j)."""
+    return scipy.fft.dst(values, type=1, norm="ortho")
 

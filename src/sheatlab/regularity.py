@@ -122,29 +122,33 @@ def _b_with_cutoff(t_means, h, power, expo, cutoff_cells):
     return 2.0 * np.sum(np.ascontiguousarray(bands), axis=-1)
 
 
-def grr_functional(f, params: GrrParams, cutoff_cells=2) -> GrrValue:
+# The GRR cutoff in grid cells (even, so that half of it is a whole cell),
+# and the factor on B that absorbs its quadrature error in the Holder check.
+_CUTOFF_CELLS = 2
+_HOLDER_SLACK = 1.05
+
+
+def grr_functional(f, params: GrrParams) -> GrrValue:
     """Double-quadrature approximation of B on a uniform sample of [0,1].
 
     f holds profiles along its last axis, sampled at x_i = i/(n-1), n >= 64;
-    each result field has f's leading shape. The diagonal strip below
-    `cutoff_cells` grid cells carries no sampled information; its mass is
-    recovered from the linear extrapolation of the smooth offset profile.
-    Values at the cutoff and at half the cutoff are both reported; a growing
-    trend as the cutoff shrinks flags data too rough for these exponents.
+    each result field has f's leading shape. The diagonal strip below two
+    grid cells carries no sampled information; its mass is recovered from
+    the linear extrapolation of the smooth offset profile. Values at that
+    cutoff and at half of it are both reported; a growing trend as the
+    cutoff shrinks flags data too rough for these exponents.
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     if n < 64:
         raise RegularityError("need >= 64 sample nodes")
-    if cutoff_cells < 2 or cutoff_cells % 2:
-        raise RegularityError("cutoff must be an even number of cells (>= 2)")
     h = 1.0 / (n - 1)
     expo = 2.0 + params.delta - params.eps
     t_means = _offset_means(f, h, params.p)
 
-    b_half = _b_with_cutoff(t_means, h, params.p, expo, cutoff_cells // 2)
-    b_c = _b_with_cutoff(t_means, h, params.p, expo, cutoff_cells)
-    b_2c = _b_with_cutoff(t_means, h, params.p, expo, 2 * cutoff_cells)
+    b_half = _b_with_cutoff(t_means, h, params.p, expo, _CUTOFF_CELLS // 2)
+    b_c = _b_with_cutoff(t_means, h, params.p, expo, _CUTOFF_CELLS)
+    b_2c = _b_with_cutoff(t_means, h, params.p, expo, 2 * _CUTOFF_CELLS)
 
     with np.errstate(invalid="ignore"):        # inf - inf where B diverges
         d_small = b_half - b_c     # gained by halving the cutoff
@@ -154,7 +158,7 @@ def grr_functional(f, params: GrrParams, cutoff_cells=2) -> GrrValue:
             (d_small > 0) & (d_large > 0) & (d_small >= d_large)
             & (d_small > 1e-6 * scale))
     return GrrValue(value=b_c, value_at_half_cutoff=b_half,
-                    cutoff=cutoff_cells * h, divergent=divergent)
+                    cutoff=_CUTOFF_CELLS * h, divergent=divergent)
 
 
 @dataclass(frozen=True)
@@ -163,14 +167,13 @@ class HolderReport:
     n_violations: int
 
 
-def holder_bound_check(f, params: GrrParams, b_value=None, slack=1.05,
-                       cutoff_cells=2) -> HolderReport:
-    """Verify |f_i - f_j| <= kappa (B*slack)^{1/p} |x_i-x_j|^{(delta-eps)/p}
+def holder_bound_check(f, params: GrrParams, b_value=None) -> HolderReport:
+    """Verify |f_i - f_j| <= kappa (1.05 B)^{1/p} |x_i-x_j|^{(delta-eps)/p}
     for every profile along the last axis of f.
 
     B defaults to grr_functional's holder_b; a caller that has that value
     already passes it as b_value (broadcast over f's leading shape). The
-    multiplicative slack absorbs its quadrature error (violations are report
+    5% slack on B absorbs its quadrature error (violations are report
     content, not exceptions, since B is approximate). At B = 0 every nonzero
     increment has ratio inf and is a violation.
     """
@@ -178,11 +181,11 @@ def holder_bound_check(f, params: GrrParams, b_value=None, slack=1.05,
     n = f.shape[-1]
     x = np.linspace(0.0, 1.0, n)
     if b_value is None:
-        b_value = grr_functional(f, params, cutoff_cells).holder_b
+        b_value = grr_functional(f, params).holder_b
     # the power runs on a 1-d array whatever f's shape: numpy's SIMD power
     # and its 0-d path can differ in the last bit
     b = np.broadcast_to(b_value, f.shape[:-1]).reshape(-1)
-    scale = (params.kappa * (b * slack) ** (1.0 / params.p)).reshape(f.shape[:-1] + (1,))
+    scale = (params.kappa * (b * _HOLDER_SLACK) ** (1.0 / params.p)).reshape(f.shape[:-1] + (1,))
     max_ratio = np.zeros(f.shape[:-1])
     violations = np.zeros(f.shape[:-1], dtype=int)
     for d in range(1, n):
@@ -195,13 +198,18 @@ def holder_bound_check(f, params: GrrParams, b_value=None, slack=1.05,
     return HolderReport(max_ratio=max_ratio[()], n_violations=violations[()])
 
 
-def _stieltjes(phi_inv_of_b_over, phi, r, n_points, depth=1e-150):
+# How deep below r the Stieltjes partition of (0, r] reaches.
+_STIELTJES_DEPTH = 1e-150
+
+
+def _stieltjes(phi_inv_of_b_over, phi, r, n_points):
     # midpoint Riemann-Stieltjes sum on a geometric partition of (0, r];
-    # the partition reaches depth*r so the untouched tail is negligible for
-    # any modulus with a power of at least ~0.05 at 0. Returns the total and
-    # the contributions of the two deepest 10% blocks: a non-decreasing trend
-    # toward the deep end exposes a non-integrable singularity.
-    ratio = depth ** (1.0 / n_points)
+    # the partition reaches _STIELTJES_DEPTH * r so the untouched tail is
+    # negligible for any modulus with a power of at least ~0.05 at 0.
+    # Returns the total and the contributions of the two deepest 10% blocks:
+    # a non-decreasing trend toward the deep end exposes a non-integrable
+    # singularity.
+    ratio = _STIELTJES_DEPTH ** (1.0 / n_points)
     edges = r * ratio ** np.arange(n_points + 1)
     mids = np.sqrt(edges[:-1] * edges[1:])
     dphi = phi(edges[:-1]) - phi(edges[1:])

@@ -40,10 +40,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.lapack import dpttrs
 
+from .kernel import DIRICHLET, NEUMANN
 from .noise import GridSpec, NoiseStream, sample_block, sine_transform
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
 
 RENORM_THRESHOLD = 1e100
 _RENORM_CHECK_EVERY = 32

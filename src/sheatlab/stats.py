@@ -214,7 +214,7 @@ def p_energy(est: MomentEstimate) -> EnergyValue:
     else:
         mean = math.exp(est.log_mean)
         value = mean ** (1.0 / p)
-        ci = est.ci_half_width * mean ** (1.0 / p - 1.0) / p if est.n >= 2 else 0.0
+        ci = est.ci_half_width * mean ** (1.0 / p - 1.0) / p
     return EnergyValue(value=value, ci_half_width=ci, log_value=log_value,
                        log_ci_half_width=log_ci, p=p, n=est.n,
                        overflowed=est.overflowed)

@@ -94,9 +94,8 @@ class TestExcitationIndex:
 class TestThresholds:
     @staticmethod
     def _fit(slope, ci):
-        return A.RateFit(abscissa=A.TIME, slope=slope, slope_ci=ci, intercept=0.0,
-                         r_squared=1.0, window=(0, 1), n_points=5, n_dropped=0,
-                         points=())
+        return A.RateFit(slope=slope, slope_ci=ci, intercept=0.0,
+                         r_squared=1.0, window=(0, 1), n_dropped=0)
 
     def test_bracket(self):
         lams = [0.5, 1.0, 2.0, 4.0]
@@ -201,8 +200,8 @@ class TestIntegralBounds:
     @pytest.mark.parametrize("boundary", [K.DIRICHLET, K.FREE])
     def test_batched_head_matches_node_loop(self, boundary):
         # the [0, 1] head as node-by-node scalar kernel calls, with the
-        # free-kernel form below smalltime_switch
-        alpha, beta, x, switch = 0.5, -0.25, 0.3, 1e-6
+        # free-kernel form below SMALLTIME_SWITCH
+        alpha, beta, x, switch = 0.5, -0.25, 0.3, A.SMALLTIME_SWITCH
         q = 2.0 / (1.0 - alpha)
         yq, wq = K.gauss_legendre_panels(0.0, 1.0, 32, 16)
         xi, xi_w = K.gauss_legendre_panels(0.0, 1.0, 48, 8)
@@ -216,7 +215,7 @@ class TestIntegralBounds:
                 inner = float(np.dot(wq, g ** (2.0 - alpha)))
             head += w * q * node ** (q - 1.0) * math.exp(beta * s) * s ** (-alpha) * inner
         got, tail = A._integral_parts(replace(SPEC, boundary=boundary), alpha, beta, x,
-                                      1.0, smalltime_switch=switch)
+                                      1.0)
         assert tail == 0.0
         assert got == pytest.approx(head, rel=1e-13)
 

@@ -566,6 +566,17 @@ class TestExitCodes:
                          "observation.functionals=pointwise:0.5, median"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "config_error"
 
+    @pytest.mark.parametrize("override", ["observation.functionals=pointwise:abc",
+                                          "observation.p_values=1"])
+    def test_bad_functional_fails_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                 override):
+        built = []
+        monkeypatch.setattr(cli, "_ensemble_table", lambda *args: built.append(args))
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["moments", "--config", cfg, "--override", override]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config_error"
+        assert built == []
+
     def test_unknown_override(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert cli.main(["moments", "--config", cfg,
@@ -750,6 +761,38 @@ class TestAll:
                     for column, cell in row.items():
                         if column != "functional":      # a label, not a number
                             float(cell)
+
+    def test_json_key_sets(self, all_runs):
+        # the keys of each JSON output on this config, pinned exactly
+        out = all_runs[1]
+        kernel, bounds, grr, thresholds, excitation, lyapunov = (
+            json.loads((out / name).read_text()) for name in (
+                "kernel_calibration.json", "verify_bounds.json", "grr_check.json",
+                "thresholds.json", "excitation.json", "lyapunov.json"))
+        assert set(kernel) == {"kappa1_hat", "kappa2_hat", "k1_hat", "k2_hat", "k3", "gamma"}
+        assert set(bounds) == {"negative_beta", "threshold"}
+        halves = {"betas", "sups", "c_hats", "fitted_exponent", "expected_exponent",
+                  "domination_checked"}
+        assert set(bounds["negative_beta"]) == halves | {"refinement_change"}
+        assert set(bounds["threshold"]) == halves | {"threshold"}
+        assert set(grr) == {"linear_b", "linear_b_target", "linear_b_error",
+                             "general_vs_closed_rel", "kappa", "ensemble_violations"}
+        assert set(thresholds) == {"lambda_l_hat", "lambda_u_hat", "fits"}
+        assert thresholds["fits"]
+        for fit in thresholds["fits"]:
+            assert set(fit) == {"lambda", "slope", "slope_ci", "significantly_negative",
+                                 "significantly_positive", "rate_dt", "resolved"}
+        assert set(excitation) == {"t", "p", "backend", "e2_hat", "slope_ci",
+                                    "r2_quartic", "r2_quadratic", "points"}
+        assert excitation["points"]
+        for point in excitation["points"]:
+            assert set(point) == {"lambda", "log_energy", "rate", "window_horizon",
+                                   "extrapolated", "norm_lam4"}
+        assert set(lyapunov) == {"fits"} and lyapunov["fits"]
+        for fit in lyapunov["fits"]:
+            assert set(fit) == {"lambda", "p", "functional", "slope", "slope_ci",
+                                 "intercept", "r_squared", "window", "n_dropped",
+                                 "significantly_negative", "significantly_positive"}
 
     def test_outputs_identical_across_workers(self, all_runs):
         one, two = all_runs[1::2]

@@ -1,0 +1,40 @@
+"""Tests of tests/compare_outputs.py, the byte-identity check between two
+sheatlab output directories."""
+
+import json
+
+import compare_outputs
+
+CSV = "t,x,u\n0.1,0.25,1.5\n0.1,0.5,2.0\n"
+PAYLOAD = {"slope": -4.9, "fits": [{"lambda": 1.0, "slope": -4.9}]}
+MANIFEST = {"command": "moments", "wall_clock_s": 1.25, "outputs": []}
+
+
+def _outputs(root, csv=CSV, manifest=MANIFEST):
+    root.mkdir()
+    (root / "moments.csv").write_text(csv)
+    (root / "lyapunov.json").write_text(json.dumps(PAYLOAD))
+    (root / "manifest_moments.json").write_text(json.dumps(manifest))
+    return str(root)
+
+
+def test_identical_directories_print_nothing(tmp_path, capsys):
+    a, b = _outputs(tmp_path / "a"), _outputs(tmp_path / "b")
+    assert compare_outputs.main(a, b) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_perturbed_csv_cell_names_file_and_column(tmp_path, capsys):
+    a = _outputs(tmp_path / "a")
+    b = _outputs(tmp_path / "b", csv=CSV.replace("2.0", "2.0000001"))
+    assert compare_outputs.main(a, b) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "moments.csv"
+    assert len(lines) == 2 and lines[1].startswith("  u: max rel 5e-08 (1 differ)")
+
+
+def test_manifest_wall_clock_is_ignored(tmp_path, capsys):
+    a = _outputs(tmp_path / "a")
+    b = _outputs(tmp_path / "b", manifest={**MANIFEST, "wall_clock_s": 9.5})
+    assert compare_outputs.main(a, b) == 0
+    assert capsys.readouterr().out == ""

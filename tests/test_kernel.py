@@ -240,20 +240,20 @@ class TestUpperBounds:
         for t in np.geomspace(1e-3, 5.0, 8):
             xs, ys = rng.random(20), rng.random(20)
             g = K.eval_kernel(SPEC, float(t), xs, ys)
-            ub = K.kernel_upper_bounds(SPEC, float(t), xs, ys)
-            assert np.all(g <= ub.free_bound + 2 * SPEC.tol)
+            free = K.free_kernel(SPEC.nu, float(t), xs, ys)
+            assert np.all(g <= free + 2 * SPEC.tol)
 
     def test_longtime_bound(self):
-        ub = K.kernel_upper_bounds(SPEC, 1.0, 0.5, 0.5)
-        assert ub.k3 == pytest.approx(2.0 / (1.0 - math.exp(-3 * SPEC.nu * math.pi ** 2)))
+        k3 = K.k3_constant(SPEC)
+        assert k3 == pytest.approx(2.0 / (1.0 - math.exp(-3 * SPEC.nu * math.pi ** 2)))
         xs = np.linspace(0, 1, 41)
         for t in np.geomspace(1.0, 10.0, 9):
             g = K.eval_kernel(SPEC, float(t), xs[:, None], xs[None, :])
-            assert np.max(g) <= ub.k3 * math.exp(-SPEC.rate1 * t) + SPEC.tol
+            assert np.max(g) <= k3 * math.exp(-SPEC.rate1 * t) + SPEC.tol
 
     def test_free_peak_value(self):
-        ub = K.kernel_upper_bounds(SPEC, 1.0, 0.5, 0.5)
-        assert ub.free_bound == pytest.approx(1.0 / math.sqrt(2 * math.pi))
+        free = K.free_kernel(SPEC.nu, 1.0, 0.5, 0.5)
+        assert free == pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
     def test_longtime_slope_is_rate1(self):
         # log g_D(t,1/2,1/2) affine in t with slope -nu pi^2 for t >= 1
@@ -270,21 +270,21 @@ def cal():
 
 class TestLowerBound:
     def test_calibrated_positive(self, cal):
-        assert cal.spec.kappa1 > 0
-        assert cal.spec.kappa2 > 0
+        assert cal.kappa1 > 0
+        assert cal.kappa2 > 0
 
     def test_inequality_on_grid(self, cal):
         xs = np.linspace(0.2, 0.8, 13)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        for t in cal.t_grid:
+        for t in K.LOWER_BOUND_T_GRID:
             lg = K.log_eval_dirichlet(SPEC, float(t), X, Y)
             branch = -0.5 * math.log(t) if t <= 0.04 else 0.0
-            log_lb = math.log(cal.spec.kappa1) - SPEC.rate1 * t + branch \
-                - cal.spec.kappa2 * (X - Y) ** 2 / t
+            log_lb = math.log(cal.kappa1) - SPEC.rate1 * t + branch \
+                - cal.kappa2 * (X - Y) ** 2 / t
             assert np.all(lg >= log_lb)
 
     def test_branch_jump_at_gamma_squared(self, cal):
-        lb = cal.spec
+        lb = cal
         below = K.kernel_lower_bound(lb, SPEC, lb.gamma ** 2, 0.5, 0.5)
         above = K.kernel_lower_bound(lb, SPEC, lb.gamma ** 2 * (1 + 1e-12), 0.5, 0.5)
         assert below / above == pytest.approx(1.0 / lb.gamma, rel=1e-9)
@@ -292,29 +292,29 @@ class TestLowerBound:
     def test_batched_rows_match_scalar_calls(self, cal):
         # times on both sides of the t <= gamma^2 branch, the switch itself
         # included
-        times = np.concatenate([np.geomspace(1e-3, 4.0, 10), [cal.spec.gamma ** 2]])
+        times = np.concatenate([np.geomspace(1e-3, 4.0, 10), [cal.gamma ** 2]])
         xs = np.linspace(0.2, 0.8, 5)
-        got = K.kernel_lower_bound(cal.spec, SPEC, times[:, None, None],
+        got = K.kernel_lower_bound(cal, SPEC, times[:, None, None],
                                    xs[:, None], xs[None, :])
         assert got.shape == (len(times), 5, 5)
         for ti, block in zip(times, got):
             assert np.array_equal(block, K.kernel_lower_bound(
-                cal.spec, SPEC, float(ti), xs[:, None], xs[None, :]))
+                cal, SPEC, float(ti), xs[:, None], xs[None, :]))
             assert np.array_equal(block.ravel(), [
-                K.kernel_lower_bound(cal.spec, SPEC, float(ti), x, y)
+                K.kernel_lower_bound(cal, SPEC, float(ti), x, y)
                 for x in xs for y in xs])
         with pytest.raises(K.KernelDomainError):
-            K.kernel_lower_bound(cal.spec, SPEC, np.array([[0.1], [0.0]]), 0.5, xs)
+            K.kernel_lower_bound(cal, SPEC, np.array([[0.1], [0.0]]), 0.5, xs)
 
     def test_large_t_ratio_at_least_one(self, cal):
         for t in (2.0, 5.0, 10.0):
             g = K.eval_kernel(SPEC, t, 0.5, 0.5)
-            lb = K.kernel_lower_bound(cal.spec, SPEC, t, 0.5, 0.5)
+            lb = K.kernel_lower_bound(cal, SPEC, t, 0.5, 0.5)
             assert g / lb >= 1.0
 
     def test_domain_error_outside_margin(self, cal):
         with pytest.raises(K.KernelDomainError):
-            K.kernel_lower_bound(cal.spec, SPEC, 0.1, 0.1, 0.5)
+            K.kernel_lower_bound(cal, SPEC, 0.1, 0.1, 0.5)
 
     def test_log_eval_matches_linear(self):
         rng = np.random.default_rng(11)
