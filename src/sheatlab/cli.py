@@ -19,8 +19,11 @@ value; the seed comes from --seed, else the SHEAT_SEED environment
 variable, else the config. A runner holds one ensemble per simulation
 config, samples 0..n-1, and simulate, moments, lyapunov, grr-check and the
 Monte Carlo half of excitation all read it: a request for n samples or
-fewer slices it, a larger one rebuilds it from sample 0. Under `all`, only
-sample 0 of one config is simulated twice.
+fewer slices it, a larger one rebuilds it from sample 0. Ensembles are
+built per lambda-grid group: moments, lyapunov and the Monte Carlo half of
+excitation first build every cell of their grid that the runner does not
+hold as one march, which draws each sample's noise once for all of them.
+Under `all`, only sample 0 of one config is simulated twice.
 """
 
 import argparse
@@ -41,7 +44,7 @@ from . import oracle as ora
 from . import regularity as reg
 from . import stats as st
 from .config import ExperimentConfig, RunManifest, load_manifest, sha256_file, write_json
-from .solver import ConfigError, Ensemble, PathDivergedError, simulate_paths
+from .solver import ConfigError, Ensemble, PathDivergedError, simulate_group
 
 SHARD_SIZE = 64
 
@@ -78,20 +81,42 @@ def _exp_or_inf(log_value):
     return float(math.exp(log_value)) if log_value < 700 else math.inf
 
 
-def _ensemble_table(sim_cfg, n_samples, workers):
-    """Samples 0..n_samples-1 of sim_cfg as one Ensemble, simulated in
-    SHARD_SIZE blocks and concatenated in index order. A single block runs
-    in this process: a pool would only add its start-up."""
+def _ensemble_table(sims, n_samples, workers):
+    """Samples 0..n_samples-1 of each config of a group (configs that differ
+    only in lambda), simulated together in SHARD_SIZE-sample shards and
+    written into one Ensemble per config in index order. Returns, per
+    config, its Ensemble or the PathDivergedError of its first diverged
+    shard. A single shard runs in this process: a pool would only add its
+    start-up."""
     shards = [range(lo, min(lo + SHARD_SIZE, n_samples))
               for lo in range(0, n_samples, SHARD_SIZE)]
+    tables = [None] * len(sims)
+
+    def put(shard, members):
+        for i, part in enumerate(members):
+            if isinstance(tables[i], PathDivergedError):
+                continue
+            if isinstance(part, PathDivergedError):
+                tables[i] = part
+                continue
+            if tables[i] is None:
+                tables[i] = Ensemble(
+                    config=sims[i], samples=np.arange(n_samples), times=part.times,
+                    values=np.empty((n_samples, *part.values.shape[1:])),
+                    log_scale=np.empty((n_samples, part.log_scale.shape[1])))
+            tables[i].values[shard.start:shard.stop] = part.values
+            tables[i].log_scale[shard.start:shard.stop] = part.log_scale
+
     if workers > 1 and len(shards) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(simulate_paths, [sim_cfg] * len(shards), shards))
+            for shard, members in zip(shards, pool.map(simulate_group, [sims] * len(shards),
+                                                       shards)):
+                put(shard, members)
     else:
-        parts = [simulate_paths(sim_cfg, shard) for shard in shards]
-    return Ensemble(config=sim_cfg, samples=np.arange(n_samples), times=parts[0].times,
-                    values=np.concatenate([p.values for p in parts]),
-                    log_scale=np.concatenate([p.log_scale for p in parts]))
+        # a shard's members are dropped once copied, before the next march
+        for shard in shards:
+            put(shard, simulate_group(sims, shard))
+    return tables
 
 
 def _lambda_tag(lam):
@@ -138,23 +163,36 @@ class Runner:
         write_json(path, payload)
         self.man.add_output(path)
 
+    def _build(self, sims, n_samples):
+        """Build, as one group, the configs among sims whose held ensemble
+        cannot serve samples 0..n_samples-1: none is held, it holds fewer,
+        or it diverged at another size. A diverged build is kept for its
+        size, so a request of that size raises its error again."""
+        todo = []
+        for sim in sims:
+            n_held, held = self._ensembles.get(sim, (0, None))
+            if sim not in todo and (n_held < n_samples or (
+                    isinstance(held, PathDivergedError) and n_held != n_samples)):
+                todo.append(sim)
+        if not todo:
+            return
+        start = time.perf_counter()
+        tables = _ensemble_table(todo, n_samples, self.workers)
+        built = [sim for sim, held in zip(todo, tables)
+                 if not isinstance(held, PathDivergedError)]
+        if built:
+            self._count_throughput(
+                sum(n_samples * max(sim.observation_steps()) for sim in built),
+                time.perf_counter() - start)
+        for sim, held in zip(todo, tables):
+            self._ensembles[sim] = n_samples, held
+
     def _ensemble(self, sim, n_samples):
         """Samples 0..n_samples-1 of sim, sliced from the runner's one
-        ensemble of sim, which is rebuilt from sample 0 when it holds fewer.
-        A diverged build is kept for its size, and a request of that size
-        raises its PathDivergedError again without simulating."""
-        n_held, held = self._ensembles.get(sim, (0, None))
-        if n_held < n_samples or (isinstance(held, PathDivergedError)
-                                  and n_held != n_samples):
-            start = time.perf_counter()
-            try:
-                held = _ensemble_table(sim, n_samples, self.workers)
-            except PathDivergedError as exc:
-                held = exc
-            else:
-                self._count_throughput(n_samples * max(sim.observation_steps()),
-                                       time.perf_counter() - start)
-            self._ensembles[sim] = n_samples, held
+        ensemble of sim, which is rebuilt from sample 0 when it holds fewer;
+        raises the PathDivergedError of a diverged build."""
+        self._build([sim], n_samples)
+        held = self._ensembles[sim][1]
         if isinstance(held, PathDivergedError):
             raise held
         return held[:n_samples]
@@ -170,8 +208,9 @@ class Runner:
         return st.ensemble_estimates(ens, functionals, times)
 
     def _count_throughput(self, sample_steps, seconds):
-        """Add one built ensemble to the manifest's sample-step count (exact)
-        and its build time (wall clock, all workers)."""
+        """Add one group build to the manifest's sample-step count (exact,
+        every cell that did not diverge) and its build time (wall clock, all
+        workers)."""
         diag = self.man.diagnostics
         diag["sample_steps"] = diag.get("sample_steps", 0) + sample_steps
         diag["ensemble_s"] = diag.get("ensemble_s", 0.0) + seconds
@@ -240,8 +279,10 @@ class Runner:
     def _moment_cells(self):
         """Write one CSV per lambda-cell, skipping cells whose checksum matches
         the previous manifest; return the cell CSVs present, in grid order.
-        The manifest is rewritten after each built cell, so a rerun after an
-        interruption skips the cells already done."""
+        Every cell not skipped is built in one group before the first is
+        written, and the manifest is rewritten after each written cell, so a
+        sweep resumes one group at a time: a rerun after an interruption
+        skips the cells written before it and builds the rest together."""
         functionals = self.cfg.functionals()
         times = self.cfg.get("observation", "times")
         n_samples = self.cfg.get("ensemble", "n_samples")
@@ -249,13 +290,19 @@ class Runner:
         prev = load_manifest(self.out, "moments")
         recorded = (prev or {}).get("diagnostics", {}).get("cells", {})
         cell_meta = self.man.diagnostics["cells"] = {}
-        cell_csvs = []
+        cells = []
         for lam in self.cfg.lambda_grid():
             tag = _lambda_tag(lam)
             cell_csv = os.path.join(self.out, f"moments_cell_{tag}.csv")
             meta = recorded.get(tag, {})
-            if (os.path.exists(cell_csv) and meta.get("sha256") == sha256_file(cell_csv)
-                    and meta.get("config_hash") == config_hash):
+            done = (os.path.exists(cell_csv) and meta.get("sha256") == sha256_file(cell_csv)
+                    and meta.get("config_hash") == config_hash)
+            cells.append((lam, tag, cell_csv, meta if done else None))
+        self._build([self.cfg.simulation(lam=lam) for lam, _, _, meta in cells
+                     if meta is None], n_samples)
+        cell_csvs = []
+        for lam, tag, cell_csv, meta in cells:
+            if meta is not None:
                 cell_meta[tag] = meta
             else:
                 sim = self.cfg.simulation(lam=lam)
@@ -306,9 +353,11 @@ class Runner:
         window = ana.fraction_window(max(times), self.cfg.get("analysis", "fit_window"))
         reports = []
         plot_rows = []
-        for lam in self.cfg.lambda_grid():
-            table = self._table(self.cfg.simulation(lam=lam), n_samples,
-                                functionals, times)
+        lams = self.cfg.lambda_grid()
+        sims = [self.cfg.simulation(lam=lam) for lam in lams]
+        self._build(sims, n_samples)
+        for lam, sim in zip(lams, sims):
+            table = self._table(sim, n_samples, functionals, times)
             if table is None:
                 continue
             for f in functionals:
@@ -378,8 +427,9 @@ class Runner:
         f = st.Functional.lp(p_mc)
         log_es, log_cis = [], []
         regimes = self.man.diagnostics["mc_points"] = []
-        for lam in lams:
-            sim = self.cfg.simulation(lam=lam, t_end=t_star)
+        sims = [self.cfg.simulation(lam=lam, t_end=t_star) for lam in lams]
+        self._build(sims, n_samples)
+        for lam, sim in zip(lams, sims):
             table = self._table(sim, n_samples, [f], (t_star,))
             if table is not None:
                 regimes.append({"lambda": lam, **self._regime(sim, n_samples)})

@@ -22,13 +22,20 @@ chunk into one while the march steps the other (numpy draws without the
 GIL), and the march, its chunk stepped, draws the samples the producer has
 not reached. Each sample's generator still consumes its stream in order,
 so values depend neither on the chunk length nor on which thread drew.
-The batch is returned as one Ensemble: snapshots at the configured
-observation times only, values of shape (k, n_obs, n) filled in place at
-each observation step. ens[i] is sample i as a SolutionPath view (no
-copy). Large noise intensities drive |u| past float range; for linear
-sigma the step map is homogeneous in u, so each sample carries an exact log
-scale offset (values * exp(log_scale) is the physical field). Non-finite
-states abort the batch with the offending step and sample reported;
+
+Configs that differ only in lambda share their noise, so simulate_group
+marches such a group as one (n_lam k, n) state, one block of k rows per
+lambda: the buffers hold dW, drawn once per sample for the whole group,
+and each block scales it by its own lambda / dx inside the step, rounding
+as a lone run does. simulate_paths is the group of one. Each member is
+returned as one Ensemble: snapshots at the configured observation times
+only, values of shape (k, n_obs, n) filled in place at each observation
+step. ens[i] is sample i as a SolutionPath view (no copy). Large noise
+intensities drive |u| past float range; for linear sigma the step map is
+homogeneous in u, so each sample carries an exact log scale offset (values
+* exp(log_scale) is the physical field). A non-finite state ends its
+block's march with the offending step and sample reported, as the
+PathDivergedError a lone run raises, while the other blocks step on;
 clamping would silently distort genuine moment blow-up.
 """
 
@@ -64,6 +71,10 @@ class PathDivergedError(RuntimeError):
             + ("" if sample_index is None else f", sample {sample_index}"))
         self.step_index = step_index
         self.sample_index = sample_index
+
+    def __reduce__(self):
+        # the default would call cls(message): a worker's error reads garbled
+        return type(self), (self.step_index, self.sample_index)
 
 
 @dataclass(frozen=True)
@@ -330,18 +341,24 @@ def _propagator(cfg: SimulationConfig):
     return lambda u: _implicit_solve(factor, u.T).T
 
 
-def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> Ensemble:
-    """Simulate a batch of paths; returns one Ensemble in sample order.
+def simulate_group(cfgs, sample_indices, chunk_steps=128):
+    """March configs that differ only in lam over the same samples as one
+    (len(cfgs) k, n) state, one block of k rows per member.
 
-    Pure function of (cfg, sample_index): results are bit-identical however
-    samples are grouped into batches or distributed over workers. Diverging
-    samples raise PathDivergedError; with linear sigma the state is instead
-    rescaled in place (exact homogeneity) and the log offset accumulated.
-    chunk_steps (>= 1) steps of noise are drawn at a time; it sets the
-    buffers' size, never the values.
+    Each sample's noise is drawn once for the whole group: the buffers hold
+    dW, and each member scales it by its own lam / dx inside the step, which
+    rounds as a lone run's increments do. Returns, per config, its Ensemble
+    (bit-identical to a run of that config alone) or the PathDivergedError
+    such a run raises; a diverged member leaves the march and the others
+    keep stepping. chunk_steps (>= 1) steps of noise are drawn at a time; it
+    sets the buffers' size, never the values.
     """
     if chunk_steps < 1:
         raise ConfigError(f"chunk_steps must be >= 1, not {chunk_steps}")
+    cfgs = list(cfgs)
+    cfg = cfgs[0]
+    if any(replace(other, lam=cfg.lam) != cfg for other in cfgs[1:]):
+        raise ConfigError("the configs of one group may differ only in lam")
     samples = list(sample_indices)
     grid = cfg.grid
     n, k = grid.n_interior, len(samples)
@@ -349,34 +366,41 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> En
     if not obs_steps:
         raise ConfigError("no observation times configured")
     obs_row = {step: j for j, step in enumerate(obs_steps)}
-    ens = Ensemble(config=cfg, samples=np.array(samples, dtype=np.int64),
-                   times=np.array(obs_steps) * grid.dt,
-                   values=np.empty((k, len(obs_steps), n)),
-                   log_scale=np.empty((k, len(obs_steps))))
+    members = [Ensemble(config=c, samples=np.array(samples, dtype=np.int64),
+                        times=np.array(obs_steps) * grid.dt,
+                        values=np.empty((k, len(obs_steps), n)),
+                        log_scale=np.empty((k, len(obs_steps))))
+               for c in cfgs]
+    # live[b] is the member stepped in block b, rows b k to (b + 1) k - 1
+    live = list(range(len(cfgs)))
 
-    state = np.repeat(project_initial(cfg.u0, grid)[None, :], k, axis=0)
+    state = np.tile(project_initial(cfg.u0, grid), (len(cfgs) * k, 1))
     propagate = _propagator(cfg)
 
-    log_offset = np.zeros(k)
+    log_offset = np.zeros(len(cfgs) * k)
     streams = [NoiseStream(cfg.master_seed, s, grid) for s in samples]
     gens = [st._generator() for st in streams]
     can_renorm = cfg.sigma.is_homogeneous
 
+    def blocks():
+        return ((members[m], slice(b * k, (b + 1) * k)) for b, m in enumerate(live))
+
     def record(step):
         j = obs_row[step]
-        ens.values[:, j, :] = state
-        ens.log_scale[:, j] = log_offset
+        for ens, rows in blocks():
+            ens.values[:, j, :] = state[rows]
+            ens.log_scale[:, j] = log_offset[rows]
 
     if 0 in obs_row:
         record(0)
 
     last_step = max(obs_steps)
     lengths = [min(chunk_steps, last_step - lo) for lo in range(0, last_step, chunk_steps)]
-    noisy = cfg.lam != 0.0
-    scale = cfg.lam / grid.dx
+    noisy = any(c.lam != 0.0 for c in cfgs)
     # two buffers: the producer fills one while the march steps the other
     # (with one chunk the second is never touched and costs no memory)
     buffers = [np.empty((k, min(chunk_steps, last_step), n)) for _ in range(2)]
+    increment = np.empty((k, n))
 
     def fill(c, todo):
         """Draw chunk c's noise for each sample taken from todo, a deque the
@@ -389,14 +413,11 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> En
                 return noise
             _, gens[i] = sample_block(streams[i], length, generator=gens[i],
                                       out=noise[i, :length])
-            # a separate multiply after sample_block's sqrt(dt dx) scaling,
-            # so the increments round exactly as dW * (lam / dx)
-            noise[i, :length] *= scale
 
     step = 0
     todo, pending = deque(range(k)), None
-    # the pool starts its thread at the first submit, so lam = 0 or a single
-    # chunk starts none
+    # the pool starts its thread at the first submit, so a group of lam = 0
+    # or a single chunk starts none
     with ThreadPoolExecutor(max_workers=1) as producer:
         for c, block_len in enumerate(lengths):
             if noisy:
@@ -411,17 +432,34 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> En
                     pending = producer.submit(fill, c + 1, todo)
             for local in range(block_len):
                 # overflow to inf is legitimate here: the periodic check below
-                # converts it into a PathDivergedError with the step reported
+                # turns it into the diverged member's PathDivergedError
                 with np.errstate(over="ignore", invalid="ignore"):
                     if noisy:
-                        state += cfg.sigma(state) * noise[:, local]
+                        kick = cfg.sigma(state)
+                        for ens, rows in blocks():
+                            if ens.config.lam != 0.0:
+                                # dW * (lam / dx) first, so the increments
+                                # round as a lone run's do
+                                np.multiply(noise[:, local], ens.config.lam / grid.dx,
+                                            out=increment)
+                                kick[rows] *= increment
+                                state[rows] += kick[rows]
                     state = propagate(state)
                 step += 1
                 if step % _RENORM_CHECK_EVERY == 0 or step in obs_row:
                     peak = np.max(np.abs(state), axis=1)
                     bad = ~np.isfinite(peak)
                     if np.any(bad):
-                        raise PathDivergedError(step, samples[int(np.argmax(bad))])
+                        hit = bad.reshape(len(live), k)
+                        kept = ~hit.any(axis=1)
+                        for b in np.flatnonzero(~kept):
+                            members[live[b]] = PathDivergedError(
+                                step, samples[int(np.argmax(hit[b]))])
+                        if not kept.any():
+                            return members
+                        rows = np.repeat(kept, k)
+                        state, log_offset, peak = state[rows], log_offset[rows], peak[rows]
+                        live = [m for m, keep in zip(live, kept) if keep]
                     if can_renorm:
                         hot = peak > RENORM_THRESHOLD
                         if np.any(hot):
@@ -429,6 +467,21 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> En
                             log_offset[hot] += np.log(peak[hot])
                 if step in obs_row:
                     record(step)
+    return members
+
+
+def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> Ensemble:
+    """Simulate a batch of paths; returns one Ensemble in sample order.
+
+    The one-config case of simulate_group. Pure function of (cfg,
+    sample_index): results are bit-identical however samples are grouped
+    into batches or distributed over workers. Diverging samples raise
+    PathDivergedError; with linear sigma the state is instead rescaled in
+    place (exact homogeneity) and the log offset accumulated.
+    """
+    (ens,) = simulate_group([cfg], sample_indices, chunk_steps)
+    if isinstance(ens, PathDivergedError):
+        raise ens
     return ens
 
 

@@ -30,13 +30,19 @@ def _report(num, ok, detail):
     assert ok, line
 
 
-def _mc_table(cfg, n_samples, functionals, times):
-    table = {(f, t): ST.MomentEstimate(f, t) for f in functionals for t in times}
+def _mc_tables(cfgs, n_samples, functionals, times):
+    """One estimate table per config of a group (configs that differ only in
+    lam); each 64-sample block of every config is one group march."""
+    tables = [{(f, t): ST.MomentEstimate(f, t) for f in functionals for t in times}
+              for _ in cfgs]
     for lo in range(0, n_samples, 64):
-        ens = S.simulate_paths(cfg, range(lo, min(lo + 64, n_samples)))
-        for (f, t), est in table.items():
-            est.add_log_values(f.log_values(ens, t))
-    return table
+        group = S.simulate_group(cfgs, range(lo, min(lo + 64, n_samples)))
+        for table, ens in zip(tables, group):
+            if isinstance(ens, S.PathDivergedError):
+                raise ens
+            for (f, t), est in table.items():
+                est.add_log_values(f.log_values(ens, t))
+    return tables
 
 
 def test_criterion_1_kernel_cross_validation():
@@ -88,11 +94,11 @@ def test_criterion_3_oracle_vs_monte_carlo():
     f = ST.Functional.pointwise(0.5, 2.0)
     grid = GridSpec(n_interior=127, dt=2.5e-4, horizon=0.5)
     lines, passed = [], 0
-    for lam in (1.0, 5.0):
-        cfg = S.SimulationConfig(grid=grid, lam=lam, master_seed=31415,
-                                 u0=S.InitialData.bump(0.2),
-                                 observation_times=times)
-        table = _mc_table(cfg, 10_000, [f], times)
+    lams = (1.0, 5.0)
+    cfgs = [S.SimulationConfig(grid=grid, lam=lam, master_seed=31415,
+                               u0=S.InitialData.bump(0.2),
+                               observation_times=times) for lam in lams]
+    for lam, table in zip(lams, _mc_tables(cfgs, 10_000, [f], times)):
         ocfg = O.OracleConfig(lam=lam, u0=S.InitialData.bump(0.2), horizon=0.5,
                               n_time_panels=1000, n_x=127)
         mf = O.second_moment_volterra(ocfg)
@@ -161,13 +167,12 @@ def test_criterion_6_excitation_index():
     try:
         f = ST.Functional.lp(4.0)
         log_es, log_cis = [], []
-        for lam in lams:
-            grid = GridSpec(n_interior=127, dt=2e-5, horizon=0.1)
-            cfg = S.SimulationConfig(grid=grid, lam=lam, master_seed=2718,
-                                     u0=S.InitialData.bump(0.2),
-                                     observation_times=(0.1,))
-            est = _mc_table(cfg, 1000, [f], (0.1,))[(f, 0.1)]
-            en = ST.p_energy(est)
+        grid = GridSpec(n_interior=127, dt=2e-5, horizon=0.1)
+        cfgs = [S.SimulationConfig(grid=grid, lam=lam, master_seed=2718,
+                                   u0=S.InitialData.bump(0.2),
+                                   observation_times=(0.1,)) for lam in lams]
+        for table in _mc_tables(cfgs, 1000, [f], (0.1,)):
+            en = ST.p_energy(table[(f, 0.1)])
             log_es.append(en.log_value)
             log_cis.append(en.log_ci_half_width)
         fit4 = A.excitation_index(lams, log_es, log_cis=log_cis, p=4.0)

@@ -240,21 +240,25 @@ class TestCliRuns:
         grid = ["--override", "equation.lambda_grid=0.5, 1"]
         whole, cut = str(tmp_path / "whole"), str(tmp_path / "cut")
         assert cli.main(["moments", "--config", cfg, "--out", whole] + grid) == 0
-        build = cli._ensemble_table
+        estimate, build = cli.st.ensemble_estimates, cli._ensemble_table
         built = []
 
-        def interrupted(sim, *args):
-            if sim.lam == 1.0:
+        # a sweep resumes one group at a time: the interruption comes after
+        # the group build, in the lambda = 1 cell's estimates
+        def interrupted(ens, *args):
+            if ens.config.lam == 1.0:
                 raise RuntimeError("interrupted")
-            return build(sim, *args)
+            return estimate(ens, *args)
 
-        def counting(sim, *args):
-            built.append(sim.lam)
-            return build(sim, *args)
+        def counting(sims, *args):
+            built.extend(sim.lam for sim in sims)
+            return build(sims, *args)
 
-        monkeypatch.setattr(cli, "_ensemble_table", interrupted)
+        monkeypatch.setattr(cli.st, "ensemble_estimates", interrupted)
         assert cli.main(["moments", "--config", cfg, "--out", cut] + grid) == 2
         assert not os.path.exists(os.path.join(cut, "moments.csv"))
+        assert os.path.exists(os.path.join(cut, "moments_cell_0p5.csv"))
+        monkeypatch.setattr(cli.st, "ensemble_estimates", estimate)
         monkeypatch.setattr(cli, "_ensemble_table", counting)
         assert cli.main(["moments", "--config", cfg, "--out", cut] + grid) == 0
         assert built == [1.0]
@@ -291,12 +295,33 @@ class TestCliRuns:
             fits = json.loads((tmp_path / "out" / "lyapunov.json").read_text())["fits"]
             assert [f["lambda"] for f in fits] == [0.5]
 
+    @pytest.mark.parametrize("command", ["moments", "lyapunov"])
+    def test_diverging_grid_identical_across_workers(self, tmp_path, command):
+        # 128 samples are two shards, so --workers 2 runs the pool, and the
+        # diverged cell's error comes back from a worker process
+        cfg = write_cfg(tmp_path, body=DIVERGING)
+        failed = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}")
+            assert cli.main([command, "--config", cfg, "--workers", workers, "--out", out,
+                             "--override", "ensemble.n_samples=128"]) == 0
+            failed.append(load_manifest(out, command)["failed_cells"])
+        assert failed[0] == failed[1]
+        assert failed[0] == [{"lambda": 100000,
+                              "error": "non-finite state at step 96, sample 0"}]
+        names = sorted(os.listdir(tmp_path / "w1"))
+        assert names == sorted(os.listdir(tmp_path / "w2"))
+        for name in names:
+            if not name.startswith("manifest_"):
+                assert ((tmp_path / "w1" / name).read_bytes()
+                        == (tmp_path / "w2" / name).read_bytes()), name
+
     def test_runner_builds_each_table_once(self, tmp_path, monkeypatch):
         calls = []
         build = cli._ensemble_table
 
         def counting(*args):
-            calls.append(args[0].lam)
+            calls.extend(sim.lam for sim in args[0])
             return build(*args)
 
         monkeypatch.setattr(cli, "_ensemble_table", counting)
@@ -317,9 +342,9 @@ class TestCliRuns:
         built = []
         build = cli._ensemble_table
 
-        def counting(sim, *args):
-            built.append(sim.lam)
-            return build(sim, *args)
+        def counting(sims, *args):
+            built.extend(sim.lam for sim in sims)
+            return build(sims, *args)
 
         monkeypatch.setattr(cli, "_ensemble_table", counting)
         out = str(tmp_path / "out")
@@ -334,14 +359,14 @@ class TestCliRuns:
 
     def test_runner_simulates_each_sample_once(self, tmp_path, monkeypatch):
         simulated = collections.Counter()
-        simulate = cli.simulate_paths
+        simulate = cli.simulate_group
 
-        def counting(sim, samples, *args):
+        def counting(sims, samples, *args):
             samples = list(samples)
-            simulated.update((sim, s) for s in samples)
-            return simulate(sim, samples, *args)
+            simulated.update((sim, s) for sim in sims for s in samples)
+            return simulate(sims, samples, *args)
 
-        monkeypatch.setattr(cli, "simulate_paths", counting)
+        monkeypatch.setattr(cli, "simulate_group", counting)
         cfg = ExperimentConfig.from_file(
             write_cfg(tmp_path), overrides=ALL_OVERRIDES[1::2]
             + ["equation.lambda_grid=0.5, 1"])

@@ -1,6 +1,8 @@
 """Solver tests: exact deterministic limits, reproducibility, scheme agreement."""
 
+import dataclasses
 import math
+import pickle
 import sys
 import threading
 
@@ -459,6 +461,73 @@ class TestNoiseProducer:
         with pytest.raises(S.ConfigError):
             S.simulate_paths(self.config(lam=1.0), [0], chunk_steps=chunk_steps)
         assert calls == []
+
+
+GROUP_CASES = {
+    "semi_implicit": (dict(), (0.5, 2.0, 60.0)),
+    "spectral": (dict(scheme="spectral"), (0.5, 2.0, 60.0)),
+    "neumann": (dict(boundary="neumann"), (0.5, 2.0, 60.0)),
+    "linear_plus_sine": (dict(sigma=S.SigmaSpec.linear_plus_sine(1.5, 0.5)), (0.5, 2.0)),
+    "lam0": (dict(), (0.0, 2.0)),
+    "one_sample": (dict(samples=[3]), (0.5, 2.0)),
+}
+
+
+class TestGroupMarch:
+    """Configs that differ only in lam march as one state on shared noise;
+    each member must equal its own run, bit for bit."""
+
+    @staticmethod
+    def configs(lams, horizon=0.2, **kwargs):
+        grid = GridSpec(n_interior=15, dt=1e-3, horizon=horizon)
+        return [S.SimulationConfig(grid=grid, lam=lam, master_seed=9,
+                                   u0=S.InitialData.bump(0.2),
+                                   observation_times=(0, 0.05, horizon), **kwargs)
+                for lam in lams]
+
+    @pytest.mark.parametrize("case", GROUP_CASES)
+    def test_members_equal_their_own_runs(self, case):
+        kwargs, lams = dict(GROUP_CASES[case][0]), GROUP_CASES[case][1]
+        samples = kwargs.pop("samples", [4, 0, 2])
+        cfgs = self.configs(lams, **kwargs)
+        group = S.simulate_group(cfgs, samples)
+        assert [ens.config for ens in group] == cfgs
+        for cfg, ens in zip(cfgs, group):
+            alone = S.simulate_paths(cfg, samples)
+            assert list(ens.samples) == samples
+            assert np.array_equal(ens.values, alone.values)
+            assert np.array_equal(ens.log_scale, alone.log_scale)
+        if case == "lam0":    # no noise enters the lam = 0 member
+            decay = S.simulate_paths(cfgs[0], [0]).values[0]
+            assert all(np.array_equal(row, decay) for row in group[0].values)
+        if len(lams) == 3 and cfgs[0].sigma.is_homogeneous:
+            assert np.any(group[-1].log_scale > 0)     # the lam = 60 rows renormalized
+
+    def test_diverged_member_leaves_the_others(self):
+        sigma = S.SigmaSpec.linear_plus_sine(1.5, 0.5)
+        cfgs = self.configs((0.5, 100000.0, 1.0), horizon=0.3, sigma=sigma)
+        samples = [4, 0, 2]
+        group = S.simulate_group(cfgs, samples, chunk_steps=7)
+        assert isinstance(group[1], S.PathDivergedError)
+        with pytest.raises(S.PathDivergedError) as alone:
+            S.simulate_paths(cfgs[1], samples)
+        assert str(group[1]) == str(alone.value)
+        assert (group[1].step_index, group[1].sample_index) \
+            == (alone.value.step_index, alone.value.sample_index)
+        for i in (0, 2):
+            own = S.simulate_paths(cfgs[i], samples)
+            assert np.array_equal(group[i].values, own.values)
+            assert np.array_equal(group[i].log_scale, own.log_scale)
+
+    def test_configs_differing_beyond_lam_are_refused(self):
+        a, b = self.configs((0.5, 1.0))
+        with pytest.raises(S.ConfigError):
+            S.simulate_group([a, dataclasses.replace(b, master_seed=10)], [0])
+
+    def test_diverged_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(S.PathDivergedError(96, 0)))
+        assert str(err) == "non-finite state at step 96, sample 0"
+        assert (err.step_index, err.sample_index) == (96, 0)
 
 
 @pytest.fixture(scope="module")
