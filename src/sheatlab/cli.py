@@ -44,7 +44,7 @@ from . import oracle as ora
 from . import regularity as reg
 from . import stats as st
 from .config import ExperimentConfig, RunManifest, load_manifest, sha256_file, write_json
-from .solver import ConfigError, Ensemble, PathDivergedError, simulate_group
+from .solver import ConfigError, Ensemble, PathDivergedError, load_kernels, simulate_group
 
 SHARD_SIZE = 64
 
@@ -108,6 +108,7 @@ def _ensemble_table(sims, n_samples, workers):
             tables[i].log_scale[shard.start:shard.stop] = part.log_scale
 
     if workers > 1 and len(shards) > 1:
+        load_kernels()    # once, here: the forked workers inherit scipy
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for shard, members in zip(shards, pool.map(simulate_group, [sims] * len(shards),
                                                        shards)):

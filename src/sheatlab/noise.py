@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # fixed second key word
 
@@ -98,6 +97,8 @@ def sample_block(stream: NoiseStream, n_steps: int, generator=None, out=None):
 
 def sine_transform(values):
     """Orthonormal DST-I along the last axis; its own inverse. Basis rows
-    are sin(m pi x_j)."""
+    are sin(m pi x_j). scipy.fft is imported on the first call; a march
+    has imported it already (solver.load_kernels)."""
+    import scipy.fft
     return scipy.fft.dst(values, type=1, norm="ortho")
 

@@ -57,10 +57,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import kernel as kern
 from .solver import InitialData
+from .stats import logsumexp
 
 _D1_MODES = 256
 _D1_QUAD_PANELS = 96
@@ -321,7 +321,9 @@ def _split(grid, n_diag, n_amp):
 
 # A history slice is rescaled once its newest level leaves exp(+-300): far
 # enough inside float range that one step's growth and sum cannot overflow.
+# Peaks within exp(+-299) skip the log test: they cannot pass it.
 _RESCALE_LOG = 300.0
+_CALM = (math.exp(-_RESCALE_LOG + 1.0), math.exp(_RESCALE_LOG - 1.0))
 _TINY = np.finfo(float).tiny
 
 
@@ -353,7 +355,8 @@ def _solve_grid(grid: OracleConfig, amps):
     with eps_d a fitted sum of exponentials, so every (pair, rate) channel
     is a geometric recursion over the projections <psi_p, m_j>. The history
     and the channels hold values / exp(ref), one log reference per
-    amplitude, and each log m row keeps its own offset.
+    amplitude; log_m keeps each step's level and refs its reference, and
+    log m = log(level) + ref is taken once the march ends.
     """
     n_t, n_x = grid.n_time_panels, grid.n_x
     dt = grid.horizon / n_t
@@ -392,6 +395,7 @@ def _solve_grid(grid: OracleConfig, amps):
     log_m = np.empty_like(hist)
     hist[:, 0] = m0 / peak0
     ref = np.full((len(live), 1), math.log(peak0))
+    refs = np.empty((len(live), n_t + 1, 1))
     fit_residual = 0.0
     if n_near < n_t:
         pair, rate, mult = _mode_pairs(grid, n_modes)
@@ -403,8 +407,8 @@ def _solve_grid(grid: OracleConfig, amps):
         weights = np.concatenate(([1.0], beta, [0.0]))
         expand = ((dt / n_x) * mult * np.exp(-rate * (n_near + 1) * dt))[:, None] * pair.T
         state = np.zeros((len(live),) + ratios.shape)
+    log_m[:, 0], refs[:, 0] = hist[:, 0], ref
     with np.errstate(divide="ignore"):
-        log_m[:, 0] = np.log(hist[:, 0]) + ref
         for i in range(1, n_t + 1):
             nd = min(n_diag, i)
             total = np.einsum("dx,adx->ax", diag[n_diag - nd:], hist[:, i - nd:i])
@@ -426,14 +430,18 @@ def _solve_grid(grid: OracleConfig, amps):
             if i >= 2:
                 psi0 = np.maximum(2.0 * psi0 - psi(2, hist[:, i - 2]), 0.0)
             level = np.exp(log_d1sq[i] - ref) + a * (total + w_lo[0] * psi0)
-            hist[:, i] = level
-            log_m[:, i] = np.log(level) + ref
-            log_peak = np.log(np.max(level, axis=1))
-            for j in np.flatnonzero(np.abs(log_peak) > _RESCALE_LOG):
-                _rescale(hist[j, :i + 1], log_peak[j])
-                if n_near < n_t:
-                    _rescale(state[j], log_peak[j])
-                ref[j] += log_peak[j]
+            hist[:, i] = log_m[:, i] = level
+            refs[:, i] = ref
+            peak = np.max(level, axis=1)
+            for j in np.flatnonzero(~((peak >= _CALM[0]) & (peak <= _CALM[1]))):
+                log_peak = np.log(peak[j])
+                if abs(log_peak) > _RESCALE_LOG:
+                    _rescale(hist[j, :i + 1], log_peak)
+                    if n_near < n_t:
+                        _rescale(state[j], log_peak)
+                    ref[j] += log_peak
+        np.log(log_m, out=log_m)
+    log_m += refs
     return ([log_d1sq.copy() if amp == 0.0 else log_m[live.index(amp)] for amp in amps],
             dict(n_diag=n_diag, n_near=n_near, n_modes=n_modes, fit_residual=fit_residual))
 

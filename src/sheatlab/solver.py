@@ -15,6 +15,11 @@ differ only in the one-step semigroup P:
 * spectral exponential Euler (Dirichlet only): P = S diag(exp(-nu n^2 pi^2
   dt)) S, S the orthonormal sine transform, exact on each eigenmode.
 
+These two kernels, scipy.fft's DST-I and scipy.linalg.lapack's dpttrs, are
+the package's only use of scipy. load_kernels imports both together when a
+march first builds its P, before the march allocates its arrays; importing
+this module loads no scipy.
+
 A batch of samples is stepped as one (k, n) array, one contiguous row per
 sample, in chunks of steps. Each sample's noise is drawn straight into its
 row of one of two (k, chunk, n) buffers: a producer thread fills the next
@@ -39,13 +44,13 @@ PathDivergedError a lone run raises, while the other blocks step on;
 clamping would silently distort genuine moment blow-up.
 """
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
 from .kernel import DIRICHLET, NEUMANN
 from .noise import GridSpec, NoiseStream, sample_block, sine_transform
@@ -313,9 +318,19 @@ def _implicit_factor(cfg: SimulationConfig):
     return d.astype(float), e.astype(float)
 
 
+@functools.cache
+def load_kernels():
+    """Import both of the march's scipy kernels, whichever the scheme
+    needs, so a later march of the other scheme imports nothing; returns
+    dpttrs."""
+    import scipy.fft  # noise.sine_transform's DST-I
+    from scipy.linalg.lapack import dpttrs
+    return dpttrs
+
+
 def _implicit_solve(factor, b):
     """Solve (I - nu dt L) x = b in place; b is (n,) or Fortran (n, k)."""
-    x, info = dpttrs(*factor, b, overwrite_b=1)
+    x, info = load_kernels()(*factor, b, overwrite_b=1)
     if info != 0:
         raise ConfigError(f"dpttrs rejected its arguments (info {info})")
     return x
@@ -332,8 +347,10 @@ def _propagator(cfg: SimulationConfig):
 
     Spectral: P = S diag(exp(-nu n^2 pi^2 dt)) S, S the orthonormal DST-I
     along the rows. Semi-implicit: P = (I - nu dt L)^{-1} by dpttrs on
-    u.T, the Fortran (n, k) view of the same memory.
+    u.T, the Fortran (n, k) view of the same memory. Loads both scipy
+    kernels (load_kernels).
     """
+    load_kernels()
     if cfg.scheme == "spectral":
         decay = _mode_decay(cfg, cfg.grid.n_interior)
         return lambda u: sine_transform(decay * sine_transform(u))
@@ -366,6 +383,8 @@ def simulate_group(cfgs, sample_indices, chunk_steps=128):
     if not obs_steps:
         raise ConfigError("no observation times configured")
     obs_row = {step: j for j, step in enumerate(obs_steps)}
+    # scipy loads here, before the march's arrays exist
+    propagate = _propagator(cfg)
     members = [Ensemble(config=c, samples=np.array(samples, dtype=np.int64),
                         times=np.array(obs_steps) * grid.dt,
                         values=np.empty((k, len(obs_steps), n)),
@@ -375,7 +394,6 @@ def simulate_group(cfgs, sample_indices, chunk_steps=128):
     live = list(range(len(cfgs)))
 
     state = np.tile(project_initial(cfg.u0, grid), (len(cfgs) * k, 1))
-    propagate = _propagator(cfg)
 
     log_offset = np.zeros(len(cfgs) * k)
     streams = [NoiseStream(cfg.master_seed, s, grid) for s in samples]

@@ -15,14 +15,15 @@ and their squares). When any sample exceeds the float comfort zone the
 linear mean is meaningless and the estimate flips to log mode: it then
 reports log_mean with a delta-method confidence interval on the log scale.
 This is how ensembles at large noise intensity stay finite, paired with the
-solver's per-sample log rescaling.
+solver's per-sample log rescaling. logsumexp is a numpy copy of scipy's
+algorithm (scipy.special.logsumexp, scipy 1.17), so this module and the
+oracle, which imports it from here, run without scipy.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .solver import ConfigError, Ensemble
 
@@ -35,6 +36,31 @@ LPNORM = "lp"
 
 class StatsDomainError(ValueError):
     """Estimate misuse: mismatched functionals, missing times, bad p."""
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over axis (all axes for None) of a real float array,
+    bit for bit as scipy.special.logsumexp computes it for unweighted input.
+
+    The largest terms, m of them, leave the sum: the result is log1p(s / m)
+    + log(m) + max, s the sum of the other terms' exp(a - max). Where that
+    is not finite (an inf or nan entry, or only -inf entries), the result
+    is plain log(sum(exp(a))). A scalar for axis=None or 1-d input.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axes, keepdims=True)
+        at_top = a == top
+        m = np.sum(at_top, axis=axes, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axes, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axes, keepdims=True)), out)
+    out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -826,3 +826,67 @@ class TestAll:
                                if not p.name.startswith("manifest_"))
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+# Run in a fresh interpreter: lists the scipy modules loaded after the import
+# and after each command of argv[1] (a JSON list of cli.main argument lists),
+# and those loaded when each process pool starts.
+HYGIENE_SCRIPT = """
+import json, sys
+from sheatlab import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+at_pool = []
+real_pool = cli.ProcessPoolExecutor
+
+def recording_pool(*args, **kwargs):
+    at_pool.append(loaded())
+    return real_pool(*args, **kwargs)
+
+cli.ProcessPoolExecutor = recording_pool
+seen = [("import", 0, loaded())]
+for argv in json.loads(sys.argv[1]):
+    seen.append((argv[0], cli.main(argv), loaded()))
+print(json.dumps({"seen": seen, "at_pool": at_pool}))
+"""
+
+KERNELS = {"scipy.fft", "scipy.linalg.lapack"}
+
+
+def _scipy_loaded(commands):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", HYGIENE_SCRIPT, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestImportHygiene:
+    """scipy serves only the Monte Carlo march: importing the package and
+    every numpy-only command load none of it, and a march loads both of its
+    kernels at once."""
+
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        numpy_only = [[name, "--config", cfg] for name in
+                      ("kernel", "oracle", "thresholds", "excitation", "verify-bounds")]
+        numpy_only[3] += ["--override", "analysis.mc_samples=0"]
+        report = _scipy_loaded(numpy_only + [["moments", "--config", cfg]])
+        seen = report["seen"]
+        assert [name for name, _, _ in seen] == ["import", "kernel", "oracle", "thresholds",
+                                                 "excitation", "verify-bounds", "moments"]
+        # verify-bounds may fail its own check (exit 3); it still ran
+        assert all(rc in (0, 3) for _, rc, _ in seen[:-1]) and seen[-1][1] == 0
+        assert [mods for _, _, mods in seen[:-1]] == [[]] * 6
+        assert KERNELS <= set(seen[-1][2])
+        assert report["at_pool"] == []
+
+    def test_pool_parent_loads_kernels_first(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        report = _scipy_loaded([["moments", "--config", cfg, "--workers", "2",
+                                 "--override", "ensemble.n_samples=128"]])
+        assert report["seen"][1][1] == 0
+        (at_start,) = report["at_pool"]
+        assert KERNELS <= set(at_start)

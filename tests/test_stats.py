@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from sheatlab import stats as S
 from sheatlab.noise import GridSpec
@@ -325,3 +326,48 @@ class TestOrderings:
     def test_p_below_2_rejected(self):
         with pytest.raises(S.StatsDomainError):
             S.Functional.sup(1.5)
+
+
+def _same_bits(got, want):
+    """Equal shape and type, and every float equal bit for bit (nan too)."""
+    got, want_arr = np.asarray(got), np.asarray(want)
+    assert type(got[()]) is type(want_arr[()]) and got.shape == want_arr.shape
+    assert np.array_equal(got.view(np.int64), want_arr.view(np.int64))
+
+
+class TestLogSumExp:
+    """stats.logsumexp reproduces scipy.special.logsumexp (scipy 1.17's
+    algorithm) bit for bit on real unweighted input."""
+
+    def check(self, a, axis):
+        _same_bits(S.logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
+
+    def test_random_shapes_and_axes(self):
+        rng = np.random.default_rng(20)
+        for _ in range(600):
+            shape = tuple(rng.integers(1, 7, size=rng.integers(1, 4)))
+            a = rng.uniform(-800.0, 800.0, size=shape)
+            if rng.random() < 0.3:
+                a = np.round(a / 50.0)      # ties at the maximum
+            if rng.random() < 0.3:
+                a[rng.random(shape) < 0.3] = -np.inf
+            axes = [None, 0, -1] + ([1] if a.ndim > 1 else [])
+            self.check(a, axes[rng.integers(len(axes))])
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    def test_edge_rows(self, axis):
+        a = np.array([[3.0, 3.0, 3.0, -1.0],          # a three-way tie at the max
+                      [-np.inf, -np.inf, -np.inf, -np.inf],
+                      [-np.inf, 2.0, -np.inf, 2.0],
+                      [800.0, -800.0, 0.0, 799.9],
+                      [np.inf, 1.0, 2.0, 3.0],
+                      [np.nan, 1.0, 2.0, 3.0]])
+        self.check(a, axis)
+        self.check(a[1:3], axis)
+
+    def test_single_elements_and_scalars(self):
+        for a in ([5.0], [-np.inf], [[7.5]], 2.5, [0.0, 0.0]):
+            self.check(np.asarray(a, dtype=float), None)
+        self.check(np.array([[7.5]]), 1)
+        assert float(S.logsumexp([0.0, 0.0])) == math.log(2.0)
+        assert S.logsumexp(np.zeros((2, 3)), axis=0).shape == (3,)
