@@ -310,13 +310,14 @@ class EnergyPoint:
 
 # Horizon fractions of energy_at's slope fit.
 _ENERGY_WINDOW = (0.6, 1.0)
+ENERGY_RATE_BUDGET = 30.0   # r_pred T of energy_at's extrapolation window
 
 
-def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0) -> EnergyPoint:
+def energy_at(cfg: ora.OracleConfig, t_target) -> EnergyPoint:
     """log E_2(t_target, lambda), by direct solve when the grid resolves the
     growth rate and by exponential-regime extrapolation otherwise.
 
-    The extrapolation solves on the window T = rate_budget / r_pred, fits the
+    The extrapolation solves on T = ENERGY_RATE_BUDGET / r_pred, fits the
     slope of log int m dx over the last 40% of that window, and continues
     log-linearly; beyond the transient (a few 1/r) the envelope is a clean
     exponential, so the carried error is the slope's fit error times the
@@ -324,7 +325,7 @@ def energy_at(cfg: ora.OracleConfig, t_target, rate_budget=30.0) -> EnergyPoint:
     """
     resolvable = replace(cfg, horizon=t_target).rate_dt <= ora.RESOLVED_RATE_DT
     r_pred = ora.predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
-    horizon = t_target if resolvable else min(t_target, rate_budget / r_pred)
+    horizon = t_target if resolvable else min(t_target, ENERGY_RATE_BUDGET / r_pred)
     mf = ora.second_moment_volterra(replace(cfg, horizon=horizon), error_estimate=True)
     log_e = ora.log_l2_energy(mf)
     fit = lyapunov_exponent_series(mf.t, 2.0 * log_e,

@@ -23,7 +23,8 @@ fewer slices it, a larger one rebuilds it from sample 0. Ensembles are
 built per lambda-grid group: moments, lyapunov and the Monte Carlo half of
 excitation first build every cell of their grid that the runner does not
 hold as one march, which draws each sample's noise once for all of them.
-Under `all`, only sample 0 of one config is simulated twice.
+`all` runs moments before the other Monte Carlo readers, so lyapunov,
+simulate and grr-check slice its ensembles: each config is built once.
 """
 
 import argparse
@@ -34,7 +35,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -55,8 +55,9 @@ UNDER_RESOLVED_NOISE = 0.1
 MOMENTS_HEADER = ["lambda", "p", "functional", "t", "n", "mean", "ci_half_width",
                   "log_mean", "log_ci_half_width", "log_mode"]
 
-SUBCOMMANDS = ("kernel", "simulate", "oracle", "moments", "lyapunov",
-               "excitation", "thresholds", "grr-check", "verify-bounds", "all")
+# `all`'s order: moments, the largest build, precedes the readers that slice it
+SUBCOMMANDS = ("kernel", "oracle", "moments", "lyapunov", "simulate", "grr-check",
+               "excitation", "thresholds", "verify-bounds", "all")
 
 
 class VerificationError(AssertionError):
@@ -108,6 +109,7 @@ def _ensemble_table(sims, n_samples, workers):
             tables[i].log_scale[shard.start:shard.stop] = part.log_scale
 
     if workers > 1 and len(shards) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         load_kernels()    # once, here: the forked workers inherit scipy
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for shard, members in zip(shards, pool.map(simulate_group, [sims] * len(shards),
@@ -124,6 +126,17 @@ def _lambda_tag(lam):
     return f"{lam:g}".replace(".", "p").replace("-", "m")
 
 
+def _regime(ens):
+    """A cell's per-step noise, flagged when under-resolved, and its
+    ensemble's renormalization: the largest log scale, and the samples
+    renormalized by the last observation time."""
+    sim = ens.config
+    noise = sim.lam ** 2 * sim.sigma.lipschitz_upper ** 2 * sim.grid.dt / sim.grid.dx
+    return {"noise_per_step": noise, "under_resolved": noise > UNDER_RESOLVED_NOISE,
+            "max_log_scale": float(np.max(ens.log_scale)),
+            "renormalized_samples": int(np.count_nonzero(ens.log_scale[:, -1]))}
+
+
 class Runner:
     """Runs subcommands into one output directory.
 
@@ -138,7 +151,7 @@ class Runner:
         self.out = out_dir
         self.workers = workers
         self.man = None
-        self._ensembles = {}
+        self._held = {}
         os.makedirs(out_dir, exist_ok=True)
 
     def dispatch(self, name):
@@ -164,58 +177,50 @@ class Runner:
         write_json(path, payload)
         self.man.add_output(path)
 
-    def _build(self, sims, n_samples):
-        """Build, as one group, the configs among sims whose held ensemble
-        cannot serve samples 0..n_samples-1: none is held, it holds fewer,
-        or it diverged at another size. A diverged build is kept for its
-        size, so a request of that size raises its error again."""
+    def _ensembles(self, sims, n_samples):
+        """Per config of sims, samples 0..n_samples-1 sliced from the ensemble
+        held of it, or the PathDivergedError of its build. Configs not held,
+        held with fewer samples, or diverged at another size are first built
+        as one group, whose sample steps and wall time the manifest adds up."""
         todo = []
         for sim in sims:
-            n_held, held = self._ensembles.get(sim, (0, None))
+            n_held, held = self._held.get(sim, (0, None))
             if sim not in todo and (n_held < n_samples or (
                     isinstance(held, PathDivergedError) and n_held != n_samples)):
                 todo.append(sim)
-        if not todo:
-            return
-        start = time.perf_counter()
-        tables = _ensemble_table(todo, n_samples, self.workers)
-        built = [sim for sim, held in zip(todo, tables)
-                 if not isinstance(held, PathDivergedError)]
-        if built:
-            self._count_throughput(
-                sum(n_samples * max(sim.observation_steps()) for sim in built),
-                time.perf_counter() - start)
-        for sim, held in zip(todo, tables):
-            self._ensembles[sim] = n_samples, held
+        if todo:
+            start = time.perf_counter()
+            tables = _ensemble_table(todo, n_samples, self.workers)
+            built = [sim for sim, held in zip(todo, tables)
+                     if not isinstance(held, PathDivergedError)]
+            if built:
+                diag = self.man.diagnostics
+                diag["sample_steps"] = diag.get("sample_steps", 0) + sum(
+                    n_samples * max(sim.observation_steps()) for sim in built)
+                diag["ensemble_s"] = (diag.get("ensemble_s", 0.0)
+                                      + time.perf_counter() - start)
+                diag["sample_steps_per_s"] = diag["sample_steps"] / diag["ensemble_s"]
+            for sim, held in zip(todo, tables):
+                self._held[sim] = n_samples, held
+        return [held if isinstance(held, PathDivergedError) else held[:n_samples]
+                for held in (self._held[sim][1] for sim in sims)]
 
     def _ensemble(self, sim, n_samples):
-        """Samples 0..n_samples-1 of sim, sliced from the runner's one
-        ensemble of sim, which is rebuilt from sample 0 when it holds fewer;
-        raises the PathDivergedError of a diverged build."""
-        self._build([sim], n_samples)
-        held = self._ensembles[sim][1]
-        if isinstance(held, PathDivergedError):
-            raise held
-        return held[:n_samples]
+        """Samples 0..n_samples-1 of sim (see _ensembles); raises the
+        PathDivergedError of a diverged build."""
+        (ens,) = self._ensembles([sim], n_samples)
+        if isinstance(ens, PathDivergedError):
+            raise ens
+        return ens
 
-    def _table(self, sim, n_samples, functionals, times):
-        """The estimate table of samples 0..n_samples-1 of sim; None if the
-        ensemble diverged, which each asking manifest lists."""
-        try:
-            ens = self._ensemble(sim, n_samples)
-        except PathDivergedError as exc:
-            self.man.failed_cells.append({"lambda": sim.lam, "error": str(exc)})
-            return None
-        return st.ensemble_estimates(ens, functionals, times)
-
-    def _count_throughput(self, sample_steps, seconds):
-        """Add one group build to the manifest's sample-step count (exact,
-        every cell that did not diverge) and its build time (wall clock, all
-        workers)."""
-        diag = self.man.diagnostics
-        diag["sample_steps"] = diag.get("sample_steps", 0) + sample_steps
-        diag["ensemble_s"] = diag.get("ensemble_s", 0.0) + seconds
-        diag["sample_steps_per_s"] = diag["sample_steps"] / diag["ensemble_s"]
+    def _cells(self, sims, n_samples):
+        """_ensembles' ensembles in order; a diverged config is listed in the
+        manifest's failed_cells instead."""
+        for sim, ens in zip(sims, self._ensembles(sims, n_samples)):
+            if isinstance(ens, PathDivergedError):
+                self.man.failed_cells.append({"lambda": sim.lam, "error": str(ens)})
+            else:
+                yield ens
 
     # ------------------------------------------------------------------ #
 
@@ -299,17 +304,17 @@ class Runner:
             done = (os.path.exists(cell_csv) and meta.get("sha256") == sha256_file(cell_csv)
                     and meta.get("config_hash") == config_hash)
             cells.append((lam, tag, cell_csv, meta if done else None))
-        self._build([self.cfg.simulation(lam=lam) for lam, _, _, meta in cells
-                     if meta is None], n_samples)
+        built = {ens.config.lam: ens for ens in self._cells(
+            [self.cfg.simulation(lam=lam) for lam, _, _, meta in cells if meta is None],
+            n_samples)}
         cell_csvs = []
         for lam, tag, cell_csv, meta in cells:
             if meta is not None:
                 cell_meta[tag] = meta
+            elif lam not in built:      # diverged: listed in failed_cells
+                continue
             else:
-                sim = self.cfg.simulation(lam=lam)
-                table = self._table(sim, n_samples, functionals, times)
-                if table is None:
-                    continue
+                table = st.ensemble_estimates(built[lam], functionals, times)
                 rows = []
                 for (f, t), est in sorted(
                         table.items(),
@@ -325,20 +330,10 @@ class Runner:
                                   "config_hash": config_hash, "lambda": lam,
                                   "log_mode_estimates": sum(est.overflowed
                                                             for est in table.values()),
-                                  **self._regime(sim, n_samples)}
+                                  **_regime(built[lam])}
                 self.man.write(self.out)
             cell_csvs.append(cell_csv)
         return cell_csvs
-
-    def _regime(self, sim, n_samples):
-        """A cell's per-step noise, flagged when under-resolved, and its
-        ensemble's renormalization: the largest log scale, and the samples
-        renormalized by the last observation time."""
-        ens = self._ensemble(sim, n_samples)
-        noise = sim.lam ** 2 * sim.sigma.lipschitz_upper ** 2 * sim.grid.dt / sim.grid.dx
-        return {"noise_per_step": noise, "under_resolved": noise > UNDER_RESOLVED_NOISE,
-                "max_log_scale": float(np.max(ens.log_scale)),
-                "renormalized_samples": int(np.count_nonzero(ens.log_scale[:, -1]))}
 
     def cmd_moments(self):
         rows = []
@@ -354,13 +349,10 @@ class Runner:
         window = ana.fraction_window(max(times), self.cfg.get("analysis", "fit_window"))
         reports = []
         plot_rows = []
-        lams = self.cfg.lambda_grid()
-        sims = [self.cfg.simulation(lam=lam) for lam in lams]
-        self._build(sims, n_samples)
-        for lam, sim in zip(lams, sims):
-            table = self._table(sim, n_samples, functionals, times)
-            if table is None:
-                continue
+        sims = [self.cfg.simulation(lam=lam) for lam in self.cfg.lambda_grid()]
+        for ens in self._cells(sims, n_samples):
+            lam = ens.config.lam
+            table = st.ensemble_estimates(ens, functionals, times)
             for f in functionals:
                 label = f.label
                 ests = [table[(f, t)] for t in times]
@@ -426,18 +418,17 @@ class Runner:
     def _excitation_mc(self, lams, t_star, n_samples):
         p_mc = self.cfg.get("analysis", "mc_p")
         f = st.Functional.lp(p_mc)
-        log_es, log_cis = [], []
         regimes = self.man.diagnostics["mc_points"] = []
         sims = [self.cfg.simulation(lam=lam, t_end=t_star) for lam in lams]
-        self._build(sims, n_samples)
-        for lam, sim in zip(lams, sims):
-            table = self._table(sim, n_samples, [f], (t_star,))
-            if table is not None:
-                regimes.append({"lambda": lam, **self._regime(sim, n_samples)})
-            # a diverged lambda enters as nan, which the fit drops
-            energy = None if table is None else st.p_energy(table[(f, t_star)])
-            log_es.append(energy.log_value if energy else math.nan)
-            log_cis.append(energy.log_ci_half_width if energy else math.nan)
+        energies = {}
+        for ens in self._cells(sims, n_samples):
+            regimes.append({"lambda": ens.config.lam, **_regime(ens)})
+            table = st.ensemble_estimates(ens, [f], (t_star,))
+            energies[ens.config.lam] = st.p_energy(table[(f, t_star)])
+        # a diverged lambda enters as nan, which the fit drops
+        log_es = [energies[lam].log_value if lam in energies else math.nan for lam in lams]
+        log_cis = [energies[lam].log_ci_half_width if lam in energies else math.nan
+                   for lam in lams]
         # listed as the fit drops them: E_p <= 1, or diverged (nan)
         mc = {"p": p_mc, "n_samples": n_samples, "log_energies": log_es, "log_cis": log_cis,
               "dropped_lambdas": [float(lam) for lam, e in zip(lams, log_es) if not e > 0]}

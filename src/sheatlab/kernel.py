@@ -38,6 +38,9 @@ NEUMANN = "neumann"
 FREE = "free"
 _BOUNDARIES = (DIRICHLET, NEUMANN, FREE)
 
+SERIES_CAP = 64     # series terms tried before a time takes the image method
+IMAGE_CAP = 512     # images past which a time raises ToleranceError
+
 
 class KernelDomainError(ValueError):
     """Arguments outside the kernel's domain (t <= 0, x or y out of range)."""
@@ -66,17 +69,11 @@ class KernelSpec:
         either choice.
     tol : float
         Absolute truncation tolerance for every kernel evaluation.
-    series_cap : int
-        Maximum number of series terms before switching to the image method.
-    image_cap : int
-        Hard cap on image terms; exceeding it raises ToleranceError.
     """
 
     boundary: str = DIRICHLET
     nu: float = 0.5
     tol: float = 1e-12
-    series_cap: int = 64
-    image_cap: int = 512
 
     def __post_init__(self):
         if self.boundary not in _BOUNDARIES:
@@ -177,12 +174,12 @@ def truncation_plan(spec: KernelSpec, t):
     """The kernel's truncation rule, per time t (a scalar or times stacked as
     in eval_kernel): arrays (n_terms, use_series, n_images) shaped like t,
     the series term count, whether the series reaches spec.tol within
-    series_cap, and the image count (0 where the series is used)."""
+    SERIES_CAP, and the image count (0 where the series is used)."""
     t = _times(t)
-    n, ok = _series_terms(spec.nu, t, spec.tol, cap=spec.series_cap)
+    n, ok = _series_terms(spec.nu, t, spec.tol, cap=SERIES_CAP)
     m = np.zeros(t.shape, dtype=int)
     if not np.all(ok):
-        m[~ok] = _image_terms(spec.nu, t[~ok], spec.tol, spec.image_cap)
+        m[~ok] = _image_terms(spec.nu, t[~ok], spec.tol, IMAGE_CAP)
     return n, ok, m
 
 
@@ -270,7 +267,7 @@ def eval_kernel_images(spec: KernelSpec, t, x, y, n_images=None):
         return free_kernel(spec.nu, t, x, y)
     _check_positions(spec.boundary, x, y)
     if n_images is None:
-        n_images = _image_terms(spec.nu, t, spec.tol, spec.image_cap)
+        n_images = _image_terms(spec.nu, t, spec.tol, IMAGE_CAP)
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     n_images = np.broadcast_to(n_images, t.shape)
     total = np.zeros(np.broadcast_shapes(t.shape, xb.shape))
@@ -290,7 +287,7 @@ def eval_kernel(spec: KernelSpec, t, x, y):
     leading axis that x and y do not vary along; t, x and y broadcast, and
     the result has their broadcast shape. Each time takes its own
     representation and count from truncation_plan (the series wherever it
-    reaches spec.tol within series_cap, images elsewhere), so a batched call
+    reaches spec.tol within SERIES_CAP, images elsewhere), so a batched call
     equals a loop of scalar calls.
     """
     t = _times(t, x, y)
@@ -339,7 +336,7 @@ def log_eval_dirichlet(spec: KernelSpec, t, x, y):
 
 
 def _log_dirichlet_images(spec, t, xb, yb):
-    m = _image_terms(spec.nu, t, spec.tol, spec.image_cap)
+    m = _image_terms(spec.nu, t, spec.tol, IMAGE_CAP)
     c = 1.0 / (4.0 * spec.nu * t)
     lead = -c * (xb - yb) ** 2
     rest = np.zeros(lead.shape)
@@ -397,13 +394,14 @@ def kernel_lower_bound(lb: LowerBoundSpec, spec: KernelSpec, t, x, y):
 # The lower-bound calibration's times, its kappa2 candidates in units of
 # 1/(4 nu), and the share of the best kappa1 its chosen kappa2 must keep.
 LOWER_BOUND_T_GRID = np.geomspace(1e-4, 10.0, 25)
+LOWER_BOUND_N_XY = 17   # calibration nodes per axis of [gamma, 1-gamma]
 _KAPPA2_FACTORS = np.array([1.01, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0])
 _KAPPA1_SATURATION = 0.5
 
 
-def calibrate_lower_bound(spec: KernelSpec, gamma, n_xy=17) -> LowerBoundSpec:
+def calibrate_lower_bound(spec: KernelSpec, gamma) -> LowerBoundSpec:
     """Search the largest kappa1 and smallest kappa2 validating the lower bound
-    on LOWER_BOUND_T_GRID and an n_xy by n_xy grid of [gamma, 1-gamma]^2.
+    on LOWER_BOUND_T_GRID and a LOWER_BOUND_N_XY-squared grid of [gamma, 1-gamma]^2.
 
     For fixed kappa2 the best kappa1 is the grid minimum of
     g_D / (exp(-nu pi^2 t) exp(-kappa2 (x-y)^2/t) branch(t)), which is
@@ -415,7 +413,7 @@ def calibrate_lower_bound(spec: KernelSpec, gamma, n_xy=17) -> LowerBoundSpec:
     """
     if spec.boundary != DIRICHLET:
         raise KernelDomainError("lower bound is stated for the Dirichlet kernel")
-    xs = np.linspace(gamma, 1.0 - gamma, n_xy)
+    xs = np.linspace(gamma, 1.0 - gamma, LOWER_BOUND_N_XY)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     kappa2_grid = 1.0 / (4.0 * spec.nu) * _KAPPA2_FACTORS
 
@@ -455,9 +453,9 @@ def kernel_dx(spec: KernelSpec, t, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n_series = 1
-    while _dx_series_tail(spec.nu, t, n_series) > spec.tol and n_series <= spec.series_cap:
+    while _dx_series_tail(spec.nu, t, n_series) > spec.tol and n_series <= SERIES_CAP:
         n_series += 1
-    if n_series <= spec.series_cap:
+    if n_series <= SERIES_CAP:
         xb, yb = np.broadcast_arrays(x, y)
         n = np.arange(1, n_series + 1)
         decay = np.exp(-spec.nu * (n * math.pi) ** 2 * t) * n * math.pi
@@ -467,7 +465,7 @@ def kernel_dx(spec: KernelSpec, t, x, y):
         out = vals.reshape(xb.shape)
         return out if out.shape else float(out)
     # image route: d/dx phi(x-z) = -(x-z)/(2 nu t) phi(x-z)
-    m = _image_terms(spec.nu, t, spec.tol, spec.image_cap) + 1
+    m = _image_terms(spec.nu, t, spec.tol, IMAGE_CAP) + 1
     xb, yb = np.broadcast_arrays(x, y)
     total = np.zeros(xb.shape, dtype=float)
     c = 1.0 / (2.0 * spec.nu * t)

@@ -200,6 +200,7 @@ def holder_bound_check(f, params: GrrParams, b_value=None) -> HolderReport:
 
 # How deep below r the Stieltjes partition of (0, r] reaches.
 _STIELTJES_DEPTH = 1e-150
+STIELTJES_POINTS = 200_000  # grr_general's coarser partition; the finer has twice
 
 
 def _stieltjes(phi_inv_of_b_over, phi, r, n_points):
@@ -220,7 +221,7 @@ def _stieltjes(phi_inv_of_b_over, phi, r, n_points):
     return float(np.sum(terms)), deep, prev
 
 
-def grr_general(phi_big_inv, phi, b_value, separation, n_points=200_000):
+def grr_general(phi_big_inv, phi, b_value, separation):
     """Evaluate 8 int_0^{|x-y|} Phi^{-1}(B/u) d phi(u) numerically.
 
     phi_big_inv: inverse Young function, vectorized, with Phi^{-1}(0) = 0;
@@ -243,8 +244,8 @@ def grr_general(phi_big_inv, phi, b_value, separation, n_points=200_000):
     def g(u):
         return phi_big_inv(b_value / u)
 
-    fine, deep_f, prev_f = _stieltjes(g, phi, separation, n_points)
-    finer, deep, prev = _stieltjes(g, phi, separation, 2 * n_points)
+    fine, deep_f, prev_f = _stieltjes(g, phi, separation, STIELTJES_POINTS)
+    finer, deep, prev = _stieltjes(g, phi, separation, 2 * STIELTJES_POINTS)
     if not (math.isfinite(fine) and math.isfinite(finer)):
         raise RegularityError("integral diverges: non-integrable singularity at 0")
     if deep > 1e-13 * abs(finer) and deep >= prev * (1 - 1e-12):

@@ -57,6 +57,8 @@ from .noise import GridSpec, NoiseStream, sample_block, sine_transform
 
 RENORM_THRESHOLD = 1e100
 _RENORM_CHECK_EVERY = 32
+# steps of noise drawn at a time: the buffers' size, never the values
+CHUNK_STEPS = 128
 
 
 class ConfigError(ValueError):
@@ -358,7 +360,7 @@ def _propagator(cfg: SimulationConfig):
     return lambda u: _implicit_solve(factor, u.T).T
 
 
-def simulate_group(cfgs, sample_indices, chunk_steps=128):
+def simulate_group(cfgs, sample_indices):
     """March configs that differ only in lam over the same samples as one
     (len(cfgs) k, n) state, one block of k rows per member.
 
@@ -367,11 +369,8 @@ def simulate_group(cfgs, sample_indices, chunk_steps=128):
     rounds as a lone run's increments do. Returns, per config, its Ensemble
     (bit-identical to a run of that config alone) or the PathDivergedError
     such a run raises; a diverged member leaves the march and the others
-    keep stepping. chunk_steps (>= 1) steps of noise are drawn at a time; it
-    sets the buffers' size, never the values.
+    keep stepping. CHUNK_STEPS steps of noise are drawn at a time.
     """
-    if chunk_steps < 1:
-        raise ConfigError(f"chunk_steps must be >= 1, not {chunk_steps}")
     cfgs = list(cfgs)
     cfg = cfgs[0]
     if any(replace(other, lam=cfg.lam) != cfg for other in cfgs[1:]):
@@ -413,11 +412,11 @@ def simulate_group(cfgs, sample_indices, chunk_steps=128):
         record(0)
 
     last_step = max(obs_steps)
-    lengths = [min(chunk_steps, last_step - lo) for lo in range(0, last_step, chunk_steps)]
+    lengths = [min(CHUNK_STEPS, last_step - lo) for lo in range(0, last_step, CHUNK_STEPS)]
     noisy = any(c.lam != 0.0 for c in cfgs)
     # two buffers: the producer fills one while the march steps the other
     # (with one chunk the second is never touched and costs no memory)
-    buffers = [np.empty((k, min(chunk_steps, last_step), n)) for _ in range(2)]
+    buffers = [np.empty((k, min(CHUNK_STEPS, last_step), n)) for _ in range(2)]
     increment = np.empty((k, n))
 
     def fill(c, todo):
@@ -488,7 +487,7 @@ def simulate_group(cfgs, sample_indices, chunk_steps=128):
     return members
 
 
-def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> Ensemble:
+def simulate_paths(cfg: SimulationConfig, sample_indices) -> Ensemble:
     """Simulate a batch of paths; returns one Ensemble in sample order.
 
     The one-config case of simulate_group. Pure function of (cfg,
@@ -497,12 +496,13 @@ def simulate_paths(cfg: SimulationConfig, sample_indices, chunk_steps=128) -> En
     PathDivergedError; with linear sigma the state is instead rescaled in
     place (exact homogeneity) and the log offset accumulated.
     """
-    (ens,) = simulate_group([cfg], sample_indices, chunk_steps)
+    (ens,) = simulate_group([cfg], sample_indices)
     if isinstance(ens, PathDivergedError):
         raise ens
     return ens
 
 
 def simulate_path(cfg: SimulationConfig, sample_index) -> SolutionPath:
-    """Single realized trajectory; see simulate_paths."""
+    """Single realized trajectory; see simulate_paths. Public API: no
+    package code calls it, and it equals row sample_index of any batch."""
     return simulate_paths(cfg, [sample_index])[0]

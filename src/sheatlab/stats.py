@@ -152,6 +152,8 @@ class MomentEstimate:
         return self
 
     def add_value(self, value):
+        """Insert one sample given as its value (>= 0), for streaming
+        callers. Public API: no package code calls it."""
         if value < 0:
             raise StatsDomainError("functional values are nonnegative")
         return self.add_log_values([math.log(value) if value > 0 else -math.inf])
@@ -257,7 +259,8 @@ def ensemble_estimates(paths: Ensemble, functionals, times):
 
 
 def merge_tables(tables):
-    """Merge estimate tables in the given (fixed) order."""
+    """Merge estimate tables in the given (fixed) order, for callers that
+    estimate an ensemble in parts. Public API: no package code calls it."""
     out = None
     for tab in tables:
         if out is None:

@@ -735,17 +735,27 @@ ALL_OVERRIDES = ["--override", "grid.n_interior=63", "--override", "grr.n_paths=
 
 @pytest.fixture(scope="module")
 def all_runs(tmp_path_factory):
-    """sheatlab all, in process on one worker and as a fresh interpreter on two."""
+    """sheatlab all, in process on one worker and as a fresh interpreter on
+    two, with the lambdas and sample count of each group build in process."""
     tmp = tmp_path_factory.mktemp("all")
     cfg = write_cfg(tmp)
     one, two = tmp / "w1", tmp / "w2"
-    rc = cli.main(["all", "--config", cfg, "--workers", "1", "--out", str(one)]
-                  + ALL_OVERRIDES)
+    builds = []
+    build = cli._ensemble_table
+
+    def counting(sims, n_samples, *args):
+        builds.append(([sim.lam for sim in sims], n_samples))
+        return build(sims, n_samples, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_ensemble_table", counting)
+        rc = cli.main(["all", "--config", cfg, "--workers", "1", "--out", str(one)]
+                      + ALL_OVERRIDES)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "sheatlab", "all", "--config", cfg,
                            "--workers", "2", "--out", str(two)] + ALL_OVERRIDES,
                           env=env, capture_output=True, text=True, timeout=600)
-    return rc, one, proc, two
+    return rc, one, proc, two, builds
 
 
 def _listed_outputs(out):
@@ -764,12 +774,17 @@ def _listed_outputs(out):
 
 class TestAll:
     def test_exit_codes_and_manifests(self, all_runs):
-        rc, one, proc, two = all_runs
+        rc, one, proc, two, _ = all_runs
         assert rc == 0
         assert proc.returncode == 0, proc.stderr
         want = sorted(f"manifest_{c.replace('-', '_')}.json" for c in cli.SUBCOMMANDS[:-1])
         for out in (one, two):
             assert sorted(p.name for p in out.glob("manifest_*.json")) == want
+
+    def test_one_build_per_simulation_config(self, all_runs):
+        # moments, the first Monte Carlo reader, builds the one config's 64
+        # samples; lyapunov, simulate and grr-check (8 paths) slice them
+        assert all_runs[-1] == [([1.0], 64)]
 
     def test_every_output_listed_once(self, all_runs):
         for out in all_runs[1::2]:
@@ -832,20 +847,20 @@ class TestAll:
 # and after each command of argv[1] (a JSON list of cli.main argument lists),
 # and those loaded when each process pool starts.
 HYGIENE_SCRIPT = """
-import json, sys
+import concurrent.futures, json, sys
 from sheatlab import cli
 
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 at_pool = []
-real_pool = cli.ProcessPoolExecutor
+real_pool = concurrent.futures.ProcessPoolExecutor
 
 def recording_pool(*args, **kwargs):
     at_pool.append(loaded())
     return real_pool(*args, **kwargs)
 
-cli.ProcessPoolExecutor = recording_pool
+concurrent.futures.ProcessPoolExecutor = recording_pool
 seen = [("import", 0, loaded())]
 for argv in json.loads(sys.argv[1]):
     seen.append((argv[0], cli.main(argv), loaded()))
@@ -866,7 +881,16 @@ def _scipy_loaded(commands):
 class TestImportHygiene:
     """scipy serves only the Monte Carlo march: importing the package and
     every numpy-only command load none of it, and a march loads both of its
-    kernels at once."""
+    kernels at once. The process pool serves only a --workers > 1 build."""
+
+    def test_import_loads_no_process_pool(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        code = ("import json, sys, sheatlab.cli; print(json.dumps([m for m in "
+                "('multiprocessing', 'concurrent.futures.process') if m in sys.modules]))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
     def test_numpy_only_commands_load_no_scipy(self, tmp_path):
         cfg = write_cfg(tmp_path)

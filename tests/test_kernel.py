@@ -188,17 +188,17 @@ class TestTruncation:
             assert true_tail <= K._series_tail(SPEC.nu, t, n) <= SPEC.tol
 
     def test_route_per_time(self):
-        # the series wherever it reaches tol within series_cap, images below:
+        # the series wherever it reaches tol within SERIES_CAP, images below:
         # the route flips once along a time grid, at no stored switch time
         t = np.geomspace(1e-6, 10.0, 61)
         n, use_series, m = K.truncation_plan(SPEC, t)
         assert n.shape == use_series.shape == m.shape == t.shape
-        assert np.array_equal(use_series, K._series_tail(SPEC.nu, t, SPEC.series_cap)
+        assert np.array_equal(use_series, K._series_tail(SPEC.nu, t, K.SERIES_CAP)
                               <= SPEC.tol)
         assert use_series.any() and not use_series.all()
         assert np.array_equal(use_series, np.sort(use_series))
         # tail <= tol at each chosen count, and not one term or image fewer
-        assert np.all(n[use_series] <= SPEC.series_cap)
+        assert np.all(n[use_series] <= K.SERIES_CAP)
         assert np.all(K._series_tail(SPEC.nu, t[use_series], n[use_series]) <= SPEC.tol)
         few = n[use_series] > 1
         assert np.all(K._series_tail(SPEC.nu, t[use_series][few], n[use_series][few] - 1)
@@ -225,7 +225,7 @@ class TestTruncation:
         # images at t = 1e-8, far below any series route
         _, use_series, m = K.truncation_plan(SPEC, 1e-8)
         assert not use_series
-        assert m == K._image_terms(SPEC.nu, 1e-8, SPEC.tol, SPEC.image_cap)
+        assert m == K._image_terms(SPEC.nu, 1e-8, SPEC.tol, K.IMAGE_CAP)
         assert K.eval_kernel(SPEC, 1e-8, 0.5, 0.5) == pytest.approx(
             K.free_kernel(SPEC.nu, 1e-8, 0.5, 0.5), rel=1e-12)
         _, use_series, _ = K.truncation_plan(SPEC, 1.0)
@@ -265,7 +265,9 @@ class TestUpperBounds:
 
 @pytest.fixture(scope="module")
 def cal():
-    return K.calibrate_lower_bound(SPEC, 0.2, n_xy=13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "LOWER_BOUND_N_XY", 13)
+        return K.calibrate_lower_bound(SPEC, 0.2)
 
 
 class TestLowerBound:

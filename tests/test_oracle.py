@@ -441,7 +441,7 @@ class TestEnergy:
         mf = O.second_moment_volterra(cfg, error_estimate=False)
         assert p.log_energy == pytest.approx(float(O.log_l2_energy(mf)[-1]), abs=1e-12)
 
-    def test_extrapolated_matches_direct_where_both_work(self):
+    def test_extrapolated_matches_direct_where_both_work(self, monkeypatch):
         # lam large enough that 2000 panels trip the extrapolation path yet
         # small enough that 4000 panels still resolve t_target directly
         lam, t_target = 8.0, 0.1
@@ -449,8 +449,9 @@ class TestEnergy:
                              n_time_panels=4000, n_x=31)
         direct = O.second_moment_volterra(cfg, error_estimate=False)
         log_direct = float(O.log_l2_energy(direct)[-1])
+        monkeypatch.setattr(A, "ENERGY_RATE_BUDGET", 20.0)
         p = A.energy_at(O.OracleConfig(lam=lam, u0=InitialData.bump(0.2),
                                        horizon=t_target, n_time_panels=2000, n_x=31),
-                        t_target, rate_budget=20.0)
+                        t_target)
         assert p.extrapolated
         assert p.log_energy == pytest.approx(log_direct, rel=0.02)

@@ -195,9 +195,10 @@ class TestGrrGeneral:
         pinv, phi = R.power_law_pair(PARAMS)
         assert R.grr_general(pinv, phi, 1.0, 0.0) == 0.0
 
-    def test_nonintegrable_singularity_flagged(self):
+    def test_nonintegrable_singularity_flagged(self, monkeypatch):
         # phi with zero power at 0 makes Phi^{-1}(B/u) d phi non-integrable
         pinv = lambda v: np.asarray(v) ** 2.0
         phi = lambda u: np.asarray(u)
+        monkeypatch.setattr(R, "STIELTJES_POINTS", 4000)
         with pytest.raises(R.RegularityError):
-            R.grr_general(pinv, phi, 1.0, 0.5, n_points=4000)
+            R.grr_general(pinv, phi, 1.0, 0.5)

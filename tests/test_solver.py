@@ -153,13 +153,29 @@ class TestReproducibility:
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.values, c.values)
 
-    def test_chunked_stepping_invariance(self):
+    def test_chunked_stepping_invariance(self, monkeypatch):
         grid = GridSpec(n_interior=31, dt=1e-3, horizon=0.1)
         cfg = S.SimulationConfig(grid=grid, lam=2.0, master_seed=11,
                                  u0=S.InitialData.bump(0.2), observation_times=(0.1,))
-        a = S.simulate_paths(cfg, [3], chunk_steps=7)[0]
-        b = S.simulate_paths(cfg, [3], chunk_steps=256)[0]
+        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
+        a = S.simulate_paths(cfg, [3])[0]
+        monkeypatch.setattr(S, "CHUNK_STEPS", 256)
+        b = S.simulate_paths(cfg, [3])[0]
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("scheme", ["semi_implicit", "spectral"])
+    def test_batch_size_never_changes_a_row(self, scheme):
+        # a sample's values may not depend on its batch's row count: a dense
+        # GEMM propagator (u @ P) breaks this, since BLAS blocks by rows and
+        # a one-row batch goes through GEMV
+        grid = GridSpec(n_interior=255, dt=1e-3, horizon=0.01)
+        cfg = S.SimulationConfig(grid=grid, lam=2.0, master_seed=5, scheme=scheme,
+                                 u0=S.InitialData.bump(0.2), observation_times=(0.01,))
+        whole = S.simulate_paths(cfg, range(130))
+        for k in (1, 2, 63, 64, 65, 128):
+            batch = S.simulate_paths(cfg, range(1, 1 + k))
+            assert np.array_equal(batch.values, whole.values[1:1 + k]), k
+            assert np.array_equal(batch.log_scale, whole.log_scale[1:1 + k]), k
 
     def test_observation_subsampling_consistent(self):
         grid = GridSpec(n_interior=31, dt=1e-3, horizon=0.1)
@@ -321,11 +337,13 @@ class TestNoiseProducer:
                                   observation_times=(0.05, horizon), **kwargs)
 
     @pytest.mark.parametrize("case", PRODUCER_CASES)
-    def test_chunking_is_bit_identical_and_matches_steppers(self, case):
+    def test_chunking_is_bit_identical_and_matches_steppers(self, case, monkeypatch):
         cfg = self.config(**PRODUCER_CASES[case])
         samples = [4, 0, 2]
-        runs = [S.simulate_paths(cfg, samples, chunk_steps=c)
-                for c in (1, 7, 128, cfg.grid.n_steps + 5)]
+        runs = []
+        for c in (1, 7, 128, cfg.grid.n_steps + 5):
+            monkeypatch.setattr(S, "CHUNK_STEPS", c)
+            runs.append(S.simulate_paths(cfg, samples))
         for run in runs[1:]:
             assert np.array_equal(run.values, runs[0].values)
             assert np.array_equal(run.log_scale, runs[0].log_scale)
@@ -334,16 +352,17 @@ class TestNoiseProducer:
             ref = reference_march(cfg, sample)
             assert np.max(np.abs(ref - engine)) <= 1e-12 * np.max(np.abs(engine))
 
-    def test_concurrent_calls_under_fast_switching(self):
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
         # more callers than cores, each handing 3-step chunks between its
         # march and its producer with a thread switch every microsecond: a
         # buffer refilled while still read would move a value
         cfg = self.config(lam=2.0, scheme="spectral")
-        expected = S.simulate_paths(cfg, range(4), chunk_steps=3).values
+        monkeypatch.setattr(S, "CHUNK_STEPS", 3)
+        expected = S.simulate_paths(cfg, range(4)).values
         results = {}
 
         def run(i):
-            results[i] = S.simulate_paths(cfg, range(4), chunk_steps=3).values
+            results[i] = S.simulate_paths(cfg, range(4)).values
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -368,10 +387,11 @@ class TestNoiseProducer:
             thread_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
         before = threading.active_count()
-        S.simulate_paths(self.config(lam=0.0), [0, 1], chunk_steps=7)
+        S.simulate_paths(self.config(lam=0.0), [0, 1])
         assert started == []
-        S.simulate_paths(self.config(lam=1.0), [0, 1], chunk_steps=7)
+        S.simulate_paths(self.config(lam=1.0), [0, 1])
         assert len(started) == 1
         assert threading.active_count() == before
 
@@ -417,9 +437,10 @@ class TestNoiseProducer:
         monkeypatch.setattr(S, "sample_block", held_block)
         monkeypatch.setattr(S, "_propagator", poisoned_propagator)
         monkeypatch.setattr(S, "PathDivergedError", RecordingDiverged)
+        monkeypatch.setattr(S, "CHUNK_STEPS", 128)
         before = threading.active_count()
         with pytest.raises(diverged) as err:
-            S.simulate_paths(cfg, [0, 1], chunk_steps=128)
+            S.simulate_paths(cfg, [0, 1])
         assert err.value.step_index == 50
         assert in_flight == [True]
         assert fill_done.is_set()       # the call returned after the fill ended
@@ -438,29 +459,12 @@ class TestNoiseProducer:
             return real_block(*args, **kwargs)
 
         monkeypatch.setattr(S, "sample_block", failing_block)
+        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as err:
-            S.simulate_paths(self.config(lam=1.0), [0, 1], chunk_steps=7)
+            S.simulate_paths(self.config(lam=1.0), [0, 1])
         assert err.value is boom
         assert threading.active_count() == before
-
-    @pytest.mark.parametrize("chunk_steps", [0, -1])
-    def test_chunk_steps_below_one_is_config_error(self, monkeypatch, chunk_steps):
-        # a chunk of no steps never advances the march; should the check be
-        # missing, the guard turns that loop into a failure, not a hang
-        calls = []
-        real_block = S.sample_block
-
-        def guarded_block(*args, **kwargs):
-            calls.append(None)
-            if len(calls) > 100:
-                raise AssertionError("the march does not advance")
-            return real_block(*args, **kwargs)
-
-        monkeypatch.setattr(S, "sample_block", guarded_block)
-        with pytest.raises(S.ConfigError):
-            S.simulate_paths(self.config(lam=1.0), [0], chunk_steps=chunk_steps)
-        assert calls == []
 
 
 GROUP_CASES = {
@@ -503,11 +507,12 @@ class TestGroupMarch:
         if len(lams) == 3 and cfgs[0].sigma.is_homogeneous:
             assert np.any(group[-1].log_scale > 0)     # the lam = 60 rows renormalized
 
-    def test_diverged_member_leaves_the_others(self):
+    def test_diverged_member_leaves_the_others(self, monkeypatch):
         sigma = S.SigmaSpec.linear_plus_sine(1.5, 0.5)
         cfgs = self.configs((0.5, 100000.0, 1.0), horizon=0.3, sigma=sigma)
         samples = [4, 0, 2]
-        group = S.simulate_group(cfgs, samples, chunk_steps=7)
+        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
+        group = S.simulate_group(cfgs, samples)
         assert isinstance(group[1], S.PathDivergedError)
         with pytest.raises(S.PathDivergedError) as alone:
             S.simulate_paths(cfgs[1], samples)
