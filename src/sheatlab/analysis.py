@@ -294,8 +294,10 @@ class EnergyPoint:
 
     error_log is the solve's largest grid-halving error of log m at its
     horizon, plus the carried slope error when extrapolated; march is the
-    solve's march telemetry (MomentField.march; n_diag = n_time_panels
-    means no lag had a spatial quadrature).
+    solve's march telemetry (MomentField.march). n_diag = n_time_panels
+    means no lag had a spatial quadrature; such a solve then has n_near
+    below n_time_panels when its later surrogates went onto fitted
+    channels (n_modes = 0, fit_residual their largest relative misfit).
     """
 
     lam: float
@@ -308,14 +310,15 @@ class EnergyPoint:
     march: dict
 
 
-# Horizon fractions of energy_at's slope fit.
+# Horizon fractions of energies_at's slope fit.
 _ENERGY_WINDOW = (0.6, 1.0)
-ENERGY_RATE_BUDGET = 30.0   # r_pred T of energy_at's extrapolation window
+ENERGY_RATE_BUDGET = 30.0   # r_pred T of energies_at's extrapolation window
 
 
-def energy_at(cfg: ora.OracleConfig, t_target) -> EnergyPoint:
-    """log E_2(t_target, lambda), by direct solve when the grid resolves the
-    growth rate and by exponential-regime extrapolation otherwise.
+def energies_at(cfgs, t_target) -> list[EnergyPoint]:
+    """log E_2(t_target, lambda) for every config, by direct solve when the
+    grid resolves the growth rate and by exponential-regime extrapolation
+    otherwise; every solve is in one second_moments call.
 
     The extrapolation solves on T = ENERGY_RATE_BUDGET / r_pred, fits the
     slope of log int m dx over the last 40% of that window, and continues
@@ -323,22 +326,33 @@ def energy_at(cfg: ora.OracleConfig, t_target) -> EnergyPoint:
     exponential, so the carried error is the slope's fit error times the
     remaining span.
     """
-    resolvable = replace(cfg, horizon=t_target).rate_dt <= ora.RESOLVED_RATE_DT
-    r_pred = ora.predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
-    horizon = t_target if resolvable else min(t_target, ENERGY_RATE_BUDGET / r_pred)
-    mf = ora.second_moment_volterra(replace(cfg, horizon=horizon), error_estimate=True)
-    log_e = ora.log_l2_energy(mf)
-    fit = lyapunov_exponent_series(mf.t, 2.0 * log_e,
-                                   window=fraction_window(mf.t[-1], _ENERGY_WINDOW))
-    slope, se = fit.slope, fit.slope_ci / 1.96
-    err = float(np.max(mf.error_log[-1]))
-    if resolvable:
-        return EnergyPoint(cfg.lam, t_target, float(log_e[-1]), slope,
-                           horizon, False, err, mf.march)
-    span = t_target - horizon
-    log_e_t = float(log_e[-1]) + 0.5 * slope * span
-    return EnergyPoint(cfg.lam, t_target, log_e_t, slope,
-                       horizon, True, err + se * span, mf.march)
+    resolvable, solves = [], []
+    for cfg in cfgs:
+        resolvable.append(replace(cfg, horizon=t_target).rate_dt <= ora.RESOLVED_RATE_DT)
+        r_pred = ora.predicted_rate(cfg.lam, cfg.k_sigma, cfg.nu)
+        horizon = t_target if resolvable[-1] else min(t_target, ENERGY_RATE_BUDGET / r_pred)
+        solves.append(replace(cfg, horizon=horizon))
+    points = []
+    for mf, direct in zip(ora.second_moments(solves, error_estimate=True), resolvable):
+        log_e = ora.log_l2_energy(mf)
+        fit = lyapunov_exponent_series(mf.t, 2.0 * log_e,
+                                       window=fraction_window(mf.t[-1], _ENERGY_WINDOW))
+        slope, se = fit.slope, fit.slope_ci / 1.96
+        err = float(np.max(mf.error_log[-1]))
+        horizon, span = mf.config.horizon, t_target - mf.config.horizon
+        if direct:
+            points.append(EnergyPoint(mf.config.lam, t_target, float(log_e[-1]), slope,
+                                      horizon, False, err, mf.march))
+        else:
+            points.append(EnergyPoint(mf.config.lam, t_target,
+                                      float(log_e[-1]) + 0.5 * slope * span, slope,
+                                      horizon, True, err + se * span, mf.march))
+    return points
+
+
+def energy_at(cfg: ora.OracleConfig, t_target) -> EnergyPoint:
+    """energies_at for one config."""
+    return energies_at([cfg], t_target)[0]
 
 
 # --- weighted kernel integrals behind the quadrature-bound lemmas ---------

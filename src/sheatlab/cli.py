@@ -379,8 +379,12 @@ class Runner:
     def cmd_excitation(self):
         lams = self.cfg.get("analysis", "lambda_grid")
         t_star = self.cfg.get("analysis", "excitation_time")
+        if any(lam <= 0 for lam in lams):
+            raise ConfigError("excitation needs every analysis.lambda_grid entry > 0")
         solves = [self.cfg.oracle(lam=lam, horizon=t_star) for lam in lams]
-        points = [ana.energy_at(oc, t_star) for oc in solves]
+        start = time.perf_counter()
+        points = ana.energies_at(solves, t_star)
+        oracle_s = round(time.perf_counter() - start, 3)   # as wall_clock_s
         fit, failure = self._excitation_fit({"backend": "oracle", "p": 2.0}, lams,
                                             [p.log_energy for p in points], p=2.0)
         payload = {
@@ -399,10 +403,14 @@ class Runner:
                        for p in points],
         }
         # n_diag = n_time_panels: every lag of that solve took the diagonal
-        # surrogate, so its energy has no spatial quadrature behind it; a
-        # point is extrapolated when its rate_dt exceeds RESOLVED_RATE_DT
+        # surrogate, so its energy has no spatial quadrature behind it; its
+        # n_near < n_time_panels (n_modes = 0) means the surrogates past lag
+        # n_near went onto fitted channels, fit_residual their largest
+        # relative misfit. A point is extrapolated when its rate_dt exceeds
+        # RESOLVED_RATE_DT; oracle_s is the seconds of all its solves.
         self.man.diagnostics.update({
             "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
+            "oracle_s": oracle_s,
             "oracle_points": [{"lambda": p.lam, "max_error_log": p.error_log,
                                "rate_dt": oc.rate_dt, **p.march}
                               for p, oc in zip(points, solves)],

@@ -160,10 +160,14 @@ class ExperimentConfig:
         if self.get("oracle", "n_time_panels") % 2:
             raise ConfigError("oracle.n_time_panels must be even (grid halving)")
         # oracle() builds sigma() and initial_data(); simulation() is left out,
-        # because its dt <= dx rule would reject oracle-only configs
+        # because its dt <= dx rule would reject oracle-only configs. The
+        # excitation and threshold scans solve every analysis.lambda_grid
+        # entry, the former at analysis.excitation_time.
         try:
             self.grid()
             self.oracle()
+            for lam in self.get("analysis", "lambda_grid"):
+                self.oracle(lam=lam, horizon=self.get("analysis", "excitation_time"))
             self.kernel_spec()
             self.grr_params()
             self.functionals()

@@ -34,8 +34,14 @@ fitted sum of exponentials (Beylkin & Monzon, ACHA 28, 2010). Every
 (pair, rate) channel is then a geometric recursion over the projections
 <psi_kl, m_j>, which makes a step O(L n_x^2 + pairs * rates) instead of
 O(n_t n_x^2) (the near/far split of Lubich & Schaedle, SIAM J. Sci.
-Comput. 24, 2002). L comes from a cost model of both parts; L = n_t is the
-direct march, which it keeps where no far lag pays.
+Comput. 24, 2002). A grid whose every lag is a diagonal surrogate (large
+lambda on a short window) has no quadrature for modes to carry: it keeps
+lags up to L = 32 and fits each cell's later weighted surrogates, smooth in
+the lag, by 64 fixed-rate exponentials, one least-squares fit per grid, so
+every (rate, cell) channel is a geometric recursion over m_j(x); such grids
+that differ only in the horizon march together, one kernel row per grid.
+L comes from a cost model of both parts; L = n_t is the direct march, which
+it keeps where no far lag pays.
 
 Growth at large lambda exceeds float range (the rate scales like
 (lambda k)^4 / (8 nu)). The march keeps its history and far-field channels
@@ -121,7 +127,11 @@ class MomentField:
     The march took the diagonal surrogate for the first n_diag lags, the
     dense quadrature up to lag n_near and the modal far field, with n_modes
     modes per side and a weight fit whose largest residual is fit_residual,
-    beyond it; n_near = n_time_panels (n_modes = 0) is the direct march.
+    beyond it; n_near = n_time_panels (n_modes = 0) is the direct march. On
+    an all-surrogate grid (n_diag = n_time_panels) a smaller n_near, with
+    n_modes = 0, means the surrogates past lag n_near went onto fitted
+    exponential channels, fit_residual their largest misfit relative to the
+    surrogate of lag n_near + 1.
     error_log is the grid-halving self-difference of log m (empty unless
     solved with error_estimate=True).
     """
@@ -182,8 +192,11 @@ def _d1_field(cfg: OracleConfig, t_grid, x_grid):
     yq, wq = kern.gauss_legendre_panels(0.0, 1.0, _D1_QUAD_PANELS, 8)
     modes_q, rates = _modes(cfg, yq, _D1_MODES)
     coef = modes_q.T @ (wq * cfg.u0(yq))
-    decay = np.exp(-np.outer(t_grid, rates))
-    d1 = (decay * coef[None, :]) @ _modes(cfg, x_grid, _D1_MODES)[0].T
+    # built in place: this (n_t+1, _D1_MODES) table is a solve's memory peak
+    decay = np.outer(t_grid, -rates)
+    np.exp(decay, out=decay)
+    decay *= coef[None, :]
+    d1 = decay @ _modes(cfg, x_grid, _D1_MODES)[0].T
     if t_grid[0] == 0.0:
         d1[0] = cfg.u0(x_grid)
     return d1
@@ -242,6 +255,13 @@ def _product_weights(dt, n_lags):
 # its first lag, and fits its weight correction with this many exponentials.
 _FAR_CUT = math.log(1e18)
 _FIT_RATES = 32
+# A grid whose every lag is a diagonal surrogate keeps its first
+# _SURROGATE_NEAR lags exact and fits each cell's later surrogates with
+# _SURROGATE_RATES exponentials (relative residual on criterion 6's
+# 2500-panel Dirichlet grids: 5e-9 with 32 rates, 3e-12 with 48, 2e-13
+# with 64).
+_SURROGATE_NEAR = 32
+_SURROGATE_RATES = 64
 
 
 def _far_modes(grid, tau):
@@ -264,22 +284,30 @@ def _mode_pairs(grid, n_modes):
     return e[:, kk] * e[:, ll], lam[kk] + lam[ll], np.where(kk == ll, 1.0, 2.0)
 
 
+def _fixed_rate_fit(values, n_t, n_near, n_rates):
+    """Linear least-squares fit values[e] ~ sum_q beta_q rho_q^e, e = 0, 1, ...,
+    one column of beta per column of values, on n_rates fixed rates spaced
+    geometrically from 0.1/n_t to 40/(n_near+1). Returns (rho, beta, the
+    largest residual per column)."""
+    rates = np.geomspace(0.1 / n_t, 40.0 / (n_near + 1), n_rates)
+    basis = np.exp(-np.outer(np.arange(len(values), dtype=float), rates))
+    beta = np.linalg.lstsq(basis, values, rcond=None)[0]
+    return np.exp(-rates), beta, np.max(np.abs(basis @ beta - values), axis=0)
+
+
 def _weight_fit(n_t, n_near):
     """Sum of exponentials for the far lags' weight correction.
 
     The lag weight omega_d sqrt(tau_d) is dt (1 + eps_d) with eps_d about
     1/(16 d^2), whatever dt. Returns (rho, beta, max residual) with
-    eps_{L+1+e} ~ sum_q beta_q rho_q^e on the far lags d = L+1..n_t: a
-    linear least-squares fit on _FIT_RATES fixed rates spaced geometrically
-    from 0.1/n_t to 40/(L+1).
+    eps_{L+1+e} ~ sum_q beta_q rho_q^e on the far lags d = L+1..n_t, fitted
+    on _FIT_RATES rates.
     """
     w_lo, w_hi = _product_weights(1.0, n_t + 1)
     d = np.arange(n_near + 1, n_t + 1, dtype=float)
     eps = (w_hi[n_near:n_t] + w_lo[n_near + 1:]) * np.sqrt(d) - 1.0
-    rates = np.geomspace(0.1 / n_t, 40.0 / (n_near + 1), _FIT_RATES)
-    basis = np.exp(-np.outer(d - d[0], rates))
-    beta = np.linalg.lstsq(basis, eps, rcond=None)[0]
-    return np.exp(-rates), beta, float(np.max(np.abs(basis @ beta - eps)))
+    rho, beta, residual = _fixed_rate_fit(eps, n_t, n_near, _FIT_RATES)
+    return rho, beta, float(residual)
 
 
 # Cost model, in history-product multiply-adds per amplitude and step: one
@@ -298,9 +326,18 @@ def _split(grid, n_diag, n_amp):
 
     L = n_t (no far field, M = 0) is the direct march; a split needs
     L >= max(n_diag, 2), since the far field is the resolved quadrature and
-    the Psi_0 rule reads lags 1 and 2.
+    the Psi_0 rule reads lags 1 and 2. A grid whose every lag is a surrogate
+    has no quadrature for modes to carry: it splits at L = _SURROGATE_NEAR
+    (M = 0) onto fitted channels, or marches directly.
     """
     n_t, n_x = grid.n_time_panels, grid.n_x
+    if n_diag == n_t:
+        # a step costs i surrogate lags, or _SURROGATE_NEAR lags and a
+        # channel update per rate: channels from 1088 panels on (measured
+        # crossover 800-1300 panels on 15-63 cells, 1-3 amplitudes)
+        direct = n_t * (n_t + 1) / 2 * n_x
+        channels = n_t * (_SURROGATE_NEAR + _CHANNEL_COST * _SURROGATE_RATES) * n_x
+        return (_SURROGATE_NEAR if channels < direct else n_t), 0
     dt = grid.horizon / n_t
     near = np.arange(max(n_diag, 2), n_t + 1)
     # steps before L see i lags, later ones L of them
@@ -317,6 +354,14 @@ def _split(grid, n_diag, n_amp):
     if near[best] == n_t:
         return n_t, 0
     return int(near[best]), int(modes[best])
+
+
+def _n_diag(grid):
+    """The leading lags whose kernel width falls under two cells: they take
+    the diagonal surrogate."""
+    dt = grid.horizon / grid.n_time_panels
+    lags = np.arange(1, grid.n_time_panels + 1)
+    return int(np.count_nonzero(np.sqrt(4.0 * grid.nu * lags * dt) < 2.0 / grid.n_x))
 
 
 # A history slice is rescaled once its newest level leaves exp(+-300): far
@@ -339,97 +384,129 @@ def _rescale(h, log_peak):
         h[np.abs(h) < _TINY] = 0.0
 
 
-def _solve_grid(grid: OracleConfig, amps):
-    """log m (n_t+1, n_x) for each amplitude (lam k)^2 on one grid, and the
-    march's telemetry: the MomentField fields n_diag, n_near, n_modes and
-    fit_residual.
+def _solve_grid(grids, amps):
+    """log m (n_t+1, n_x) for each amplitude (lam k)^2 of each grid, and each
+    grid's march telemetry: the MomentField fields n_diag, n_near, n_modes
+    and fit_residual.
 
-    Amplitude 0 is the exact log D1^2. All others march together, one
-    history slice hist[j] each. Psi_d = sqrt(tau_d) A_d m_{i-d} enters step
-    i with weight w_hi[d-1] + w_lo[d]; the lag-i term (m_0) weighs only
-    w_hi[i-1], so its w_lo[i] share is taken off again, and Psi_0 is
-    extrapolated from lags 1 and 2. Lags up to n_near (from _split) are the
-    near field, one product with the kernels of _lag_kernels
-    per step. Later lags are the far field: g^2 = sum over mode pairs p of
-    mult_p e^{-rate_p tau} psi_p psi_p^T, and the weight is dt (1 + eps_d)
-    with eps_d a fitted sum of exponentials, so every (pair, rate) channel
-    is a geometric recursion over the projections <psi_p, m_j>. The history
-    and the channels hold values / exp(ref), one log reference per
-    amplitude; log_m keeps each step's level and refs its reference, and
-    log m = log(level) + ref is taken once the march ends.
+    The grids share every OracleConfig field but the horizon, and amps[k]
+    lists grid k's amplitudes; several grids march together only where
+    every lag is a diagonal surrogate. Amplitude 0 is the exact log D1^2.
+    All others march together, one history slice hist[j] and one row of
+    each grid's kernels, weights and D1 each. Psi_d = sqrt(tau_d) A_d m_{i-d}
+    enters step i with weight w_hi[d-1] + w_lo[d]; the lag-i term (m_0)
+    weighs only w_hi[i-1], so its w_lo[i] share is taken off again, and
+    Psi_0 is extrapolated from lags 1 and 2. Lags up to n_near (from _split)
+    are the near field, one product with the kernels of _lag_kernels per
+    step. Later lags are the far field. On a split grid g^2 = sum over mode
+    pairs p of mult_p e^{-rate_p tau} psi_p psi_p^T, and the weight is
+    dt (1 + eps_d) with eps_d a fitted sum of exponentials, so every
+    (pair, rate) channel is a geometric recursion over the projections
+    <psi_p, m_j>. On an all-surrogate grid the weighted surrogate of lag
+    d > n_near is fitted per cell as sum_q beta_q(x) rho_q^{d-n_near-1}, so
+    every (rate, cell) channel is a geometric recursion over m_j(x), and
+    the m_0 term keeps its exact surrogate. The history and the channels
+    hold values / exp(ref), one log reference per amplitude; log_m keeps
+    each step's level and refs its reference, and log m = log(level) + ref
+    is taken once the march ends.
     """
+    grid = grids[0]
     n_t, n_x = grid.n_time_panels, grid.n_x
-    dt = grid.horizon / n_t
+    dts = [g.horizon / n_t for g in grids]
     with np.errstate(divide="ignore"):
-        log_d1sq = 2.0 * np.log(np.abs(_d1_field(grid, grid.t_grid, grid.x_grid)))
+        log_d1sq = np.array([2.0 * np.log(np.abs(_d1_field(g, g.t_grid, g.x_grid)))
+                             for g in grids])
     m0 = grid.u0(grid.x_grid) ** 2
     peak0 = float(np.max(m0))
     if peak0 <= 0:
         raise OracleDomainError("u0 vanishes on the oracle grid")
-    # leading lags whose kernel width falls under two cells take the surrogate
-    n_diag = 0
-    while n_diag < n_t and math.sqrt(4.0 * grid.nu * (n_diag + 1) * dt) < 2.0 / n_x:
-        n_diag += 1
-    live = sorted(set(amps) - {0.0})
-    if not live:
-        return [log_d1sq.copy() for _ in amps], dict(
-            n_diag=n_diag, n_near=n_t, n_modes=0, fit_residual=0.0)
-    n_near, n_modes = _split(grid, n_diag, len(live))
+    n_diag = _n_diag(grid)
+    live = [sorted(set(a) - {0.0}) for a in amps]
+    gi = np.array([k for k, lv in enumerate(live) for _ in lv], dtype=int)
+    n_amp = len(gi)
+    if not n_amp:
+        return ([[log_d1sq[k].copy() for _ in a] for k, a in enumerate(amps)],
+                [dict(n_diag=n_diag, n_near=n_t, n_modes=0, fit_residual=0.0)
+                 for _ in grids])
+    n_near, n_modes = _split(grid, n_diag, n_amp)
+    n_exact = max(n_near, n_diag)   # lags with their own kernel
 
-    w_lo, w_hi = _product_weights(dt, n_t + 1)
-    omega = w_hi[:n_near] + w_lo[1:n_near + 1]
-    diag, dense = _lag_kernels(grid, dt, omega * np.sqrt(np.arange(1, n_near + 1) * dt),
-                               n_diag)
+    w_lo, w_hi = np.array([_product_weights(dt, n_t + 1) for dt in dts]).transpose(1, 0, 2)
+    omega = w_hi[:, :n_exact] + w_lo[:, 1:n_exact + 1]
+    kernels = [_lag_kernels(g, dt, om * np.sqrt(np.arange(1, n_exact + 1) * dt), n_diag)
+               for g, dt, om in zip(grids, dts, omega)]
+    dense = kernels[0][1]   # lags past n_diag exist on a lone grid only
+    # each amplitude's row of its grid's arrays
+    diag_a = np.array([kernels[k][0] for k in gi])
+    omega_a, w_lo_a = omega[gi], w_lo[gi]
+    del kernels   # the march holds one surrogate table per amplitude only
+    first = np.cumsum([0] + [len(lv) for lv in live])   # each grid's first amplitude
 
     def psi(d, h):
-        """Psi_d = sqrt(tau_d) A_d h for a near lag d and one history level
+        """Psi_d = sqrt(tau_d) A_d h for an exact lag d and one history level
         h (n_amp, n_x)."""
         if d <= n_diag:
-            term = h * diag[n_diag - d]
+            term = h * diag_a[:, n_diag - d]
         else:
             term = h @ dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
-        return term / omega[d - 1]
+        return term / omega_a[:, d - 1, None]
 
-    a = np.array(live)[:, None]
-    hist = np.empty((len(live), n_t + 1, n_x))
-    log_m = np.empty_like(hist)
-    hist[:, 0] = m0 / peak0
-    ref = np.full((len(live), 1), math.log(peak0))
-    refs = np.empty((len(live), n_t + 1, 1))
-    fit_residual = 0.0
-    if n_near < n_t:
+    fit_residual = [0.0] * len(grids)
+    state = None
+    if n_near < n_diag:
+        # per-cell channels: each grid's surrogates of lags n_near+1..n_t,
+        # relative to the first, in one least-squares fit of its own
+        far = [diag_a[j, n_diag - n_near - 1::-1] for j in first[:-1]]
+        fits = [_fixed_rate_fit(f / f[0], n_t, n_near, _SURROGATE_RATES) for f in far]
+        fit_residual = [np.max(res) for _, _, res in fits]
+        beta = np.array([b * f[0] for (_, b, _), f in zip(fits, far)])[gi]
+        ratios = fits[0][0][:, None]   # the rates depend on n_t and n_near only
+        state = np.zeros((n_amp, _SURROGATE_RATES, n_x))
+    elif n_near < n_t:
+        dt = dts[0]   # a split grid marches alone
         pair, rate, mult = _mode_pairs(grid, n_modes)
-        rho, beta, fit_residual = _weight_fit(n_t, n_near)
+        rho, beta, fit_residual[0] = _weight_fit(n_t, n_near)
         # channels per pair: the dt part of the weight, one per fitted rate
         # of eps_d, and last the lag-i (m_0) term r_p^{i-L-1} <psi_p, m_0>
         r = np.exp(-rate * dt)
         ratios = r[:, None] * np.concatenate(([1.0], rho, [1.0]))
         weights = np.concatenate(([1.0], beta, [0.0]))
         expand = ((dt / n_x) * mult * np.exp(-rate * (n_near + 1) * dt))[:, None] * pair.T
-        state = np.zeros((len(live),) + ratios.shape)
+        state = np.zeros((n_amp,) + ratios.shape)
+    # allocated past the fit, so that its temporaries do not add to the history
+    a = np.array([amp for lv in live for amp in lv])[:, None]
+    hist = np.empty((n_amp, n_t + 1, n_x))
+    log_m = np.empty_like(hist)
+    hist[:, 0] = m0 / peak0
+    ref = np.full((n_amp, 1), math.log(peak0))
+    refs = np.empty((n_amp, n_t + 1, 1))
     log_m[:, 0], refs[:, 0] = hist[:, 0], ref
     with np.errstate(divide="ignore"):
         for i in range(1, n_t + 1):
-            nd = min(n_diag, i)
-            total = np.einsum("dx,adx->ax", diag[n_diag - nd:], hist[:, i - nd:i])
+            nd = min(n_diag, n_near, i)
+            total = np.einsum("adx,adx->ax", diag_a[:, n_diag - nd:], hist[:, i - nd:i])
             if i > n_diag:
                 lo = max(0, i - n_near)
-                total += (hist[:, lo:i - n_diag].reshape(len(live), -1)
+                total += (hist[:, lo:i - n_diag].reshape(n_amp, -1)
                           @ dense[:, (n_near - i + lo) * n_x:(n_near - n_diag) * n_x].T)
-            if i <= n_near:
-                total -= w_lo[i] * psi(i, hist[:, 0])
-            else:
+            if i <= n_exact:
+                total -= w_lo_a[:, i, None] * psi(i, hist[:, 0])
+            if i > n_near:
                 state *= ratios
-                state[:, :, :-1] += (hist[:, i - n_near - 1] @ pair)[:, :, None]
-                if i == n_near + 1:
-                    state[:, :, -1] = hist[:, 0] @ pair
-                # the m_0 term weighs w_hi[i-1] only: w_lo[i] comes off
-                weights[-1] = -w_lo[i] * math.sqrt(i * dt) / dt
-                total += (state @ weights) @ expand
+                if n_near < n_diag:
+                    state += hist[:, i - n_near - 1, None]
+                    total += np.einsum("aqx,aqx->ax", beta, state)
+                else:
+                    state[:, :, :-1] += (hist[:, i - n_near - 1] @ pair)[:, :, None]
+                    if i == n_near + 1:
+                        state[:, :, -1] = hist[:, 0] @ pair
+                    # the m_0 term weighs w_hi[i-1] only: w_lo[i] comes off
+                    weights[-1] = -w_lo[0, i] * math.sqrt(i * dt) / dt
+                    total += (state @ weights) @ expand
             psi0 = psi(1, hist[:, i - 1])
             if i >= 2:
                 psi0 = np.maximum(2.0 * psi0 - psi(2, hist[:, i - 2]), 0.0)
-            level = np.exp(log_d1sq[i] - ref) + a * (total + w_lo[0] * psi0)
+            level = np.exp(log_d1sq[gi, i] - ref) + a * (total + w_lo_a[:, :1] * psi0)
             hist[:, i] = log_m[:, i] = level
             refs[:, i] = ref
             peak = np.max(level, axis=1)
@@ -437,27 +514,36 @@ def _solve_grid(grid: OracleConfig, amps):
                 log_peak = np.log(peak[j])
                 if abs(log_peak) > _RESCALE_LOG:
                     _rescale(hist[j, :i + 1], log_peak)
-                    if n_near < n_t:
+                    if state is not None:
                         _rescale(state[j], log_peak)
                     ref[j] += log_peak
         np.log(log_m, out=log_m)
     log_m += refs
-    return ([log_d1sq.copy() if amp == 0.0 else log_m[live.index(amp)] for amp in amps],
-            dict(n_diag=n_diag, n_near=n_near, n_modes=n_modes, fit_residual=fit_residual))
+    return ([[log_d1sq[k].copy() if amp == 0.0 else log_m[first[k] + live[k].index(amp)]
+              for amp in a] for k, a in enumerate(amps)],
+            [dict(n_diag=n_diag, n_near=n_near, n_modes=n_modes, fit_residual=float(r))
+             for r in fit_residual])
 
 
 def _solve_all(cfgs):
     """(log m, march telemetry) for every config, one _solve_grid per shared
-    grid: every OracleConfig field but lam and k_sigma."""
+    grid (every OracleConfig field but lam and k_sigma), where all-surrogate
+    grids that differ only in the horizon share one."""
     groups = {}
     for idx, cfg in enumerate(cfgs):
         groups.setdefault(replace(cfg, lam=0.0, k_sigma=1.0), []).append(idx)
+    batches = {}
+    for grid in groups:
+        surrogate = _n_diag(grid) == grid.n_time_panels
+        key = (surrogate, replace(grid, horizon=1.0) if surrogate else grid)
+        batches.setdefault(key, []).append(grid)
     out = [None] * len(cfgs)
-    for grid, idxs in groups.items():
+    for grids in batches.values():
         log_ms, telemetry = _solve_grid(
-            grid, [(cfgs[i].lam * cfgs[i].k_sigma) ** 2 for i in idxs])
-        for i, log_m in zip(idxs, log_ms):
-            out[i] = (log_m, telemetry)
+            grids, [[(cfgs[i].lam * cfgs[i].k_sigma) ** 2 for i in groups[g]] for g in grids])
+        for grid, fields, tel in zip(grids, log_ms, telemetry):
+            for i, log_m in zip(groups[grid], fields):
+                out[i] = (log_m, tel)
     return out
 
 

@@ -541,6 +541,12 @@ class TestCliRuns:
         # lambda >= 16 solves on so short a window that no lag gets a quadrature
         assert [d["n_diag"] == 100 for d in listed] == [False, True, True, True]
 
+    def test_excitation_manifest_times_its_solves(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["excitation", "--config", cfg]) == 0
+        man = load_manifest(str(tmp_path / "out"), "excitation")
+        assert 0 < man["diagnostics"]["oracle_s"] <= man["wall_clock_s"]
+
 
     def test_oracle_manifest_diagnostics(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -606,6 +612,20 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path)
         assert cli.main(["moments", "--config", cfg,
                          "--override", "equation.bogus=1"]) == 1
+
+    @pytest.mark.parametrize("command, override", [
+        ("thresholds", "analysis.lambda_grid=-0.5,1,2,4"),
+        ("excitation", "analysis.lambda_grid=-0.5,1,2,4"),
+        ("excitation", "analysis.excitation_time=0"),
+        ("excitation", "analysis.lambda_grid=0,8,16,32,64")])
+    def test_bad_scan_fails_before_compute(self, tmp_path, capsys, monkeypatch, command,
+                                           override):
+        solved = []
+        monkeypatch.setattr(ora, "second_moments", lambda *args: solved.append(args))
+        cfg = write_cfg(tmp_path)
+        assert cli.main([command, "--config", cfg, "--override", override]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config_error"
+        assert solved == []
 
     @pytest.mark.parametrize("override", ["ensemble.n_samples=0", "ensemble.n_samples=1",
                                           "analysis.mc_samples=1"])
@@ -841,6 +861,17 @@ class TestAll:
                                if not p.name.startswith("manifest_"))
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        # the manifests differ only in their timing fields
+        timing = {"wall_clock_s", "ensemble_s", "sample_steps_per_s", "oracle_s"}
+
+        def untimed(node):
+            if isinstance(node, dict):
+                return {k: untimed(v) for k, v in node.items() if k not in timing}
+            return node
+
+        for man in sorted(p.name for p in one.glob("manifest_*.json")):
+            assert untimed(json.loads((one / man).read_text())) \
+                == untimed(json.loads((two / man).read_text())), man
 
 
 # Run in a fresh interpreter: lists the scipy modules loaded after the import

@@ -303,27 +303,42 @@ class TestRenewalEngine:
         (dict(horizon=4.0, n_time_panels=2000, n_x=31), (0.25, 0.5, 1, 2, 4, 8, 16)),
         # criterion 6's lambda = 8 solve, which energy_at resolves directly
         (dict(horizon=0.1, n_time_panels=2500, n_x=31), (8.0,)),
+        # criterion 6's all-surrogate solves, which energy_at takes on
+        # T = 30 / r_pred (no common horizon), on both boundaries: fitted
+        # channels past lag 32
+        (dict(n_time_panels=2500, n_x=31), (16.0, 32.0, 64.0)),
     ])
     def test_matches_direct_march(self, monkeypatch, grid, lams):
-        cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), **grid) for lam in lams]
+        if "horizon" in grid:
+            cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), **grid) for lam in lams]
+        else:
+            cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), boundary=boundary,
+                                   horizon=30.0 / O.predicted_rate(lam, 1.0, 0.5), **grid)
+                    for boundary in (kern.DIRICHLET, kern.NEUMANN) for lam in lams]
+        n_t = grid["n_time_panels"]
         engine = O.second_moments(cfgs)
-        assert 0 < engine[0].n_near < grid["n_time_panels"] and engine[0].n_modes > 0
-        assert engine[0].fit_residual < 1e-14
+        # an all-surrogate grid has no quadrature lag for modes to carry
+        surrogate = engine[0].n_diag == n_t
+        for mf in engine:
+            assert 0 < mf.n_near < n_t and (mf.n_modes == 0) == surrogate
+            assert mf.fit_residual < (1e-11 if surrogate else 1e-14)
         # the direct march: no lag in the far field
         monkeypatch.setattr(O, "_split", lambda grid, n_diag, n_amp: (grid.n_time_panels, 0))
         direct = O.second_moments(cfgs)
-        assert direct[0].n_near == grid["n_time_panels"] and direct[0].n_modes == 0
+        assert all(mf.n_near == n_t and mf.n_modes == 0 for mf in direct)
+        rel = 1e-12 if surrogate else 1e-10
         for a, b in zip(engine, direct):
-            assert_log_close(a.log_m, b.log_m, rel=1e-10)
+            assert_log_close(a.log_m, b.log_m, rel=rel)
             fin = np.isfinite(b.log_m)
             assert np.all(np.abs(a.error_log - b.error_log)[fin]
-                          <= 1e-10 * np.maximum(1.0, np.abs(b.log_m[fin])))
+                          <= rel * np.maximum(1.0, np.abs(b.log_m[fin])))
 
     def test_cost_model_sides(self):
-        # no lag of an all-surrogate grid has a quadrature to carry by modes
+        # no lag of an all-surrogate grid has a quadrature to carry by
+        # modes: past lag 32 its surrogates go onto fitted channels
         short = O.OracleConfig(lam=0.0, horizon=30.0 / O.predicted_rate(16.0, 1.0, 0.5),
                                n_time_panels=2500, n_x=31)
-        assert O._split(short, 2500, 1) == (2500, 0)
+        assert O._split(short, 2500, 1) == (O._SURROGATE_NEAR, 0)
         # a short march on few cells and one lambda pays no far-field overhead
         tiny = O.OracleConfig(lam=0.0, horizon=0.5, n_time_panels=100, n_x=15)
         assert O._split(tiny, 1, 7) == (100, 0)
@@ -455,3 +470,16 @@ class TestEnergy:
                         t_target)
         assert p.extrapolated
         assert p.log_energy == pytest.approx(log_direct, rel=0.02)
+
+    def test_energies_at_matches_energy_at(self):
+        # criterion 6: lambda = 8 resolved, 16..64 extrapolated from
+        # all-surrogate solves that energies_at marches together, each grid
+        # with its own channel fit: every point equals its lone solve
+        lams = (8.0, 16.0, 32.0, 64.0)
+        cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=0.1,
+                               n_time_panels=2500, n_x=31) for lam in lams]
+        points = A.energies_at(cfgs, 0.1)
+        assert [p.extrapolated for p in points] == [False, True, True, True]
+        assert [p.march["n_near"] < p.march["n_diag"] for p in points] \
+            == [False, True, True, True]
+        assert points == [A.energy_at(cfg, 0.1) for cfg in cfgs]
