@@ -294,10 +294,7 @@ class EnergyPoint:
 
     error_log is the solve's largest grid-halving error of log m at its
     horizon, plus the carried slope error when extrapolated; march is the
-    solve's march telemetry (MomentField.march). n_diag = n_time_panels
-    means no lag had a spatial quadrature; such a solve then has n_near
-    below n_time_panels when its later surrogates went onto fitted
-    channels (n_modes = 0, fit_residual their largest relative misfit).
+    solve's march telemetry (MomentField.march).
     """
 
     lam: float

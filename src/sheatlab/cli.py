@@ -402,12 +402,9 @@ class Runner:
                         "norm_lam4": p.log_energy / p.lam ** 4}
                        for p in points],
         }
-        # n_diag = n_time_panels: every lag of that solve took the diagonal
-        # surrogate, so its energy has no spatial quadrature behind it; its
-        # n_near < n_time_panels (n_modes = 0) means the surrogates past lag
-        # n_near went onto fitted channels, fit_residual their largest
-        # relative misfit. A point is extrapolated when its rate_dt exceeds
-        # RESOLVED_RATE_DT; oracle_s is the seconds of all its solves.
+        # each point carries its solve's march telemetry (MomentField.march);
+        # a point is extrapolated when its rate_dt exceeds RESOLVED_RATE_DT,
+        # and oracle_s is the seconds of all its solves
         self.man.diagnostics.update({
             "n_time_panels": self.cfg.get("oracle", "n_time_panels"),
             "oracle_s": oracle_s,

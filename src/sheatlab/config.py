@@ -19,10 +19,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .kernel import KernelSpec
+from .kernel import KernelSpec, LowerBoundSpec
 from .noise import GridSpec
 from .solver import InitialData, SigmaSpec, SimulationConfig, ConfigError
-from .oracle import OracleConfig
+from .oracle import OracleConfig, interior_margin
 from .regularity import GrrParams
 
 
@@ -153,28 +153,40 @@ class ExperimentConfig:
         mc = self.get("analysis", "mc_samples")
         if mc < 0 or mc == 1:
             raise ConfigError("analysis.mc_samples must be 0 (off) or >= 2")
-        if len(self.get("analysis", "fit_window")) != 2:
-            raise ConfigError("analysis.fit_window must hold two horizon fractions")
+        window = self.get("analysis", "fit_window")
+        if len(window) != 2 or not window[0] < window[1]:
+            raise ConfigError("analysis.fit_window must hold two increasing horizon fractions")
         # the grid-halving error estimate needs an even count; OracleConfig
         # cannot demand it, because a halved grid may be odd
         if self.get("oracle", "n_time_panels") % 2:
             raise ConfigError("oracle.n_time_panels must be even (grid halving)")
-        # oracle() builds sigma() and initial_data(); simulation() is left out,
+        # Each builder, and each range rule a command meets only once it
+        # computes, runs here on the keys named beside it, in an order where
+        # a failure can come from those keys only. simulation() is left out,
         # because its dt <= dx rule would reject oracle-only configs. The
         # excitation and threshold scans solve every analysis.lambda_grid
         # entry, the former at analysis.excitation_time.
-        try:
-            self.grid()
-            self.oracle()
-            for lam in self.get("analysis", "lambda_grid"):
-                self.oracle(lam=lam, horizon=self.get("analysis", "excitation_time"))
-            self.kernel_spec()
-            self.grr_params()
-            self.functionals()
-        except ConfigError:
-            raise
-        except ValueError as exc:  # every domain error of the builders
-            raise ConfigError(str(exc)) from exc
+        t_star = self.get("analysis", "excitation_time")
+        for keys, check in (
+                ("grid", self.grid),
+                ("equation.sigma_*", self.sigma),
+                ("initial", self.initial_data),
+                ("equation.lambda, equation.nu, equation.boundary, grid.horizon, "
+                 "oracle.n_time_panels, oracle.n_x", self.oracle),
+                ("oracle.gamma", lambda: interior_margin(self.oracle().x_grid,
+                                                         self.get("oracle", "gamma"))),
+                ("analysis.excitation_time", lambda: self.oracle(horizon=t_star)),
+                ("analysis.lambda_grid", lambda: [
+                    self.oracle(lam=lam, horizon=t_star)
+                    for lam in self.get("analysis", "lambda_grid")]),
+                ("equation.nu, kernel.tol", self.kernel_spec),
+                ("kernel.gamma", lambda: LowerBoundSpec.check_gamma(self.get("kernel", "gamma"))),
+                ("grr", self.grr_params),
+                ("observation.functionals, observation.p_values", self.functionals)):
+            try:
+                check()
+            except ValueError as exc:   # every domain error of the builders
+                raise ConfigError(f"{keys}: {exc}") from exc
         return self
 
     def get(self, section, key):
@@ -189,12 +201,13 @@ class ExperimentConfig:
     # --- domain-object builders -------------------------------------------
 
     def sigma(self) -> SigmaSpec:
+        """sigma_kind's (c, d): linear is (sigma_k, 0), linear_plus_sine is
+        (sigma_c, sigma_d)."""
         kind = self.get("equation", "sigma_kind")
         if kind == "linear":
-            return SigmaSpec.linear(self.get("equation", "sigma_k"))
+            return SigmaSpec(self.get("equation", "sigma_k"))
         if kind == "linear_plus_sine":
-            return SigmaSpec.linear_plus_sine(self.get("equation", "sigma_c"),
-                                              self.get("equation", "sigma_d"))
+            return SigmaSpec(self.get("equation", "sigma_c"), self.get("equation", "sigma_d"))
         raise ConfigError(f"unknown sigma kind {kind!r}")
 
     def initial_data(self) -> InitialData:

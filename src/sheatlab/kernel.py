@@ -107,10 +107,15 @@ class LowerBoundSpec:
     kappa2: float
 
     def __post_init__(self):
-        if not (0 < self.gamma < 0.25):
-            raise KernelDomainError("gamma must lie in (0, 1/4)")
+        self.check_gamma(self.gamma)
         if not (self.kappa1 > 0 and self.kappa2 > 0):
             raise KernelDomainError("kappa1, kappa2 must be positive")
+
+    @staticmethod
+    def check_gamma(gamma):
+        """The bound's interior margin: gamma in (0, 1/4)."""
+        if not (0 < gamma < 0.25):
+            raise KernelDomainError("gamma must lie in (0, 1/4)")
 
 
 def _series_tail(nu, t, n):

@@ -6,7 +6,9 @@ carries the master seed, counter word 3 carries the sample index, and within
 a sample the stream is consumed in a fixed (step, cell) order. Every value is
 therefore a pure function of (master_seed, sample_index, step_index, cell),
 bit-identical across runs, worker counts, and batch layouts; distinct samples
-occupy disjoint counter blocks and are independent.
+occupy disjoint counter blocks and are independent. The module needs numpy
+only: the sine transform that the spectral scheme applies to the state lives
+beside its propagator, as solver.sine_transform.
 """
 
 import math
@@ -93,12 +95,4 @@ def sample_block(stream: NoiseStream, n_steps: int, generator=None, out=None):
     g.standard_normal(out=out)
     out *= math.sqrt(stream.grid.dt * stream.grid.dx)
     return out, g
-
-
-def sine_transform(values):
-    """Orthonormal DST-I along the last axis; its own inverse. Basis rows
-    are sin(m pi x_j). scipy.fft is imported on the first call; a march
-    has imported it already (solver.load_kernels)."""
-    import scipy.fft
-    return scipy.fft.dst(values, type=1, norm="ortho")
 

@@ -99,7 +99,7 @@ class OracleConfig:
         if self.boundary not in (kern.DIRICHLET, kern.NEUMANN):
             raise OracleDomainError("oracle supports dirichlet and neumann")
         if self.horizon <= 0 or self.n_time_panels < 4 or self.n_x < 3:
-            raise OracleDomainError("degenerate grid")
+            raise OracleDomainError("horizon > 0, n_time_panels >= 4, n_x >= 3 required")
 
     @property
     def t_grid(self):
@@ -124,14 +124,16 @@ class OracleConfig:
 class MomentField:
     """Second moments E[u(t,x)^2] on the oracle grid, stored as log m.
 
-    The march took the diagonal surrogate for the first n_diag lags, the
+    march is the solve's telemetry, as the manifests record it. Its keys:
+    the march took the diagonal surrogate for the first n_diag lags, the
     dense quadrature up to lag n_near and the modal far field, with n_modes
     modes per side and a weight fit whose largest residual is fit_residual,
     beyond it; n_near = n_time_panels (n_modes = 0) is the direct march. On
-    an all-surrogate grid (n_diag = n_time_panels) a smaller n_near, with
-    n_modes = 0, means the surrogates past lag n_near went onto fitted
-    exponential channels, fit_residual their largest misfit relative to the
-    surrogate of lag n_near + 1.
+    an all-surrogate grid (n_diag = n_time_panels) no lag has a spatial
+    quadrature, and a smaller n_near, with n_modes = 0, means the
+    surrogates past lag n_near went onto fitted exponential channels,
+    fit_residual their largest misfit relative to the surrogate of lag
+    n_near + 1.
     error_log is the grid-halving self-difference of log m (empty unless
     solved with error_estimate=True).
     """
@@ -140,17 +142,8 @@ class MomentField:
     t: np.ndarray
     x: np.ndarray
     log_m: np.ndarray
-    n_diag: int
-    n_near: int
-    n_modes: int
-    fit_residual: float
+    march: dict
     error_log: np.ndarray | None = None
-
-    @property
-    def march(self):
-        """The march telemetry, as the manifests record it."""
-        return {"n_diag": self.n_diag, "n_near": self.n_near,
-                "n_modes": self.n_modes, "fit_residual": self.fit_residual}
 
     def log_m_at(self, t, x):
         i = _snap(self.t, t, "t")
@@ -386,8 +379,7 @@ def _rescale(h, log_peak):
 
 def _solve_grid(grids, amps):
     """log m (n_t+1, n_x) for each amplitude (lam k)^2 of each grid, and each
-    grid's march telemetry: the MomentField fields n_diag, n_near, n_modes
-    and fit_residual.
+    grid's march telemetry (MomentField.march).
 
     The grids share every OracleConfig field but the horizon, and amps[k]
     lists grid k's amplitudes; several grids march together only where
@@ -579,8 +571,8 @@ def second_moments(cfgs, error_estimate=True) -> list[MomentField]:
         errs = [_halving_error(cfg, log_m, log_c)
                 for cfg, (log_m, _), (log_c, _) in zip(cfgs, fine, coarse)]
     return [MomentField(config=cfg, t=cfg.t_grid, x=cfg.x_grid, log_m=log_m,
-                        error_log=err, **telemetry)
-            for cfg, (log_m, telemetry), err in zip(cfgs, fine, errs)]
+                        march=dict(march), error_log=err)
+            for cfg, (log_m, march), err in zip(cfgs, fine, errs)]
 
 
 def second_moment_volterra(cfg: OracleConfig, error_estimate=True) -> MomentField:
@@ -600,11 +592,17 @@ class Envelope:
     argmin_x: np.ndarray
 
 
-def lower_bound_envelope(mf: MomentField, gamma) -> Envelope:
-    """Infimum envelope of the moment field over x in [gamma, 1-gamma]."""
-    mask = (mf.x >= gamma - 1e-12) & (mf.x <= 1.0 - gamma + 1e-12)
+def interior_margin(x, gamma):
+    """Mask of the grid points x in [gamma, 1-gamma], which must meet it."""
+    mask = (x >= gamma - 1e-12) & (x <= 1.0 - gamma + 1e-12)
     if not np.any(mask):
         raise OracleDomainError("x grid does not meet [gamma, 1-gamma]")
+    return mask
+
+
+def lower_bound_envelope(mf: MomentField, gamma) -> Envelope:
+    """Infimum envelope of the moment field over x in [gamma, 1-gamma]."""
+    mask = interior_margin(mf.x, gamma)
     sub = mf.log_m[:, mask]
     idx = np.argmin(sub, axis=1)
     rate = 2.0 * mf.config.nu * math.pi ** 2

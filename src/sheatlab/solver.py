@@ -1,6 +1,9 @@
 """Time stepping for the stochastic heat equation on [0,1].
 
-    du = nu u_xx dt + lambda sigma(u) dW,   Dirichlet or Neumann boundary.
+    du = nu u_xx dt + lambda sigma(u) dW,   Dirichlet or Neumann boundary,
+
+with sigma from the one family sigma(u) = c u + d sin(u), c > d >= 0
+(SigmaSpec); d = 0 is the linear sigma(u) = c u.
 
 Both schemes take the same step map on the physical nodal field,
 
@@ -13,12 +16,13 @@ differ only in the one-step semigroup P:
   in the diffusion (one LDL^T factor per config, a LAPACK dpttrs solve per
   step);
 * spectral exponential Euler (Dirichlet only): P = S diag(exp(-nu n^2 pi^2
-  dt)) S, S the orthonormal sine transform, exact on each eigenmode.
+  dt)) S, S the orthonormal sine transform (sine_transform), exact on each
+  eigenmode.
 
-These two kernels, scipy.fft's DST-I and scipy.linalg.lapack's dpttrs, are
-the package's only use of scipy. load_kernels imports both together when a
-march first builds its P, before the march allocates its arrays; importing
-this module loads no scipy.
+These two kernels, scipy.fft's DST-I behind sine_transform and
+scipy.linalg.lapack's dpttrs, are the package's only use of scipy.
+load_kernels imports both together when a march first builds its P, before
+the march allocates its arrays; importing this module loads no scipy.
 
 A batch of samples is stepped as one (k, n) array, one contiguous row per
 sample, in chunks of steps. Each sample's noise is drawn straight into its
@@ -36,9 +40,9 @@ as a lone run does. simulate_paths is the group of one. Each member is
 returned as one Ensemble: snapshots at the configured observation times
 only, values of shape (k, n_obs, n) filled in place at each observation
 step. ens[i] is sample i as a SolutionPath view (no copy). Large noise
-intensities drive |u| past float range; for linear sigma the step map is
-homogeneous in u, so each sample carries an exact log scale offset (values
-* exp(log_scale) is the physical field). A non-finite state ends its
+intensities drive |u| past float range; for linear sigma (d = 0) the step
+map is homogeneous in u, so each sample carries an exact log scale offset
+(values * exp(log_scale) is the physical field). A non-finite state ends its
 block's march with the offending step and sample reported, as the
 PathDivergedError a lone run raises, while the other blocks step on;
 clamping would silently distort genuine moment blow-up.
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernel import DIRICHLET, NEUMANN
-from .noise import GridSpec, NoiseStream, sample_block, sine_transform
+from .noise import GridSpec, NoiseStream, sample_block
 
 RENORM_THRESHOLD = 1e100
 _RENORM_CHECK_EVERY = 32
@@ -86,55 +90,36 @@ class PathDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """Multiplicative nonlinearity with certified Lipschitz constants.
-
-    kind "linear": sigma(u) = k u, K_U = K_L = k.
-    kind "linear_plus_sine": sigma(u) = c u + d sin(u) with c > d >= 0,
-    K_U = c + d and K_L = c - d (|sin u| <= |u| gives both constants).
-    Both satisfy sigma(0) = 0.
+    """Multiplicative nonlinearity sigma(u) = c u + d sin(u), c > d >= 0,
+    with certified constants K_U = c + d and K_L = c - d (|sin u| <= |u|
+    gives both); sigma(0) = 0. d = 0 is the linear sigma(u) = c u.
     """
 
-    kind: str = "linear"
-    k: float = 1.0
-    c: float = 0.0
+    c: float = 1.0
     d: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "linear":
-            if self.k <= 0:
-                raise ConfigError("linear sigma needs k > 0")
-        elif self.kind == "linear_plus_sine":
-            if not (self.c > self.d >= 0):
-                raise ConfigError("linear_plus_sine needs c > d >= 0")
-        else:
-            raise ConfigError(f"unknown sigma kind {self.kind!r}")
-
-    @classmethod
-    def linear(cls, k=1.0):
-        return cls(kind="linear", k=k)
-
-    @classmethod
-    def linear_plus_sine(cls, c, d):
-        return cls(kind="linear_plus_sine", c=c, d=d)
+        if not (self.c > self.d >= 0):
+            raise ConfigError("sigma needs c > d >= 0")
 
     @property
     def lipschitz_upper(self):
         """K_U with |sigma(u) - sigma(v)| <= K_U |u - v|."""
-        return self.k if self.kind == "linear" else self.c + self.d
+        return self.c + self.d
 
     @property
     def lower_constant(self):
         """K_L with |sigma(u)| >= K_L |u|."""
-        return self.k if self.kind == "linear" else self.c - self.d
+        return self.c - self.d
 
     @property
     def is_homogeneous(self):
         """True when sigma commutes with scaling (exact path renormalization)."""
-        return self.kind == "linear"
+        return self.d == 0
 
     def __call__(self, u):
-        if self.kind == "linear":
-            return self.k * u
+        if self.d == 0:
+            return self.c * u
         return self.c * u + self.d * np.sin(u)
 
 
@@ -196,7 +181,7 @@ class SimulationConfig:
 
     grid: GridSpec
     lam: float
-    sigma: SigmaSpec = field(default_factory=SigmaSpec.linear)
+    sigma: SigmaSpec = field(default_factory=SigmaSpec)
     u0: InitialData = field(default_factory=InitialData.bump)
     nu: float = 0.5
     boundary: str = DIRICHLET
@@ -230,7 +215,7 @@ class SimulationConfig:
 
 
 class _Observed:
-    """Time lookup shared by Ensemble and its SolutionPath views."""
+    """Time lookup and log |u| shared by Ensemble and its SolutionPath views."""
 
     def time_index(self, t):
         """Row of observation time t (matched to within half a step)."""
@@ -238,6 +223,13 @@ class _Observed:
         if hits.size == 0:
             raise ConfigError(f"time {t:g} not among observation times")
         return int(hits[0])
+
+    def log_abs_at(self, t):
+        """log |u| per node at time t, safe at any scale, -inf where u = 0:
+        shape (n,) on a SolutionPath, (k, n) on an Ensemble."""
+        i = self.time_index(t)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.values[..., i, :])) + self.log_scale[..., i, None]
 
 
 @dataclass
@@ -286,12 +278,6 @@ class SolutionPath(_Observed):
             with np.errstate(over="ignore"):
                 return np.sign(self.values[i]) * np.exp(self.log_abs_at(t))
 
-    def log_abs_at(self, t):
-        """log |u| per node, safe at any scale; -inf where u = 0."""
-        i = self.time_index(t)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(self.values[i])) + self.log_scale[i]
-
 
 def _implicit_factor(cfg: SimulationConfig):
     """LDL^T factor (d, e) of the tridiagonal I - nu dt L, as LAPACK dpttrf
@@ -325,9 +311,17 @@ def load_kernels():
     """Import both of the march's scipy kernels, whichever the scheme
     needs, so a later march of the other scheme imports nothing; returns
     dpttrs."""
-    import scipy.fft  # noise.sine_transform's DST-I
+    import scipy.fft  # sine_transform's DST-I
     from scipy.linalg.lapack import dpttrs
     return dpttrs
+
+
+def sine_transform(values):
+    """Orthonormal DST-I along the last axis; its own inverse. Basis rows
+    are sin(m pi x_j). scipy.fft is imported on the first call; a march
+    has imported it already (load_kernels)."""
+    import scipy.fft
+    return scipy.fft.dst(values, type=1, norm="ortho")
 
 
 def _implicit_solve(factor, b):

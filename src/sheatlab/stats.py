@@ -76,8 +76,8 @@ class Functional:
             raise StatsDomainError(f"unknown functional kind {self.kind!r}")
         if self.p < 2:
             raise StatsDomainError("p must be >= 2")
-        if self.kind == POINTWISE and self.x is None:
-            raise StatsDomainError("pointwise functional needs a position x")
+        if self.kind == POINTWISE and not (self.x is not None and 0 <= self.x <= 1):
+            raise StatsDomainError("pointwise functional needs a position x in [0, 1]")
 
     @classmethod
     def pointwise(cls, x, p=2.0):
@@ -95,8 +95,9 @@ class Functional:
     def parse(cls, token, p):
         """The functional of a config token, ``pointwise:<x>``, ``sup`` or
         ``lp``, at power p; the inverse of label."""
-        if token.startswith(POINTWISE + ":"):
-            return cls.pointwise(float(token.split(":")[1]), p)
+        kind, _, x = token.partition(":")
+        if kind == POINTWISE and x and ":" not in x:
+            return cls.pointwise(float(x), p)
         if token in (SUPNORM, LPNORM):
             return cls(kind=token, p=float(p))
         raise ConfigError(f"unknown functional {token!r}")
@@ -110,17 +111,15 @@ class Functional:
         """log of the functional value on every sample, shape (k,); safe at
         any scale, -inf where the value is zero."""
         try:
-            i = ens.time_index(t)
+            logabs = ens.log_abs_at(t)
         except ConfigError as exc:
             raise StatsDomainError(str(exc)) from exc
-        with np.errstate(divide="ignore"):
-            logabs = np.log(np.abs(ens.values[:, i, :])) + ens.log_scale[:, i, None]
-            if self.kind == POINTWISE:
-                j = int(np.argmin(np.abs(ens.config.grid.x - self.x)))
-                return self.p * logabs[:, j]
-            if self.kind == SUPNORM:
-                return self.p * np.max(logabs, axis=1)
-            return math.log(ens.config.grid.dx) + logsumexp(self.p * logabs, axis=1)
+        if self.kind == POINTWISE:
+            j = int(np.argmin(np.abs(ens.config.grid.x - self.x)))
+            return self.p * logabs[:, j]
+        if self.kind == SUPNORM:
+            return self.p * np.max(logabs, axis=1)
+        return math.log(ens.config.grid.dx) + logsumexp(self.p * logabs, axis=1)
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
     python tests/compare_outputs.py DIR_A DIR_B
 
-Manifests (manifest_*.json) are skipped: they hold wall-clock fields. Every
-other file that is not byte-identical is listed, with the largest relative
-difference |a - b| / max(|a|, |b|) per CSV column or JSON key (list indices
-folded into `[]`), the count of values that differ, and `text` where a
-differing value is not a number. Prints nothing for identical directories.
-Exit status: 0 if every file is identical, 1 otherwise.
+Manifests (manifest_*.json) are compared without their TIMING_FIELDS, at
+any depth; every other file must be byte-identical. A file that differs is
+listed, with the largest relative difference |a - b| / max(|a|, |b|) per CSV
+column or JSON key (list indices folded into `[]`), the count of values that
+differ, and `text` where a differing value is not a number. Prints nothing
+for identical directories. Exit status: 0 if every file is identical, 1
+otherwise.
 """
 
 import csv
@@ -15,6 +16,30 @@ import json
 import math
 import os
 import sys
+
+
+# the manifest fields that time a run, the only ones two runs may differ in
+TIMING_FIELDS = frozenset({"wall_clock_s", "ensemble_s", "sample_steps_per_s", "oracle_s"})
+
+
+def untimed(node):
+    """A JSON node without its TIMING_FIELDS keys, at any depth."""
+    if isinstance(node, dict):
+        return {k: untimed(v) for k, v in node.items() if k not in TIMING_FIELDS}
+    if isinstance(node, list):
+        return [untimed(v) for v in node]
+    return node
+
+
+def _is_manifest(path):
+    return os.path.basename(path).startswith("manifest_")
+
+
+def _json(path):
+    """A JSON file's content; a manifest's without its timing fields."""
+    with open(path, encoding="utf-8") as fh:
+        node = json.load(fh)
+    return untimed(node) if _is_manifest(path) else node
 
 
 def _rel(a, b):
@@ -45,8 +70,7 @@ def _fields(path):
         else:
             out.setdefault(key, []).append(node)
 
-    with open(path, encoding="utf-8") as fh:
-        walk(json.load(fh), "")
+    walk(_json(path), "")
     return out
 
 
@@ -81,8 +105,7 @@ def compare(path_a, path_b):
 
 
 def main(dir_a, dir_b):
-    names = {n for d in (dir_a, dir_b) for n in os.listdir(d)
-             if not n.startswith("manifest_")}
+    names = {n for d in (dir_a, dir_b) for n in os.listdir(d)}
     same = True
     for name in sorted(names):
         pa, pb = os.path.join(dir_a, name), os.path.join(dir_b, name)
@@ -90,9 +113,13 @@ def main(dir_a, dir_b):
             print(f"{name}: only in {dir_a if os.path.exists(pa) else dir_b}")
             same = False
             continue
-        with open(pa, "rb") as fa, open(pb, "rb") as fb:
-            if fa.read() == fb.read():
+        if _is_manifest(pa):
+            if _json(pa) == _json(pb):
                 continue
+        else:
+            with open(pa, "rb") as fa, open(pb, "rb") as fb:
+                if fa.read() == fb.read():
+                    continue
         same = False
         print(name)
         for line in compare(pa, pb):

@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 
-from sheatlab.noise import NoiseDomainError, NoiseStream, sample_block, sine_transform
+from sheatlab.noise import NoiseDomainError, NoiseStream, sample_block
 from sheatlab.solver import (DIRICHLET, ConfigError, PathDivergedError, SimulationConfig,
                              UnsupportedSchemeError, _implicit_factor, _implicit_solve,
-                             _mode_decay)
+                             _mode_decay, sine_transform)
 
 
 def sample_increments(stream: NoiseStream, step_index: int):

@@ -20,6 +20,8 @@ from sheatlab import regularity as reg
 from sheatlab.config import ExperimentConfig, load_manifest, sha256_file
 from sheatlab.solver import ConfigError
 
+from compare_outputs import untimed
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 DEMOS = os.path.join(ROOT, "demos")
 
@@ -294,6 +296,22 @@ class TestCliRuns:
         else:
             fits = json.loads((tmp_path / "out" / "lyapunov.json").read_text())["fits"]
             assert [f["lambda"] for f in fits] == [0.5]
+
+    def test_sine_free_sigma_is_the_linear_one(self, tmp_path):
+        # sigma_d = 0 leaves sigma(u) = 1.5 u, which renormalizes: the
+        # absurd-lambda cell stands and equals the run written as linear
+        cfg = write_cfg(tmp_path, body=DIVERGING)
+        tables = []
+        for name, overrides in (("sine", ["equation.sigma_d=0"]),
+                                ("linear", ["equation.sigma_kind=linear",
+                                            "equation.sigma_k=1.5"])):
+            out = str(tmp_path / name)
+            assert cli.main(["moments", "--config", cfg, "--out", out]
+                            + [a for o in overrides for a in ("--override", o)]) == 0
+            assert load_manifest(out, "moments")["failed_cells"] == []
+            tables.append((tmp_path / name / "moments.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert b"100000" in tables[0]
 
     @pytest.mark.parametrize("command", ["moments", "lyapunov"])
     def test_diverging_grid_identical_across_workers(self, tmp_path, command):
@@ -627,6 +645,39 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "config_error"
         assert solved == []
 
+    @pytest.mark.parametrize("token", ["pointwise:2", "pointwise:-1", "pointwise:0.5:9"])
+    def test_bad_pointwise_token_names_its_key(self, tmp_path, capsys, monkeypatch, token):
+        built = []
+        monkeypatch.setattr(cli, "_ensemble_table", lambda *args: built.append(args))
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["moments", "--config", cfg, "--override",
+                         f"observation.functionals={token}"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_error"
+        assert "observation.functionals" in err["message"]
+        assert built == []
+
+    @pytest.mark.parametrize("command, override", [
+        ("thresholds", "analysis.fit_window=1.0,0.5"),
+        ("oracle", "oracle.gamma=0.7"),
+        ("thresholds", "oracle.gamma=0.7"),
+        ("kernel", "kernel.gamma=0.3"),
+        ("excitation", "analysis.lambda_grid=-0.5,1,2,4"),
+        ("excitation", "analysis.excitation_time=0"),
+        ("oracle", "oracle.n_x=2")])
+    def test_bad_value_names_its_key_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                    command, override):
+        computed = []
+        monkeypatch.setattr(ora, "second_moments", lambda *args: computed.append(args))
+        monkeypatch.setattr(kern, "calibrate_lower_bound",
+                            lambda *args: computed.append(args))
+        cfg = write_cfg(tmp_path)
+        assert cli.main([command, "--config", cfg, "--override", override]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_error"
+        assert override.split("=")[0] in err["message"]
+        assert computed == []
+
     @pytest.mark.parametrize("override", ["ensemble.n_samples=0", "ensemble.n_samples=1",
                                           "analysis.mc_samples=1"])
     def test_too_few_samples_is_config_error(self, tmp_path, override):
@@ -862,13 +913,6 @@ class TestAll:
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
         # the manifests differ only in their timing fields
-        timing = {"wall_clock_s", "ensemble_s", "sample_steps_per_s", "oracle_s"}
-
-        def untimed(node):
-            if isinstance(node, dict):
-                return {k: untimed(v) for k, v in node.items() if k not in timing}
-            return node
-
         for man in sorted(p.name for p in one.glob("manifest_*.json")):
             assert untimed(json.loads((one / man).read_text())) \
                 == untimed(json.loads((two / man).read_text())), man

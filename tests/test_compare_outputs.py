@@ -38,3 +38,22 @@ def test_manifest_wall_clock_is_ignored(tmp_path, capsys):
     b = _outputs(tmp_path / "b", manifest={**MANIFEST, "wall_clock_s": 9.5})
     assert compare_outputs.main(a, b) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_manifest_difference_beyond_timing_is_reported(tmp_path, capsys):
+    a = _outputs(tmp_path / "a")
+    b = _outputs(tmp_path / "b", manifest={**MANIFEST, "wall_clock_s": 9.5,
+                                           "command": "lyapunov"})
+    assert compare_outputs.main(a, b) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "manifest_moments.json", "  command: max rel 0 (1 differ), text"]
+
+
+def test_nested_timing_fields_are_ignored(tmp_path, capsys):
+    nested = {**MANIFEST, "diagnostics": {"ensemble_s": 0.5, "oracle_s": 0.1,
+                                          "sample_steps_per_s": 1e6, "n_diag": 1}}
+    a = _outputs(tmp_path / "a", manifest=nested)
+    b = _outputs(tmp_path / "b", manifest={**nested, "diagnostics": {
+        **nested["diagnostics"], "ensemble_s": 0.7, "sample_steps_per_s": 2e6}})
+    assert compare_outputs.main(a, b) == 0
+    assert capsys.readouterr().out == ""

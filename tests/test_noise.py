@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sheatlab import noise as N
+from sheatlab.solver import sine_transform
 
 from reference_steps import sample_increments
 
@@ -128,7 +129,7 @@ class TestDistribution:
 def modes(strm, step=0):
     """Sine-mode increments: the orthonormal sine transform of the cell block."""
     block, _ = N.sample_block(strm, step + 1)
-    return N.sine_transform(block[step]) / math.sqrt(strm.grid.dx)
+    return sine_transform(block[step]) / math.sqrt(strm.grid.dx)
 
 
 class TestSpectral:

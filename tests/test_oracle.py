@@ -175,7 +175,7 @@ class TestBatchedMarch:
     def test_matches_reference_march(self, boundary):
         cfgs = [self.small(lam, boundary) for lam in self.LAMS]
         fields = O.second_moments(cfgs, error_estimate=False)
-        assert 0 < fields[0].n_diag < 120
+        assert 0 < fields[0].march["n_diag"] < 120
         for cfg, mf in zip(cfgs, fields):
             assert_log_close(mf.log_m, reference_log_m(cfg))
 
@@ -187,7 +187,7 @@ class TestBatchedMarch:
             cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
                                  boundary=boundary, n_time_panels=200, n_x=15)
             mf = O.second_moment_volterra(cfg, error_estimate=False)
-            assert mf.n_near < 200 and mf.n_modes > 0
+            assert mf.march["n_near"] < 200 and mf.march["n_modes"] > 0
             assert mf.log_m.max() > 700 and np.all(np.isfinite(mf.log_m[1:]))
             assert_log_close(mf.log_m, reference_log_m(cfg))
 
@@ -318,14 +318,14 @@ class TestRenewalEngine:
         n_t = grid["n_time_panels"]
         engine = O.second_moments(cfgs)
         # an all-surrogate grid has no quadrature lag for modes to carry
-        surrogate = engine[0].n_diag == n_t
+        surrogate = engine[0].march["n_diag"] == n_t
         for mf in engine:
-            assert 0 < mf.n_near < n_t and (mf.n_modes == 0) == surrogate
-            assert mf.fit_residual < (1e-11 if surrogate else 1e-14)
+            assert 0 < mf.march["n_near"] < n_t and (mf.march["n_modes"] == 0) == surrogate
+            assert mf.march["fit_residual"] < (1e-11 if surrogate else 1e-14)
         # the direct march: no lag in the far field
         monkeypatch.setattr(O, "_split", lambda grid, n_diag, n_amp: (grid.n_time_panels, 0))
         direct = O.second_moments(cfgs)
-        assert all(mf.n_near == n_t and mf.n_modes == 0 for mf in direct)
+        assert all(mf.march["n_near"] == n_t and mf.march["n_modes"] == 0 for mf in direct)
         rel = 1e-12 if surrogate else 1e-10
         for a, b in zip(engine, direct):
             assert_log_close(a.log_m, b.log_m, rel=rel)

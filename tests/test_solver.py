@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from sheatlab import oracle as O
 from sheatlab import solver as S
-from sheatlab.noise import GridSpec, NoiseStream, sine_transform
+from sheatlab.noise import GridSpec, NoiseStream
+from sheatlab.solver import sine_transform
 
 from reference_steps import step_semi_implicit, step_spectral
 
@@ -22,27 +23,35 @@ PI2 = math.pi ** 2
 
 class TestSigmaSpec:
     def test_linear_constants(self):
-        sg = S.SigmaSpec.linear(2.5)
+        sg = S.SigmaSpec(2.5)
         assert sg.lipschitz_upper == 2.5
         assert sg.lower_constant == 2.5
         assert sg(0.0) == 0.0
 
     def test_linear_plus_sine_constants(self):
-        sg = S.SigmaSpec.linear_plus_sine(2.0, 0.5)
+        sg = S.SigmaSpec(2.0, 0.5)
         assert sg.lipschitz_upper == 2.5
         assert sg.lower_constant == 1.5
         assert sg(0.0) == 0.0
 
+    def test_sine_free_is_the_linear_sigma(self):
+        # one value, one hash: the runner holds one ensemble for both
+        assert S.SigmaSpec(1.5) == S.SigmaSpec(1.5, 0.0)
+        assert hash(S.SigmaSpec(1.5)) == hash(S.SigmaSpec(1.5, 0.0))
+        assert S.SigmaSpec(1.5, 0.0).is_homogeneous
+        assert not S.SigmaSpec(1.5, 0.5).is_homogeneous
+        assert S.SigmaSpec() == S.SigmaSpec(1.0, 0.0)
+
     def test_invalid(self):
         with pytest.raises(S.ConfigError):
-            S.SigmaSpec.linear_plus_sine(1.0, 1.0)
+            S.SigmaSpec(1.0, 1.0)
         with pytest.raises(S.ConfigError):
-            S.SigmaSpec.linear(0.0)
+            S.SigmaSpec(0.0)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=200, deadline=None)
     def test_lipschitz_and_lower_bound_sampled(self, u, v):
-        sg = S.SigmaSpec.linear_plus_sine(2.0, 0.5)
+        sg = S.SigmaSpec(2.0, 0.5)
         assert abs(sg(u) - sg(v)) <= sg.lipschitz_upper * abs(u - v) + 1e-12
         assert abs(sg(u)) >= sg.lower_constant * abs(u) - 1e-12
 
@@ -288,6 +297,18 @@ class TestStability:
         assert np.array_equal(ens[1].values, p.values)
         assert np.array_equal(ens[1].log_scale, p.log_scale)
 
+    def test_ensemble_log_abs_rows_are_the_paths(self):
+        grid = GridSpec(n_interior=63, dt=2e-5, horizon=0.02)
+        cfg = S.SimulationConfig(grid=grid, lam=64.0, master_seed=7,
+                                 u0=S.InitialData.bump(0.2), observation_times=(0.01, 0.02))
+        ens = S.simulate_paths(cfg, [2, 0, 1])
+        assert np.all(ens.log_scale[:, -1] > 0)    # every row renormalized
+        for t in (0.01, 0.02):
+            rows = ens.log_abs_at(t)
+            assert rows.shape == (3, 63)
+            for i in range(3):
+                assert np.array_equal(rows[i], ens[i].log_abs_at(t))
+
     def test_spectral_neumann_unsupported(self):
         grid = GridSpec(n_interior=15, dt=1e-3, horizon=0.01)
         with pytest.raises(S.UnsupportedSchemeError):
@@ -304,7 +325,7 @@ PRODUCER_CASES = {
     "semi_implicit": dict(lam=2.0),
     "spectral": dict(lam=2.0, scheme="spectral"),
     "neumann": dict(lam=2.0, boundary="neumann"),
-    "linear_plus_sine": dict(lam=2.0, sigma=S.SigmaSpec.linear_plus_sine(1.5, 0.5)),
+    "linear_plus_sine": dict(lam=2.0, sigma=S.SigmaSpec(1.5, 0.5)),
     "lam0": dict(lam=0.0),
 }
 
@@ -471,7 +492,7 @@ GROUP_CASES = {
     "semi_implicit": (dict(), (0.5, 2.0, 60.0)),
     "spectral": (dict(scheme="spectral"), (0.5, 2.0, 60.0)),
     "neumann": (dict(boundary="neumann"), (0.5, 2.0, 60.0)),
-    "linear_plus_sine": (dict(sigma=S.SigmaSpec.linear_plus_sine(1.5, 0.5)), (0.5, 2.0)),
+    "linear_plus_sine": (dict(sigma=S.SigmaSpec(1.5, 0.5)), (0.5, 2.0)),
     "lam0": (dict(), (0.0, 2.0)),
     "one_sample": (dict(samples=[3]), (0.5, 2.0)),
 }
@@ -508,7 +529,7 @@ class TestGroupMarch:
             assert np.any(group[-1].log_scale > 0)     # the lam = 60 rows renormalized
 
     def test_diverged_member_leaves_the_others(self, monkeypatch):
-        sigma = S.SigmaSpec.linear_plus_sine(1.5, 0.5)
+        sigma = S.SigmaSpec(1.5, 0.5)
         cfgs = self.configs((0.5, 100000.0, 1.0), horizon=0.3, sigma=sigma)
         samples = [4, 0, 2]
         monkeypatch.setattr(S, "CHUNK_STEPS", 7)
