@@ -298,7 +298,6 @@ class EnergyPoint:
     """
 
     lam: float
-    t: float
     log_energy: float
     rate: float
     window_horizon: float
@@ -338,12 +337,11 @@ def energies_at(cfgs, t_target) -> list[EnergyPoint]:
         err = float(np.max(mf.error_log[-1]))
         horizon, span = mf.config.horizon, t_target - mf.config.horizon
         if direct:
-            points.append(EnergyPoint(mf.config.lam, t_target, float(log_e[-1]), slope,
+            points.append(EnergyPoint(mf.config.lam, float(log_e[-1]), slope,
                                       horizon, False, err, mf.march))
         else:
-            points.append(EnergyPoint(mf.config.lam, t_target,
-                                      float(log_e[-1]) + 0.5 * slope * span, slope,
-                                      horizon, True, err + se * span, mf.march))
+            points.append(EnergyPoint(mf.config.lam, float(log_e[-1]) + 0.5 * slope * span,
+                                      slope, horizon, True, err + se * span, mf.march))
     return points
 
 

@@ -10,7 +10,11 @@ error, 2 numerical failure, 3 assertion failure in verification subcommands.
 Errors print a JSON diagnostic on stderr.
 
 Runner.dispatch writes each subcommand's manifest_<subcommand>.json after
-its outputs, also when a verification fails.
+its outputs, also when a verification fails; it is the only writer of a
+manifest, and a rerun into the same directory recomputes every output.
+moments, lyapunov and the Monte Carlo half of excitation record each
+lambda-cell they estimate in the manifest's diagnostics.cells, and each
+diverged one in its failed_cells.
 
 Monte Carlo paths are simulated in fixed 64-sample blocks, concatenated in
 index order, and every estimate and GRR check is taken over the whole held
@@ -43,7 +47,7 @@ from . import kernel as kern
 from . import oracle as ora
 from . import regularity as reg
 from . import stats as st
-from .config import ExperimentConfig, RunManifest, load_manifest, sha256_file, write_json
+from .config import ExperimentConfig, RunManifest, write_json
 from .solver import ConfigError, Ensemble, PathDivergedError, load_kernels, simulate_group
 
 SHARD_SIZE = 64
@@ -62,19 +66,6 @@ SUBCOMMANDS = ("kernel", "oracle", "moments", "lyapunov", "simulate", "grr-check
 
 class VerificationError(AssertionError):
     """A verification subcommand's assertion failed."""
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(float(value))    # np.float64's own repr wraps the number
-    return str(value)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _exp_or_inf(log_value):
@@ -122,10 +113,6 @@ def _ensemble_table(sims, n_samples, workers):
     return tables
 
 
-def _lambda_tag(lam):
-    return f"{lam:g}".replace(".", "p").replace("-", "m")
-
-
 def _regime(ens):
     """A cell's per-step noise, flagged when under-resolved, and its
     ensemble's renormalization: the largest log scale, and the samples
@@ -169,7 +156,10 @@ class Runner:
 
     def _csv(self, name, header, rows):
         path = os.path.join(self.out, name)
-        _write_csv(path, header, rows)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         self.man.add_output(path)
 
     def _json(self, name, payload):
@@ -214,13 +204,17 @@ class Runner:
         return ens
 
     def _cells(self, sims, n_samples):
-        """_ensembles' ensembles in order; a diverged config is listed in the
-        manifest's failed_cells instead."""
+        """_ensembles' ensembles in order, each with its record in the
+        manifest's diagnostics.cells, its lambda and _regime, which the
+        caller may add to; a diverged config is listed in the manifest's
+        failed_cells instead."""
+        records = self.man.diagnostics.setdefault("cells", [])
         for sim, ens in zip(sims, self._ensembles(sims, n_samples)):
             if isinstance(ens, PathDivergedError):
                 self.man.failed_cells.append({"lambda": sim.lam, "error": str(ens)})
             else:
-                yield ens
+                records.append({"lambda": sim.lam, **_regime(ens)})
+                yield ens, records[-1]
 
     # ------------------------------------------------------------------ #
 
@@ -282,64 +276,21 @@ class Runner:
             **mf.march,
         })
 
-    def _moment_cells(self):
-        """Write one CSV per lambda-cell, skipping cells whose checksum matches
-        the previous manifest; return the cell CSVs present, in grid order.
-        Every cell not skipped is built in one group before the first is
-        written, and the manifest is rewritten after each written cell, so a
-        sweep resumes one group at a time: a rerun after an interruption
-        skips the cells written before it and builds the rest together."""
+    def cmd_moments(self):
         functionals = self.cfg.functionals()
         times = self.cfg.get("observation", "times")
-        n_samples = self.cfg.get("ensemble", "n_samples")
-        config_hash = self.cfg.content_hash()
-        prev = load_manifest(self.out, "moments")
-        recorded = (prev or {}).get("diagnostics", {}).get("cells", {})
-        cell_meta = self.man.diagnostics["cells"] = {}
-        cells = []
-        for lam in self.cfg.lambda_grid():
-            tag = _lambda_tag(lam)
-            cell_csv = os.path.join(self.out, f"moments_cell_{tag}.csv")
-            meta = recorded.get(tag, {})
-            done = (os.path.exists(cell_csv) and meta.get("sha256") == sha256_file(cell_csv)
-                    and meta.get("config_hash") == config_hash)
-            cells.append((lam, tag, cell_csv, meta if done else None))
-        built = {ens.config.lam: ens for ens in self._cells(
-            [self.cfg.simulation(lam=lam) for lam, _, _, meta in cells if meta is None],
-            n_samples)}
-        cell_csvs = []
-        for lam, tag, cell_csv, meta in cells:
-            if meta is not None:
-                cell_meta[tag] = meta
-            elif lam not in built:      # diverged: listed in failed_cells
-                continue
-            else:
-                table = st.ensemble_estimates(built[lam], functionals, times)
-                rows = []
-                for (f, t), est in sorted(
-                        table.items(),
-                        key=lambda kv: (kv[0][1], kv[0][0].label, kv[0][0].p)):
-                    rows.append((lam, f.p, f.label, t, est.n,
-                                 est.mean if not est.overflowed else math.inf,
-                                 est.ci_half_width if (est.n >= 2 and not est.overflowed)
-                                 else math.nan,
-                                 est.log_mean, est.log_ci_half_width,
-                                 int(est.overflowed)))
-                _write_csv(cell_csv, MOMENTS_HEADER, rows)
-                cell_meta[tag] = {"sha256": sha256_file(cell_csv),
-                                  "config_hash": config_hash, "lambda": lam,
-                                  "log_mode_estimates": sum(est.overflowed
-                                                            for est in table.values()),
-                                  **_regime(built[lam])}
-                self.man.write(self.out)
-            cell_csvs.append(cell_csv)
-        return cell_csvs
-
-    def cmd_moments(self):
+        sims = [self.cfg.simulation(lam=lam) for lam in self.cfg.lambda_grid()]
         rows = []
-        for cell_csv in self._moment_cells():
-            with open(cell_csv, newline="", encoding="utf-8") as fh:
-                rows += list(csv.reader(fh))[1:]
+        for ens, record in self._cells(sims, self.cfg.get("ensemble", "n_samples")):
+            table = st.ensemble_estimates(ens, functionals, times)
+            record["log_mode_estimates"] = sum(est.overflowed for est in table.values())
+            for (f, t), est in sorted(table.items(),
+                                      key=lambda kv: (kv[0][1], kv[0][0].label, kv[0][0].p)):
+                rows.append((ens.config.lam, f.p, f.label, t, est.n,
+                             est.mean if not est.overflowed else math.inf,
+                             est.ci_half_width if (est.n >= 2 and not est.overflowed)
+                             else math.nan,
+                             est.log_mean, est.log_ci_half_width, int(est.overflowed)))
         self._csv("moments.csv", MOMENTS_HEADER, rows)
 
     def cmd_lyapunov(self):
@@ -350,7 +301,7 @@ class Runner:
         reports = []
         plot_rows = []
         sims = [self.cfg.simulation(lam=lam) for lam in self.cfg.lambda_grid()]
-        for ens in self._cells(sims, n_samples):
+        for ens, _ in self._cells(sims, n_samples):
             lam = ens.config.lam
             table = st.ensemble_estimates(ens, functionals, times)
             for f in functionals:
@@ -423,11 +374,9 @@ class Runner:
     def _excitation_mc(self, lams, t_star, n_samples):
         p_mc = self.cfg.get("analysis", "mc_p")
         f = st.Functional.lp(p_mc)
-        regimes = self.man.diagnostics["mc_points"] = []
         sims = [self.cfg.simulation(lam=lam, t_end=t_star) for lam in lams]
         energies = {}
-        for ens in self._cells(sims, n_samples):
-            regimes.append({"lambda": ens.config.lam, **_regime(ens)})
+        for ens, _ in self._cells(sims, n_samples):
             table = st.ensemble_estimates(ens, [f], (t_star,))
             energies[ens.config.lam] = st.p_energy(table[(f, t_star)])
         # a diverged lambda enters as nan, which the fit drops

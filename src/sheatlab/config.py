@@ -162,17 +162,22 @@ class ExperimentConfig:
             raise ConfigError("oracle.n_time_panels must be even (grid halving)")
         # Each builder, and each range rule a command meets only once it
         # computes, runs here on the keys named beside it, in an order where
-        # a failure can come from those keys only. simulation() is left out,
-        # because its dt <= dx rule would reject oracle-only configs. The
-        # excitation and threshold scans solve every analysis.lambda_grid
-        # entry, the former at analysis.excitation_time.
+        # a failure can come from those keys only. Where a builder reads
+        # several keys, they are given by the field its message starts with.
+        # simulation() is left out, because its dt <= dx rule would reject
+        # oracle-only configs. The excitation and threshold scans solve
+        # every analysis.lambda_grid entry, the former at
+        # analysis.excitation_time.
         t_star = self.get("analysis", "excitation_time")
         for keys, check in (
-                ("grid", self.grid),
+                ({"n_interior": "grid.n_interior", "dt": "grid.dt",
+                  "horizon": "grid.horizon"}, self.grid),
                 ("equation.sigma_*", self.sigma),
                 ("initial", self.initial_data),
-                ("equation.lambda, equation.nu, equation.boundary, grid.horizon, "
-                 "oracle.n_time_panels, oracle.n_x", self.oracle),
+                ({"lam": "equation.lambda", "k_sigma": "equation.sigma_*",
+                  "nu": "equation.nu", "boundary": "equation.boundary",
+                  "horizon": "grid.horizon", "n_time_panels": "oracle.n_time_panels",
+                  "n_x": "oracle.n_x"}, self.oracle),
                 ("oracle.gamma", lambda: interior_margin(self.oracle().x_grid,
                                                          self.get("oracle", "gamma"))),
                 ("analysis.excitation_time", lambda: self.oracle(horizon=t_star)),
@@ -186,6 +191,8 @@ class ExperimentConfig:
             try:
                 check()
             except ValueError as exc:   # every domain error of the builders
+                if isinstance(keys, dict):
+                    keys = keys[str(exc).split()[0]]
                 raise ConfigError(f"{keys}: {exc}") from exc
         return self
 

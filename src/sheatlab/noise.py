@@ -36,10 +36,13 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
+        # one rule per message, which starts with the field it names
         if self.n_interior < 1:
             raise NoiseDomainError("n_interior must be >= 1")
-        if not (self.dt > 0) or not (self.horizon > 0):
-            raise NoiseDomainError("dt and horizon must be positive")
+        if not self.dt > 0:
+            raise NoiseDomainError("dt must be > 0")
+        if not self.horizon > 0:
+            raise NoiseDomainError("horizon must be > 0")
 
     @property
     def dx(self):

@@ -94,12 +94,18 @@ class OracleConfig:
     n_x: int = 31
 
     def __post_init__(self):
-        if self.lam < 0 or self.k_sigma <= 0 or self.nu <= 0:
-            raise OracleDomainError("lam >= 0, k_sigma > 0, nu > 0 required")
-        if self.boundary not in (kern.DIRICHLET, kern.NEUMANN):
-            raise OracleDomainError("oracle supports dirichlet and neumann")
-        if self.horizon <= 0 or self.n_time_panels < 4 or self.n_x < 3:
-            raise OracleDomainError("horizon > 0, n_time_panels >= 4, n_x >= 3 required")
+        # one rule per message, which starts with the field it names
+        for field_name, ok, rule in (
+                ("lam", self.lam >= 0, ">= 0"),
+                ("k_sigma", self.k_sigma > 0, "> 0"),
+                ("nu", self.nu > 0, "> 0"),
+                ("boundary", self.boundary in (kern.DIRICHLET, kern.NEUMANN),
+                 "dirichlet or neumann"),
+                ("horizon", self.horizon > 0, "> 0"),
+                ("n_time_panels", self.n_time_panels >= 4, ">= 4"),
+                ("n_x", self.n_x >= 3, ">= 3")):
+            if not ok:
+                raise OracleDomainError(f"{field_name} must be {rule}")
 
     @property
     def t_grid(self):
@@ -587,7 +593,6 @@ class Envelope:
     t: np.ndarray
     log_h: np.ndarray
     log_big_h: np.ndarray
-    gamma: float
     compensation_rate: float
     argmin_x: np.ndarray
 
@@ -611,7 +616,6 @@ def lower_bound_envelope(mf: MomentField, gamma) -> Envelope:
         t=mf.t,
         log_h=log_h,
         log_big_h=log_h + rate * mf.t,
-        gamma=gamma,
         compensation_rate=rate,
         argmin_x=mf.x[mask][idx],
     )

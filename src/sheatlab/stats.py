@@ -104,8 +104,13 @@ class Functional:
 
     @property
     def label(self):
-        """The config token of this functional, as outputs name it."""
-        return f"{POINTWISE}:{self.x:g}" if self.kind == POINTWISE else self.kind
+        """The config token of this functional, as outputs name it: the
+        position is written short (:g) where that reads back exactly, so
+        distinct functionals never share a label."""
+        if self.kind != POINTWISE:
+            return self.kind
+        x = f"{self.x:g}"
+        return f"{POINTWISE}:{x if float(x) == self.x else repr(self.x)}"
 
     def log_values(self, ens: Ensemble, t):
         """log of the functional value on every sample, shape (k,); safe at

@@ -1,4 +1,4 @@
-"""CLI tests: config schema, manifests, determinism, resumption, exit codes."""
+"""CLI tests: config schema, manifests, determinism, exit codes."""
 
 import collections
 import csv
@@ -7,6 +7,7 @@ import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -150,11 +151,15 @@ class TestCliRuns:
         for entry in man["outputs"]:
             path = tmp_path / "out" / entry["path"]
             assert sha256_file(str(path)) == entry["sha256"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["manifest_moments.json",
+                                                         "moments.csv"]
         # moments.csv is the header plus every cell's rows, byte for byte
         combined = (",".join(cli.MOMENTS_HEADER) + "\r\n").encode()
-        for tag in ("0p5", "1"):
-            cell = (tmp_path / "out" / f"moments_cell_{tag}.csv").read_bytes()
-            combined += cell.split(b"\r\n", 1)[1]
+        for lam in ("0.5", "1"):
+            out = tmp_path / f"cell_{lam}"
+            assert cli.main(["moments", "--config", cfg, "--out", str(out),
+                             "--override", f"equation.lambda={lam}"]) == 0
+            combined += (out / "moments.csv").read_bytes().split(b"\r\n", 1)[1]
         assert (tmp_path / "out" / "moments.csv").read_bytes() == combined
 
     def test_kernel_table_rows_match_scalar_calls(self, tmp_path):
@@ -184,14 +189,24 @@ class TestCliRuns:
         assert cli.main(["moments", "--config", write_cfg(tmp_path),
                          "--workers", "1"]) == 0
 
-    def test_rerun_bit_identical(self, tmp_path):
+    def test_rerun_bit_identical(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         assert cli.main(["moments", "--config", cfg]) == 0
         first = (tmp_path / "out" / "moments.csv").read_bytes()
-        (tmp_path / "out" / "moments.csv").unlink()
-        (tmp_path / "out" / "moments_cell_1.csv").unlink()
+        man = untimed(load_manifest(str(tmp_path / "out"), "moments"))
+        built = []
+        build = cli._ensemble_table
+
+        def counting(sims, *args):
+            built.extend(sim.lam for sim in sims)
+            return build(sims, *args)
+
+        # a rerun into the finished directory recomputes it, to the same bytes
+        monkeypatch.setattr(cli, "_ensemble_table", counting)
         assert cli.main(["moments", "--config", cfg]) == 0
+        assert built == [1.0]
         assert (tmp_path / "out" / "moments.csv").read_bytes() == first
+        assert untimed(load_manifest(str(tmp_path / "out"), "moments")) == man
 
     def test_worker_count_invariance(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -229,48 +244,6 @@ class TestCliRuns:
             assert diag["sample_steps"] == n_paths * 200
             assert diag["sample_steps_per_s"] > 0
 
-    def test_resumption_skips_completed_cell(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        assert cli.main(["moments", "--config", cfg]) == 0
-        cell = tmp_path / "out" / "moments_cell_1.csv"
-        before = cell.stat().st_mtime_ns
-        assert cli.main(["moments", "--config", cfg]) == 0
-        assert cell.stat().st_mtime_ns == before  # file untouched: cell skipped
-
-    def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path)
-        grid = ["--override", "equation.lambda_grid=0.5, 1"]
-        whole, cut = str(tmp_path / "whole"), str(tmp_path / "cut")
-        assert cli.main(["moments", "--config", cfg, "--out", whole] + grid) == 0
-        estimate, build = cli.st.ensemble_estimates, cli._ensemble_table
-        built = []
-
-        # a sweep resumes one group at a time: the interruption comes after
-        # the group build, in the lambda = 1 cell's estimates
-        def interrupted(ens, *args):
-            if ens.config.lam == 1.0:
-                raise RuntimeError("interrupted")
-            return estimate(ens, *args)
-
-        def counting(sims, *args):
-            built.extend(sim.lam for sim in sims)
-            return build(sims, *args)
-
-        monkeypatch.setattr(cli.st, "ensemble_estimates", interrupted)
-        assert cli.main(["moments", "--config", cfg, "--out", cut] + grid) == 2
-        assert not os.path.exists(os.path.join(cut, "moments.csv"))
-        assert os.path.exists(os.path.join(cut, "moments_cell_0p5.csv"))
-        monkeypatch.setattr(cli.st, "ensemble_estimates", estimate)
-        monkeypatch.setattr(cli, "_ensemble_table", counting)
-        assert cli.main(["moments", "--config", cfg, "--out", cut] + grid) == 0
-        assert built == [1.0]
-        for name in ("moments.csv", "moments_cell_0p5.csv", "moments_cell_1.csv"):
-            with open(os.path.join(whole, name), "rb") as a, \
-                    open(os.path.join(cut, name), "rb") as b:
-                assert a.read() == b.read(), name
-        assert (load_manifest(cut, "moments")["diagnostics"]["cells"]
-                == load_manifest(whole, "moments")["diagnostics"]["cells"])
-
     def test_seed_env_precedence(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         monkeypatch.setenv("SHEAT_SEED", "1111")
@@ -291,11 +264,50 @@ class TestCliRuns:
         man = load_manifest(str(tmp_path / "out"), command)
         assert len(man["failed_cells"]) == 1
         assert man["failed_cells"][0]["lambda"] == 100000
+        assert [c["lambda"] for c in man["diagnostics"]["cells"]] == [0.5]
         if command == "moments":
-            assert os.path.exists(tmp_path / "out" / "moments_cell_0p5.csv")
+            with open(tmp_path / "out" / "moments.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and {r["lambda"] for r in rows} == {"0.5"}
         else:
             fits = json.loads((tmp_path / "out" / "lyapunov.json").read_text())["fits"]
             assert [f["lambda"] for f in fits] == [0.5]
+
+    def test_close_lambdas_keep_their_rows(self, tmp_path):
+        # lambdas equal to six digits are still two cells with their own rows
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["moments", "--config", cfg,
+                         "--override", "equation.lambda_grid=1.0000001, 1.0000002"]) == 0
+        with open(tmp_path / "out" / "moments.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # two functionals at two times per cell
+        assert [r["lambda"] for r in rows] == ["1.0000001"] * 4 + ["1.0000002"] * 4
+        cells = load_manifest(str(tmp_path / "out"), "moments")["diagnostics"]["cells"]
+        assert [c["lambda"] for c in cells] == [1.0000001, 1.0000002]
+
+    def test_close_pointwise_positions_keep_their_labels(self, tmp_path):
+        tokens = ["pointwise:0.1234567", "pointwise:0.1234568"]
+        functionals = [cli.st.Functional.parse(token, 2) for token in tokens]
+        assert [f.label for f in functionals] == tokens
+        assert [cli.st.Functional.parse(f.label, 2) for f in functionals] == functionals
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["moments", "--config", cfg,
+                         "--override", "observation.functionals=" + ", ".join(tokens)]) == 0
+        with open(tmp_path / "out" / "moments.csv", newline="") as fh:
+            labels = collections.Counter(r["functional"] for r in csv.DictReader(fh))
+        assert labels == {token: 2 for token in tokens}     # one row per time
+
+    def test_lyapunov_cells_are_moments_cells(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        cells = {}
+        for command in ("moments", "lyapunov"):
+            out = str(tmp_path / command)
+            assert cli.main([command, "--config", cfg, "--out", out,
+                             "--override", "equation.lambda_grid=0.5, 1"]) == 0
+            cells[command] = load_manifest(out, command)["diagnostics"]["cells"]
+        assert [c.pop("log_mode_estimates") for c in cells["moments"]] == [0, 0]
+        assert cells["lyapunov"] == cells["moments"]
+        assert [c["lambda"] for c in cells["lyapunov"]] == [0.5, 1.0]
 
     def test_sine_free_sigma_is_the_linear_one(self, tmp_path):
         # sigma_d = 0 leaves sigma(u) = 1.5 u, which renormalizes: the
@@ -408,20 +420,22 @@ class TestCliRuns:
         base, large = str(tmp_path / "base"), str(tmp_path / "large")
         assert cli.main(["moments", "--config", cfg, "--out", base]) == 0
         assert cli.main(["moments", "--config", cfg, "--out", large] + LARGE_LAMBDA) == 0
-        cell = load_manifest(base, "moments")["diagnostics"]["cells"]["1"]
+        (cell,) = load_manifest(base, "moments")["diagnostics"]["cells"]
+        assert cell["lambda"] == 1.0
         # lambda^2 Lip^2 dt / dx = 1e-3 * 32
         assert cell["noise_per_step"] == pytest.approx(0.032, rel=1e-12)
         assert not cell["under_resolved"] and cell["renormalized_samples"] == 0
         assert cell["log_mode_estimates"] == 0
         cells = load_manifest(large, "moments")["diagnostics"]["cells"]
-        cell = cells["60"]
+        (cell,) = cells
+        assert cell["lambda"] == 60.0
         assert cell["noise_per_step"] == pytest.approx(3600 * 0.032, rel=1e-12)
         assert cell["under_resolved"]
         assert cell["max_log_scale"] > 800 and cell["renormalized_samples"] >= 1
         with open(os.path.join(large, "moments.csv"), newline="") as fh:
             flipped = sum(int(r["log_mode"]) for r in csv.DictReader(fh))
         assert cell["log_mode_estimates"] == flipped >= 1
-        # a resumed cell carries its telemetry over
+        # a rerun recomputes the same telemetry
         assert cli.main(["moments", "--config", cfg, "--out", large] + LARGE_LAMBDA) == 0
         assert load_manifest(large, "moments")["diagnostics"]["cells"] == cells
 
@@ -482,7 +496,7 @@ class TestCliRuns:
                          "--override", "analysis.mc_samples=8"]) == 0
         man = load_manifest(str(tmp_path / "out"), "excitation")
         # lambda = 100000 diverged: no regime fields, one failed cell
-        assert man["diagnostics"]["mc_points"] == [
+        assert man["diagnostics"]["cells"] == [
             {"lambda": 0.5, "noise_per_step": 0.5 ** 2 * 2.0 ** 2 * 1e-3 * 16,
              "under_resolved": False, "max_log_scale": 0.0, "renormalized_samples": 0}]
         assert {"lambda": 100000.0, "error": "non-finite state at step 96, sample 0"} \
@@ -510,7 +524,7 @@ class TestCliRuns:
         assert mc["n_samples"] == 16 and mc["p"] == 4.0
         man = load_manifest(str(tmp_path / "out"), "excitation")
         assert man["failed_cells"] == []
-        regimes = man["diagnostics"]["mc_points"]
+        regimes = man["diagnostics"]["cells"]
         assert [d["lambda"] for d in regimes] == [32.0, 45.0, 64.0, 90.0]
         # lambda^2 Lip^2 dt / dx on 31 nodes, dt = 1e-3: all far past 0.1
         assert [d["noise_per_step"] for d in regimes] == pytest.approx(
@@ -664,7 +678,12 @@ class TestExitCodes:
         ("kernel", "kernel.gamma=0.3"),
         ("excitation", "analysis.lambda_grid=-0.5,1,2,4"),
         ("excitation", "analysis.excitation_time=0"),
-        ("oracle", "oracle.n_x=2")])
+        ("oracle", "oracle.n_x=2"),
+        ("oracle", "oracle.n_time_panels=2"),
+        ("oracle", "equation.nu=-1"),
+        ("oracle", "equation.lambda=nan"),
+        ("oracle", "grid.horizon=-1"),
+        ("oracle", "grid.dt=0")])
     def test_bad_value_names_its_key_before_compute(self, tmp_path, capsys, monkeypatch,
                                                     command, override):
         computed = []
@@ -675,7 +694,10 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfg, "--override", override]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config_error"
-        assert override.split("=")[0] in err["message"]
+        # the message names that key and no other
+        sections = "|".join(ExperimentConfig.defaults().raw)
+        named = re.findall(rf"\b(?:{sections})\.\w+", err["message"])
+        assert set(named) == {override.split("=")[0]}
         assert computed == []
 
     @pytest.mark.parametrize("override", ["ensemble.n_samples=0", "ensemble.n_samples=1",
@@ -834,10 +856,7 @@ def _listed_outputs(out):
     listed = {}
     for man_path in sorted(out.glob("manifest_*.json")):
         man = json.loads(man_path.read_text())
-        entries = [(e["path"], e["sha256"]) for e in man["outputs"]]
-        entries += [(f"moments_cell_{tag}.csv", meta["sha256"])
-                    for tag, meta in man["diagnostics"].get("cells", {}).items()]
-        for name, digest in entries:
+        for name, digest in ((e["path"], e["sha256"]) for e in man["outputs"]):
             assert name not in listed, f"{name} listed twice"
             listed[name] = digest
     return listed
