@@ -394,8 +394,7 @@ def integral_bound_value(spec: kern.KernelSpec, alpha, beta, x, t_max,
 
 def _integral_parts(spec, alpha, beta, x, t_max, n_panels=_S_PANELS):
     """integral_bound_value's parts over [0, min(t_max, 1)] and [1, t_max]."""
-    if not (0 < alpha < 1):
-        raise AnalysisError("alpha must lie in (0,1)")
+    lemma_domain(spec, alpha)
     q = 2.0 / (1.0 - alpha)
     yq, wq = kern.gauss_legendre_panels(0.0, 1.0, _Y_PANELS, 16)
     t_sub = min(t_max, 1.0)
@@ -427,6 +426,24 @@ def _integral_parts(spec, alpha, beta, x, t_max, n_panels=_S_PANELS):
     return head, float(np.dot(s_w, np.exp(np.minimum(log_vals, 700.0))))
 
 
+def lemma_domain(spec: kern.KernelSpec, alpha, betas=None, margins=None):
+    """The lemmas' threshold (2-alpha) nu pi^2, once alpha and the given
+    betas (beta < 0 lemma) and margins threshold - beta (threshold lemma)
+    lie in their domain, with two distinct values for each exponent fit;
+    else AnalysisError, its message starting with the argument it names."""
+    threshold = (2.0 - alpha) * spec.nu * math.pi ** 2
+    for name, values, ok, rule in (
+            ("alpha", None, 0 < alpha < 1, "lie in (0, 1)"),
+            ("betas", betas, betas is None or all(b < 0 for b in betas), "be < 0"),
+            ("margins", margins, margins is None or all(0 < m < threshold for m in margins),
+             f"lie in (0, (2 - alpha) nu pi^2) = (0, {threshold:g})")):
+        if not ok:
+            raise AnalysisError(f"{name} must {rule}")
+        if values is not None and len(set(values)) < 2:
+            raise AnalysisError(f"{name} must hold two distinct values")
+    return threshold
+
+
 def _fit_exponent(shifts, sups):
     x = np.log(np.asarray(shifts, dtype=float))
     y = np.log(np.asarray(sups, dtype=float))
@@ -446,8 +463,7 @@ def verify_negative_beta(spec: kern.KernelSpec, alpha, betas) -> IntegralBoundRe
     the spectral gap keeps the Dirichlet integral finite even at beta = 0.
     """
     betas = tuple(sorted(float(b) for b in betas))
-    if any(b >= 0 for b in betas):
-        raise AnalysisError("this lemma needs beta < 0")
+    lemma_domain(spec, alpha, betas=betas)
     free = replace(spec, boundary=kern.FREE)
     sups_free, by_x = [], []
     for b in betas:
@@ -493,10 +509,8 @@ def verify_threshold_beta(spec: kern.KernelSpec, alpha, margins) -> IntegralBoun
     factor the bound discards is active at s ~ 1/margin), so the stated 1/m
     shape lives on the bound, not on g_D.
     """
-    threshold = (2.0 - alpha) * spec.nu * math.pi ** 2
     margins = tuple(sorted(float(m) for m in margins))
-    if any(m <= 0 or m >= threshold for m in margins):
-        raise AnalysisError("margins must satisfy 0 < threshold - beta < threshold")
+    threshold = lemma_domain(spec, alpha, margins=margins)
     sups_true, majors = [], []
     for m in margins:
         beta = threshold - m

@@ -6,8 +6,10 @@ from declarative config files, writing CSV/JSON bundles plus a run manifest.
 
 Subcommands: kernel, simulate, oracle, moments, lyapunov, excitation,
 thresholds, grr-check, verify-bounds, all. Exit codes: 0 success, 1 config
-error, 2 numerical failure, 3 assertion failure in verification subcommands.
-Errors print a JSON diagnostic on stderr.
+error (every key is checked before any compute, except observation times,
+at a Monte Carlo build, and grr-check's 64 sample nodes), 2 numerical
+failure only, 3 assertion failure in verification subcommands. Errors print
+a JSON diagnostic on stderr.
 
 Runner.dispatch writes each subcommand's manifest_<subcommand>.json after
 its outputs, also when a verification fails; it is the only writer of a
@@ -39,6 +41,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -203,18 +206,24 @@ class Runner:
             raise ens
         return ens
 
-    def _cells(self, sims, n_samples):
-        """_ensembles' ensembles in order, each with its record in the
-        manifest's diagnostics.cells, its lambda and _regime, which the
-        caller may add to; a diverged config is listed in the manifest's
-        failed_cells instead."""
+    def _cells(self, sims, n_samples, functionals, times):
+        """Per config of sims, its lambda, its ensemble's (see _ensembles)
+        ensemble_estimates table over functionals and times, and its record
+        in the manifest's diagnostics.cells, lambda and _regime, which the
+        caller may add to; a diverged config goes to failed_cells instead."""
         records = self.man.diagnostics.setdefault("cells", [])
         for sim, ens in zip(sims, self._ensembles(sims, n_samples)):
             if isinstance(ens, PathDivergedError):
                 self.man.failed_cells.append({"lambda": sim.lam, "error": str(ens)})
             else:
                 records.append({"lambda": sim.lam, **_regime(ens)})
-                yield ens, records[-1]
+                yield sim.lam, st.ensemble_estimates(ens, functionals, times), records[-1]
+
+    def _grid_cells(self):
+        """_cells of the lambda grid, over the observed functionals and times."""
+        sims = [self.cfg.simulation(lam=lam) for lam in self.cfg.lambda_grid()]
+        return self._cells(sims, self.cfg.get("ensemble", "n_samples"),
+                           self.cfg.functionals(), self.cfg.get("observation", "times"))
 
     # ------------------------------------------------------------------ #
 
@@ -277,16 +286,12 @@ class Runner:
         })
 
     def cmd_moments(self):
-        functionals = self.cfg.functionals()
-        times = self.cfg.get("observation", "times")
-        sims = [self.cfg.simulation(lam=lam) for lam in self.cfg.lambda_grid()]
         rows = []
-        for ens, record in self._cells(sims, self.cfg.get("ensemble", "n_samples")):
-            table = st.ensemble_estimates(ens, functionals, times)
+        for lam, table, record in self._grid_cells():
             record["log_mode_estimates"] = sum(est.overflowed for est in table.values())
             for (f, t), est in sorted(table.items(),
                                       key=lambda kv: (kv[0][1], kv[0][0].label, kv[0][0].p)):
-                rows.append((ens.config.lam, f.p, f.label, t, est.n,
+                rows.append((lam, f.p, f.label, t, est.n,
                              est.mean if not est.overflowed else math.inf,
                              est.ci_half_width if (est.n >= 2 and not est.overflowed)
                              else math.nan,
@@ -296,32 +301,24 @@ class Runner:
     def cmd_lyapunov(self):
         functionals = self.cfg.functionals()
         times = self.cfg.get("observation", "times")
-        n_samples = self.cfg.get("ensemble", "n_samples")
         window = ana.fraction_window(max(times), self.cfg.get("analysis", "fit_window"))
         reports = []
         plot_rows = []
-        sims = [self.cfg.simulation(lam=lam) for lam in self.cfg.lambda_grid()]
-        for ens, _ in self._cells(sims, n_samples):
-            lam = ens.config.lam
-            table = st.ensemble_estimates(ens, functionals, times)
+        for lam, table, _ in self._grid_cells():
             for f in functionals:
-                label = f.label
                 ests = [table[(f, t)] for t in times]
                 try:
                     fit = ana.lyapunov_exponent(ests, window=window)
                 except ana.AnalysisError as exc:
-                    self.man.failed_cells.append({"lambda": lam, "functional": label,
+                    self.man.failed_cells.append({"lambda": lam, "functional": f.label,
                                                   "error": str(exc)})
                     continue
                 reports.append({
-                    "lambda": lam, "p": f.p, "functional": label,
-                    "slope": fit.slope, "slope_ci": fit.slope_ci,
-                    "intercept": fit.intercept, "r_squared": fit.r_squared,
-                    "window": fit.window, "n_dropped": fit.n_dropped,
+                    "lambda": lam, "p": f.p, "functional": f.label, **asdict(fit),
                     "significantly_negative": fit.significantly_negative,
                     "significantly_positive": fit.significantly_positive,
                 })
-                plot_rows += [(lam, f.p, label, t, est.log_mean, est.log_ci_half_width)
+                plot_rows += [(lam, f.p, f.label, t, est.log_mean, est.log_ci_half_width)
                               for t, est in zip(times, ests)]
         self._json("lyapunov.json", {"fits": reports})
         self._csv("lyapunov_series.csv", ["lambda", "p", "functional", "t",
@@ -330,8 +327,6 @@ class Runner:
     def cmd_excitation(self):
         lams = self.cfg.get("analysis", "lambda_grid")
         t_star = self.cfg.get("analysis", "excitation_time")
-        if any(lam <= 0 for lam in lams):
-            raise ConfigError("excitation needs every analysis.lambda_grid entry > 0")
         solves = [self.cfg.oracle(lam=lam, horizon=t_star) for lam in lams]
         start = time.perf_counter()
         points = ana.energies_at(solves, t_star)
@@ -375,10 +370,8 @@ class Runner:
         p_mc = self.cfg.get("analysis", "mc_p")
         f = st.Functional.lp(p_mc)
         sims = [self.cfg.simulation(lam=lam, t_end=t_star) for lam in lams]
-        energies = {}
-        for ens, _ in self._cells(sims, n_samples):
-            table = st.ensemble_estimates(ens, [f], (t_star,))
-            energies[ens.config.lam] = st.p_energy(table[(f, t_star)])
+        energies = {lam: st.p_energy(table[(f, t_star)])
+                    for lam, table, _ in self._cells(sims, n_samples, [f], (t_star,))}
         # a diverged lambda enters as nan, which the fit drops
         log_es = [energies[lam].log_value if lam in energies else math.nan for lam in lams]
         log_cis = [energies[lam].log_ci_half_width if lam in energies else math.nan
@@ -428,8 +421,6 @@ class Runner:
         sim = self.cfg.simulation()
         if sim.grid.n_interior + 2 < 64:
             raise ConfigError("grr-check needs n_interior >= 62 sample nodes")
-        if n_paths < 1:
-            raise ConfigError("grr-check needs grr.n_paths >= 1")
         ens = self._ensemble(sim, n_paths)
         i = ens.time_index(max(sim.observation_times))
         # profiles on [0, 1] at spacing dx: Dirichlet zeros, or the Neumann
@@ -476,20 +467,8 @@ class Runner:
         neg = ana.verify_negative_beta(spec, alpha, self.cfg.get("bounds", "betas"))
         thr = ana.verify_threshold_beta(spec, alpha, self.cfg.get("bounds", "margins"))
         self._json("verify_bounds.json", {
-            "negative_beta": {
-                "betas": neg.betas, "sups": neg.sups, "c_hats": neg.c_hats,
-                "fitted_exponent": neg.fitted_exponent,
-                "expected_exponent": neg.expected_exponent,
-                "refinement_change": neg.refinement_change,
-                "domination_checked": neg.domination_checked,
-            },
-            "threshold": {
-                "betas": thr.betas, "sups": thr.sups, "c_hats": thr.c_hats,
-                "fitted_exponent": thr.fitted_exponent,
-                "expected_exponent": thr.expected_exponent,
-                "threshold": thr.threshold,
-                "domination_checked": thr.domination_checked,
-            },
+            "negative_beta": {k: v for k, v in asdict(neg).items() if k != "threshold"},
+            "threshold": {k: v for k, v in asdict(thr).items() if k != "refinement_change"},
         })
         if abs(neg.fitted_exponent - neg.expected_exponent) \
                 > 0.1 * abs(neg.expected_exponent):

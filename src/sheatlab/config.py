@@ -19,11 +19,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import __version__
+from .analysis import lemma_domain
 from .kernel import KernelSpec, LowerBoundSpec
 from .noise import GridSpec
 from .solver import InitialData, SigmaSpec, SimulationConfig, ConfigError
 from .oracle import OracleConfig, interior_margin
 from .regularity import GrrParams
+from .stats import Functional
 
 
 def _floats(text):
@@ -150,6 +152,11 @@ class ExperimentConfig:
                     raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
         if self.get("ensemble", "n_samples") < 2:
             raise ConfigError("ensemble.n_samples must be >= 2 (a CI needs two samples)")
+        if self.get("grr", "n_paths") < 1:
+            raise ConfigError("grr.n_paths must be >= 1")
+        # the excitation index fits log lambda
+        if not all(lam > 0 for lam in self.get("analysis", "lambda_grid")):
+            raise ConfigError("analysis.lambda_grid entries must be > 0")
         mc = self.get("analysis", "mc_samples")
         if mc < 0 or mc == 1:
             raise ConfigError("analysis.mc_samples must be 0 (off) or >= 2")
@@ -164,11 +171,8 @@ class ExperimentConfig:
         # computes, runs here on the keys named beside it, in an order where
         # a failure can come from those keys only. Where a builder reads
         # several keys, they are given by the field its message starts with.
-        # simulation() is left out, because its dt <= dx rule would reject
-        # oracle-only configs. The excitation and threshold scans solve
-        # every analysis.lambda_grid entry, the former at
-        # analysis.excitation_time.
-        t_star = self.get("analysis", "excitation_time")
+        # The excitation scan solves at analysis.excitation_time, and the
+        # Monte Carlo subcommands simulate every lambda of lambda_grid().
         for keys, check in (
                 ({"n_interior": "grid.n_interior", "dt": "grid.dt",
                   "horizon": "grid.horizon"}, self.grid),
@@ -177,15 +181,21 @@ class ExperimentConfig:
                 ({"lam": "equation.lambda", "k_sigma": "equation.sigma_*",
                   "nu": "equation.nu", "boundary": "equation.boundary",
                   "horizon": "grid.horizon", "n_time_panels": "oracle.n_time_panels",
-                  "n_x": "oracle.n_x"}, self.oracle),
+                  "n_x": "oracle.n_x", "u0": "initial"}, self.oracle),
                 ("oracle.gamma", lambda: interior_margin(self.oracle().x_grid,
                                                          self.get("oracle", "gamma"))),
-                ("analysis.excitation_time", lambda: self.oracle(horizon=t_star)),
-                ("analysis.lambda_grid", lambda: [
-                    self.oracle(lam=lam, horizon=t_star)
-                    for lam in self.get("analysis", "lambda_grid")]),
+                ("analysis.excitation_time",
+                 lambda: self.oracle(horizon=self.get("analysis", "excitation_time"))),
+                ({"lam": "equation.lambda_grid", "scheme": "ensemble.scheme", "dt": "grid.dt"},
+                 lambda: [self.simulation(lam=lam) for lam in self.lambda_grid()]),
+                ("analysis.mc_p", lambda: Functional.lp(self.get("analysis", "mc_p"))),
                 ("equation.nu, kernel.tol", self.kernel_spec),
                 ("kernel.gamma", lambda: LowerBoundSpec.check_gamma(self.get("kernel", "gamma"))),
+                ({"alpha": "bounds.alpha", "betas": "bounds.betas",
+                  "margins": "bounds.margins"},
+                 lambda: lemma_domain(self.kernel_spec(), self.get("bounds", "alpha"),
+                                      self.get("bounds", "betas"),
+                                      self.get("bounds", "margins"))),
                 ("grr", self.grr_params),
                 ("observation.functionals, observation.p_values", self.functionals)):
             try:
@@ -201,9 +211,6 @@ class ExperimentConfig:
         if value is None:
             raise ConfigError(f"missing config value {section}.{key}")
         return _SCHEMA[section][key][0](value)
-
-    def has(self, section, key):
-        return key in self.raw[section]
 
     # --- domain-object builders -------------------------------------------
 
@@ -269,12 +276,11 @@ class ExperimentConfig:
         )
 
     def functionals(self):
-        from .stats import Functional
         return [Functional.parse(token, p) for p in self.get("observation", "p_values")
                 for token in self.get("observation", "functionals")]
 
     def lambda_grid(self):
-        if self.has("equation", "lambda_grid"):
+        if "lambda_grid" in self.raw["equation"]:
             return self.get("equation", "lambda_grid")
         return (self.get("equation", "lambda"),)
 

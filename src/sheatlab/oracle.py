@@ -103,7 +103,8 @@ class OracleConfig:
                  "dirichlet or neumann"),
                 ("horizon", self.horizon > 0, "> 0"),
                 ("n_time_panels", self.n_time_panels >= 4, ">= 4"),
-                ("n_x", self.n_x >= 3, ">= 3")):
+                ("n_x", self.n_x >= 3, ">= 3"),
+                ("u0", np.any(self.u0(self.x_grid) ** 2 > 0), "nonzero at some oracle node")):
             if not ok:
                 raise OracleDomainError(f"{field_name} must be {rule}")
 
@@ -416,8 +417,6 @@ def _solve_grid(grids, amps):
                              for g in grids])
     m0 = grid.u0(grid.x_grid) ** 2
     peak0 = float(np.max(m0))
-    if peak0 <= 0:
-        raise OracleDomainError("u0 vanishes on the oracle grid")
     n_diag = _n_diag(grid)
     live = [sorted(set(a) - {0.0}) for a in amps]
     gi = np.array([k for k, lv in enumerate(live) for _ in lv], dtype=int)

@@ -190,19 +190,19 @@ class SimulationConfig:
     observation_times: tuple = ()
 
     def __post_init__(self):
-        if self.boundary not in (DIRICHLET, NEUMANN):
-            raise ConfigError(f"unknown boundary {self.boundary!r}")
-        if self.scheme not in ("semi_implicit", "spectral"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        # one rule per message, which starts with the field it names
+        for field_name, ok, rule in (
+                ("boundary", self.boundary in (DIRICHLET, NEUMANN), "dirichlet or neumann"),
+                ("scheme", self.scheme in ("semi_implicit", "spectral"),
+                 "semi_implicit or spectral"),
+                ("nu", self.nu > 0, "> 0"),
+                ("lam", self.lam >= 0, ">= 0"),
+                ("dt", self.grid.dt <= self.grid.dx * (1 + 1e-12),
+                 "<= dx: per-node noise variance dt/dx must stay <= 1")):
+            if not ok:
+                raise ConfigError(f"{field_name} must be {rule}")
         if self.scheme == "spectral" and self.boundary == NEUMANN:
-            raise UnsupportedSchemeError("spectral scheme is Dirichlet only")
-        if self.nu <= 0:
-            raise ConfigError("nu must be positive")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
-        if self.grid.dt > self.grid.dx * (1 + 1e-12):
-            raise ConfigError(
-                "dt <= dx required: per-node noise variance dt/dx must stay <= 1")
+            raise UnsupportedSchemeError("scheme spectral is Dirichlet only")
 
     def observation_steps(self):
         """Observation times snapped to the step grid (deduplicated, sorted)."""

@@ -29,6 +29,9 @@ RUNS = [
     ("all_w2", "all", "experiment.cfg", ["--workers", "2"]),
     ("thresholds", "thresholds", "oracle_thresholds.cfg", []),
     ("excitation", "excitation", "oracle_excitation.cfg", []),
+    # the Monte Carlo half of excitation, which no run above reaches
+    ("excitation_mc", "excitation", "experiment.cfg",
+     ["--override", "analysis.mc_samples=64"]),
     ("moments_semi_implicit", "moments", "mc_moments.cfg",
      ["--override", "ensemble.scheme=semi_implicit"]),
     ("moments_spectral", "moments", "mc_moments.cfg",

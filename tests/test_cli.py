@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from sheatlab import analysis as ana
 from sheatlab import cli, solver
 from sheatlab import kernel as kern
 from sheatlab import oracle as ora
@@ -649,7 +650,8 @@ class TestExitCodes:
         ("thresholds", "analysis.lambda_grid=-0.5,1,2,4"),
         ("excitation", "analysis.lambda_grid=-0.5,1,2,4"),
         ("excitation", "analysis.excitation_time=0"),
-        ("excitation", "analysis.lambda_grid=0,8,16,32,64")])
+        ("excitation", "analysis.lambda_grid=0,8,16,32,64"),
+        ("thresholds", "analysis.lambda_grid=0,1,2,4")])
     def test_bad_scan_fails_before_compute(self, tmp_path, capsys, monkeypatch, command,
                                            override):
         solved = []
@@ -683,13 +685,25 @@ class TestExitCodes:
         ("oracle", "equation.nu=-1"),
         ("oracle", "equation.lambda=nan"),
         ("oracle", "grid.horizon=-1"),
-        ("oracle", "grid.dt=0")])
+        ("oracle", "grid.dt=0"),
+        ("grr-check", "grr.n_paths=0"),
+        ("moments", "ensemble.scheme=bogus"),
+        ("moments", "equation.lambda_grid=-1,1"),
+        ("oracle", "grid.dt=0.5"),
+        ("thresholds", "analysis.lambda_grid=0,8,16,32"),
+        ("excitation", "analysis.mc_p=1"),
+        ("verify-bounds", "bounds.alpha=1.5"),
+        ("verify-bounds", "bounds.betas=-1"),
+        ("verify-bounds", "bounds.betas=0.5,-1"),
+        ("verify-bounds", "bounds.margins=100")])
     def test_bad_value_names_its_key_before_compute(self, tmp_path, capsys, monkeypatch,
                                                     command, override):
         computed = []
         monkeypatch.setattr(ora, "second_moments", lambda *args: computed.append(args))
         monkeypatch.setattr(kern, "calibrate_lower_bound",
                             lambda *args: computed.append(args))
+        monkeypatch.setattr(cli, "_ensemble_table", lambda *args: computed.append(args))
+        monkeypatch.setattr(ana, "integral_bound_value", lambda *args: computed.append(args))
         cfg = write_cfg(tmp_path)
         assert cli.main([command, "--config", cfg, "--override", override]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -709,11 +723,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "oracle.n_x=2", "oracle.n_time_panels=3", "oracle.n_time_panels=101",
         "grid.n_interior=0", "grid.dt=-1", "kernel.tol=-1", "grr.eps=5",
-        "analysis.fit_window=0.5"])
+        "analysis.fit_window=0.5",
+        "grr.n_paths=0", "ensemble.scheme=bogus", "equation.lambda_grid=-1,1", "grid.dt=0.5",
+        "analysis.lambda_grid=0,8,16,32", "analysis.mc_p=1",
+        "bounds.alpha=1.5", "bounds.betas=-1", "bounds.betas=0.5,-1", "bounds.margins=100"])
     def test_bad_domain_value_fails_before_compute(self, tmp_path, capsys, override):
         cfg = write_cfg(tmp_path)
         assert cli.main(["all", "--config", cfg, "--override", override]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "config_error"
+        assert not (tmp_path / "out").exists()
+
+    def test_initial_zero_on_oracle_grid_fails_before_compute(self, tmp_path, capsys):
+        # the bump's support (0.49, 0.51) lies between two of 32 cell midpoints
+        cfg = write_cfg(tmp_path)
+        assert cli.main(["oracle", "--config", cfg, "--override", "oracle.n_x=32",
+                         "--override", "initial.gamma=0.49"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_error"
+        assert err["message"].startswith("initial: u0")
         assert not (tmp_path / "out").exists()
 
     def test_numerical_error(self, tmp_path):
