@@ -6,10 +6,9 @@ from declarative config files, writing CSV/JSON bundles plus a run manifest.
 
 Subcommands: kernel, simulate, oracle, moments, lyapunov, excitation,
 thresholds, grr-check, verify-bounds, all. Exit codes: 0 success, 1 config
-error (every key is checked before any compute, except observation times,
-at a Monte Carlo build, and grr-check's 64 sample nodes), 2 numerical
-failure only, 3 assertion failure in verification subcommands. Errors print
-a JSON diagnostic on stderr.
+error (every key is checked before any compute, except grr-check's 64
+sample nodes), 2 numerical failure only, 3 assertion failure in
+verification subcommands. Errors print a JSON diagnostic on stderr.
 
 Runner.dispatch writes each subcommand's manifest_<subcommand>.json after
 its outputs, also when a verification fails; it is the only writer of a
@@ -31,6 +30,8 @@ excitation first build every cell of their grid that the runner does not
 hold as one march, which draws each sample's noise once for all of them.
 `all` runs moments before the other Monte Carlo readers, so lyapunov,
 simulate and grr-check slice its ensembles: each config is built once.
+The runner also holds each cell's estimate table, so lyapunov reads the
+tables moments took.
 """
 
 import argparse
@@ -142,6 +143,7 @@ class Runner:
         self.workers = workers
         self.man = None
         self._held = {}
+        self._tables = {}
         os.makedirs(out_dir, exist_ok=True)
 
     def dispatch(self, name):
@@ -210,14 +212,19 @@ class Runner:
         """Per config of sims, its lambda, its ensemble's (see _ensembles)
         ensemble_estimates table over functionals and times, and its record
         in the manifest's diagnostics.cells, lambda and _regime, which the
-        caller may add to; a diverged config goes to failed_cells instead."""
+        caller may add to; a diverged config goes to failed_cells instead.
+        The runner holds each table, keyed by config, sample count,
+        functionals and times, so a later reader of the same cell reuses it."""
         records = self.man.diagnostics.setdefault("cells", [])
         for sim, ens in zip(sims, self._ensembles(sims, n_samples)):
             if isinstance(ens, PathDivergedError):
                 self.man.failed_cells.append({"lambda": sim.lam, "error": str(ens)})
             else:
                 records.append({"lambda": sim.lam, **_regime(ens)})
-                yield sim.lam, st.ensemble_estimates(ens, functionals, times), records[-1]
+                key = (sim, n_samples, tuple(functionals), tuple(times))
+                if key not in self._tables:
+                    self._tables[key] = st.ensemble_estimates(ens, functionals, times)
+                yield sim.lam, self._tables[key], records[-1]
 
     def _grid_cells(self):
         """_cells of the lambda grid, over the observed functionals and times."""

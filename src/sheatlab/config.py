@@ -186,7 +186,8 @@ class ExperimentConfig:
                                                          self.get("oracle", "gamma"))),
                 ("analysis.excitation_time",
                  lambda: self.oracle(horizon=self.get("analysis", "excitation_time"))),
-                ({"lam": "equation.lambda_grid", "scheme": "ensemble.scheme", "dt": "grid.dt"},
+                ({"lam": "equation.lambda_grid", "scheme": "ensemble.scheme", "dt": "grid.dt",
+                  "observation_times": "observation.times"},
                  lambda: [self.simulation(lam=lam) for lam in self.lambda_grid()]),
                 ("analysis.mc_p", lambda: Functional.lp(self.get("analysis", "mc_p"))),
                 ("equation.nu, kernel.tol", self.kernel_spec),

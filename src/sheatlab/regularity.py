@@ -201,6 +201,10 @@ def holder_bound_check(f, params: GrrParams, b_value=None) -> HolderReport:
 # How deep below r the Stieltjes partition of (0, r] reaches.
 _STIELTJES_DEPTH = 1e-150
 STIELTJES_POINTS = 200_000  # grr_general's coarser partition; the finer has twice
+# Partition cells evaluated at a time: a multiple of 4096, so that numpy's
+# SIMD power rounds each element as it would in one pass over the whole
+# partition, and the temporaries stay small beside the terms array.
+_STIELTJES_BLOCK = 1 << 15
 
 
 def _stieltjes(phi_inv_of_b_over, phi, r, n_points):
@@ -209,12 +213,15 @@ def _stieltjes(phi_inv_of_b_over, phi, r, n_points):
     # negligible for any modulus with a power of at least ~0.05 at 0.
     # Returns the total and the contributions of the two deepest 10% blocks:
     # a non-decreasing trend toward the deep end exposes a non-integrable
-    # singularity.
+    # singularity. The terms are filled block by block and summed whole.
     ratio = _STIELTJES_DEPTH ** (1.0 / n_points)
-    edges = r * ratio ** np.arange(n_points + 1)
-    mids = np.sqrt(edges[:-1] * edges[1:])
-    dphi = phi(edges[:-1]) - phi(edges[1:])
-    terms = phi_inv_of_b_over(mids) * dphi
+    terms = np.empty(n_points)
+    for lo in range(0, n_points, _STIELTJES_BLOCK):
+        hi = min(lo + _STIELTJES_BLOCK, n_points)
+        edges = r * ratio ** np.arange(lo, hi + 1)
+        mids = np.sqrt(edges[:-1] * edges[1:])
+        dphi = phi(edges[:-1]) - phi(edges[1:])
+        terms[lo:hi] = phi_inv_of_b_over(mids) * dphi
     tenth = max(n_points // 10, 1)
     deep = float(np.sum(terms[-tenth:]))
     prev = float(np.sum(terms[-2 * tenth:-tenth]))

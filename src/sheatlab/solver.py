@@ -29,8 +29,13 @@ sample, in chunks of steps. Each sample's noise is drawn straight into its
 row of one of two (k, chunk, n) buffers: a producer thread fills the next
 chunk into one while the march steps the other (numpy draws without the
 GIL), and the march, its chunk stepped, draws the samples the producer has
-not reached. Each sample's generator still consumes its stream in order,
-so values depend neither on the chunk length nor on which thread drew.
+not reached. The buffers are sized in bytes, not steps: a chunk is
+max(1, NOISE_BUFFER_BYTES // (8 k n)) steps, so a march holds at most
+2 x NOISE_BUFFER_BYTES of noise whatever its batch, except a batch too
+large for one step per buffer, whose one-step buffers are each the size
+of its own state. Each sample's generator still consumes its stream in
+order, so values depend neither on the chunk length nor on which thread
+drew.
 
 Configs that differ only in lambda share their noise, so simulate_group
 marches such a group as one (n_lam k, n) state, one block of k rows per
@@ -61,8 +66,8 @@ from .noise import GridSpec, NoiseStream, sample_block
 
 RENORM_THRESHOLD = 1e100
 _RENORM_CHECK_EVERY = 32
-# steps of noise drawn at a time: the buffers' size, never the values
-CHUNK_STEPS = 128
+# bytes of each of the two noise buffers: their size, never the values
+NOISE_BUFFER_BYTES = 4 << 20
 
 
 class ConfigError(ValueError):
@@ -203,15 +208,15 @@ class SimulationConfig:
                 raise ConfigError(f"{field_name} must be {rule}")
         if self.scheme == "spectral" and self.boundary == NEUMANN:
             raise UnsupportedSchemeError("scheme spectral is Dirichlet only")
+        outside = [t for t in self.observation_times
+                   if not 0 <= round(t / self.grid.dt) <= self.grid.n_steps]
+        if outside:
+            raise ConfigError(f"observation_times must lie in [0, horizon]: "
+                              f"{outside[0]:g} does not")
 
     def observation_steps(self):
         """Observation times snapped to the step grid (deduplicated, sorted)."""
-        dt = self.grid.dt
-        steps = sorted({int(round(t / dt)) for t in self.observation_times})
-        for k in steps:
-            if not (0 <= k <= self.grid.n_steps):
-                raise ConfigError(f"observation time {k * dt:g} outside horizon")
-        return steps
+        return sorted({int(round(t / self.grid.dt)) for t in self.observation_times})
 
 
 class _Observed:
@@ -363,7 +368,13 @@ def simulate_group(cfgs, sample_indices):
     rounds as a lone run's increments do. Returns, per config, its Ensemble
     (bit-identical to a run of that config alone) or the PathDivergedError
     such a run raises; a diverged member leaves the march and the others
-    keep stepping. CHUNK_STEPS steps of noise are drawn at a time.
+    keep stepping.
+
+    Noise is drawn max(1, NOISE_BUFFER_BYTES // (8 k n)) steps at a time
+    for k samples of n nodes, into two buffers of at most
+    NOISE_BUFFER_BYTES each. A batch with 8 k n > NOISE_BUFFER_BYTES draws
+    one step at a time: its buffers are each the size of its (k, n) state,
+    and it makes one generator call per sample per step.
     """
     cfgs = list(cfgs)
     cfg = cfgs[0]
@@ -406,11 +417,12 @@ def simulate_group(cfgs, sample_indices):
         record(0)
 
     last_step = max(obs_steps)
-    lengths = [min(CHUNK_STEPS, last_step - lo) for lo in range(0, last_step, CHUNK_STEPS)]
+    chunk = max(1, NOISE_BUFFER_BYTES // (8 * max(k, 1) * n))
+    lengths = [min(chunk, last_step - lo) for lo in range(0, last_step, chunk)]
     noisy = any(c.lam != 0.0 for c in cfgs)
     # two buffers: the producer fills one while the march steps the other
     # (with one chunk the second is never touched and costs no memory)
-    buffers = [np.empty((k, min(CHUNK_STEPS, last_step), n)) for _ in range(2)]
+    buffers = [np.empty((k, min(chunk, last_step), n)) for _ in range(2)]
     increment = np.empty((k, n))
 
     def fill(c, todo):

@@ -36,6 +36,9 @@ RUNS = [
      ["--override", "ensemble.scheme=semi_implicit"]),
     ("moments_spectral", "moments", "mc_moments.cfg",
      ["--override", "ensemble.scheme=spectral"]),
+    # the Neumann factor, and 130-step noise chunks on 63 nodes
+    ("moments_neumann", "moments", "mc_moments.cfg",
+     ["--override", "equation.boundary=neumann", "--override", "grid.n_interior=63"]),
 ]
 
 

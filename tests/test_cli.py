@@ -695,7 +695,8 @@ class TestExitCodes:
         ("verify-bounds", "bounds.alpha=1.5"),
         ("verify-bounds", "bounds.betas=-1"),
         ("verify-bounds", "bounds.betas=0.5,-1"),
-        ("verify-bounds", "bounds.margins=100")])
+        ("verify-bounds", "bounds.margins=100"),
+        ("oracle", "observation.times=0.1,5")])
     def test_bad_value_names_its_key_before_compute(self, tmp_path, capsys, monkeypatch,
                                                     command, override):
         computed = []
@@ -726,7 +727,8 @@ class TestExitCodes:
         "analysis.fit_window=0.5",
         "grr.n_paths=0", "ensemble.scheme=bogus", "equation.lambda_grid=-1,1", "grid.dt=0.5",
         "analysis.lambda_grid=0,8,16,32", "analysis.mc_p=1",
-        "bounds.alpha=1.5", "bounds.betas=-1", "bounds.betas=0.5,-1", "bounds.margins=100"])
+        "bounds.alpha=1.5", "bounds.betas=-1", "bounds.betas=0.5,-1", "bounds.margins=100",
+        "observation.times=0.1,5"])
     def test_bad_domain_value_fails_before_compute(self, tmp_path, capsys, override):
         cfg = write_cfg(tmp_path)
         assert cli.main(["all", "--config", cfg, "--override", override]) == 1
@@ -853,29 +855,38 @@ ALL_OVERRIDES = ["--override", "grid.n_interior=63", "--override", "grr.n_paths=
                  "--override", "observation.times=0.1, 0.15, 0.2"]
 
 
+AllRuns = collections.namedtuple("AllRuns", "rc one proc two builds estimates")
+
+
 @pytest.fixture(scope="module")
 def all_runs(tmp_path_factory):
     """sheatlab all, in process on one worker and as a fresh interpreter on
-    two, with the lambdas and sample count of each group build in process."""
+    two, with the lambdas and sample count of each group build in process,
+    and the lambda of each ensemble's estimate table taken in process."""
     tmp = tmp_path_factory.mktemp("all")
     cfg = write_cfg(tmp)
     one, two = tmp / "w1", tmp / "w2"
-    builds = []
-    build = cli._ensemble_table
+    builds, estimates = [], []
+    build, estimate = cli._ensemble_table, cli.st.ensemble_estimates
 
     def counting(sims, n_samples, *args):
         builds.append(([sim.lam for sim in sims], n_samples))
         return build(sims, n_samples, *args)
 
+    def counting_estimates(ens, *args):
+        estimates.append(ens.config.lam)
+        return estimate(ens, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_ensemble_table", counting)
+        mp.setattr(cli.st, "ensemble_estimates", counting_estimates)
         rc = cli.main(["all", "--config", cfg, "--workers", "1", "--out", str(one)]
                       + ALL_OVERRIDES)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-m", "sheatlab", "all", "--config", cfg,
                            "--workers", "2", "--out", str(two)] + ALL_OVERRIDES,
                           env=env, capture_output=True, text=True, timeout=600)
-    return rc, one, proc, two, builds
+    return AllRuns(rc, one, proc, two, builds, estimates)
 
 
 def _listed_outputs(out):
@@ -891,7 +902,7 @@ def _listed_outputs(out):
 
 class TestAll:
     def test_exit_codes_and_manifests(self, all_runs):
-        rc, one, proc, two, _ = all_runs
+        rc, one, proc, two = all_runs[:4]
         assert rc == 0
         assert proc.returncode == 0, proc.stderr
         want = sorted(f"manifest_{c.replace('-', '_')}.json" for c in cli.SUBCOMMANDS[:-1])
@@ -901,10 +912,14 @@ class TestAll:
     def test_one_build_per_simulation_config(self, all_runs):
         # moments, the first Monte Carlo reader, builds the one config's 64
         # samples; lyapunov, simulate and grr-check (8 paths) slice them
-        assert all_runs[-1] == [([1.0], 64)]
+        assert all_runs.builds == [([1.0], 64)]
+
+    def test_one_estimate_table_per_cell(self, all_runs):
+        # moments takes the one cell's table; lyapunov reads the one held
+        assert all_runs.estimates == [1.0]
 
     def test_every_output_listed_once(self, all_runs):
-        for out in all_runs[1::2]:
+        for out in (all_runs.one, all_runs.two):
             files = {p.name for p in out.iterdir() if not p.name.startswith("manifest_")}
             listed = _listed_outputs(out)
             assert set(listed) == files
@@ -912,7 +927,7 @@ class TestAll:
                 assert sha256_file(str(out / name)) == digest, name
 
     def test_csv_cells_are_numbers(self, all_runs):
-        for path in sorted(all_runs[1].glob("*.csv")):
+        for path in sorted(all_runs.one.glob("*.csv")):
             with open(path, newline="") as fh:
                 for row in csv.DictReader(fh):
                     for column, cell in row.items():
@@ -921,7 +936,7 @@ class TestAll:
 
     def test_json_key_sets(self, all_runs):
         # the keys of each JSON output on this config, pinned exactly
-        out = all_runs[1]
+        out = all_runs.one
         kernel, bounds, grr, thresholds, excitation, lyapunov = (
             json.loads((out / name).read_text()) for name in (
                 "kernel_calibration.json", "verify_bounds.json", "grr_check.json",
@@ -952,7 +967,7 @@ class TestAll:
                                  "significantly_negative", "significantly_positive"}
 
     def test_outputs_identical_across_workers(self, all_runs):
-        one, two = all_runs[1::2]
+        one, two = all_runs.one, all_runs.two
         names = sorted(p.name for p in one.iterdir() if not p.name.startswith("manifest_"))
         assert names == sorted(p.name for p in two.iterdir()
                                if not p.name.startswith("manifest_"))

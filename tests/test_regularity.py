@@ -1,6 +1,7 @@
 """GRR machinery tests: closed forms, scaling, modulus checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,30 @@ class TestGrrGeneral:
                 got = R.grr_general(pinv, phi, b, r)
                 want = R.closed_form_bound(params, b, r)
                 assert got == pytest.approx(want, rel=1e-8)
+
+    def test_blocked_partition_sums_as_one_pass_in_bounded_memory(self):
+        # criterion 9's six cases against the partition evaluated in one
+        # pass, which holds about 16 MB of temporaries
+        def one_pass(pinv, phi, b, r, n_points):
+            ratio = R._STIELTJES_DEPTH ** (1.0 / n_points)
+            edges = r * ratio ** np.arange(n_points + 1)
+            mids = np.sqrt(edges[:-1] * edges[1:])
+            return float(np.sum(pinv(b / mids) * (phi(edges[:-1]) - phi(edges[1:]))))
+
+        n = R.STIELTJES_POINTS
+        for params in (PARAMS, R.GrrParams(p=8, delta=1, eps=0.25),
+                       R.GrrParams(p=4, delta=0.5, eps=0.2)):
+            pinv, phi = R.power_law_pair(params)
+            for b, r in ((8.0 / 3.0, 0.5), (2.0, 1.0)):
+                tracemalloc.start()
+                try:
+                    got = R.grr_general(pinv, phi, b, r)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                fine, finer = (one_pass(pinv, phi, b, r, m) for m in (n, 2 * n))
+                assert got == 8.0 * ((4.0 * finer - fine) / 3.0)
+                assert peak < 6e6
 
     def test_zero_b(self):
         pinv, phi = R.power_law_pair(PARAMS)

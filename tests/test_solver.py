@@ -1,10 +1,12 @@
 """Solver tests: exact deterministic limits, reproducibility, scheme agreement."""
 
+import collections
 import dataclasses
 import math
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,12 @@ from sheatlab.solver import sine_transform
 from reference_steps import step_semi_implicit, step_spectral
 
 PI2 = math.pi ** 2
+
+
+def chunk_budget(steps, k, n):
+    """The NOISE_BUFFER_BYTES under which a march of k samples on n nodes
+    draws its noise `steps` steps at a time."""
+    return 8 * k * n * steps
 
 
 class TestSigmaSpec:
@@ -166,9 +174,9 @@ class TestReproducibility:
         grid = GridSpec(n_interior=31, dt=1e-3, horizon=0.1)
         cfg = S.SimulationConfig(grid=grid, lam=2.0, master_seed=11,
                                  u0=S.InitialData.bump(0.2), observation_times=(0.1,))
-        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(7, 1, 31))
         a = S.simulate_paths(cfg, [3])[0]
-        monkeypatch.setattr(S, "CHUNK_STEPS", 256)
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(256, 1, 31))
         b = S.simulate_paths(cfg, [3])[0]
         assert np.array_equal(a.values, b.values)
 
@@ -363,7 +371,7 @@ class TestNoiseProducer:
         samples = [4, 0, 2]
         runs = []
         for c in (1, 7, 128, cfg.grid.n_steps + 5):
-            monkeypatch.setattr(S, "CHUNK_STEPS", c)
+            monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(c, len(samples), 15))
             runs.append(S.simulate_paths(cfg, samples))
         for run in runs[1:]:
             assert np.array_equal(run.values, runs[0].values)
@@ -378,7 +386,7 @@ class TestNoiseProducer:
         # march and its producer with a thread switch every microsecond: a
         # buffer refilled while still read would move a value
         cfg = self.config(lam=2.0, scheme="spectral")
-        monkeypatch.setattr(S, "CHUNK_STEPS", 3)
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(3, 4, 15))
         expected = S.simulate_paths(cfg, range(4)).values
         results = {}
 
@@ -408,7 +416,7 @@ class TestNoiseProducer:
             thread_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(7, 2, 15))
         before = threading.active_count()
         S.simulate_paths(self.config(lam=0.0), [0, 1])
         assert started == []
@@ -458,7 +466,7 @@ class TestNoiseProducer:
         monkeypatch.setattr(S, "sample_block", held_block)
         monkeypatch.setattr(S, "_propagator", poisoned_propagator)
         monkeypatch.setattr(S, "PathDivergedError", RecordingDiverged)
-        monkeypatch.setattr(S, "CHUNK_STEPS", 128)
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(128, 2, 15))
         before = threading.active_count()
         with pytest.raises(diverged) as err:
             S.simulate_paths(cfg, [0, 1])
@@ -480,12 +488,49 @@ class TestNoiseProducer:
             return real_block(*args, **kwargs)
 
         monkeypatch.setattr(S, "sample_block", failing_block)
-        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(7, 2, 15))
         before = threading.active_count()
         with pytest.raises(RuntimeError) as err:
             S.simulate_paths(self.config(lam=1.0), [0, 1])
         assert err.value is boom
         assert threading.active_count() == before
+
+    def test_chunk_length_follows_the_byte_budget(self, monkeypatch):
+        # 64 samples on 127 nodes: 4 MiB // (8 * 64 * 127) = 64 steps, so
+        # 130 steps are drawn as 64, 64 and 2; a budget below one step
+        # draws one step at a time, with the same values
+        grid = GridSpec(n_interior=127, dt=1e-4, horizon=0.013)
+        cfg = S.SimulationConfig(grid=grid, lam=2.0, master_seed=9,
+                                 u0=S.InitialData.bump(0.2), observation_times=(0.013,))
+        lengths = []
+        real_block = S.sample_block
+
+        def recording_block(stream, n_steps, **kwargs):
+            lengths.append(n_steps)
+            return real_block(stream, n_steps, **kwargs)
+
+        monkeypatch.setattr(S, "sample_block", recording_block)
+        budgeted = S.simulate_paths(cfg, range(64))
+        assert collections.Counter(lengths) == {64: 128, 2: 64}
+        lengths.clear()
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", 1)
+        one_step = S.simulate_paths(cfg, range(64))
+        assert collections.Counter(lengths) == {1: 130 * 64}
+        assert np.array_equal(one_step.values, budgeted.values)
+
+    def test_noise_memory_is_bounded_by_the_budget(self):
+        # 256 samples on 63 nodes: 32-step chunks, two buffers of 4.1 MB
+        grid = GridSpec(n_interior=63, dt=1e-3, horizon=0.2)
+        cfg = S.SimulationConfig(grid=grid, lam=1.0, master_seed=3,
+                                 u0=S.InitialData.bump(0.2), observation_times=(0.2,))
+        S.load_kernels()        # scipy's import is not the march's memory
+        tracemalloc.start()
+        try:
+            S.simulate_paths(cfg, range(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 GROUP_CASES = {
@@ -532,7 +577,7 @@ class TestGroupMarch:
         sigma = S.SigmaSpec(1.5, 0.5)
         cfgs = self.configs((0.5, 100000.0, 1.0), horizon=0.3, sigma=sigma)
         samples = [4, 0, 2]
-        monkeypatch.setattr(S, "CHUNK_STEPS", 7)
+        monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(7, 3, 15))
         group = S.simulate_group(cfgs, samples)
         assert isinstance(group[1], S.PathDivergedError)
         with pytest.raises(S.PathDivergedError) as alone:
