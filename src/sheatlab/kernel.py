@@ -414,7 +414,9 @@ def calibrate_lower_bound(spec: KernelSpec, gamma) -> LowerBoundSpec:
     whose kappa1 reaches half the best achievable kappa1, i.e. the tightest
     Gaussian width that does not crush the prefactor. The Gaussian decay of
     g_D itself forces kappa2 >= 1/(4 nu) as t -> 0, which anchors the
-    candidate grid.
+    candidate grid. kappa1 is capped at (4 pi nu)^{-1/2}, the t -> 0 limit
+    of g_D(t,x,x) t^{1/2} e^{nu pi^2 t}, which the grid's smallest time
+    does not reach: no larger kappa1 holds there.
     """
     if spec.boundary != DIRICHLET:
         raise KernelDomainError("lower bound is stated for the Dirichlet kernel")
@@ -436,9 +438,10 @@ def calibrate_lower_bound(spec: KernelSpec, gamma) -> LowerBoundSpec:
     if best <= 0:
         raise ToleranceError("calibration failed: nonpositive ratio on grid", achieved=best)
     idx = int(np.argmax(kappa1s >= _KAPPA1_SATURATION * best))
+    kappa1 = min(float(kappa1s[idx]), 1.0 / math.sqrt(4.0 * math.pi * spec.nu))
     # shave one ulp-scale factor so the inequality is strict under roundoff
-    kappa1 = kappa1s[idx] * (1.0 - 1e-12)
-    return LowerBoundSpec(gamma=gamma, kappa1=float(kappa1), kappa2=float(kappa2_grid[idx]))
+    kappa1 *= 1.0 - 1e-12
+    return LowerBoundSpec(gamma=gamma, kappa1=kappa1, kappa2=float(kappa2_grid[idx]))
 
 
 def _dx_series_tail(nu, t, n):

@@ -34,21 +34,25 @@ fitted sum of exponentials (Beylkin & Monzon, ACHA 28, 2010). Every
 (pair, rate) channel is then a geometric recursion over the projections
 <psi_kl, m_j>, which makes a step O(L n_x^2 + pairs * rates) instead of
 O(n_t n_x^2) (the near/far split of Lubich & Schaedle, SIAM J. Sci.
-Comput. 24, 2002). A grid whose every lag is a diagonal surrogate (large
-lambda on a short window) has no quadrature for modes to carry: it keeps
-lags up to L = 32 and fits each cell's later weighted surrogates, smooth in
-the lag, by 64 fixed-rate exponentials, one least-squares fit per grid, so
-every (rate, cell) channel is a geometric recursion over m_j(x); such grids
-that differ only in the horizon march together, one kernel row per grid.
+Comput. 24, 2002). The channels are stored rate-major, (rates, amplitudes,
+pairs), so a step's decay and projection update run over contiguous
+blocks and its weighted sum over rates is one matrix-vector product.
+A grid whose every lag is a diagonal surrogate (large lambda on a short
+window) has no quadrature for modes to carry: it keeps lags up to L = 32
+and fits each cell's later weighted surrogates, smooth in the lag, by 64
+fixed-rate exponentials, one least-squares fit per grid, so every
+(rate, cell) channel is a geometric recursion over m_j(x); such grids that
+differ only in the horizon march together, one kernel row per grid.
 L comes from a cost model of both parts; L = n_t is the direct march, which
 it keeps where no far lag pays.
 
 Growth at large lambda exceeds float range (the rate scales like
 (lambda k)^4 / (8 nu)). The march keeps its history and far-field channels
 as values / exp(ref) with one log reference per amplitude, rescaled in
-place when the newest level leaves e^{+-300}, and stores each row of log m
-with its own offset. Every history term is positive, which makes the
-rescaled sums exact up to genuinely negligible underflow. A downward
+place when the newest level leaves e^{+-300}. It records a reference only
+when a rescale moves it, and rebuilds each row's offset from those events
+once it ends. Every history term is positive, which makes the rescaled
+sums exact up to genuinely negligible underflow. A downward
 rescale sets what it pushes below the normal float range to 0, so no
 subnormal slows the history product.
 
@@ -60,6 +64,7 @@ lives in the analysis module.
 """
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -401,13 +406,19 @@ def _solve_grid(grids, amps):
     pairs p of mult_p e^{-rate_p tau} psi_p psi_p^T, and the weight is
     dt (1 + eps_d) with eps_d a fitted sum of exponentials, so every
     (pair, rate) channel is a geometric recursion over the projections
-    <psi_p, m_j>. On an all-surrogate grid the weighted surrogate of lag
-    d > n_near is fitted per cell as sum_q beta_q(x) rho_q^{d-n_near-1}, so
+    <psi_p, m_j>; the channel state is (rates, amplitudes, pairs), so a
+    step adds the projections to each rate's contiguous block and weighs
+    the rates in one product. On an all-surrogate grid the weighted
+    surrogate of lag d > n_near is fitted per cell as
+    sum_q beta_q(x) rho_q^{d-n_near-1}, so
     every (rate, cell) channel is a geometric recursion over m_j(x), and
     the m_0 term keeps its exact surrogate. The history and the channels
     hold values / exp(ref), one log reference per amplitude; log_m keeps
-    each step's level and refs its reference, and log m = log(level) + ref
-    is taken once the march ends.
+    each step's level, a rescale records the amplitude, the first step on
+    its new reference and that reference, and log m = log(level) + ref is
+    taken once the march ends, with each row's ref rebuilt from those
+    events. The march record's march_s is the wall time of the step loop,
+    shared by every grid of the march.
     """
     grid = grids[0]
     n_t, n_x = grid.n_time_panels, grid.n_x
@@ -423,7 +434,7 @@ def _solve_grid(grids, amps):
     n_amp = len(gi)
     if not n_amp:
         return ([[log_d1sq[k].copy() for _ in a] for k, a in enumerate(amps)],
-                [dict(n_diag=n_diag, n_near=n_t, n_modes=0, fit_residual=0.0)
+                [dict(n_diag=n_diag, n_near=n_t, n_modes=0, fit_residual=0.0, march_s=0.0)
                  for _ in grids])
     n_near, n_modes = _split(grid, n_diag, n_amp)
     n_exact = max(n_near, n_diag)   # lags with their own kernel
@@ -449,7 +460,7 @@ def _solve_grid(grids, amps):
         return term / omega_a[:, d - 1, None]
 
     fit_residual = [0.0] * len(grids)
-    state = None
+    amp_state = []   # each amplitude's view of the far-field channels
     if n_near < n_diag:
         # per-cell channels: each grid's surrogates of lags n_near+1..n_t,
         # relative to the first, in one least-squares fit of its own
@@ -459,25 +470,35 @@ def _solve_grid(grids, amps):
         beta = np.array([b * f[0] for (_, b, _), f in zip(fits, far)])[gi]
         ratios = fits[0][0][:, None]   # the rates depend on n_t and n_near only
         state = np.zeros((n_amp, _SURROGATE_RATES, n_x))
+        amp_state = list(state)
     elif n_near < n_t:
         dt = dts[0]   # a split grid marches alone
         pair, rate, mult = _mode_pairs(grid, n_modes)
         rho, beta, fit_residual[0] = _weight_fit(n_t, n_near)
-        # channels per pair: the dt part of the weight, one per fitted rate
-        # of eps_d, and last the lag-i (m_0) term r_p^{i-L-1} <psi_p, m_0>
+        # channels rate-major, each over every amplitude and pair: the dt
+        # part of the weight, one per fitted rate of eps_d, and last the
+        # lag-i (m_0) term r_p^{i-L-1} <psi_p, m_0>; every entry has its
+        # own ratio, so that a step's decay is one flat product
         r = np.exp(-rate * dt)
-        ratios = r[:, None] * np.concatenate(([1.0], rho, [1.0]))
+        ratios = (np.concatenate(([1.0], rho, [1.0]))[:, None, None]
+                  * np.broadcast_to(r, (n_amp, len(r))))
         weights = np.concatenate(([1.0], beta, [0.0]))
         expand = ((dt / n_x) * mult * np.exp(-rate * (n_near + 1) * dt))[:, None] * pair.T
-        state = np.zeros((n_amp,) + ratios.shape)
+        state = np.zeros(ratios.shape)
+        flat = state.reshape(len(weights), -1)   # a view: (rate, amplitude * pair)
+        amp_state = list(state.swapaxes(0, 1))
     # allocated past the fit, so that its temporaries do not add to the history
     a = np.array([amp for lv in live for amp in lv])[:, None]
     hist = np.empty((n_amp, n_t + 1, n_x))
     log_m = np.empty_like(hist)
-    hist[:, 0] = m0 / peak0
+    hist[:, 0] = log_m[:, 0] = m0 / peak0
     ref = np.full((n_amp, 1), math.log(peak0))
-    refs = np.empty((n_amp, n_t + 1, 1))
-    log_m[:, 0], refs[:, 0] = hist[:, 0], ref
+    moves = []   # (amplitude, first step on the new reference, that reference)
+    if n_diag >= 2:
+        # lags 1 and 2 of Psi_0 are surrogates: psi without its lookups
+        diag1, omega1 = diag_a[:, n_diag - 1], omega_a[:, 0, None]
+        diag2, omega2 = diag_a[:, n_diag - 2], omega_a[:, 1, None]
+    start = time.perf_counter()
     with np.errstate(divide="ignore"):
         for i in range(1, n_t + 1):
             nd = min(n_diag, n_near, i)
@@ -494,32 +515,46 @@ def _solve_grid(grids, amps):
                     state += hist[:, i - n_near - 1, None]
                     total += np.einsum("aqx,aqx->ax", beta, state)
                 else:
-                    state[:, :, :-1] += (hist[:, i - n_near - 1] @ pair)[:, :, None]
+                    state[:-1] += hist[:, i - n_near - 1] @ pair
                     if i == n_near + 1:
-                        state[:, :, -1] = hist[:, 0] @ pair
+                        state[-1] = hist[:, 0] @ pair
                     # the m_0 term weighs w_hi[i-1] only: w_lo[i] comes off
                     weights[-1] = -w_lo[0, i] * math.sqrt(i * dt) / dt
-                    total += (state @ weights) @ expand
-            psi0 = psi(1, hist[:, i - 1])
-            if i >= 2:
-                psi0 = np.maximum(2.0 * psi0 - psi(2, hist[:, i - 2]), 0.0)
-            level = np.exp(log_d1sq[gi, i] - ref) + a * (total + w_lo_a[:, :1] * psi0)
-            hist[:, i] = log_m[:, i] = level
-            refs[:, i] = ref
-            peak = np.max(level, axis=1)
-            for j in np.flatnonzero(~((peak >= _CALM[0]) & (peak <= _CALM[1]))):
-                log_peak = np.log(peak[j])
+                    total += (weights @ flat).reshape(n_amp, -1) @ expand
+            if n_diag >= 2:
+                psi0 = hist[:, i - 1] * diag1 / omega1
+                if i >= 2:
+                    psi0 = np.maximum(2.0 * psi0 - hist[:, i - 2] * diag2 / omega2, 0.0)
+            else:
+                psi0 = psi(1, hist[:, i - 1])
+                if i >= 2:
+                    psi0 = np.maximum(2.0 * psi0 - psi(2, hist[:, i - 2]), 0.0)
+            total += w_lo_a[:, :1] * psi0
+            total *= a
+            level = hist[:, i]
+            np.exp(log_d1sq[gi, i] - ref, out=level)
+            level += total
+            log_m[:, i] = level
+            for j, peak in enumerate(level.max(axis=1).tolist()):
+                if _CALM[0] <= peak <= _CALM[1]:
+                    continue
+                log_peak = np.log(peak)
                 if abs(log_peak) > _RESCALE_LOG:
                     _rescale(hist[j, :i + 1], log_peak)
-                    if state is not None:
-                        _rescale(state[j], log_peak)
+                    if amp_state:
+                        _rescale(amp_state[j], log_peak)
                     ref[j] += log_peak
+                    moves.append((j, i + 1, float(ref[j, 0])))
+        march_s = time.perf_counter() - start
         np.log(log_m, out=log_m)
+    refs = np.full((n_amp, n_t + 1, 1), math.log(peak0))
+    for j, first_step, value in moves:
+        refs[j, first_step:] = value
     log_m += refs
     return ([[log_d1sq[k].copy() if amp == 0.0 else log_m[first[k] + live[k].index(amp)]
               for amp in a] for k, a in enumerate(amps)],
-            [dict(n_diag=n_diag, n_near=n_near, n_modes=n_modes, fit_residual=float(r))
-             for r in fit_residual])
+            [dict(n_diag=n_diag, n_near=n_near, n_modes=n_modes, fit_residual=float(r),
+                  march_s=march_s) for r in fit_residual])
 
 
 def _solve_all(cfgs):

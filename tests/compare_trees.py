@@ -29,6 +29,9 @@ RUNS = [
     ("all_w2", "all", "experiment.cfg", ["--workers", "2"]),
     ("thresholds", "thresholds", "oracle_thresholds.cfg", []),
     ("excitation", "excitation", "oracle_excitation.cfg", []),
+    # the Neumann far field: cosine pairs and the constant mode
+    ("oracle_neumann", "oracle", "experiment.cfg",
+     ["--override", "equation.boundary=neumann"]),
     # the Monte Carlo half of excitation, which no run above reaches
     ("excitation_mc", "excitation", "experiment.cfg",
      ["--override", "analysis.mc_samples=64"]),

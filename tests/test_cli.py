@@ -553,6 +553,7 @@ class TestCliRuns:
         # 400 panels over horizon 1 split the march: past lag n_near the
         # modal far field carries the history
         diag = load_manifest(str(tmp_path / "out"), "thresholds")["diagnostics"]
+        assert 0 < diag.pop("march_s") <= 60
         assert 1 < diag.pop("n_near") < 400 and diag.pop("n_modes") > 0
         assert diag.pop("fit_residual") < 1e-14
         assert diag == {"n_diag": 1, "n_time_panels": 400}

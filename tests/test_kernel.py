@@ -285,6 +285,15 @@ class TestLowerBound:
                 - cal.kappa2 * (X - Y) ** 2 / t
             assert np.all(lg >= log_lb)
 
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2])
+    def test_kappa1_within_small_time_limit(self, gamma):
+        # at x = y, g_D t^{1/2} e^{nu pi^2 t} -> (4 pi nu)^{-1/2} as t -> 0,
+        # so the bound must hold below the calibration grid's 1e-4 too
+        lb = K.calibrate_lower_bound(SPEC, gamma)
+        assert lb.kappa1 <= 1.0 / math.sqrt(4.0 * math.pi * SPEC.nu)
+        for t in (5e-5, 1e-5, 1e-6):
+            assert K.eval_kernel(SPEC, t, 0.5, 0.5) >= K.kernel_lower_bound(lb, SPEC, t, 0.5, 0.5)
+
     def test_branch_jump_at_gamma_squared(self, cal):
         lb = cal
         below = K.kernel_lower_bound(lb, SPEC, lb.gamma ** 2, 0.5, 0.5)

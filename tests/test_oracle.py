@@ -1,9 +1,11 @@
 """Oracle tests: exact cases, product-integration convergence, growth laws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from compare_outputs import untimed
 
 from sheatlab import analysis as A
 from sheatlab import kernel as kern
@@ -189,6 +191,19 @@ class TestBatchedMarch:
             mf = O.second_moment_volterra(cfg, error_estimate=False)
             assert mf.march["n_near"] < 200 and mf.march["n_modes"] > 0
             assert mf.log_m.max() > 700 and np.all(np.isfinite(mf.log_m[1:]))
+            assert_log_close(mf.log_m, reference_log_m(cfg))
+
+    @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
+    def test_amplitudes_rescaled_apart_match_reference(self, boundary):
+        # one march of two amplitudes: lambda = 16's reference moves at
+        # e^300 several times while lambda = 1's stays put
+        cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=4.0,
+                               boundary=boundary, n_time_panels=200, n_x=15)
+                for lam in (1.0, 16.0)]
+        fields = O.second_moments(cfgs, error_estimate=False)
+        assert fields[0].march["n_modes"] > 0
+        assert np.all(np.abs(fields[0].log_m[1:]) < 300) and fields[1].log_m.max() > 700
+        for cfg, mf in zip(cfgs, fields):
             assert_log_close(mf.log_m, reference_log_m(cfg))
 
     @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
@@ -482,4 +497,8 @@ class TestEnergy:
         assert [p.extrapolated for p in points] == [False, True, True, True]
         assert [p.march["n_near"] < p.march["n_diag"] for p in points] \
             == [False, True, True, True]
-        assert points == [A.energy_at(cfg, 0.1) for cfg in cfgs]
+        # the three batched grids share one march and its step-loop time
+        assert len({p.march["march_s"] for p in points[1:]}) == 1
+        alone = [A.energy_at(cfg, 0.1) for cfg in cfgs]
+        assert [replace(p, march=untimed(p.march)) for p in points] \
+            == [replace(p, march=untimed(p.march)) for p in alone]
