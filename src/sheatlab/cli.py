@@ -278,9 +278,10 @@ class Runner:
 
     def cmd_oracle(self):
         mf = ora.second_moment_volterra(self.cfg.oracle())
-        rows = [(float(t), float(x), _exp_or_inf(mf.log_m[i, j]),
+        # streamed, so that no list of every (t, x) row is held
+        rows = ((float(t), float(x), _exp_or_inf(mf.log_m[i, j]),
                  float(mf.log_m[i, j]), float(mf.error_log[i, j]))
-                for i, t in enumerate(mf.t) for j, x in enumerate(mf.x)]
+                for i, t in enumerate(mf.t) for j, x in enumerate(mf.x))
         self._csv("oracle_moments.csv", ["t", "x", "m", "log_m", "err_log"], rows)
         env = ora.lower_bound_envelope(mf, self.cfg.get("oracle", "gamma"))
         rows = [(float(t), _exp_or_inf(lh), _exp_or_inf(lH), float(lh), float(lH))

@@ -34,9 +34,9 @@ fitted sum of exponentials (Beylkin & Monzon, ACHA 28, 2010). Every
 (pair, rate) channel is then a geometric recursion over the projections
 <psi_kl, m_j>, which makes a step O(L n_x^2 + pairs * rates) instead of
 O(n_t n_x^2) (the near/far split of Lubich & Schaedle, SIAM J. Sci.
-Comput. 24, 2002). The channels are stored rate-major, (rates, amplitudes,
-pairs), so a step's decay and projection update run over contiguous
-blocks and its weighted sum over rates is one matrix-vector product.
+Comput. 24, 2002). A far-field input is at least L+1 steps old, so the
+channels advance once per block of up to 8 steps (at most L+1), by a few
+products for the whole block instead of a recursion step per step.
 A grid whose every lag is a diagonal surrogate (large lambda on a short
 window) has no quadrature for modes to carry: it keeps lags up to L = 32
 and fits each cell's later weighted surrogates, smooth in the lag, by 64
@@ -145,7 +145,9 @@ class MomentField:
     quadrature, and a smaller n_near, with n_modes = 0, means the
     surrogates past lag n_near went onto fitted exponential channels,
     fit_residual their largest misfit relative to the surrogate of lag
-    n_near + 1.
+    n_near + 1. march_s and halving_march_s are the wall seconds of the
+    step loops of this solve and of its grid-halving solve (0.0 without
+    one), each shared by the configs that marched together.
     error_log is the grid-halving self-difference of log m (empty unless
     solved with error_estimate=True).
     """
@@ -192,16 +194,22 @@ def _modes(grid, x, n_modes):
     return e, grid.nu * (k * math.pi) ** 2
 
 
-def _d1_field(cfg: OracleConfig, t_grid, x_grid):
-    """Deterministic term D1(t,x) = int g(t,x,y) u0(y) dy via eigenmodes."""
+def _d1_coefficients(cfg: OracleConfig):
+    """Eigenmode coefficients <e_k, u0> of u0, k up to _D1_MODES, by
+    Gauss-Legendre quadrature; they depend on the boundary and u0 only."""
     yq, wq = kern.gauss_legendre_panels(0.0, 1.0, _D1_QUAD_PANELS, 8)
-    modes_q, rates = _modes(cfg, yq, _D1_MODES)
-    coef = modes_q.T @ (wq * cfg.u0(yq))
+    return _modes(cfg, yq, _D1_MODES)[0].T @ (wq * cfg.u0(yq))
+
+
+def _d1_field(cfg: OracleConfig, t_grid, x_grid, coef):
+    """Deterministic term D1(t,x) = int g(t,x,y) u0(y) dy via eigenmodes, from
+    the coefficients coef = _d1_coefficients(cfg)."""
+    modes_x, rates = _modes(cfg, x_grid, _D1_MODES)
     # built in place: this (n_t+1, _D1_MODES) table is a solve's memory peak
     decay = np.outer(t_grid, -rates)
     np.exp(decay, out=decay)
     decay *= coef[None, :]
-    d1 = decay @ _modes(cfg, x_grid, _D1_MODES)[0].T
+    d1 = decay @ modes_x.T
     if t_grid[0] == 0.0:
         d1[0] = cfg.u0(x_grid)
     return d1
@@ -319,10 +327,13 @@ def _weight_fit(n_t, n_near):
 # far-field channel update costs _CHANNEL_COST of them, a far step adds
 # _FAR_STEP for its fixed work, and building one dense lag costs
 # _BUILD_COST n_x^2 over all amplitudes. Fitted to march times on a 2-core
-# x86-64 machine with one BLAS thread; the chosen L stayed within 30% of
-# the fastest measured one on the acceptance grids.
-_CHANNEL_COST = 8.0
-_FAR_STEP = 2.0e4
+# x86-64 machine with one BLAS thread, with channels advanced per block:
+# the chosen L stays within 10% of the fastest measured one on the
+# acceptance grids (a fit to those grids alone gives _CHANNEL_COST 3.7),
+# a 100-panel march of 7 amplitudes on 15 cells stays direct (a split ran
+# no faster) and a 200-panel one of 1 amplitude splits (10% faster).
+_CHANNEL_COST = 6.0
+_FAR_STEP = 2.5e4
 _BUILD_COST = 40.0
 
 
@@ -338,8 +349,8 @@ def _split(grid, n_diag, n_amp):
     n_t, n_x = grid.n_time_panels, grid.n_x
     if n_diag == n_t:
         # a step costs i surrogate lags, or _SURROGATE_NEAR lags and a
-        # channel update per rate: channels from 1088 panels on (measured
-        # crossover 800-1300 panels on 15-63 cells, 1-3 amplitudes)
+        # channel update per rate: channels from 832 panels on (measured
+        # crossover 250-650 panels on 15-31 cells, 1-3 amplitudes)
         direct = n_t * (n_t + 1) / 2 * n_x
         channels = n_t * (_SURROGATE_NEAR + _CHANNEL_COST * _SURROGATE_RATES) * n_x
         return (_SURROGATE_NEAR if channels < direct else n_t), 0
@@ -359,6 +370,22 @@ def _split(grid, n_diag, n_amp):
     if near[best] == n_t:
         return n_t, 0
     return int(near[best]), int(modes[best])
+
+
+# Steps per block of the far-field channels' blocked advance; _solve_grid
+# caps it at n_near + 1, the most whose far-field inputs are all final at
+# the block's first step.
+_BLOCK = 8
+
+
+def _lag_toeplitz(lag):
+    """The lower-triangular Toeplitz T[b, c] = lag[b - c] (c <= b), 0 above,
+    of a table lag[e, ...] of lag-e coefficients."""
+    n = len(lag)
+    toeplitz = np.zeros((n, n) + lag.shape[1:])
+    for b in range(n):
+        toeplitz[b, :b + 1] = lag[b::-1]
+    return toeplitz
 
 
 def _n_diag(grid):
@@ -389,42 +416,59 @@ def _rescale(h, log_peak):
         h[np.abs(h) < _TINY] = 0.0
 
 
-def _solve_grid(grids, amps):
+def _solve_grid(grids, amps, d1_coef):
     """log m (n_t+1, n_x) for each amplitude (lam k)^2 of each grid, and each
-    grid's march telemetry (MomentField.march).
+    grid's march telemetry (MomentField.march but halving_march_s).
 
     The grids share every OracleConfig field but the horizon, and amps[k]
     lists grid k's amplitudes; several grids march together only where
-    every lag is a diagonal surrogate. Amplitude 0 is the exact log D1^2.
-    All others march together, one history slice hist[j] and one row of
-    each grid's kernels, weights and D1 each. Psi_d = sqrt(tau_d) A_d m_{i-d}
-    enters step i with weight w_hi[d-1] + w_lo[d]; the lag-i term (m_0)
-    weighs only w_hi[i-1], so its w_lo[i] share is taken off again, and
-    Psi_0 is extrapolated from lags 1 and 2. Lags up to n_near (from _split)
-    are the near field, one product with the kernels of _lag_kernels per
-    step. Later lags are the far field. On a split grid g^2 = sum over mode
-    pairs p of mult_p e^{-rate_p tau} psi_p psi_p^T, and the weight is
-    dt (1 + eps_d) with eps_d a fitted sum of exponentials, so every
-    (pair, rate) channel is a geometric recursion over the projections
-    <psi_p, m_j>; the channel state is (rates, amplitudes, pairs), so a
-    step adds the projections to each rate's contiguous block and weighs
-    the rates in one product. On an all-surrogate grid the weighted
-    surrogate of lag d > n_near is fitted per cell as
-    sum_q beta_q(x) rho_q^{d-n_near-1}, so
-    every (rate, cell) channel is a geometric recursion over m_j(x), and
-    the m_0 term keeps its exact surrogate. The history and the channels
-    hold values / exp(ref), one log reference per amplitude; log_m keeps
-    each step's level, a rescale records the amplitude, the first step on
-    its new reference and that reference, and log m = log(level) + ref is
-    taken once the march ends, with each row's ref rebuilt from those
-    events. The march record's march_s is the wall time of the step loop,
-    shared by every grid of the march.
+    every lag is a diagonal surrogate. d1_coef is their _d1_coefficients.
+    Amplitude 0 is the exact log D1^2. All others march together, one
+    history slice hist[j] and one row of each grid's kernels, weights and
+    D1 each. Psi_d = sqrt(tau_d) A_d m_{i-d} enters step i with weight
+    w_hi[d-1] + w_lo[d]; the lag-i term (m_0) weighs only w_hi[i-1], so its
+    w_lo[i] share is taken off again, and Psi_0 is extrapolated from lags 1
+    and 2. Lags up to n_near (from _split) are the near field, one product
+    with the kernels of _lag_kernels per step. Later lags are the far field.
+    On a split grid g^2 = sum over mode pairs p of
+    mult_p e^{-rate_p tau} psi_p psi_p^T, and the weight is dt (1 + eps_d)
+    with eps_d a fitted sum of exponentials, so every (rate, pair) channel
+    is a geometric recursion over the projections <psi_p, m_j>, and the m_0
+    term is one more geometric sequence per pair. On an all-surrogate grid
+    the weighted surrogate of lag d > n_near is fitted per cell as
+    sum_q beta_q(x) rho_q^{d-n_near-1}, so every (rate, cell) channel is a
+    geometric recursion over m_j(x), and the m_0 term keeps its exact
+    surrogate.
+
+    The steps run in blocks of B = min(_BLOCK, n_near + 1), the far-field
+    blocks from step n_near + 1 on. Step i reads the far field at
+    hist[i - n_near - 1], so a block's far-field inputs are all final at
+    its first step, and the channels advance once per block (the blocked
+    convolution of Lubich & Schaedle): the block's far-field terms are a
+    carry-in from the channel state, a B-lag convolution of its inputs with
+    K_e = sum_q w_q (rho_q r_p)^e and, on a split grid, the m_0 sequence and
+    one product with the pair expansion; the state then carries out to the
+    block's end. Each block's lag-i m_0 corrections w_lo[i] Psi_i(m_0) are
+    computed together where lag i is exact. A split grid's channel state is
+    rate-major, (rates, amplitudes, pairs), so that each product is one
+    matrix product over all amplitudes; an all-surrogate grid's is
+    (amplitudes, rates, cells) and takes its products per amplitude, so that
+    a batched march gives every amplitude the values of its lone march.
+
+    The history and the channels hold values / exp(ref), one log reference
+    per amplitude; a rescale divides an amplitude's history, channels and
+    pending block terms alike. log_m keeps each step's level, a rescale
+    records the amplitude, the first step on its new reference and that
+    reference, and log m = log(level) + ref is taken once the march ends,
+    with each row's ref rebuilt from those events. The march record's
+    march_s is the wall time of the step loop, shared by every grid of the
+    march.
     """
     grid = grids[0]
     n_t, n_x = grid.n_time_panels, grid.n_x
     dts = [g.horizon / n_t for g in grids]
     with np.errstate(divide="ignore"):
-        log_d1sq = np.array([2.0 * np.log(np.abs(_d1_field(g, g.t_grid, g.x_grid)))
+        log_d1sq = np.array([2.0 * np.log(np.abs(_d1_field(g, g.t_grid, g.x_grid, d1_coef)))
                              for g in grids])
     m0 = grid.u0(grid.x_grid) ** 2
     peak0 = float(np.max(m0))
@@ -437,7 +481,7 @@ def _solve_grid(grids, amps):
                 [dict(n_diag=n_diag, n_near=n_t, n_modes=0, fit_residual=0.0, march_s=0.0)
                  for _ in grids])
     n_near, n_modes = _split(grid, n_diag, n_amp)
-    n_exact = max(n_near, n_diag)   # lags with their own kernel
+    n_exact = max(n_near, n_diag)   # lags with their own kernel: n_near or n_t
 
     w_lo, w_hi = np.array([_product_weights(dt, n_t + 1) for dt in dts]).transpose(1, 0, 2)
     omega = w_hi[:, :n_exact] + w_lo[:, 1:n_exact + 1]
@@ -450,15 +494,34 @@ def _solve_grid(grids, amps):
     del kernels   # the march holds one surrogate table per amplitude only
     first = np.cumsum([0] + [len(lv) for lv in live])   # each grid's first amplitude
 
-    def psi(d, h):
-        """Psi_d = sqrt(tau_d) A_d h for an exact lag d and one history level
-        h (n_amp, n_x)."""
+    def psi_operator(d):
+        """h -> Psi_d = sqrt(tau_d) A_d h for an exact lag d and one history
+        level h (n_amp, n_x)."""
+        omega_d = omega_a[:, d - 1, None]
         if d <= n_diag:
-            term = h * diag_a[:, n_diag - d]
-        else:
-            term = h @ dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
-        return term / omega_a[:, d - 1, None]
+            diag_d = diag_a[:, n_diag - d]
+            return lambda h: h * diag_d / omega_d
+        dense_d = dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
+        return lambda h: h @ dense_d / omega_d
 
+    def m0_terms(lo, hi):
+        """w_lo[d] Psi_d(m_0) (hi - lo, n_amp, n_x) of the exact lags
+        d = lo..hi-1."""
+        h = hist[:, 0]
+        mid = min(max(lo, n_diag + 1), hi)   # the lags below mid are surrogates
+        terms = np.empty((n_amp, hi - lo, n_x))
+        np.multiply(h[:, None], diag_a[:, n_diag - mid + 1:n_diag - lo + 1][:, ::-1],
+                    out=terms[:, :mid - lo])
+        if mid < hi:
+            blocks = dense[:, (n_near - hi + 1) * n_x:(n_near - mid + 1) * n_x]
+            np.einsum("xdy,ay->adx", blocks.reshape(n_x, hi - mid, n_x)[:, ::-1], h,
+                      out=terms[:, mid - lo:])
+        terms /= omega_a[:, lo - 1:hi - 1, None]
+        terms *= w_lo_a[:, lo:hi, None]
+        return terms.swapaxes(0, 1)
+
+    block = min(_BLOCK, n_near + 1)
+    powers = np.arange(block + 1)[:, None]
     fit_residual = [0.0] * len(grids)
     amp_state = []   # each amplitude's view of the far-field channels
     if n_near < n_diag:
@@ -468,83 +531,110 @@ def _solve_grid(grids, amps):
         fits = [_fixed_rate_fit(f / f[0], n_t, n_near, _SURROGATE_RATES) for f in far]
         fit_residual = [np.max(res) for _, _, res in fits]
         beta = np.array([b * f[0] for (_, b, _), f in zip(fits, far)])[gi]
-        ratios = fits[0][0][:, None]   # the rates depend on n_t and n_near only
+        rho_pow = fits[0][0] ** powers   # the rates depend on n_t and n_near only
+        # each amplitude's and cell's K_e = sum_q beta_q rho_q^e, e < B
+        toeplitz = _lag_toeplitz((rho_pow[:block] @ beta).swapaxes(0, 1))
         state = np.zeros((n_amp, _SURROGATE_RATES, n_x))
         amp_state = list(state)
+
+        def advance(i0, i1):
+            """The far-field terms (i1 - i0, n_amp, n_x) of steps i0..i1-1,
+            with the channels carried to step i1 - 1; the products run per
+            amplitude, so that a batched march keeps each one's lone values."""
+            nb = i1 - i0
+            inputs = hist[:, i0 - n_near - 1:i1 - n_near - 1]
+            terms = rho_pow[1:nb + 1] @ (beta * state)
+            terms += np.einsum("bcax,acx->abx", toeplitz[:nb, :nb], inputs)
+            if i1 <= n_t:
+                state[...] *= rho_pow[block][:, None]
+                state[...] += rho_pow[block - 1::-1].T @ inputs
+            return terms.swapaxes(0, 1)
     elif n_near < n_t:
         dt = dts[0]   # a split grid marches alone
         pair, rate, mult = _mode_pairs(grid, n_modes)
         rho, beta, fit_residual[0] = _weight_fit(n_t, n_near)
         # channels rate-major, each over every amplitude and pair: the dt
-        # part of the weight, one per fitted rate of eps_d, and last the
-        # lag-i (m_0) term r_p^{i-L-1} <psi_p, m_0>; every entry has its
-        # own ratio, so that a step's decay is one flat product
-        r = np.exp(-rate * dt)
-        ratios = (np.concatenate(([1.0], rho, [1.0]))[:, None, None]
-                  * np.broadcast_to(r, (n_amp, len(r))))
-        weights = np.concatenate(([1.0], beta, [0.0]))
+        # part of the weight and one per fitted rate of eps_d, each kept one
+        # decay r_p = e^{-rate_p dt} ahead, and last the lag-i term's
+        # r_p^{i-n_near-1} <psi_p, m_0> at the block's first step i
+        rho_pow = np.concatenate(([1.0], rho)) ** powers
+        w = np.concatenate(([1.0], beta))
+        carry_in = np.zeros((block, len(w) + 1))
+        carry_in[:, :-1] = w * rho_pow[1:]
+        # K_e = r_p^e kappa_e with kappa_e = sum_q w_q rho_q^e, e < B
+        toeplitz = _lag_toeplitz(rho_pow[:block] @ w)
+        # r_p^b, b <= B, r_p^{-c} and r_p^{B-c}, c < B, and each channel's
+        # decay over a block
+        r_pow = np.exp(-powers * (rate * dt))[:, None]
+        r_inv, r_out = 1.0 / r_pow[:block], r_pow[block:0:-1]
+        carry = np.concatenate((rho_pow[block], [1.0]))[:, None, None] * r_pow[block]
         expand = ((dt / n_x) * mult * np.exp(-rate * (n_near + 1) * dt))[:, None] * pair.T
-        state = np.zeros(ratios.shape)
-        flat = state.reshape(len(weights), -1)   # a view: (rate, amplitude * pair)
+        # the m_0 term weighs w_hi[i-1] only: w_lo[i] comes off
+        m0_coef = -w_lo[0] * np.sqrt(np.arange(n_t + 1) * dt) / dt
+        state = np.zeros((len(w) + 1, n_amp, len(rate)))
         amp_state = list(state.swapaxes(0, 1))
+
+        def advance(i0, i1):
+            """The far-field terms (i1 - i0, n_amp, n_x) of steps i0..i1-1,
+            with the channels carried to step i1 - 1."""
+            nb = i1 - i0
+            inputs = hist[:, i0 - n_near - 1:i1 - n_near - 1].swapaxes(0, 1)
+            proj = (inputs.reshape(-1, n_x) @ pair).reshape(nb, n_amp, -1)
+            carry_in[:nb, -1] = m0_coef[i0:i1]
+            terms = carry_in[:nb] @ state.reshape(len(state), -1)
+            # K_e's r_p^e factors out of the convolution
+            terms += toeplitz[:nb, :nb] @ (proj * r_inv[:nb]).reshape(nb, -1)
+            terms = terms.reshape(proj.shape) * r_pow[:nb]
+            if i1 <= n_t:
+                state[...] *= carry
+                state[:-1] += (rho_pow[block - 1::-1].T
+                               @ (proj * r_out).reshape(block, -1)).reshape(state[:-1].shape)
+            return (terms.reshape(-1, len(rate)) @ expand).reshape(nb, n_amp, n_x)
     # allocated past the fit, so that its temporaries do not add to the history
     a = np.array([amp for lv in live for amp in lv])[:, None]
     hist = np.empty((n_amp, n_t + 1, n_x))
     log_m = np.empty_like(hist)
     hist[:, 0] = log_m[:, 0] = m0 / peak0
+    if n_diag <= n_near < n_t:
+        state[-1] = hist[:, 0] @ pair   # the m_0 sequence from step n_near + 1
     ref = np.full((n_amp, 1), math.log(peak0))
     moves = []   # (amplitude, first step on the new reference, that reference)
-    if n_diag >= 2:
-        # lags 1 and 2 of Psi_0 are surrogates: psi without its lookups
-        diag1, omega1 = diag_a[:, n_diag - 1], omega_a[:, 0, None]
-        diag2, omega2 = diag_a[:, n_diag - 2], omega_a[:, 1, None]
+    psi1, psi2 = psi_operator(1), psi_operator(2)   # Psi_0's lags
+    starts = [*range(1, n_near + 1, block), *range(n_near + 1, n_t + 1, block)]
     start = time.perf_counter()
     with np.errstate(divide="ignore"):
-        for i in range(1, n_t + 1):
-            nd = min(n_diag, n_near, i)
-            total = np.einsum("adx,adx->ax", diag_a[:, n_diag - nd:], hist[:, i - nd:i])
-            if i > n_diag:
-                lo = max(0, i - n_near)
-                total += (hist[:, lo:i - n_diag].reshape(n_amp, -1)
-                          @ dense[:, (n_near - i + lo) * n_x:(n_near - n_diag) * n_x].T)
-            if i <= n_exact:
-                total -= w_lo_a[:, i, None] * psi(i, hist[:, 0])
-            if i > n_near:
-                state *= ratios
-                if n_near < n_diag:
-                    state += hist[:, i - n_near - 1, None]
-                    total += np.einsum("aqx,aqx->ax", beta, state)
-                else:
-                    state[:-1] += hist[:, i - n_near - 1] @ pair
-                    if i == n_near + 1:
-                        state[-1] = hist[:, 0] @ pair
-                    # the m_0 term weighs w_hi[i-1] only: w_lo[i] comes off
-                    weights[-1] = -w_lo[0, i] * math.sqrt(i * dt) / dt
-                    total += (weights @ flat).reshape(n_amp, -1) @ expand
-            if n_diag >= 2:
-                psi0 = hist[:, i - 1] * diag1 / omega1
+        for i0, i1 in zip(starts, starts[1:] + [n_t + 1]):
+            pending = advance(i0, i1) if i0 > n_near else np.zeros((i1 - i0, n_amp, n_x))
+            if i0 <= n_exact:
+                pending -= m0_terms(i0, i1)
+            for i in range(i0, i1):
+                nd = min(n_diag, n_near, i)
+                total = np.einsum("adx,adx->ax", diag_a[:, n_diag - nd:], hist[:, i - nd:i])
+                if i > n_diag:
+                    lo = max(0, i - n_near)
+                    total += (hist[:, lo:i - n_diag].reshape(n_amp, -1)
+                              @ dense[:, (n_near - i + lo) * n_x:(n_near - n_diag) * n_x].T)
+                total += pending[i - i0]
+                psi0 = psi1(hist[:, i - 1])
                 if i >= 2:
-                    psi0 = np.maximum(2.0 * psi0 - hist[:, i - 2] * diag2 / omega2, 0.0)
-            else:
-                psi0 = psi(1, hist[:, i - 1])
-                if i >= 2:
-                    psi0 = np.maximum(2.0 * psi0 - psi(2, hist[:, i - 2]), 0.0)
-            total += w_lo_a[:, :1] * psi0
-            total *= a
-            level = hist[:, i]
-            np.exp(log_d1sq[gi, i] - ref, out=level)
-            level += total
-            log_m[:, i] = level
-            for j, peak in enumerate(level.max(axis=1).tolist()):
-                if _CALM[0] <= peak <= _CALM[1]:
-                    continue
-                log_peak = np.log(peak)
-                if abs(log_peak) > _RESCALE_LOG:
-                    _rescale(hist[j, :i + 1], log_peak)
-                    if amp_state:
-                        _rescale(amp_state[j], log_peak)
-                    ref[j] += log_peak
-                    moves.append((j, i + 1, float(ref[j, 0])))
+                    psi0 = np.maximum(2.0 * psi0 - psi2(hist[:, i - 2]), 0.0)
+                total += w_lo_a[:, :1] * psi0
+                total *= a
+                level = hist[:, i]
+                np.exp(log_d1sq[gi, i] - ref, out=level)
+                level += total
+                log_m[:, i] = level
+                for j, peak in enumerate(level.max(axis=1).tolist()):
+                    if _CALM[0] <= peak <= _CALM[1]:
+                        continue
+                    log_peak = np.log(peak)
+                    if abs(log_peak) > _RESCALE_LOG:
+                        _rescale(hist[j, :i + 1], log_peak)
+                        _rescale(pending[i - i0 + 1:, j], log_peak)
+                        if amp_state:
+                            _rescale(amp_state[j], log_peak)
+                        ref[j] += log_peak
+                        moves.append((j, i + 1, float(ref[j, 0])))
         march_s = time.perf_counter() - start
         np.log(log_m, out=log_m)
     refs = np.full((n_amp, n_t + 1, 1), math.log(peak0))
@@ -557,10 +647,11 @@ def _solve_grid(grids, amps):
                   march_s=march_s) for r in fit_residual])
 
 
-def _solve_all(cfgs):
+def _solve_all(cfgs, d1_coefs):
     """(log m, march telemetry) for every config, one _solve_grid per shared
     grid (every OracleConfig field but lam and k_sigma), where all-surrogate
-    grids that differ only in the horizon share one."""
+    grids that differ only in the horizon share one; d1_coefs holds the
+    _d1_coefficients of each (boundary, u0)."""
     groups = {}
     for idx, cfg in enumerate(cfgs):
         groups.setdefault(replace(cfg, lam=0.0, k_sigma=1.0), []).append(idx)
@@ -572,7 +663,8 @@ def _solve_all(cfgs):
     out = [None] * len(cfgs)
     for grids in batches.values():
         log_ms, telemetry = _solve_grid(
-            grids, [[(cfgs[i].lam * cfgs[i].k_sigma) ** 2 for i in groups[g]] for g in grids])
+            grids, [[(cfgs[i].lam * cfgs[i].k_sigma) ** 2 for i in groups[g]] for g in grids],
+            d1_coefs[grids[0].boundary, grids[0].u0])
         for grid, fields, tel in zip(grids, log_ms, telemetry):
             for i, log_m in zip(groups[grid], fields):
                 out[i] = (log_m, tel)
@@ -603,16 +695,21 @@ def second_moments(cfgs, error_estimate=True) -> list[MomentField]:
     cfgs = list(cfgs)
     if any(cfg.n_time_panels % 2 != 0 for cfg in cfgs):
         raise OracleDomainError("n_time_panels must be even for grid halving")
-    fine = _solve_all(cfgs)
-    errs = [None] * len(cfgs)
+    d1_coefs = {}
+    for cfg in cfgs:
+        if (cfg.boundary, cfg.u0) not in d1_coefs:
+            d1_coefs[cfg.boundary, cfg.u0] = _d1_coefficients(cfg)
+    fine = _solve_all(cfgs, d1_coefs)
+    errs, halving_s = [None] * len(cfgs), [0.0] * len(cfgs)
     if error_estimate:
         coarse = _solve_all([replace(cfg, n_time_panels=cfg.n_time_panels // 2)
-                             for cfg in cfgs])
+                             for cfg in cfgs], d1_coefs)
         errs = [_halving_error(cfg, log_m, log_c)
                 for cfg, (log_m, _), (log_c, _) in zip(cfgs, fine, coarse)]
+        halving_s = [march["march_s"] for _, march in coarse]
     return [MomentField(config=cfg, t=cfg.t_grid, x=cfg.x_grid, log_m=log_m,
-                        march=dict(march), error_log=err)
-            for cfg, (log_m, march), err in zip(cfgs, fine, errs)]
+                        march=dict(march, halving_march_s=h), error_log=err)
+            for cfg, (log_m, march), err, h in zip(cfgs, fine, errs, halving_s)]
 
 
 def second_moment_volterra(cfg: OracleConfig, error_estimate=True) -> MomentField:

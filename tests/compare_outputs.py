@@ -20,7 +20,7 @@ import sys
 
 # the manifest fields that time a run, the only ones two runs may differ in
 TIMING_FIELDS = frozenset({"wall_clock_s", "ensemble_s", "sample_steps_per_s", "oracle_s",
-                           "march_s"})
+                           "march_s", "halving_march_s"})
 
 
 def untimed(node):

@@ -32,6 +32,9 @@ RUNS = [
     # the Neumann far field: cosine pairs and the constant mode
     ("oracle_neumann", "oracle", "experiment.cfg",
      ["--override", "equation.boundary=neumann"]),
+    # the Neumann all-surrogate channels (lambda >= 16)
+    ("excitation_neumann", "excitation", "oracle_excitation.cfg",
+     ["--override", "equation.boundary=neumann"]),
     # the Monte Carlo half of excitation, which no run above reaches
     ("excitation_mc", "excitation", "experiment.cfg",
      ["--override", "analysis.mc_samples=64"]),

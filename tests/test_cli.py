@@ -554,6 +554,7 @@ class TestCliRuns:
         # modal far field carries the history
         diag = load_manifest(str(tmp_path / "out"), "thresholds")["diagnostics"]
         assert 0 < diag.pop("march_s") <= 60
+        assert diag.pop("halving_march_s") == 0.0   # thresholds makes no error estimate
         assert 1 < diag.pop("n_near") < 400 and diag.pop("n_modes") > 0
         assert diag.pop("fit_residual") < 1e-14
         assert diag == {"n_diag": 1, "n_time_panels": 400}

@@ -112,7 +112,8 @@ def reference_log_m(cfg):
     x = cfg.x_grid
     spec = cfg.kernel_spec()
     with np.errstate(divide="ignore"):
-        log_d1sq = 2.0 * np.log(np.abs(O._d1_field(cfg, cfg.t_grid, x)))
+        log_d1sq = 2.0 * np.log(np.abs(O._d1_field(cfg, cfg.t_grid, x,
+                                                   O._d1_coefficients(cfg))))
     amp = (cfg.lam * cfg.k_sigma) ** 2
     if amp == 0.0:
         return log_d1sq
@@ -265,6 +266,29 @@ class TestBatchedMarch:
             assert_log_close(mf.log_m, alone.log_m)
             assert_log_close(mf.error_log, alone.error_log)
 
+    def test_one_d1_expansion_per_initial_profile(self, monkeypatch):
+        # the fine and the halved grids of each boundary share u0's mode
+        # coefficients, computed once per second_moments call
+        calls = []
+        coefficients = O._d1_coefficients
+
+        def counted(cfg):
+            calls.append(cfg.boundary)
+            return coefficients(cfg)
+
+        monkeypatch.setattr(O, "_d1_coefficients", counted)
+        cfgs = [self.small(lam, boundary) for boundary in (kern.DIRICHLET, kern.NEUMANN)
+                for lam in self.LAMS]
+        fields = O.second_moments(cfgs)
+        assert sorted(calls) == [kern.DIRICHLET, kern.NEUMANN]
+        # lambda = 0 is the exact log D1^2, bit for bit a lone D1's
+        assert self.LAMS[0] == 0.0
+        for cfg, mf in zip(cfgs[::len(self.LAMS)], fields[::len(self.LAMS)]):
+            with np.errstate(divide="ignore"):
+                want = 2.0 * np.log(np.abs(O._d1_field(cfg, cfg.t_grid, cfg.x_grid,
+                                                       coefficients(cfg))))
+            assert np.array_equal(mf.log_m, want)
+
     def test_one_kernel_build_per_grid(self, monkeypatch):
         calls = []
         build = O._lag_kernels
@@ -313,7 +337,8 @@ class TestRenewalEngine:
             rho, beta, residual = O._weight_fit(n_t, n_near)
             assert np.all((rho > 0) & (rho < 1)) and residual < 1e-14
 
-    @pytest.mark.parametrize("grid, lams", [
+    # the acceptance grids of the split march
+    GRIDS = [
         # criterion 4's grid, every lambda of its scan in one march
         (dict(horizon=4.0, n_time_panels=2000, n_x=31), (0.25, 0.5, 1, 2, 4, 8, 16)),
         # criterion 6's lambda = 8 solve, which energy_at resolves directly
@@ -322,14 +347,27 @@ class TestRenewalEngine:
         # T = 30 / r_pred (no common horizon), on both boundaries: fitted
         # channels past lag 32
         (dict(n_time_panels=2500, n_x=31), (16.0, 32.0, 64.0)),
-    ])
-    def test_matches_direct_march(self, monkeypatch, grid, lams):
+    ]
+
+    @staticmethod
+    def configs(grid, lams):
         if "horizon" in grid:
-            cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), **grid) for lam in lams]
-        else:
-            cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), boundary=boundary,
-                                   horizon=30.0 / O.predicted_rate(lam, 1.0, 0.5), **grid)
-                    for boundary in (kern.DIRICHLET, kern.NEUMANN) for lam in lams]
+            return [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), **grid) for lam in lams]
+        return [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), boundary=boundary,
+                               horizon=30.0 / O.predicted_rate(lam, 1.0, 0.5), **grid)
+                for boundary in (kern.DIRICHLET, kern.NEUMANN) for lam in lams]
+
+    @staticmethod
+    def assert_fields_close(got, want, rel):
+        for a, b in zip(got, want, strict=True):
+            assert_log_close(a.log_m, b.log_m, rel=rel)
+            fin = np.isfinite(b.log_m)
+            assert np.all(np.abs(a.error_log - b.error_log)[fin]
+                          <= rel * np.maximum(1.0, np.abs(b.log_m[fin])))
+
+    @pytest.mark.parametrize("grid, lams", GRIDS)
+    def test_matches_direct_march(self, monkeypatch, grid, lams):
+        cfgs = self.configs(grid, lams)
         n_t = grid["n_time_panels"]
         engine = O.second_moments(cfgs)
         # an all-surrogate grid has no quadrature lag for modes to carry
@@ -341,12 +379,40 @@ class TestRenewalEngine:
         monkeypatch.setattr(O, "_split", lambda grid, n_diag, n_amp: (grid.n_time_panels, 0))
         direct = O.second_moments(cfgs)
         assert all(mf.march["n_near"] == n_t and mf.march["n_modes"] == 0 for mf in direct)
-        rel = 1e-12 if surrogate else 1e-10
-        for a, b in zip(engine, direct):
-            assert_log_close(a.log_m, b.log_m, rel=rel)
-            fin = np.isfinite(b.log_m)
-            assert np.all(np.abs(a.error_log - b.error_log)[fin]
-                          <= rel * np.maximum(1.0, np.abs(b.log_m[fin])))
+        self.assert_fields_close(engine, direct, 1e-12 if surrogate else 1e-10)
+
+    @pytest.mark.parametrize("grid, lams", GRIDS)
+    def test_blocks_match_per_step_recursion(self, monkeypatch, grid, lams):
+        # blocks of one step advance the channels as a per-step recursion
+        cfgs = self.configs(grid, lams)
+        blocked = O.second_moments(cfgs)
+        assert O._BLOCK > 1 and all(mf.march["n_near"] < grid["n_time_panels"]
+                                    for mf in blocked)
+        monkeypatch.setattr(O, "_BLOCK", 1)
+        self.assert_fields_close(blocked, O.second_moments(cfgs), 1e-13)
+
+    @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
+    def test_rescale_inside_block(self, monkeypatch, boundary):
+        # criterion 4's lambda = 16 alone on its halved grid: log m gains
+        # about 65 per step, so the reference moves every 5 steps or so,
+        # inside far-field blocks, and the last block is a short one
+        cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
+                             boundary=boundary, n_time_panels=1000, n_x=31)
+        mf = O.second_moment_volterra(cfg)
+        n_t, n_near = cfg.n_time_panels, mf.march["n_near"]
+        block = min(O._BLOCK, n_near + 1)
+        assert 0 < n_near < n_t and (n_t - n_near) % block != 0
+        # the march's rescale steps, replayed from log m
+        ref, moves = mf.log_m[0].max(), []
+        for i in range(1, n_t + 1):
+            if abs(mf.log_m[i].max() - ref) > O._RESCALE_LOG:
+                ref = mf.log_m[i].max()
+                moves.append(i)
+        assert any(i > n_near and (i - n_near) % block for i in moves)
+        monkeypatch.setattr(O, "_BLOCK", 1)
+        self.assert_fields_close([mf], [O.second_moment_volterra(cfg)], 1e-13)
+        monkeypatch.setattr(O, "_split", lambda grid, n_diag, n_amp: (grid.n_time_panels, 0))
+        self.assert_fields_close([mf], [O.second_moment_volterra(cfg)], 1e-10)
 
     def test_cost_model_sides(self):
         # no lag of an all-surrogate grid has a quadrature to carry by
@@ -497,8 +563,11 @@ class TestEnergy:
         assert [p.extrapolated for p in points] == [False, True, True, True]
         assert [p.march["n_near"] < p.march["n_diag"] for p in points] \
             == [False, True, True, True]
-        # the three batched grids share one march and its step-loop time
+        # the three batched grids share one march and its step-loop times,
+        # fine and halved
         assert len({p.march["march_s"] for p in points[1:]}) == 1
+        assert len({p.march["halving_march_s"] for p in points[1:]}) == 1
+        assert all(p.march["halving_march_s"] > 0 for p in points)
         alone = [A.energy_at(cfg, 0.1) for cfg in cfgs]
         assert [replace(p, march=untimed(p.march)) for p in points] \
             == [replace(p, march=untimed(p.march)) for p in alone]

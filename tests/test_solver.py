@@ -617,9 +617,8 @@ class TestEnsembleLaws:
         fields = np.stack([p.field_at(0.25) for p in paths])
         mean = fields.mean(axis=0)
         se = fields.std(axis=0, ddof=1) / math.sqrt(len(paths))
-        d1 = O._d1_field(O.OracleConfig(lam=0.0, u0=cfg.u0, horizon=0.25,
-                                        n_time_panels=10, n_x=31),
-                         np.array([0.25]), cfg.grid.x)[0]
+        heat = O.OracleConfig(lam=0.0, u0=cfg.u0, horizon=0.25, n_time_panels=10, n_x=31)
+        d1 = O._d1_field(heat, np.array([0.25]), cfg.grid.x, O._d1_coefficients(heat))[0]
         assert np.all(np.abs(mean - d1) <= 4 * se + 1e-12)
 
     def test_positivity_of_mean_field(self, ensemble):
