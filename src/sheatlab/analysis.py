@@ -345,11 +345,6 @@ def energies_at(cfgs, t_target) -> list[EnergyPoint]:
     return points
 
 
-def energy_at(cfg: ora.OracleConfig, t_target) -> EnergyPoint:
-    """energies_at for one config."""
-    return energies_at([cfg], t_target)[0]
-
-
 # --- weighted kernel integrals behind the quadrature-bound lemmas ---------
 
 @dataclass(frozen=True)

@@ -144,7 +144,11 @@ class Runner:
         self.man = None
         self._held = {}
         self._tables = {}
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output.directory: cannot create {out_dir}: "
+                              f"{exc.strerror}") from exc
 
     def dispatch(self, name):
         if name == "all":
@@ -269,15 +273,15 @@ class Runner:
 
     def cmd_simulate(self):
         sim = self.cfg.simulation()
-        path = self._ensemble(sim, 1)[0]
+        ens = self._ensemble(sim, 1)
         rows = [(float(t), float(x), float(v), float(lv))
-                for t in path.times
-                for x, v, lv in zip(sim.grid.x, path.field_at(t), path.log_abs_at(t))]
+                for t in ens.times
+                for x, v, lv in zip(sim.grid.x, ens.field_at(t)[0], ens.log_abs_at(t)[0])]
         self._csv("path.csv", ["t", "x", "u", "log_abs_u"], rows)
         self.man.diagnostics["cfl_ratio"] = sim.grid.cfl_ratio(sim.nu)
 
     def cmd_oracle(self):
-        mf = ora.second_moment_volterra(self.cfg.oracle())
+        (mf,) = ora.second_moments([self.cfg.oracle()])
         # streamed, so that no list of every (t, x) row is held
         rows = ((float(t), float(x), _exp_or_inf(mf.log_m[i, j]),
                  float(mf.log_m[i, j]), float(mf.error_log[i, j]))
@@ -428,7 +432,7 @@ class Runner:
         n_paths = self.cfg.get("grr", "n_paths")
         sim = self.cfg.simulation()
         if sim.grid.n_interior + 2 < 64:
-            raise ConfigError("grr-check needs n_interior >= 62 sample nodes")
+            raise ConfigError("grid.n_interior must be >= 62: grr-check samples 64 nodes")
         ens = self._ensemble(sim, n_paths)
         i = ens.time_index(max(sim.observation_times))
         # profiles on [0, 1] at spacing dx: Dirichlet zeros, or the Neumann
@@ -507,10 +511,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    seed = args.seed
-    if seed is None and os.environ.get("SHEAT_SEED"):
-        seed = int(os.environ["SHEAT_SEED"])
+    seed, env_seed = args.seed, os.environ.get("SHEAT_SEED")
     try:
+        if seed is None and env_seed:
+            try:
+                seed = int(env_seed)
+            except ValueError as exc:
+                raise ConfigError(f"SHEAT_SEED must be an integer: {env_seed!r}") from exc
         cfg = (ExperimentConfig.from_file(args.config, args.override, seed)
                if args.config else ExperimentConfig.defaults().resolve(args.override, seed))
         out_dir = args.out or cfg.get("output", "directory")

@@ -190,15 +190,17 @@ class ExperimentConfig:
                   "observation_times": "observation.times"},
                  lambda: [self.simulation(lam=lam) for lam in self.lambda_grid()]),
                 ("analysis.mc_p", lambda: Functional.lp(self.get("analysis", "mc_p"))),
-                ("equation.nu, kernel.tol", self.kernel_spec),
+                ({"nu": "equation.nu", "tol": "kernel.tol"}, self.kernel_spec),
                 ("kernel.gamma", lambda: LowerBoundSpec.check_gamma(self.get("kernel", "gamma"))),
                 ({"alpha": "bounds.alpha", "betas": "bounds.betas",
                   "margins": "bounds.margins"},
                  lambda: lemma_domain(self.kernel_spec(), self.get("bounds", "alpha"),
                                       self.get("bounds", "betas"),
                                       self.get("bounds", "margins"))),
-                ("grr", self.grr_params),
-                ("observation.functionals, observation.p_values", self.functionals)):
+                ({"p": "grr.p", "delta": "grr.delta", "eps": "grr.eps"}, self.grr_params),
+                ("observation.p_values",
+                 lambda: [Functional.sup(p) for p in self.get("observation", "p_values")]),
+                ("observation.functionals", self.functionals)):
             try:
                 check()
             except ValueError as exc:   # every domain error of the builders

@@ -76,7 +76,7 @@ from .stats import logsumexp
 _D1_MODES = 256
 _D1_QUAD_PANELS = 96
 
-# Largest OracleConfig.rate_dt that a time grid resolves: analysis.energy_at
+# Largest OracleConfig.rate_dt that a time grid resolves: analysis.energies_at
 # extrapolates beyond it, and threshold scans flag fits beyond it.
 RESOLVED_RATE_DT = 0.05
 
@@ -710,11 +710,6 @@ def second_moments(cfgs, error_estimate=True) -> list[MomentField]:
     return [MomentField(config=cfg, t=cfg.t_grid, x=cfg.x_grid, log_m=log_m,
                         march=dict(march, halving_march_s=h), error_log=err)
             for cfg, (log_m, march), err, h in zip(cfgs, fine, errs, halving_s)]
-
-
-def second_moment_volterra(cfg: OracleConfig, error_estimate=True) -> MomentField:
-    """second_moments for one config."""
-    return second_moments([cfg], error_estimate)[0]
 
 
 @dataclass

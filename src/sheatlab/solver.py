@@ -44,11 +44,11 @@ and each block scales it by its own lambda / dx inside the step, rounding
 as a lone run does. simulate_paths is the group of one. Each member is
 returned as one Ensemble: snapshots at the configured observation times
 only, values of shape (k, n_obs, n) filled in place at each observation
-step. ens[i] is sample i as a SolutionPath view (no copy). Large noise
-intensities drive |u| past float range; for linear sigma (d = 0) the step
-map is homogeneous in u, so each sample carries an exact log scale offset
-(values * exp(log_scale) is the physical field). A non-finite state ends its
-block's march with the offending step and sample reported, as the
+step, read as whole (k, n) arrays per time (field_at, log_abs_at). Large
+noise intensities drive |u| past float range; for linear sigma (d = 0) the
+step map is homogeneous in u, so each sample carries an exact log scale
+offset (values * exp(log_scale) is the physical field). A non-finite state
+ends its block's march with the offending step and sample reported, as the
 PathDivergedError a lone run raises, while the other blocks step on;
 clamping would silently distort genuine moment blow-up.
 """
@@ -219,31 +219,13 @@ class SimulationConfig:
         return sorted({int(round(t / self.grid.dt)) for t in self.observation_times})
 
 
-class _Observed:
-    """Time lookup and log |u| shared by Ensemble and its SolutionPath views."""
-
-    def time_index(self, t):
-        """Row of observation time t (matched to within half a step)."""
-        hits = np.nonzero(np.isclose(self.times, t, rtol=0, atol=self.config.grid.dt / 2))[0]
-        if hits.size == 0:
-            raise ConfigError(f"time {t:g} not among observation times")
-        return int(hits[0])
-
-    def log_abs_at(self, t):
-        """log |u| per node at time t, safe at any scale, -inf where u = 0:
-        shape (n,) on a SolutionPath, (k, n) on an Ensemble."""
-        i = self.time_index(t)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(self.values[..., i, :])) + self.log_scale[..., i, None]
-
-
 @dataclass
-class Ensemble(_Observed):
+class Ensemble:
     """Snapshots of a batch of trajectories at the observation times: values
     (k, n_obs, n) and log_scale (k, n_obs), with physical field values[i, j]
     * exp(log_scale[i, j]); log_scale is nonzero only where renormalization
-    fired. ens[i] is sample i as a SolutionPath view, ens[lo:hi] samples lo
-    to hi - 1 as an Ensemble view."""
+    fired. ens[lo:hi] is samples lo to hi - 1 as an Ensemble view (no copy);
+    an int index is a TypeError, as every reader takes whole arrays."""
 
     config: SimulationConfig
     samples: np.ndarray
@@ -254,34 +236,38 @@ class Ensemble(_Observed):
     def __len__(self):
         return len(self.samples)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return replace(self, samples=self.samples[i], values=self.values[i],
-                           log_scale=self.log_scale[i])
-        return SolutionPath(config=self.config, sample_index=int(self.samples[i]),
-                            times=self.times, values=self.values[i],
-                            log_scale=self.log_scale[i])
+    def __getitem__(self, rows):
+        if not isinstance(rows, slice):
+            raise TypeError(f"an Ensemble is indexed by slices, not {type(rows).__name__}")
+        return replace(self, samples=self.samples[rows], values=self.values[rows],
+                       log_scale=self.log_scale[rows])
 
+    def time_index(self, t):
+        """Row of observation time t (matched to within half a step)."""
+        hits = np.nonzero(np.isclose(self.times, t, rtol=0, atol=self.config.grid.dt / 2))[0]
+        if hits.size == 0:
+            raise ConfigError(f"time {t:g} not among observation times")
+        return int(hits[0])
 
-@dataclass
-class SolutionPath(_Observed):
-    """One sample of an Ensemble (array views, no copy); the physical field
-    at row i is values[i] * exp(log_scale[i])."""
-
-    config: SimulationConfig
-    sample_index: int
-    times: np.ndarray
-    values: np.ndarray
-    log_scale: np.ndarray
+    def log_abs_at(self, t):
+        """log |u| per sample and node at time t, shape (k, n), safe at any
+        scale, -inf where u = 0."""
+        i = self.time_index(t)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.values[:, i])) + self.log_scale[:, i, None]
 
     def field_at(self, t):
-        """u per node; +-inf where |u| leaves float range."""
+        """u per sample and node at time t, shape (k, n); +-inf where |u|
+        leaves float range."""
         i = self.time_index(t)
-        try:
-            return self.values[i] * math.exp(self.log_scale[i])
-        except OverflowError:    # exp(log_scale) alone overflows; |u| may not
-            with np.errstate(over="ignore"):
-                return np.sign(self.values[i]) * np.exp(self.log_abs_at(t))
+        out = self.values[:, i].copy()
+        for row, log_scale in enumerate(self.log_scale[:, i]):
+            try:
+                out[row] *= math.exp(log_scale)
+            except OverflowError:    # exp(log_scale) alone overflows; |u| may not
+                with np.errstate(divide="ignore", over="ignore"):
+                    out[row] = np.sign(out[row]) * np.exp(np.log(np.abs(out[row])) + log_scale)
+        return out
 
 
 def _implicit_factor(cfg: SimulationConfig):
@@ -507,8 +493,3 @@ def simulate_paths(cfg: SimulationConfig, sample_indices) -> Ensemble:
         raise ens
     return ens
 
-
-def simulate_path(cfg: SimulationConfig, sample_index) -> SolutionPath:
-    """Single realized trajectory; see simulate_paths. Public API: no
-    package code calls it, and it equals row sample_index of any batch."""
-    return simulate_paths(cfg, [sample_index])[0]

@@ -45,6 +45,9 @@ RUNS = [
     # the Neumann factor, and 130-step noise chunks on 63 nodes
     ("moments_neumann", "moments", "mc_moments.cfg",
      ["--override", "equation.boundary=neumann", "--override", "grid.n_interior=63"]),
+    # path.csv's renormalized rows, and u = +-inf past float range
+    ("simulate_renormalized", "simulate", "experiment.cfg",
+     ["--override", "equation.lambda=40"]),
 ]
 
 

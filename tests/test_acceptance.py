@@ -72,9 +72,9 @@ def test_criterion_2_deterministic_decay():
     for scheme in ("semi_implicit", "spectral"):
         cfg = S.SimulationConfig(grid=grid, lam=0.0, u0=S.InitialData.sine(1),
                                  scheme=scheme, observation_times=times)
-        path = S.simulate_path(cfg, 0)
+        path = S.simulate_paths(cfg, [0])
         j = 127  # x = 1/2
-        vals = np.array([path.field_at(t)[j] for t in times])
+        vals = np.array([path.field_at(t)[0, j] for t in times])
         field_rate = np.polyfit(times, np.log(vals), 1)[0]
         moment_rate = np.polyfit(times, np.log(vals ** 2), 1)[0]
         results[scheme] = (field_rate, moment_rate)
@@ -101,7 +101,7 @@ def test_criterion_3_oracle_vs_monte_carlo():
     for lam, table in zip(lams, _mc_tables(cfgs, 10_000, [f], times)):
         ocfg = O.OracleConfig(lam=lam, u0=S.InitialData.bump(0.2), horizon=0.5,
                               n_time_panels=1000, n_x=127)
-        mf = O.second_moment_volterra(ocfg)
+        (mf,) = O.second_moments([ocfg])
         for t in times:
             est = table[(f, t)]
             m = math.exp(mf.log_m_at(t, 0.5))
@@ -157,7 +157,7 @@ def test_criterion_6_excitation_index():
     for lam in lams:
         ocfg = O.OracleConfig(lam=lam, u0=S.InitialData.bump(0.2), horizon=0.1,
                               n_time_panels=2500, n_x=31)
-        points.append(A.energy_at(ocfg, 0.1))
+        points.append(A.energies_at([ocfg], 0.1)[0])
     fit2 = A.excitation_index(lams, [p.log_energy for p in points], p=2.0)
     oracle_ok = (3.3 <= fit2.e_p_hat <= 4.5
                  and fit2.r2_quartic > fit2.r2_quadratic)
@@ -255,8 +255,8 @@ def test_criterion_9_grr_machinery():
     cfg = S.SimulationConfig(grid=grid, lam=1.0, master_seed=99,
                              u0=S.InitialData.bump(0.2), observation_times=(0.1,))
     violations = 0
-    for path in S.simulate_paths(cfg, range(100)):
-        prof = np.concatenate([[0.0], path.field_at(0.1), [0.0]])
+    for u in S.simulate_paths(cfg, range(100)).field_at(0.1):
+        prof = np.concatenate([[0.0], u, [0.0]])
         violations += R.holder_bound_check(prof, params8).n_violations
     ens_ok = violations == 0
     ok = lin_ok and gen_ok and ens_ok

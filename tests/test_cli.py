@@ -182,14 +182,6 @@ class TestCliRuns:
             assert float(row["lower_bound"]) == kern.kernel_lower_bound(lb, spec, t, x, y)
             assert int(row["n_terms"]) == (n_terms if use_series else n_images)
 
-    def test_moments_builds_no_path_objects(self, tmp_path, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("SolutionPath built on the Monte Carlo path")
-
-        monkeypatch.setattr(solver.SolutionPath, "__init__", refuse)
-        assert cli.main(["moments", "--config", write_cfg(tmp_path),
-                         "--workers", "1"]) == 0
-
     def test_rerun_bit_identical(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         assert cli.main(["moments", "--config", cfg]) == 0
@@ -698,7 +690,14 @@ class TestExitCodes:
         ("verify-bounds", "bounds.betas=-1"),
         ("verify-bounds", "bounds.betas=0.5,-1"),
         ("verify-bounds", "bounds.margins=100"),
-        ("oracle", "observation.times=0.1,5")])
+        ("oracle", "observation.times=0.1,5"),
+        ("kernel", "kernel.tol=-1"),
+        ("grr-check", "grr.eps=5"),
+        ("grr-check", "grr.p=0.5"),
+        ("grr-check", "grr.delta=-1"),
+        ("moments", "observation.p_values=1"),
+        # grr-check's own rule: 64 sample nodes
+        ("grr-check", "grid.n_interior=31")])
     def test_bad_value_names_its_key_before_compute(self, tmp_path, capsys, monkeypatch,
                                                     command, override):
         computed = []
@@ -747,10 +746,29 @@ class TestExitCodes:
         assert err["message"].startswith("initial: u0")
         assert not (tmp_path / "out").exists()
 
-    def test_numerical_error(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        # grr-check on a grid too small to sample the functional
-        assert cli.main(["grr-check", "--config", cfg]) == 1
+    def test_bad_seed_env_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SHEAT_SEED", "12x")
+        assert cli.main(["kernel", "--config", write_cfg(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_error"
+        assert "SHEAT_SEED" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--out", "output.directory"])
+    def test_uncreatable_output_directory_is_config_error(self, tmp_path, capsys,
+                                                          monkeypatch, option):
+        computed = []
+        monkeypatch.setattr(kern, "calibrate_lower_bound", lambda *args: computed.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        args = (["--out", out] if option == "--out"
+                else ["--override", f"output.directory={out}"])
+        assert cli.main(["kernel", "--config", write_cfg(tmp_path)] + args) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_error"
+        assert "output.directory" in err["message"]
+        assert computed == []
 
     def test_verification_failure_is_exit_3(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -775,18 +793,18 @@ LARGE_LAMBDA = ["--override", "equation.lambda=60", "--override", "grid.horizon=
 def _large_lambda_path(tmp_path):
     cfg = ExperimentConfig.from_file(write_cfg(tmp_path),
                                      overrides=LARGE_LAMBDA[1::2])
-    path = solver.simulate_path(cfg.simulation(), 0)
-    assert path.log_scale[-1] > 800
-    assert (path.values[-1] < 0).any()
+    path = solver.simulate_paths(cfg.simulation(), [0])
+    assert path.log_scale[0, -1] > 800
+    assert (path.values[0, -1] < 0).any()
     return path
 
 
 class TestLargeLogScale:
     def test_field_at_keeps_signs(self, tmp_path):
         path = _large_lambda_path(tmp_path)
-        u = path.field_at(0.5)
-        assert np.array_equal(np.sign(u), np.sign(path.values[-1]))
-        log_abs = path.log_abs_at(0.5)          # float range ends at log 709.78
+        u = path.field_at(0.5)[0]
+        assert np.array_equal(np.sign(u), np.sign(path.values[0, -1]))
+        log_abs = path.log_abs_at(0.5)[0]       # float range ends at log 709.78
         assert np.isinf(u[log_abs > 710]).all() and np.isfinite(u[log_abs < 709]).all()
 
     def test_path_csv_signs(self, tmp_path):
@@ -794,7 +812,7 @@ class TestLargeLogScale:
         assert cli.main(["simulate", "--config", write_cfg(tmp_path)] + LARGE_LAMBDA) == 0
         rows = np.genfromtxt(tmp_path / "out" / "path.csv", delimiter=",", names=True)
         last = rows[rows["t"] == 0.5]
-        assert np.array_equal(np.sign(last["u"]), np.sign(path.values[-1]))
+        assert np.array_equal(np.sign(last["u"]), np.sign(path.values[0, -1]))
 
     def test_grr_check_past_float_range(self, tmp_path):
         # sample 0's field leaves float range (see _large_lambda_path), which

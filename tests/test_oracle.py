@@ -26,13 +26,13 @@ class TestDeterministicLimit:
     def test_sine_mode_exact(self):
         cfg = O.OracleConfig(lam=0.0, u0=InitialData.sine(1), horizon=0.5,
                              n_time_panels=100, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         assert mf.log_m_at(0.5, 0.5) == pytest.approx(-2 * 0.5 * PI2 * 0.5, abs=1e-12)
 
     def test_matches_kernel_quadrature_squared(self):
         cfg = O.OracleConfig(lam=0.0, u0=InitialData.bump(0.2), horizon=0.25,
                              n_time_panels=50, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         for t in (0.1, 0.25):
             for x in (0.5 - 7 / 31 if False else 0.5, 0.5 + 5 / 31):
                 x = float(mf.x[np.argmin(np.abs(mf.x - x))])
@@ -42,7 +42,7 @@ class TestDeterministicLimit:
     def test_initial_row_is_u0_squared(self):
         cfg = O.OracleConfig(lam=3.0, u0=InitialData.bump(0.2), horizon=0.1,
                              n_time_panels=20, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         u0 = InitialData.bump(0.2)(mf.x)
         with np.errstate(over="ignore"):
             row = np.exp(mf.log_m[0])
@@ -51,10 +51,10 @@ class TestDeterministicLimit:
 
 class TestVolterraSolve:
     def test_self_convergence_within_reported_error(self):
-        a = O.second_moment_volterra(O.OracleConfig(
-            lam=1.0, u0=InitialData.bump(0.2), horizon=0.25, n_time_panels=200, n_x=31))
-        b = O.second_moment_volterra(O.OracleConfig(
-            lam=1.0, u0=InitialData.bump(0.2), horizon=0.25, n_time_panels=400, n_x=31),
+        (a,) = O.second_moments([O.OracleConfig(
+            lam=1.0, u0=InitialData.bump(0.2), horizon=0.25, n_time_panels=200, n_x=31)])
+        (b,) = O.second_moments([O.OracleConfig(
+            lam=1.0, u0=InitialData.bump(0.2), horizon=0.25, n_time_panels=400, n_x=31)],
             error_estimate=False)
         actual = abs(a.log_m_at(0.25, 0.5) - b.log_m_at(0.25, 0.5))
         assert actual <= a.error_log_at(0.25, 0.5)
@@ -64,7 +64,7 @@ class TestVolterraSolve:
         for nt in (100, 200, 400):
             cfg = O.OracleConfig(lam=1.0, u0=InitialData.bump(0.2), horizon=0.25,
                                  n_time_panels=nt, n_x=31)
-            vals.append(O.second_moment_volterra(cfg, error_estimate=False).log_m[-1, 15])
+            vals.append(O.second_moments([cfg], error_estimate=False)[0].log_m[-1, 15])
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert d1 / d2 >= 1.4
 
@@ -82,7 +82,7 @@ class TestVolterraSolve:
     def test_positivity(self):
         cfg = O.OracleConfig(lam=2.0, u0=InitialData.bump(0.2), horizon=0.5,
                              n_time_panels=200, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         assert np.all(mf.log_m[1:] > -np.inf)
 
     def test_nonmonotone_grid_rejected(self):
@@ -96,7 +96,7 @@ class TestVolterraSolve:
         r_pred = O.predicted_rate(lam, 1.0, 0.5)
         cfg = O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=30.0 / r_pred,
                              n_time_panels=1500, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         le = O.log_l2_energy(mf)
         fit = A.lyapunov_exponent_series(mf.t, 2 * le,
                                          window=A.fraction_window(mf.t[-1], (0.6, 1.0)))
@@ -189,7 +189,7 @@ class TestBatchedMarch:
         for boundary in (kern.DIRICHLET, kern.NEUMANN):
             cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
                                  boundary=boundary, n_time_panels=200, n_x=15)
-            mf = O.second_moment_volterra(cfg, error_estimate=False)
+            mf = O.second_moments([cfg], error_estimate=False)[0]
             assert mf.march["n_near"] < 200 and mf.march["n_modes"] > 0
             assert mf.log_m.max() > 700 and np.all(np.isfinite(mf.log_m[1:]))
             assert_log_close(mf.log_m, reference_log_m(cfg))
@@ -252,7 +252,7 @@ class TestBatchedMarch:
         # every scale, so some land just above the flush line
         cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
                              n_time_panels=400, n_x=15)
-        log_m = O.second_moment_volterra(cfg, error_estimate=False).log_m
+        log_m = O.second_moments([cfg], error_estimate=False)[0].log_m
         assert len(flushed) > 2 and sum(flushed) > 0
         assert_log_close(log_m, reference_log_m(cfg))
 
@@ -261,7 +261,7 @@ class TestBatchedMarch:
         cfgs.append(self.small(1.0, k_sigma=2.0))  # amplitude shared with lam = 2
         fields = O.second_moments(cfgs)
         for cfg, mf in zip(cfgs, fields):
-            alone = O.second_moment_volterra(cfg)
+            alone = O.second_moments([cfg])[0]
             assert mf.config is cfg
             assert_log_close(mf.log_m, alone.log_m)
             assert_log_close(mf.error_log, alone.error_log)
@@ -303,7 +303,7 @@ class TestBatchedMarch:
         O.second_moments(cfgs, error_estimate=False)
         assert sorted(calls) == [(kern.DIRICHLET, 120), (kern.NEUMANN, 120)]
         calls.clear()
-        O.second_moment_volterra(self.small(2.0), error_estimate=True)
+        O.second_moments([self.small(2.0)], error_estimate=True)
         assert calls == [(kern.DIRICHLET, 120), (kern.DIRICHLET, 60)]
         calls.clear()
         base = O.OracleConfig(lam=0.0, u0=InitialData.bump(0.2), horizon=0.5,
@@ -341,9 +341,9 @@ class TestRenewalEngine:
     GRIDS = [
         # criterion 4's grid, every lambda of its scan in one march
         (dict(horizon=4.0, n_time_panels=2000, n_x=31), (0.25, 0.5, 1, 2, 4, 8, 16)),
-        # criterion 6's lambda = 8 solve, which energy_at resolves directly
+        # criterion 6's lambda = 8 solve, which energies_at resolves directly
         (dict(horizon=0.1, n_time_panels=2500, n_x=31), (8.0,)),
-        # criterion 6's all-surrogate solves, which energy_at takes on
+        # criterion 6's all-surrogate solves, which energies_at takes on
         # T = 30 / r_pred (no common horizon), on both boundaries: fitted
         # channels past lag 32
         (dict(n_time_panels=2500, n_x=31), (16.0, 32.0, 64.0)),
@@ -398,7 +398,7 @@ class TestRenewalEngine:
         # inside far-field blocks, and the last block is a short one
         cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
                              boundary=boundary, n_time_panels=1000, n_x=31)
-        mf = O.second_moment_volterra(cfg)
+        mf = O.second_moments([cfg])[0]
         n_t, n_near = cfg.n_time_panels, mf.march["n_near"]
         block = min(O._BLOCK, n_near + 1)
         assert 0 < n_near < n_t and (n_t - n_near) % block != 0
@@ -410,9 +410,9 @@ class TestRenewalEngine:
                 moves.append(i)
         assert any(i > n_near and (i - n_near) % block for i in moves)
         monkeypatch.setattr(O, "_BLOCK", 1)
-        self.assert_fields_close([mf], [O.second_moment_volterra(cfg)], 1e-13)
+        self.assert_fields_close([mf], [O.second_moments([cfg])[0]], 1e-13)
         monkeypatch.setattr(O, "_split", lambda grid, n_diag, n_amp: (grid.n_time_panels, 0))
-        self.assert_fields_close([mf], [O.second_moment_volterra(cfg)], 1e-10)
+        self.assert_fields_close([mf], [O.second_moments([cfg])[0]], 1e-10)
 
     def test_cost_model_sides(self):
         # no lag of an all-surrogate grid has a quadrature to carry by
@@ -449,7 +449,7 @@ class TestEnvelope:
     def test_h_attained_at_gamma_for_sine(self):
         cfg = O.OracleConfig(lam=0.0, u0=InitialData.sine(1), horizon=0.2,
                              n_time_panels=40, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         env = O.lower_bound_envelope(mf, 0.2)
         # minimum of sin^2 over [gamma, 1-gamma] sits at the edge node
         edge = mf.x[np.argmin(np.abs(mf.x - 0.2))]
@@ -458,7 +458,7 @@ class TestEnvelope:
     def test_big_h_constant_for_sine(self):
         cfg = O.OracleConfig(lam=0.0, u0=InitialData.sine(1), horizon=0.5,
                              n_time_panels=50, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         env = O.lower_bound_envelope(mf, 0.2)
         # H(t) = exp(2 nu pi^2 t) h(t) = sin^2(pi x_edge) for all t
         assert np.max(np.abs(env.log_big_h - env.log_big_h[0])) < 1e-10
@@ -466,7 +466,7 @@ class TestEnvelope:
     def test_big_h_eventually_grows_for_large_lambda(self):
         cfg = O.OracleConfig(lam=4.0, u0=InitialData.bump(0.2), horizon=1.0,
                              n_time_panels=500, n_x=31)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         env = O.lower_bound_envelope(mf, 0.2)
         n = len(env.t)
         first_quarter = env.log_big_h[: n // 4].mean()
@@ -476,7 +476,7 @@ class TestEnvelope:
     def test_empty_intersection_rejected(self):
         cfg = O.OracleConfig(lam=0.0, u0=InitialData.sine(1), horizon=0.1,
                              n_time_panels=20, n_x=4)
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         with pytest.raises(O.OracleDomainError):
             O.lower_bound_envelope(mf, 0.45)
 
@@ -484,7 +484,7 @@ class TestEnvelope:
 def _envelope_series(lam, k_sigma, horizon, n_t, n_x=25):
     cfg = O.OracleConfig(lam=lam, k_sigma=k_sigma, u0=InitialData.bump(0.2),
                          horizon=horizon, n_time_panels=n_t, n_x=n_x)
-    mf = O.second_moment_volterra(cfg, error_estimate=False)
+    mf = O.second_moments([cfg], error_estimate=False)[0]
     env = O.lower_bound_envelope(mf, 0.2)
     return env.t, env.log_h
 
@@ -532,9 +532,9 @@ class TestEnergy:
     def test_direct_when_resolvable(self):
         cfg = O.OracleConfig(lam=1.0, u0=InitialData.bump(0.2), horizon=0.25,
                              n_time_panels=200, n_x=31)
-        p = A.energy_at(cfg, 0.25)
+        (p,) = A.energies_at([cfg], 0.25)
         assert not p.extrapolated
-        mf = O.second_moment_volterra(cfg, error_estimate=False)
+        mf = O.second_moments([cfg], error_estimate=False)[0]
         assert p.log_energy == pytest.approx(float(O.log_l2_energy(mf)[-1]), abs=1e-12)
 
     def test_extrapolated_matches_direct_where_both_work(self, monkeypatch):
@@ -543,12 +543,12 @@ class TestEnergy:
         lam, t_target = 8.0, 0.1
         cfg = O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=t_target,
                              n_time_panels=4000, n_x=31)
-        direct = O.second_moment_volterra(cfg, error_estimate=False)
+        direct = O.second_moments([cfg], error_estimate=False)[0]
         log_direct = float(O.log_l2_energy(direct)[-1])
         monkeypatch.setattr(A, "ENERGY_RATE_BUDGET", 20.0)
-        p = A.energy_at(O.OracleConfig(lam=lam, u0=InitialData.bump(0.2),
-                                       horizon=t_target, n_time_panels=2000, n_x=31),
-                        t_target)
+        (p,) = A.energies_at([O.OracleConfig(lam=lam, u0=InitialData.bump(0.2),
+                                             horizon=t_target, n_time_panels=2000, n_x=31)],
+                             t_target)
         assert p.extrapolated
         assert p.log_energy == pytest.approx(log_direct, rel=0.02)
 
@@ -568,6 +568,6 @@ class TestEnergy:
         assert len({p.march["march_s"] for p in points[1:]}) == 1
         assert len({p.march["halving_march_s"] for p in points[1:]}) == 1
         assert all(p.march["halving_march_s"] > 0 for p in points)
-        alone = [A.energy_at(cfg, 0.1) for cfg in cfgs]
+        alone = [A.energies_at([cfg], 0.1)[0] for cfg in cfgs]
         assert [replace(p, march=untimed(p.march)) for p in points] \
             == [replace(p, march=untimed(p.march)) for p in alone]

@@ -18,9 +18,9 @@ def sampled_paths(n_paths, n_interior=127, t=0.1, lam=1.0, seed=77):
     cfg = SimulationConfig(grid=grid, lam=lam, master_seed=seed,
                            u0=InitialData.bump(0.2), observation_times=(t,))
     out = []
-    for p in simulate_paths(cfg, range(n_paths)):
+    for u in simulate_paths(cfg, range(n_paths)).field_at(t):
         # full profile on [0,1] including the Dirichlet endpoints
-        out.append(np.concatenate([[0.0], p.field_at(t), [0.0]]))
+        out.append(np.concatenate([[0.0], u, [0.0]]))
     return out
 
 

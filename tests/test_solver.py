@@ -100,7 +100,7 @@ class TestDeterministicDecay:
         grid = GridSpec(n_interior=255, dt=1e-4, horizon=0.5)
         cfg = S.SimulationConfig(grid=grid, lam=0.0, u0=S.InitialData.sine(1),
                                  observation_times=(0.5,))
-        u = S.simulate_path(cfg, 0).field_at(0.5)
+        u = S.simulate_paths(cfg, [0]).field_at(0.5)[0]
         exact = math.exp(-0.5 * PI2 * 0.5) * np.sin(math.pi * grid.x)
         assert np.max(np.abs(u - exact)) / np.max(exact) < 0.01
 
@@ -108,7 +108,7 @@ class TestDeterministicDecay:
         grid = GridSpec(n_interior=63, dt=1e-3, horizon=0.1)
         cfg = S.SimulationConfig(grid=grid, lam=0.0, scheme="spectral",
                                  u0=S.InitialData.sine(1), observation_times=(0.1,))
-        u = S.simulate_path(cfg, 0).field_at(0.1)
+        u = S.simulate_paths(cfg, [0]).field_at(0.1)[0]
         exact = math.exp(-0.5 * PI2 * 0.1) * np.sin(math.pi * grid.x)
         assert np.max(np.abs(u - exact)) < 1e-12
 
@@ -131,7 +131,7 @@ class TestDeterministicDecay:
         cfg = S.SimulationConfig(grid=grid, lam=0.0, boundary="neumann",
                                  u0=S.InitialData.table(np.ones(63)),
                                  observation_times=(0.2,))
-        u = S.simulate_path(cfg, 0).field_at(0.2)
+        u = S.simulate_paths(cfg, [0]).field_at(0.2)[0]
         assert np.max(np.abs(u - 1.0)) < 1e-12
 
     def test_near_boundary_decrease_under_refinement(self):
@@ -141,7 +141,7 @@ class TestDeterministicDecay:
             grid = GridSpec(n_interior=n, dt=1e-4, horizon=0.1)
             cfg = S.SimulationConfig(grid=grid, lam=0.0, u0=S.InitialData.bump(0.2),
                                      observation_times=(0.1,))
-            u = S.simulate_path(cfg, 0).field_at(0.1)
+            u = S.simulate_paths(cfg, [0]).field_at(0.1)[0]
             if prev is not None:
                 assert u[0] < prev
             prev = u[0]
@@ -152,7 +152,7 @@ class TestReproducibility:
         grid = GridSpec(n_interior=31, dt=1e-3, horizon=0.1)
         cfg = S.SimulationConfig(grid=grid, lam=0.0, u0=S.InitialData.bump(0.2),
                                  observation_times=(0.05, 0.1))
-        a, b = S.simulate_path(cfg, 0), S.simulate_path(cfg, 0)
+        a, b = S.simulate_paths(cfg, [0]), S.simulate_paths(cfg, [0])
         assert np.array_equal(a.values, b.values)
 
     def test_batch_grouping_invariance(self):
@@ -163,21 +163,21 @@ class TestReproducibility:
         together = S.simulate_paths(cfg, range(6))
         assert together.values.shape == (6, 2, 31)
         assert together.log_scale.shape == (6, 2)
-        alone = [S.simulate_path(cfg, i) for i in range(6)]
-        split = [*S.simulate_paths(cfg, [0, 1]), *S.simulate_paths(cfg, [2, 3, 4, 5])]
-        for i, (a, b, c) in enumerate(zip(together, alone, split)):
-            assert a.sample_index == b.sample_index == c.sample_index == i
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.values, c.values)
+        alone = [S.simulate_paths(cfg, [i]) for i in range(6)]
+        split = [S.simulate_paths(cfg, [0, 1]), S.simulate_paths(cfg, [2, 3, 4, 5])]
+        for parts in (alone, split):
+            assert np.array_equal(np.concatenate([p.samples for p in parts]), range(6))
+            assert np.array_equal(np.concatenate([p.values for p in parts]),
+                                  together.values)
 
     def test_chunked_stepping_invariance(self, monkeypatch):
         grid = GridSpec(n_interior=31, dt=1e-3, horizon=0.1)
         cfg = S.SimulationConfig(grid=grid, lam=2.0, master_seed=11,
                                  u0=S.InitialData.bump(0.2), observation_times=(0.1,))
         monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(7, 1, 31))
-        a = S.simulate_paths(cfg, [3])[0]
+        a = S.simulate_paths(cfg, [3])
         monkeypatch.setattr(S, "NOISE_BUFFER_BYTES", chunk_budget(256, 1, 31))
-        b = S.simulate_paths(cfg, [3])[0]
+        b = S.simulate_paths(cfg, [3])
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("scheme", ["semi_implicit", "spectral"])
@@ -202,7 +202,7 @@ class TestReproducibility:
         sparse = S.SimulationConfig(grid=grid, lam=1.5, master_seed=4,
                                     u0=S.InitialData.bump(0.2),
                                     observation_times=(0.05, 0.1))
-        pd_, ps = S.simulate_path(dense, 7), S.simulate_path(sparse, 7)
+        pd_, ps = S.simulate_paths(dense, [7]), S.simulate_paths(sparse, [7])
         for t in (0.05, 0.1):
             assert np.array_equal(pd_.field_at(t), ps.field_at(t))
 
@@ -216,7 +216,7 @@ class TestReproducibility:
         factor = S._implicit_factor(cfg)
         for k in range(grid.n_steps):
             state = step_semi_implicit(state, stream, k, cfg, factor=factor)
-        engine = S.simulate_path(cfg, 0).field_at(0.01)
+        engine = S.simulate_paths(cfg, [0]).field_at(0.01)[0]
         assert np.allclose(state, engine, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("lam", [1.0, 4.0])
@@ -230,7 +230,7 @@ class TestReproducibility:
         for k in range(grid.n_steps):
             coeffs = step_spectral(coeffs, stream, k, cfg)
         state = sine_transform(coeffs) / math.sqrt(grid.dx)
-        engine = S.simulate_path(cfg, 0).field_at(0.01)
+        engine = S.simulate_paths(cfg, [0]).field_at(0.01)[0]
         assert np.max(np.abs(state - engine)) <= 1e-13 * np.max(np.abs(engine))
 
 
@@ -276,9 +276,9 @@ class TestPropagator:
         batch = S.simulate_paths(cfg, [5, 0, 3, 1])
         assert np.all(batch.log_scale[:, -1] > 0)   # every sample renormalized
         for i, sample in enumerate([5, 0, 3, 1]):
-            alone = S.simulate_path(cfg, sample)
-            assert np.array_equal(batch.values[i], alone.values)
-            assert np.array_equal(batch.log_scale[i], alone.log_scale)
+            alone = S.simulate_paths(cfg, [sample])
+            assert np.array_equal(batch.values[i], alone.values[0])
+            assert np.array_equal(batch.log_scale[i], alone.log_scale[0])
 
 
 class TestStability:
@@ -296,14 +296,14 @@ class TestStability:
         grid = GridSpec(n_interior=63, dt=2e-5, horizon=0.02)
         cfg = S.SimulationConfig(grid=grid, lam=64.0, master_seed=7,
                                  u0=S.InitialData.bump(0.2), observation_times=(0.02,))
-        p = S.simulate_path(cfg, 0)
+        p = S.simulate_paths(cfg, [0])
         assert np.all(np.isfinite(p.values))
-        assert p.log_scale[0] > 0  # renormalization fired
+        assert p.log_scale[0, 0] > 0  # renormalization fired
         assert np.max(p.log_abs_at(0.02)) > math.log(1e100)
         # a sample's rescaling is its own: the batch's row equals the lone path
         ens = S.simulate_paths(cfg, [2, 0, 1])
-        assert np.array_equal(ens[1].values, p.values)
-        assert np.array_equal(ens[1].log_scale, p.log_scale)
+        assert np.array_equal(ens[1:2].values, p.values)
+        assert np.array_equal(ens[1:2].log_scale, p.log_scale)
 
     def test_ensemble_log_abs_rows_are_the_paths(self):
         grid = GridSpec(n_interior=63, dt=2e-5, horizon=0.02)
@@ -314,8 +314,35 @@ class TestStability:
         for t in (0.01, 0.02):
             rows = ens.log_abs_at(t)
             assert rows.shape == (3, 63)
-            for i in range(3):
-                assert np.array_equal(rows[i], ens[i].log_abs_at(t))
+            for i, sample in enumerate([2, 0, 1]):
+                alone = S.simulate_paths(cfg, [sample])
+                assert np.array_equal(rows[i], alone.log_abs_at(t)[0])
+                assert np.array_equal(ens.field_at(t)[i], alone.field_at(t)[0])
+
+    def test_field_at_rows_past_float_range(self):
+        # rows at log scale 0, 700 (exp finite) and 800 (exp overflows)
+        cfg = S.SimulationConfig(grid=GridSpec(n_interior=3, dt=1e-3, horizon=0.01),
+                                 lam=1.0, observation_times=(0.01,))
+        row = [0.5, -2.0, 0.0, 1e-300]
+        ens = S.Ensemble(config=cfg, samples=np.arange(3), times=np.array([0.01]),
+                         values=np.array([[row]] * 3),
+                         log_scale=np.array([[0.0], [700.0], [800.0]]))
+        u = ens.field_at(0.01)
+        assert u.shape == (3, 4)
+        assert np.array_equal(u[0], row)
+        assert np.array_equal(u[1], np.array(row) * math.exp(700.0))
+        assert np.array_equal(u[2, :3], [math.inf, -math.inf, 0.0])
+        assert u[2, 3] == pytest.approx(math.exp(math.log(1e-300) + 800.0), rel=1e-12)
+        assert np.all(np.isfinite(ens.log_abs_at(0.01)) == (np.array(row) != 0))
+
+    def test_ensemble_takes_slices_only(self):
+        grid = GridSpec(n_interior=15, dt=1e-3, horizon=0.01)
+        cfg = S.SimulationConfig(grid=grid, lam=1.0, observation_times=(0.01,))
+        ens = S.simulate_paths(cfg, [4, 5, 6])
+        assert np.array_equal(ens[1:].samples, [5, 6])
+        assert np.array_equal(ens[1:].field_at(0.01), ens.field_at(0.01)[1:])
+        with pytest.raises(TypeError):
+            ens[0]
 
     def test_spectral_neumann_unsupported(self):
         grid = GridSpec(n_interior=15, dt=1e-3, horizon=0.01)
@@ -376,8 +403,7 @@ class TestNoiseProducer:
         for run in runs[1:]:
             assert np.array_equal(run.values, runs[0].values)
             assert np.array_equal(run.log_scale, runs[0].log_scale)
-        for path, sample in zip(runs[0], samples):
-            engine = path.field_at(0.2)
+        for engine, sample in zip(runs[0].field_at(0.2), samples):
             ref = reference_march(cfg, sample)
             assert np.max(np.abs(ref - engine)) <= 1e-12 * np.max(np.abs(engine))
 
@@ -614,7 +640,7 @@ class TestEnsembleLaws:
     def test_mean_consistency_with_heat_propagation(self, ensemble):
         # E u(t,x) solves the deterministic heat equation (noise has zero mean)
         cfg, paths = ensemble
-        fields = np.stack([p.field_at(0.25) for p in paths])
+        fields = paths.field_at(0.25)
         mean = fields.mean(axis=0)
         se = fields.std(axis=0, ddof=1) / math.sqrt(len(paths))
         heat = O.OracleConfig(lam=0.0, u0=cfg.u0, horizon=0.25, n_time_panels=10, n_x=31)
@@ -623,18 +649,18 @@ class TestEnsembleLaws:
 
     def test_positivity_of_mean_field(self, ensemble):
         cfg, paths = ensemble
-        fields = np.stack([p.field_at(0.25) for p in paths])
+        fields = paths.field_at(0.25)
         mean = fields.mean(axis=0)
         se = fields.std(axis=0, ddof=1) / math.sqrt(len(paths))
         assert np.all(mean >= -3 * se)
 
     def test_second_moment_matches_oracle(self, ensemble):
         cfg, paths = ensemble
-        sq = np.stack([p.field_at(0.25) for p in paths]) ** 2
+        sq = paths.field_at(0.25) ** 2
         j = 15  # x = 0.5
         mc, se = sq[:, j].mean(), sq[:, j].std(ddof=1) / math.sqrt(sq.shape[0])
-        mf = O.second_moment_volterra(O.OracleConfig(
-            lam=1.0, u0=cfg.u0, horizon=0.25, n_time_panels=250, n_x=31))
+        (mf,) = O.second_moments([O.OracleConfig(
+            lam=1.0, u0=cfg.u0, horizon=0.25, n_time_panels=250, n_x=31)])
         m = math.exp(mf.log_m_at(0.25, 0.5))
         err = m * abs(math.expm1(mf.error_log_at(0.25, 0.5)))
         assert abs(mc - m) <= 1.96 * se + err
@@ -658,8 +684,8 @@ class TestSchemeAgreement:
                                   range(96))
             stride = (n_int + 1) // 32
             sel = np.arange(stride, n_int + 1, stride) - 1  # common nodes x = j/32
-            d = [np.sqrt(np.mean((a.field_at(0.25) - b.field_at(0.25))[sel] ** 2))
-                 for a, b in zip(pf, ps)]
+            d = [np.sqrt(np.mean((a - b)[sel] ** 2))
+                 for a, b in zip(pf.field_at(0.25), ps.field_at(0.25))]
             means.append(float(np.mean(d)))
         assert means[0] > means[1] > means[2]
         assert means[0] / means[2] >= 1.7

@@ -85,11 +85,10 @@ class TestAccumulate:
 
 
 def reference_estimate(f, ens, t):
-    """The per-sample fold: each path's log value, then a scalar Welford
+    """The per-sample fold: each row's log value, then a scalar Welford
     update of the linear moments and np.logaddexp of the log sums."""
     est = S.MomentEstimate(f, t)
-    for path in ens:
-        logabs = path.log_abs_at(t)
+    for logabs in ens.log_abs_at(t):
         finite = logabs[np.isfinite(logabs)]
         if f.kind == S.POINTWISE:
             logv = f.p * float(logabs[np.argmin(np.abs(ens.config.grid.x - f.x))])
