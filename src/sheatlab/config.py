@@ -163,10 +163,12 @@ class ExperimentConfig:
         window = self.get("analysis", "fit_window")
         if len(window) != 2 or not window[0] < window[1]:
             raise ConfigError("analysis.fit_window must hold two increasing horizon fractions")
-        # the grid-halving error estimate needs an even count; OracleConfig
-        # cannot demand it, because a halved grid may be odd
-        if self.get("oracle", "n_time_panels") % 2:
-            raise ConfigError("oracle.n_time_panels must be even (grid halving)")
+        # the grid-halving error estimate needs an even count whose half
+        # meets OracleConfig's 4 panels; OracleConfig cannot demand either,
+        # because a halved grid may be odd
+        n_t = self.get("oracle", "n_time_panels")
+        if n_t % 2 or n_t < 8:
+            raise ConfigError("oracle.n_time_panels must be even and >= 8 (grid halving)")
         # Each builder, and each range rule a command meets only once it
         # computes, runs here on the keys named beside it, in an order where
         # a failure can come from those keys only. Where a builder reads

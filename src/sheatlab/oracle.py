@@ -23,10 +23,9 @@ eps_d ~ 1/(16 d^2) to roundoff at any d.
 Configs that share a grid (every field but lam and k_sigma) are solved by
 one march of one renewal engine, which splits the history sum at a lag L.
 The near field, lags d <= L, has its lag kernels built once, with the
-weights folded in and stored lag-reversed, so that each step's near sum
-over every amplitude (lambda k)^2 is one matrix product; the build is a
-few batched kernel calls, every diagonal surrogate in one and the dense
-lags in chunks of 64. The far field, lags d > L, is exact in modes: the
+weights folded in and stored lag-reversed; the build is a few batched
+kernel calls, every diagonal surrogate in one and the dense lags in chunks
+of 64. The far field, lags d > L, is exact in modes: the
 squared kernel is sum_{k<=l} c_kl e^{-(lam_k + lam_l) tau} psi_kl psi_kl^T
 with psi_kl = e_k e_l (sines on Dirichlet, cosines and the constant mode on
 Neumann), kept down to 1e-18 of the slowest pair at lag L+1, and eps_d is a
@@ -36,7 +35,11 @@ fitted sum of exponentials (Beylkin & Monzon, ACHA 28, 2010). Every
 O(n_t n_x^2) (the near/far split of Lubich & Schaedle, SIAM J. Sci.
 Comput. 24, 2002). A far-field input is at least L+1 steps old, so the
 channels advance once per block of up to 8 steps (at most L+1), by a few
-products for the whole block instead of a recursion step per step.
+products for the whole block instead of a recursion step per step. The
+near field is blocked alike: a step sums only its 7 latest lags, over
+every amplitude (lambda k)^2 at once, and each near lag older than that
+reads a level from before the block, so the block sums those for all its
+steps in a few products.
 A grid whose every lag is a diagonal surrogate (large lambda on a short
 window) has no quadrature for modes to carry: it keeps lags up to L = 32
 and fits each cell's later weighted surrogates, smooth in the lag, by 64
@@ -215,7 +218,9 @@ def _d1_field(cfg: OracleConfig, t_grid, x_grid, coef):
     return d1
 
 
-# Dense lags per eval_kernel call: bounds the (lags, n_x, n_x) temporaries.
+# Dense lags per eval_kernel call, and per product of a block's older dense
+# lags: bounds the (lags, n_x, n_x) temporaries and the block's copied
+# history windows, so that no table grows with n_t on a direct march.
 _LAG_CHUNK = 64
 
 
@@ -323,17 +328,25 @@ def _weight_fit(n_t, n_near):
     return rho, beta, float(residual)
 
 
-# Cost model, in history-product multiply-adds per amplitude and step: one
-# far-field channel update costs _CHANNEL_COST of them, a far step adds
-# _FAR_STEP for its fixed work, and building one dense lag costs
-# _BUILD_COST n_x^2 over all amplitudes. Fitted to march times on a 2-core
-# x86-64 machine with one BLAS thread, with channels advanced per block:
-# the chosen L stays within 10% of the fastest measured one on the
-# acceptance grids (a fit to those grids alone gives _CHANNEL_COST 3.7),
-# a 100-panel march of 7 amplitudes on 15 cells stays direct (a split ran
-# no faster) and a 200-panel one of 1 amplitude splits (10% faster).
-_CHANNEL_COST = 6.0
-_FAR_STEP = 2.5e4
+# Cost model, in near-field multiply-adds of a march of several amplitudes,
+# per amplitude and step: a march of one amplitude pays _ONE_AMP_NEAR for
+# each of its dense ones (its blocked product has 8 rows, not 8 per
+# amplitude), one far-field channel update costs _CHANNEL_COST of them, a
+# far step adds _FAR_STEP for its fixed work, and building one dense lag
+# costs _BUILD_COST n_x^2 over all amplitudes. Fitted to march times of the
+# blocked near and far fields on a 2-core x86-64 machine with one BLAS
+# thread: the chosen L stays within 5% of the fastest measured one on the
+# acceptance grids, a 100-panel march of 7 amplitudes on 15 cells stays
+# direct (no split ran faster), and a 200-panel one of 1 amplitude splits,
+# which ran as fast as the direct march, so that tests reach the rescaled
+# channels on a small grid. Criterion 6's lambda = 8 march ran fastest
+# near L = 116, but its modal far field rounds at the scale of the row's
+# peak, which its edge cells sit far below: the blocked and per-step
+# channels then differ by 1e-12 of log m at L = 113, 1e-13 at 138 and
+# 3e-14 at 153, where this fit puts it.
+_CHANNEL_COST = 5.0
+_ONE_AMP_NEAR = 1.4
+_FAR_STEP = 3e4
 _BUILD_COST = 40.0
 
 
@@ -349,8 +362,8 @@ def _split(grid, n_diag, n_amp):
     n_t, n_x = grid.n_time_panels, grid.n_x
     if n_diag == n_t:
         # a step costs i surrogate lags, or _SURROGATE_NEAR lags and a
-        # channel update per rate: channels from 832 panels on (measured
-        # crossover 250-650 panels on 15-31 cells, 1-3 amplitudes)
+        # channel update per rate: channels from 704 panels on (measured
+        # crossover 250-400 panels on 15-31 cells, 2 amplitudes)
         direct = n_t * (n_t + 1) / 2 * n_x
         channels = n_t * (_SURROGATE_NEAR + _CHANNEL_COST * _SURROGATE_RATES) * n_x
         return (_SURROGATE_NEAR if channels < direct else n_t), 0
@@ -360,6 +373,7 @@ def _split(grid, n_diag, n_amp):
     dense = near - n_diag
     cost = (n_t * n_diag * n_x
             + (dense * (dense + 1) / 2 + (n_t - near) * dense) * n_x ** 2
+            * (_ONE_AMP_NEAR if n_amp == 1 else 1.0)
             + _BUILD_COST * dense * n_x ** 2 / n_amp)
     modes = _far_modes(grid, (near + 1) * dt)
     n_k = modes + (grid.boundary != kern.DIRICHLET)  # Neumann adds mode 0
@@ -372,10 +386,17 @@ def _split(grid, n_diag, n_amp):
     return int(near[best]), int(modes[best])
 
 
-# Steps per block of the far-field channels' blocked advance; _solve_grid
-# caps it at n_near + 1, the most whose far-field inputs are all final at
-# the block's first step.
-_BLOCK = 8
+# Each step sums its _STEP_LAGS latest near lags itself. A block of up to
+# _BLOCK <= _STEP_LAGS + 1 steps sums every older near lag, which reads a
+# level from before the block, once, and advances the far-field channels
+# once; _solve_grid caps it at n_near + 1 steps, the most whose far-field
+# inputs are all final at the block's first step. The split does not move
+# with the block length, so a step's arithmetic does not depend on where
+# its block starts: on criterion 4's lambda = 8 cell, which amplifies
+# roundoff about a millionfold over its march, summing only the in-block
+# lags per step moved log m by 1e-12 between blocks of 8 and of 1.
+_STEP_LAGS = 7
+_BLOCK = _STEP_LAGS + 1
 
 
 def _lag_toeplitz(lag):
@@ -428,8 +449,8 @@ def _solve_grid(grids, amps, d1_coef):
     D1 each. Psi_d = sqrt(tau_d) A_d m_{i-d} enters step i with weight
     w_hi[d-1] + w_lo[d]; the lag-i term (m_0) weighs only w_hi[i-1], so its
     w_lo[i] share is taken off again, and Psi_0 is extrapolated from lags 1
-    and 2. Lags up to n_near (from _split) are the near field, one product
-    with the kernels of _lag_kernels per step. Later lags are the far field.
+    and 2. Lags up to n_near (from _split) are the near field, with the
+    kernels of _lag_kernels. Later lags are the far field.
     On a split grid g^2 = sum over mode pairs p of
     mult_p e^{-rate_p tau} psi_p psi_p^T, and the weight is dt (1 + eps_d)
     with eps_d a fitted sum of exponentials, so every (rate, pair) channel
@@ -441,7 +462,16 @@ def _solve_grid(grids, amps, d1_coef):
     surrogate.
 
     The steps run in blocks of B = min(_BLOCK, n_near + 1), the far-field
-    blocks from step n_near + 1 on. Step i reads the far field at
+    blocks from step n_near + 1 on. A step sums only its _STEP_LAGS latest
+    near lags, the only ones that may read a level of its own block, and
+    takes Psi_0 from the same surrogate products where lags 1 and 2 are
+    surrogates. Every older near lag reads a level from before the block,
+    so the block sums them for all its steps at once: the surrogate lags in
+    one einsum over a strided window of the history, the dense lags in one
+    product of that window with the dense kernels per _LAG_CHUNK lags; the
+    history's B - 1 zero levels before hist[0] let a window start at any
+    step. Step i reads
+    the far field at
     hist[i - n_near - 1], so a block's far-field inputs are all final at
     its first step, and the channels advance once per block (the blocked
     convolution of Lubich & Schaedle): the block's far-field terms are a
@@ -454,12 +484,16 @@ def _solve_grid(grids, amps, d1_coef):
     matrix product over all amplitudes; an all-surrogate grid's is
     (amplitudes, rates, cells) and takes its products per amplitude, so that
     a batched march gives every amplitude the values of its lone march.
+    A block's pending terms, these sums times the amplitude plus
+    exp(log D1^2 - ref), are taken once per block, and a step adds its own
+    sum times the amplitude to them.
 
     The history and the channels hold values / exp(ref), one log reference
     per amplitude; a rescale divides an amplitude's history, channels and
-    pending block terms alike. log_m keeps each step's level, a rescale
-    records the amplitude, the first step on its new reference and that
-    reference, and log m = log(level) + ref is taken once the march ends,
+    pending block terms alike. log_m keeps each step's level, copied once
+    per block and before any rescale, a rescale records the amplitude, the
+    first step on its new reference and that reference, and
+    log m = log(level) + ref is taken once the march ends,
     with each row's ref rebuilt from those events. The march record's
     march_s is the wall time of the step loop, shared by every grid of the
     march.
@@ -494,18 +528,18 @@ def _solve_grid(grids, amps, d1_coef):
     del kernels   # the march holds one surrogate table per amplitude only
     first = np.cumsum([0] + [len(lv) for lv in live])   # each grid's first amplitude
 
-    def psi_operator(d):
-        """h -> Psi_d = sqrt(tau_d) A_d h for an exact lag d and one history
-        level h (n_amp, n_x)."""
+    def psi_operator(d, scale=1.0):
+        """h -> scale Psi_d = scale sqrt(tau_d) A_d h for an exact lag d and
+        one history level h (n_amp, n_x); a scale of 2 is exact."""
         omega_d = omega_a[:, d - 1, None]
         if d <= n_diag:
-            diag_d = diag_a[:, n_diag - d]
+            diag_d = scale * diag_a[:, n_diag - d]
             return lambda h: h * diag_d / omega_d
-        dense_d = dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
+        dense_d = scale * dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
         return lambda h: h @ dense_d / omega_d
 
     def m0_terms(lo, hi):
-        """w_lo[d] Psi_d(m_0) (hi - lo, n_amp, n_x) of the exact lags
+        """w_lo[d] Psi_d(m_0) (n_amp, hi - lo, n_x) of the exact lags
         d = lo..hi-1."""
         h = hist[:, 0]
         mid = min(max(lo, n_diag + 1), hi)   # the lags below mid are surrogates
@@ -518,7 +552,7 @@ def _solve_grid(grids, amps, d1_coef):
                       out=terms[:, mid - lo:])
         terms /= omega_a[:, lo - 1:hi - 1, None]
         terms *= w_lo_a[:, lo:hi, None]
-        return terms.swapaxes(0, 1)
+        return terms
 
     block = min(_BLOCK, n_near + 1)
     powers = np.arange(block + 1)[:, None]
@@ -538,7 +572,7 @@ def _solve_grid(grids, amps, d1_coef):
         amp_state = list(state)
 
         def advance(i0, i1):
-            """The far-field terms (i1 - i0, n_amp, n_x) of steps i0..i1-1,
+            """The far-field terms (n_amp, i1 - i0, n_x) of steps i0..i1-1,
             with the channels carried to step i1 - 1; the products run per
             amplitude, so that a batched march keeps each one's lone values."""
             nb = i1 - i0
@@ -548,7 +582,7 @@ def _solve_grid(grids, amps, d1_coef):
             if i1 <= n_t:
                 state[...] *= rho_pow[block][:, None]
                 state[...] += rho_pow[block - 1::-1].T @ inputs
-            return terms.swapaxes(0, 1)
+            return terms
     elif n_near < n_t:
         dt = dts[0]   # a split grid marches alone
         pair, rate, mult = _mode_pairs(grid, n_modes)
@@ -575,7 +609,7 @@ def _solve_grid(grids, amps, d1_coef):
         amp_state = list(state.swapaxes(0, 1))
 
         def advance(i0, i1):
-            """The far-field terms (i1 - i0, n_amp, n_x) of steps i0..i1-1,
+            """The far-field terms (n_amp, i1 - i0, n_x) of steps i0..i1-1,
             with the channels carried to step i1 - 1."""
             nb = i1 - i0
             inputs = hist[:, i0 - n_near - 1:i1 - n_near - 1].swapaxes(0, 1)
@@ -589,52 +623,112 @@ def _solve_grid(grids, amps, d1_coef):
                 state[...] *= carry
                 state[:-1] += (rho_pow[block - 1::-1].T
                                @ (proj * r_out).reshape(block, -1)).reshape(state[:-1].shape)
-            return (terms.reshape(-1, len(rate)) @ expand).reshape(nb, n_amp, n_x)
-    # allocated past the fit, so that its temporaries do not add to the history
+            return (terms.reshape(-1, len(rate)) @ expand).reshape(nb, n_amp, n_x).swapaxes(0, 1)
+    # allocated past the fit, so that its temporaries do not add to the
+    # history, with block - 1 zero levels before hist[0] for the early
+    # blocks' lags that reach past the first level
     a = np.array([amp for lv in live for amp in lv])[:, None]
-    hist = np.empty((n_amp, n_t + 1, n_x))
+    pad = block - 1
+    buf = np.zeros((n_amp, pad + n_t + 1, n_x))
+    hist = buf[:, pad:]
     log_m = np.empty_like(hist)
     hist[:, 0] = log_m[:, 0] = m0 / peak0
     if n_diag <= n_near < n_t:
         state[-1] = hist[:, 0] @ pair   # the m_0 sequence from step n_near + 1
     ref = np.full((n_amp, 1), math.log(peak0))
     moves = []   # (amplitude, first step on the new reference, that reference)
+
+    def window(first, nb, lags, flat=False):
+        """(n_amp, nb, lags, n_x) view of the history, or (n_amp, nb,
+        lags n_x) if flat, whose row b holds the lags levels from first + b."""
+        s_amp, s_level, s_x = buf.strides
+        shape, strides = ((lags * n_x,), (s_x,)) if flat else ((lags, n_x), (s_level, s_x))
+        return np.ndarray((n_amp, nb, *shape), buffer=buf, offset=(pad + first) * s_level,
+                          strides=(s_amp, s_level, *strides))
+
+    n_sur = min(n_diag, n_near)   # the near lags 1..n_sur are surrogates
+    recent = min(_STEP_LAGS, n_near)   # the lags 1..recent of every step
+    low = max(n_diag, recent)   # the older lags past low are dense
+    # a block's dense windows of up to _LAG_CHUNK lags, copied for a product
+    rows_buf = np.empty(n_amp * block * min(max(n_near - low, 0), _LAG_CHUNK) * n_x)
+
+    def old_lags(i0, i1):
+        """The sums (n_amp, i1 - i0, n_x) of the near lags past recent of
+        steps i0..i1-1, which all read levels before i0: the surrogate lags
+        in one einsum, the dense lags in one product per _LAG_CHUNK lags."""
+        nb, reach = i1 - i0, min(n_near, i1 - 1)   # the longest lag of the block
+        sums = np.zeros((n_amp, nb, n_x))
+        top = min(n_sur, reach)   # the longest surrogate lag
+        if top > recent:
+            sums += np.einsum("akx,abkx->abx", diag_a[:, n_diag - top:n_diag - recent],
+                              window(i0 - top, nb, top - recent))
+        for lo in range(low, reach, _LAG_CHUNK):   # the dense lags lo+1..hi
+            hi = min(lo + _LAG_CHUNK, reach)
+            rows = rows_buf[:n_amp * nb * (hi - lo) * n_x].reshape(n_amp * nb, -1)
+            rows.reshape(n_amp, nb, -1)[...] = window(i0 - hi, nb, hi - lo, flat=True)
+            sums += (dense[:, (n_near - hi) * n_x:(n_near - lo) * n_x]
+                     @ rows.T).T.reshape(n_amp, nb, n_x)
+        return sums
+
+    w_lo0 = w_lo_a[:, :1]
     psi1, psi2 = psi_operator(1), psi_operator(2)   # Psi_0's lags
+    psi1x2 = psi_operator(1, 2.0)
+    # dividing by omega_1 / 2 doubles the quotient exactly
+    omega_psi = omega_a[:, 1::-1, None] / np.array([1.0, 2.0])[:, None]
     starts = [*range(1, n_near + 1, block), *range(n_near + 1, n_t + 1, block)]
     start = time.perf_counter()
     with np.errstate(divide="ignore"):
         for i0, i1 in zip(starts, starts[1:] + [n_t + 1]):
-            pending = advance(i0, i1) if i0 > n_near else np.zeros((i1 - i0, n_amp, n_x))
+            pending = old_lags(i0, i1)
+            if i0 > n_near:
+                pending += advance(i0, i1)
             if i0 <= n_exact:
                 pending -= m0_terms(i0, i1)
-            for i in range(i0, i1):
-                nd = min(n_diag, n_near, i)
-                total = np.einsum("adx,adx->ax", diag_a[:, n_diag - nd:], hist[:, i - nd:i])
-                if i > n_diag:
-                    lo = max(0, i - n_near)
-                    total += (hist[:, lo:i - n_diag].reshape(n_amp, -1)
-                              @ dense[:, (n_near - i + lo) * n_x:(n_near - n_diag) * n_x].T)
-                total += pending[i - i0]
-                psi0 = psi1(hist[:, i - 1])
-                if i >= 2:
-                    psi0 = np.maximum(2.0 * psi0 - psi2(hist[:, i - 2]), 0.0)
-                total += w_lo_a[:, :1] * psi0
-                total *= a
+            pending *= a[:, None]
+            pending += np.exp(log_d1sq[gi, i0:i1] - ref[:, None])
+            flushed = i0   # the first level that log_m lacks
+            for b, i in enumerate(range(i0, i1)):
+                # Psi_0 and the latest lags, which may read the block's levels
+                k = min(recent, i)
+                sur = min(k, n_sur)
+                if sur >= 2:
+                    # Psi_0's lags are the last two surrogate products
+                    terms = hist[:, i - sur:i] * diag_a[:, n_diag - sur:]
+                    psi = terms[:, -2:] / omega_psi   # Psi_2, 2 Psi_1
+                    total = np.subtract(psi[:, 1], psi[:, 0])
+                    np.maximum(total, 0.0, out=total)
+                    total *= w_lo0
+                    total += terms.sum(axis=1)
+                else:
+                    if i == 1:
+                        total = psi1(hist[:, 0])
+                    else:
+                        total = psi1x2(hist[:, i - 1])
+                        total -= psi2(hist[:, i - 2])
+                        np.maximum(total, 0.0, out=total)
+                    total *= w_lo0
+                    if sur:
+                        total += hist[:, i - 1] * diag_a[:, n_diag - 1]
+                if k > n_diag:
+                    total += (hist[:, i - k:i - n_diag].reshape(n_amp, -1)
+                              @ dense[:, (n_near - k) * n_x:(n_near - n_diag) * n_x].T)
                 level = hist[:, i]
-                np.exp(log_d1sq[gi, i] - ref, out=level)
-                level += total
-                log_m[:, i] = level
+                np.multiply(total, a, out=level)
+                level += pending[:, b]
                 for j, peak in enumerate(level.max(axis=1).tolist()):
                     if _CALM[0] <= peak <= _CALM[1]:
                         continue
                     log_peak = np.log(peak)
                     if abs(log_peak) > _RESCALE_LOG:
+                        log_m[:, flushed:i + 1] = hist[:, flushed:i + 1]
+                        flushed = i + 1
                         _rescale(hist[j, :i + 1], log_peak)
-                        _rescale(pending[i - i0 + 1:, j], log_peak)
+                        _rescale(pending[j, b + 1:], log_peak)
                         if amp_state:
                             _rescale(amp_state[j], log_peak)
                         ref[j] += log_peak
                         moves.append((j, i + 1, float(ref[j, 0])))
+            log_m[:, flushed:i1] = hist[:, flushed:i1]
         march_s = time.perf_counter() - start
         np.log(log_m, out=log_m)
     refs = np.full((n_amp, n_t + 1, 1), math.log(peak0))

@@ -6,9 +6,11 @@ Manifests (manifest_*.json) are compared without their TIMING_FIELDS, at
 any depth; every other file must be byte-identical. A file that differs is
 listed, with the largest relative difference |a - b| / max(|a|, |b|) per CSV
 column or JSON key (list indices folded into `[]`), the count of values that
-differ, and `text` where a differing value is not a number. Prints nothing
-for identical directories. Exit status: 0 if every file is identical, 1
-otherwise.
+differ, the largest roundoff measure |a - b| / max(1, |a|, |b|), which
+neither inflates a move near 0 nor hides one in a large log value, and
+`text` where a differing value is not a number. Prints nothing for
+identical directories. Exit status: 0 if every file is identical, 1
+otherwise; the measures do not change it.
 """
 
 import csv
@@ -43,12 +45,12 @@ def _json(path):
     return untimed(node) if _is_manifest(path) else node
 
 
-def _rel(a, b):
+def _rel(a, b, floor=0.0):
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / max(floor, abs(a), abs(b))
 
 
 def _fields(path):
@@ -90,17 +92,22 @@ def compare(path_a, path_b):
         if len(va) != len(vb):
             lines.append(f"  {key}: {len(va)} against {len(vb)} values")
             continue
-        worst, n_diff, text = 0.0, 0, False
+        worst, roundoff, n_diff, text = 0.0, None, 0, False
         for x, y in zip(va, vb):
             if x == y:
                 continue
             n_diff += 1
             try:
-                worst = max(worst, _rel(_number(x), _number(y)))
+                x, y = _number(x), _number(y)
             except ValueError:
                 text = True
+                continue
+            worst = max(worst, _rel(x, y))
+            roundoff = max(roundoff or 0.0, _rel(x, y, floor=1.0))
         if n_diff:
             lines.append(f"  {key}: max rel {worst:.2g} ({n_diff} differ)"
+                         + ("" if roundoff is None else
+                            f", max |a - b|/max(1, |a|, |b|) {roundoff:.2g}")
                          + (", text" if text else ""))
     return lines
 

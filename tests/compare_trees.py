@@ -29,6 +29,10 @@ RUNS = [
     ("all_w2", "all", "experiment.cfg", ["--workers", "2"]),
     ("thresholds", "thresholds", "oracle_thresholds.cfg", []),
     ("excitation", "excitation", "oracle_excitation.cfg", []),
+    # a Neumann split march of seven amplitudes: dense lags among each
+    # step's own, and rescales inside blocks
+    ("thresholds_neumann", "thresholds", "oracle_thresholds.cfg",
+     ["--override", "equation.boundary=neumann"]),
     # the Neumann far field: cosine pairs and the constant mode
     ("oracle_neumann", "oracle", "experiment.cfg",
      ["--override", "equation.boundary=neumann"]),

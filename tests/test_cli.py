@@ -676,6 +676,9 @@ class TestExitCodes:
         ("excitation", "analysis.excitation_time=0"),
         ("oracle", "oracle.n_x=2"),
         ("oracle", "oracle.n_time_panels=2"),
+        # even, but the grid-halving solve would have 3 or 2 panels
+        ("oracle", "oracle.n_time_panels=6"),
+        ("excitation", "oracle.n_time_panels=4"),
         ("oracle", "equation.nu=-1"),
         ("oracle", "equation.lambda=nan"),
         ("oracle", "grid.horizon=-1"),

@@ -33,6 +33,18 @@ def test_perturbed_csv_cell_names_file_and_column(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("  u: max rel 5e-08 (1 differ)")
 
 
+def test_roundoff_measure_floors_the_scale_at_one(tmp_path, capsys):
+    # 0.1 -> 0.1000001 is 1e-6 relative but 1e-7 against a scale of 1;
+    # 1.5 -> 1.5000003 is 2e-7 either way
+    a = _outputs(tmp_path / "a")
+    b = _outputs(tmp_path / "b", csv=CSV.replace("0.1,0.25", "0.1000001,0.25", 1)
+                 .replace("1.5", "1.5000003"))
+    assert compare_outputs.main(a, b) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  t: max rel 1e-06 (1 differ), max |a - b|/max(1, |a|, |b|) 1e-07",
+        "  u: max rel 2e-07 (1 differ), max |a - b|/max(1, |a|, |b|) 2e-07"]
+
+
 def test_manifest_wall_clock_is_ignored(tmp_path, capsys):
     a = _outputs(tmp_path / "a")
     b = _outputs(tmp_path / "b", manifest={**MANIFEST, "wall_clock_s": 9.5})

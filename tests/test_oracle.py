@@ -337,24 +337,28 @@ class TestRenewalEngine:
             rho, beta, residual = O._weight_fit(n_t, n_near)
             assert np.all((rho > 0) & (rho < 1)) and residual < 1e-14
 
-    # the acceptance grids of the split march
+    # test_cost_model_sides' small grid, which the engine marches directly
+    # (L = n_t): blocks of the near field and no far field
+    DIRECT = dict(horizon=0.5, n_time_panels=100, n_x=15)
+    # the acceptance grids of the split march, and the direct one; a grid
+    # without a horizon is solved on both boundaries
     GRIDS = [
         # criterion 4's grid, every lambda of its scan in one march
         (dict(horizon=4.0, n_time_panels=2000, n_x=31), (0.25, 0.5, 1, 2, 4, 8, 16)),
         # criterion 6's lambda = 8 solve, which energies_at resolves directly
         (dict(horizon=0.1, n_time_panels=2500, n_x=31), (8.0,)),
         # criterion 6's all-surrogate solves, which energies_at takes on
-        # T = 30 / r_pred (no common horizon), on both boundaries: fitted
-        # channels past lag 32
+        # T = 30 / r_pred (no common horizon): fitted channels past lag 32
         (dict(n_time_panels=2500, n_x=31), (16.0, 32.0, 64.0)),
+        (DIRECT, (0.25, 0.5, 1, 2, 4, 8, 16)),
     ]
 
     @staticmethod
     def configs(grid, lams):
-        if "horizon" in grid:
+        if "horizon" in grid and grid is not TestRenewalEngine.DIRECT:
             return [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), **grid) for lam in lams]
         return [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), boundary=boundary,
-                               horizon=30.0 / O.predicted_rate(lam, 1.0, 0.5), **grid)
+                               **{"horizon": 30.0 / O.predicted_rate(lam, 1.0, 0.5), **grid})
                 for boundary in (kern.DIRICHLET, kern.NEUMANN) for lam in lams]
 
     @staticmethod
@@ -372,8 +376,10 @@ class TestRenewalEngine:
         engine = O.second_moments(cfgs)
         # an all-surrogate grid has no quadrature lag for modes to carry
         surrogate = engine[0].march["n_diag"] == n_t
+        direct = grid is self.DIRECT
         for mf in engine:
-            assert 0 < mf.march["n_near"] < n_t and (mf.march["n_modes"] == 0) == surrogate
+            assert 0 < mf.march["n_near"] <= n_t and (mf.march["n_near"] == n_t) == direct
+            assert (mf.march["n_modes"] == 0) == (surrogate or direct)
             assert mf.march["fit_residual"] < (1e-11 if surrogate else 1e-14)
         # the direct march: no lag in the far field
         monkeypatch.setattr(O, "_split", lambda grid, n_diag, n_amp: (grid.n_time_panels, 0))
@@ -384,10 +390,11 @@ class TestRenewalEngine:
     @pytest.mark.parametrize("grid, lams", GRIDS)
     def test_blocks_match_per_step_recursion(self, monkeypatch, grid, lams):
         # blocks of one step advance the channels as a per-step recursion
+        # and sum each step's older near lags alone
         cfgs = self.configs(grid, lams)
         blocked = O.second_moments(cfgs)
-        assert O._BLOCK > 1 and all(mf.march["n_near"] < grid["n_time_panels"]
-                                    for mf in blocked)
+        assert O._BLOCK > 1 and all((mf.march["n_near"] < grid["n_time_panels"])
+                                    == (grid is not self.DIRECT) for mf in blocked)
         monkeypatch.setattr(O, "_BLOCK", 1)
         self.assert_fields_close(blocked, O.second_moments(cfgs), 1e-13)
 
