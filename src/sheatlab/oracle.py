@@ -41,13 +41,13 @@ every amplitude (lambda k)^2 at once, and each near lag older than that
 reads a level from before the block, so the block sums those for all its
 steps in a few products.
 A grid whose every lag is a diagonal surrogate (large lambda on a short
-window) has no quadrature for modes to carry: it keeps lags up to L = 32
-and fits each cell's later weighted surrogates, smooth in the lag, by 64
-fixed-rate exponentials, one least-squares fit per grid, so every
-(rate, cell) channel is a geometric recursion over m_j(x); such grids that
-differ only in the horizon march together, one kernel row per grid.
-L comes from a cost model of both parts; L = n_t is the direct march, which
-it keeps where no far lag pays.
+window) has no quadrature for modes to carry: it keeps lags up to
+L = min(32, n_t) and fits each cell's later weighted surrogates, smooth in
+the lag, by 64 fixed-rate exponentials, one least-squares fit per grid, so
+every (rate, cell) channel is a geometric recursion over m_j(x); such grids
+that differ only in the horizon march together, one kernel row per grid.
+Any other grid takes L from a cost model of both parts; L = n_t is the
+direct march, which it keeps where no far lag pays.
 
 Growth at large lambda exceeds float range (the rate scales like
 (lambda k)^4 / (8 nu)). The march keeps its history and far-field channels
@@ -145,8 +145,8 @@ class MomentField:
     modes per side and a weight fit whose largest residual is fit_residual,
     beyond it; n_near = n_time_panels (n_modes = 0) is the direct march. On
     an all-surrogate grid (n_diag = n_time_panels) no lag has a spatial
-    quadrature, and a smaller n_near, with n_modes = 0, means the
-    surrogates past lag n_near went onto fitted exponential channels,
+    quadrature: n_near = min(32, n_time_panels), n_modes = 0, and the
+    surrogates past lag n_near go onto fitted exponential channels,
     fit_residual their largest misfit relative to the surrogate of lag
     n_near + 1. march_s and halving_march_s are the wall seconds of the
     step loops of this solve and of its grid-halving solve (0.0 without
@@ -338,12 +338,11 @@ def _weight_fit(n_t, n_near):
 # thread: the chosen L stays within 5% of the fastest measured one on the
 # acceptance grids, a 100-panel march of 7 amplitudes on 15 cells stays
 # direct (no split ran faster), and a 200-panel one of 1 amplitude splits,
-# which ran as fast as the direct march, so that tests reach the rescaled
-# channels on a small grid. Criterion 6's lambda = 8 march ran fastest
-# near L = 116, but its modal far field rounds at the scale of the row's
-# peak, which its edge cells sit far below: the blocked and per-step
-# channels then differ by 1e-12 of log m at L = 113, 1e-13 at 138 and
-# 3e-14 at 153, where this fit puts it.
+# which ran as fast as the direct march. Criterion 6's lambda = 8 march
+# ran fastest near L = 116, but its modal far field rounds at the scale of
+# the row's peak, which its edge cells sit far below: the blocked and
+# per-step channels then differ by 1e-12 of log m at L = 113, 1e-13 at 138
+# and 3e-14 at 153, where this fit puts it.
 _CHANNEL_COST = 5.0
 _ONE_AMP_NEAR = 1.4
 _FAR_STEP = 3e4
@@ -351,22 +350,18 @@ _BUILD_COST = 40.0
 
 
 def _split(grid, n_diag, n_amp):
-    """Near-lag count L and far mode count M of the cheapest march.
+    """Near-lag count L and far mode count M of the march.
 
-    L = n_t (no far field, M = 0) is the direct march; a split needs
+    A grid whose every lag is a surrogate has no quadrature for modes to
+    carry: it keeps L = min(_SURROGATE_NEAR, n_t) (M = 0) and puts its later
+    lags on fitted channels. Any other grid takes the cheapest L of the cost
+    model: L = n_t (no far field, M = 0) is the direct march; a split needs
     L >= max(n_diag, 2), since the far field is the resolved quadrature and
-    the Psi_0 rule reads lags 1 and 2. A grid whose every lag is a surrogate
-    has no quadrature for modes to carry: it splits at L = _SURROGATE_NEAR
-    (M = 0) onto fitted channels, or marches directly.
+    the Psi_0 rule reads lags 1 and 2.
     """
     n_t, n_x = grid.n_time_panels, grid.n_x
     if n_diag == n_t:
-        # a step costs i surrogate lags, or _SURROGATE_NEAR lags and a
-        # channel update per rate: channels from 704 panels on (measured
-        # crossover 250-400 panels on 15-31 cells, 2 amplitudes)
-        direct = n_t * (n_t + 1) / 2 * n_x
-        channels = n_t * (_SURROGATE_NEAR + _CHANNEL_COST * _SURROGATE_RATES) * n_x
-        return (_SURROGATE_NEAR if channels < direct else n_t), 0
+        return min(_SURROGATE_NEAR, n_t), 0
     dt = grid.horizon / n_t
     near = np.arange(max(n_diag, 2), n_t + 1)
     # steps before L see i lags, later ones L of them
@@ -463,15 +458,16 @@ def _solve_grid(grids, amps, d1_coef):
 
     The steps run in blocks of B = min(_BLOCK, n_near + 1), the far-field
     blocks from step n_near + 1 on. A step sums only its _STEP_LAGS latest
-    near lags, the only ones that may read a level of its own block, and
-    takes Psi_0 from the same surrogate products where lags 1 and 2 are
-    surrogates. Every older near lag reads a level from before the block,
-    so the block sums them for all its steps at once: the surrogate lags in
-    one einsum over a strided window of the history, the dense lags in one
-    product of that window with the dense kernels per _LAG_CHUNK lags; the
-    history's B - 1 zero levels before hist[0] let a window start at any
-    step. Step i reads
-    the far field at
+    near lags, the only ones that may read a level of its own block: each
+    surrogate lag (elementwise) and each dense lag 1 or 2 (one matrix
+    product) by a product of its own, the older dense lags in one matrix
+    product. It takes Psi_0 = max(2 Psi_1 - Psi_2, 0), or Psi_1 at step 1,
+    from its own products of lags 1 and 2. Every older near lag reads a
+    level from before the block, so the block sums them for all its steps
+    at once: the surrogate lags in one einsum over a strided window of the
+    history, the dense lags in one product of that window with the dense
+    kernels per _LAG_CHUNK lags; the history's B - 1 zero levels before
+    hist[0] let a window start at any step. Step i reads the far field at
     hist[i - n_near - 1], so a block's far-field inputs are all final at
     its first step, and the channels advance once per block (the blocked
     convolution of Lubich & Schaedle): the block's far-field terms are a
@@ -527,16 +523,6 @@ def _solve_grid(grids, amps, d1_coef):
     omega_a, w_lo_a = omega[gi], w_lo[gi]
     del kernels   # the march holds one surrogate table per amplitude only
     first = np.cumsum([0] + [len(lv) for lv in live])   # each grid's first amplitude
-
-    def psi_operator(d, scale=1.0):
-        """h -> scale Psi_d = scale sqrt(tau_d) A_d h for an exact lag d and
-        one history level h (n_amp, n_x); a scale of 2 is exact."""
-        omega_d = omega_a[:, d - 1, None]
-        if d <= n_diag:
-            diag_d = scale * diag_a[:, n_diag - d]
-            return lambda h: h * diag_d / omega_d
-        dense_d = scale * dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
-        return lambda h: h @ dense_d / omega_d
 
     def m0_terms(lo, hi):
         """w_lo[d] Psi_d(m_0) (n_amp, hi - lo, n_x) of the exact lags
@@ -670,11 +656,12 @@ def _solve_grid(grids, amps, d1_coef):
                      @ rows.T).T.reshape(n_amp, nb, n_x)
         return sums
 
+    n_own = max(n_sur, 2)   # the lags 1..n_own have a product of their own
+    own_dense = {d: dense[:, (n_near - d) * n_x:(n_near - d + 1) * n_x].T
+                 for d in range(n_sur + 1, n_own + 1)}
     w_lo0 = w_lo_a[:, :1]
-    psi1, psi2 = psi_operator(1), psi_operator(2)   # Psi_0's lags
-    psi1x2 = psi_operator(1, 2.0)
     # dividing by omega_1 / 2 doubles the quotient exactly
-    omega_psi = omega_a[:, 1::-1, None] / np.array([1.0, 2.0])[:, None]
+    omega_psi = omega_a.T[1::-1, :, None] / np.array([1.0, 2.0])[:, None, None]
     starts = [*range(1, n_near + 1, block), *range(n_near + 1, n_t + 1, block)]
     start = time.perf_counter()
     with np.errstate(divide="ignore"):
@@ -688,30 +675,26 @@ def _solve_grid(grids, amps, d1_coef):
             pending += np.exp(log_d1sq[gi, i0:i1] - ref[:, None])
             flushed = i0   # the first level that log_m lacks
             for b, i in enumerate(range(i0, i1)):
-                # Psi_0 and the latest lags, which may read the block's levels
+                # the latest lags, which may read the block's levels, and
+                # Psi_0 from the last two of their own products
                 k = min(recent, i)
-                sur = min(k, n_sur)
-                if sur >= 2:
-                    # Psi_0's lags are the last two surrogate products
-                    terms = hist[:, i - sur:i] * diag_a[:, n_diag - sur:]
-                    psi = terms[:, -2:] / omega_psi   # Psi_2, 2 Psi_1
-                    total = np.subtract(psi[:, 1], psi[:, 0])
-                    np.maximum(total, 0.0, out=total)
-                    total *= w_lo0
-                    total += terms.sum(axis=1)
+                sur, own = min(k, n_sur), min(k, n_own)
+                terms = np.empty((own, n_amp, n_x))   # lags own..1
+                np.multiply(hist[:, i - sur:i].swapaxes(0, 1),
+                            diag_a[:, n_diag - sur:].swapaxes(0, 1), out=terms[own - sur:])
+                for d in range(sur + 1, own + 1):
+                    np.matmul(hist[:, i - d], own_dense[d], out=terms[own - d])
+                if i == 1:
+                    total = terms[0] / omega_a[:, :1]   # Psi_1
                 else:
-                    if i == 1:
-                        total = psi1(hist[:, 0])
-                    else:
-                        total = psi1x2(hist[:, i - 1])
-                        total -= psi2(hist[:, i - 2])
-                        np.maximum(total, 0.0, out=total)
-                    total *= w_lo0
-                    if sur:
-                        total += hist[:, i - 1] * diag_a[:, n_diag - 1]
-                if k > n_diag:
-                    total += (hist[:, i - k:i - n_diag].reshape(n_amp, -1)
-                              @ dense[:, (n_near - k) * n_x:(n_near - n_diag) * n_x].T)
+                    psi = terms[-2:] / omega_psi   # Psi_2, 2 Psi_1
+                    total = np.subtract(psi[1], psi[0])
+                    np.maximum(total, 0.0, out=total)
+                total *= w_lo0
+                total += terms.sum(axis=0)
+                if k > own:
+                    total += (hist[:, i - k:i - own].reshape(n_amp, -1)
+                              @ dense[:, (n_near - k) * n_x:(n_near - own) * n_x].T)
                 level = hist[:, i]
                 np.multiply(total, a, out=level)
                 level += pending[:, b]
@@ -784,10 +767,11 @@ def second_moments(cfgs, error_estimate=True) -> list[MomentField]:
     Configs that differ only in lam and k_sigma share a grid and are solved
     by one march. The error estimate is the log-domain self-difference
     against a solve with half the time panels, interpolated back to the fine
-    grid; the halved grids are grouped the same way.
+    grid; the halved grids are grouped the same way, and only it needs an
+    even n_time_panels.
     """
     cfgs = list(cfgs)
-    if any(cfg.n_time_panels % 2 != 0 for cfg in cfgs):
+    if error_estimate and any(cfg.n_time_panels % 2 != 0 for cfg in cfgs):
         raise OracleDomainError("n_time_panels must be even for grid halving")
     d1_coefs = {}
     for cfg in cfgs:

@@ -39,6 +39,10 @@ RUNS = [
     # the Neumann all-surrogate channels (lambda >= 16)
     ("excitation_neumann", "excitation", "oracle_excitation.cfg",
      ["--override", "equation.boundary=neumann"]),
+    # short all-surrogate grids (400 panels and their halved 200), on
+    # fitted channels past lag 32 like the longer ones
+    ("excitation_short", "excitation", "oracle_excitation.cfg",
+     ["--override", "oracle.n_time_panels=400"]),
     # the Monte Carlo half of excitation, which no run above reaches
     ("excitation_mc", "excitation", "experiment.cfg",
      ["--override", "analysis.mc_samples=64"]),

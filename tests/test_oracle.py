@@ -85,6 +85,15 @@ class TestVolterraSolve:
         mf = O.second_moments([cfg], error_estimate=False)[0]
         assert np.all(mf.log_m[1:] > -np.inf)
 
+    def test_odd_grid_solves_without_error_estimate(self):
+        # only the grid-halving solve needs an even panel count
+        cfg = O.OracleConfig(lam=2.0, u0=InitialData.bump(0.2), horizon=0.25,
+                             n_time_panels=101, n_x=15)
+        (mf,) = O.second_moments([cfg], error_estimate=False)
+        assert_log_close(mf.log_m, reference_log_m(cfg))
+        with pytest.raises(O.OracleDomainError, match="even"):
+            O.second_moments([cfg])
+
     def test_nonmonotone_grid_rejected(self):
         with pytest.raises(O.OracleDomainError):
             O.OracleConfig(lam=1.0, horizon=-0.5)
@@ -169,23 +178,37 @@ class TestBatchedMarch:
     LAMS = (0.0, 0.5, 2.0, 8.0)
 
     @staticmethod
-    def small(lam, boundary=kern.DIRICHLET, **kw):
+    def small(lam, boundary=kern.DIRICHLET, horizon=0.02, **kw):
         # dt = 1/6000: the first 53 of 120 lags are diagonal surrogates
-        return O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=0.02,
+        return O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=horizon,
                               boundary=boundary, n_time_panels=120, n_x=15, **kw)
+
+    @staticmethod
+    def split_rescale_grids(monkeypatch):
+        """Split the 200-panel, 15-cell grids of the rescale tests at lag 17
+        (Dirichlet) or 16 (Neumann), with the far field's mode count."""
+        def split(grid, n_diag, n_amp):
+            n_near = 17 if grid.boundary == kern.DIRICHLET else 16
+            dt = grid.horizon / grid.n_time_panels
+            return n_near, int(O._far_modes(grid, (n_near + 1) * dt))
+        monkeypatch.setattr(O, "_split", split)
 
     @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
     def test_matches_reference_march(self, boundary):
-        cfgs = [self.small(lam, boundary) for lam in self.LAMS]
-        fields = O.second_moments(cfgs, error_estimate=False)
-        assert 0 < fields[0].march["n_diag"] < 120
-        for cfg, mf in zip(cfgs, fields):
-            assert_log_close(mf.log_m, reference_log_m(cfg))
+        # at horizon 0.6 (dt = 0.005) only lag 1 is a surrogate, so Psi_0
+        # reads a surrogate lag 1 and a dense lag 2
+        for horizon, n_diag in ((0.02, 53), (0.6, 1)):
+            cfgs = [self.small(lam, boundary, horizon) for lam in self.LAMS]
+            fields = O.second_moments(cfgs, error_estimate=False)
+            assert fields[0].march["n_diag"] == n_diag
+            for cfg, mf in zip(cfgs, fields):
+                assert_log_close(mf.log_m, reference_log_m(cfg))
 
-    def test_rescaled_history_matches_reference(self):
+    def test_rescaled_history_matches_reference(self, monkeypatch):
         # log m climbs past 700: the history and the far-field channels are
         # rescaled at e^300 more than once, and the early rows must stay
         # finite in the output
+        self.split_rescale_grids(monkeypatch)
         for boundary in (kern.DIRICHLET, kern.NEUMANN):
             cfg = O.OracleConfig(lam=16.0, u0=InitialData.bump(0.2), horizon=4.0,
                                  boundary=boundary, n_time_panels=200, n_x=15)
@@ -195,9 +218,10 @@ class TestBatchedMarch:
             assert_log_close(mf.log_m, reference_log_m(cfg))
 
     @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
-    def test_amplitudes_rescaled_apart_match_reference(self, boundary):
+    def test_amplitudes_rescaled_apart_match_reference(self, monkeypatch, boundary):
         # one march of two amplitudes: lambda = 16's reference moves at
         # e^300 several times while lambda = 1's stays put
+        self.split_rescale_grids(monkeypatch)
         cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=4.0,
                                boundary=boundary, n_time_panels=200, n_x=15)
                 for lam in (1.0, 16.0)]
@@ -340,8 +364,9 @@ class TestRenewalEngine:
     # test_cost_model_sides' small grid, which the engine marches directly
     # (L = n_t): blocks of the near field and no far field
     DIRECT = dict(horizon=0.5, n_time_panels=100, n_x=15)
-    # the acceptance grids of the split march, and the direct one; a grid
-    # without a horizon is solved on both boundaries
+    # the acceptance grids of the split march, the direct one and a short
+    # all-surrogate one; a grid without a horizon is solved on both
+    # boundaries
     GRIDS = [
         # criterion 4's grid, every lambda of its scan in one march
         (dict(horizon=4.0, n_time_panels=2000, n_x=31), (0.25, 0.5, 1, 2, 4, 8, 16)),
@@ -351,6 +376,8 @@ class TestRenewalEngine:
         # T = 30 / r_pred (no common horizon): fitted channels past lag 32
         (dict(n_time_panels=2500, n_x=31), (16.0, 32.0, 64.0)),
         (DIRECT, (0.25, 0.5, 1, 2, 4, 8, 16)),
+        # 200 all-surrogate panels: fitted channels past lag 32 too
+        (dict(n_time_panels=200, n_x=31), (16.0, 32.0, 64.0)),
     ]
 
     @staticmethod
