@@ -247,32 +247,21 @@ class Theorem31Calibration:
     r2_quadratic: float
 
 
-# Horizon fractions of theorem31_calibration's late-time rate fits.
-_T31_WINDOW = (0.5, 1.0)
+def theorem31_calibration(scan: ThresholdScan, k_lower, nu=0.5):
+    """Regress an oracle threshold scan's late-time envelope rates on the
+    quartic noise law.
 
-
-def theorem31_calibration(series, k_lower, nu=0.5):
-    """Fit late-time rates of log h and regress them on the quartic noise law.
-
-    series: list of (lam, t_grid, log_h) with one common t grid starting at
-    t = 0; each rate is fitted over the second half of the horizon. The
-    rate model is slope(lam) + 2 nu pi^2 = kappa2 * lam^4 K_L^4, fitted
-    through the origin; R^2 against the quadratic alternative lam^2 K_L^2
-    is reported for comparison.
+    The rate model is slope(lam) + 2 nu pi^2 = kappa2 * lam^4 K_L^4 over
+    the scan's lams and fits, fitted through the origin; R^2 against the
+    quadratic alternative lam^2 K_L^2 is reported for comparison.
     """
-    if len(series) < 4:
+    if len(scan.lams) < 4:
         raise AnalysisError("need at least 4 lambda values")
-    t0 = np.asarray(series[0][1], dtype=float)
-    for lam, t, _ in series[1:]:
-        if len(t) != len(t0) or not np.allclose(t, t0, rtol=0, atol=1e-12):
-            raise AnalysisError("series must share one common t grid")
-    lams = tuple(float(lam) for lam, _, _ in series)
-    fits = [lyapunov_exponent_series(t, log_h, window=fraction_window(t[-1], _T31_WINDOW))
-            for _, t, log_h in series]
-    y = np.array([f.slope for f in fits]) + 2.0 * nu * math.pi ** 2
+    slopes = tuple(f.slope for f in scan.fits)
+    y = np.array(slopes) + 2.0 * nu * math.pi ** 2
 
     def through_origin_r2(xpow):
-        xv = (np.array(lams) * k_lower) ** xpow
+        xv = (np.array(scan.lams) * k_lower) ** xpow
         coef = float(np.dot(xv, y) / np.dot(xv, xv))
         resid = y - coef * xv
         ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -283,8 +272,8 @@ def theorem31_calibration(series, k_lower, nu=0.5):
     if kappa2 <= 0:
         raise AnalysisError("fitted kappa2 is not positive")
     return Theorem31Calibration(
-        slopes=tuple(f.slope for f in fits),
-        slope_ses=tuple(f.slope_ci / 1.96 for f in fits), kappa2_hat=kappa2,
+        slopes=slopes, slope_ses=tuple(f.slope_ci / 1.96 for f in scan.fits),
+        kappa2_hat=kappa2,
         r2_quartic=r2_quartic, r2_quadratic=r2_quadratic)
 
 

@@ -22,18 +22,21 @@ from . import __version__
 from .analysis import lemma_domain
 from .kernel import KernelSpec, LowerBoundSpec
 from .noise import GridSpec
-from .solver import InitialData, SigmaSpec, SimulationConfig, ConfigError
+from .solver import InitialData, SigmaSpec, SimulationConfig, ConfigError, project_initial
 from .oracle import OracleConfig, interior_margin
 from .regularity import GrrParams
 from .stats import Functional
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.replace(",", " ").split())
-
-
 def _strings(text):
-    return tuple(v.strip() for v in text.replace(",", " ").split() if v.strip())
+    values = tuple(text.replace(",", " ").split())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _floats(text):
+    return tuple(float(v) for v in _strings(text))
 
 
 # (parser, default) for every key; None where the key has no default.
@@ -180,6 +183,7 @@ class ExperimentConfig:
                   "horizon": "grid.horizon"}, self.grid),
                 ("equation.sigma_*", self.sigma),
                 ("initial", self.initial_data),
+                ("initial.values", lambda: project_initial(self.initial_data(), self.grid())),
                 ({"lam": "equation.lambda", "k_sigma": "equation.sigma_*",
                   "nu": "equation.nu", "boundary": "equation.boundary",
                   "horizon": "grid.horizon", "n_time_panels": "oracle.n_time_panels",

@@ -52,12 +52,12 @@ direct march, which it keeps where no far lag pays.
 Growth at large lambda exceeds float range (the rate scales like
 (lambda k)^4 / (8 nu)). The march keeps its history and far-field channels
 as values / exp(ref) with one log reference per amplitude, rescaled in
-place when the newest level leaves e^{+-300}. It records a reference only
-when a rescale moves it, and rebuilds each row's offset from those events
-once it ends. Every history term is positive, which makes the rescaled
-sums exact up to genuinely negligible underflow. A downward
-rescale sets what it pushes below the normal float range to 0, so no
-subnormal slows the history product.
+place when the newest level leaves e^{+-300}. It writes log m =
+log(level) + ref of each level from the reference that level was marched
+on, once per block and before a rescale moves a reference. Every history
+term is positive, which makes the rescaled sums exact up to genuinely
+negligible underflow. A downward rescale sets what it pushes below the
+normal float range to 0, so no subnormal slows the history product.
 
 The module also derives the envelope h(t) = inf_x m(t,x) over the interior
 margin, its compensated form H(t) = exp(2 nu pi^2 t) h(t), the L^2 energy
@@ -486,13 +486,11 @@ def _solve_grid(grids, amps, d1_coef):
 
     The history and the channels hold values / exp(ref), one log reference
     per amplitude; a rescale divides an amplitude's history, channels and
-    pending block terms alike. log_m keeps each step's level, copied once
-    per block and before any rescale, a rescale records the amplitude, the
-    first step on its new reference and that reference, and
-    log m = log(level) + ref is taken once the march ends,
-    with each row's ref rebuilt from those events. The march record's
-    march_s is the wall time of the step loop, shared by every grid of the
-    march.
+    pending block terms alike. log m = log(level) + ref is written from the
+    live references at each block's end (the first block also writes level
+    0) and, before a rescale, for every level not yet written. The march
+    record's march_s is the wall time of the step loop, these log writes
+    included, shared by every grid of the march.
     """
     grid = grids[0]
     n_t, n_x = grid.n_time_panels, grid.n_x
@@ -592,6 +590,7 @@ def _solve_grid(grids, amps, d1_coef):
         # the m_0 term weighs w_hi[i-1] only: w_lo[i] comes off
         m0_coef = -w_lo[0] * np.sqrt(np.arange(n_t + 1) * dt) / dt
         state = np.zeros((len(w) + 1, n_amp, len(rate)))
+        state[-1] = np.tile(m0 / peak0, (n_amp, 1)) @ pair   # the m_0 sequence
         amp_state = list(state.swapaxes(0, 1))
 
         def advance(i0, i1):
@@ -618,11 +617,8 @@ def _solve_grid(grids, amps, d1_coef):
     buf = np.zeros((n_amp, pad + n_t + 1, n_x))
     hist = buf[:, pad:]
     log_m = np.empty_like(hist)
-    hist[:, 0] = log_m[:, 0] = m0 / peak0
-    if n_diag <= n_near < n_t:
-        state[-1] = hist[:, 0] @ pair   # the m_0 sequence from step n_near + 1
-    ref = np.full((n_amp, 1), math.log(peak0))
-    moves = []   # (amplitude, first step on the new reference, that reference)
+    hist[:, 0] = m0 / peak0
+    ref = np.full((n_amp, 1, 1), math.log(peak0))
 
     def window(first, nb, lags, flat=False):
         """(n_amp, nb, lags, n_x) view of the history, or (n_amp, nb,
@@ -672,8 +668,8 @@ def _solve_grid(grids, amps, d1_coef):
             if i0 <= n_exact:
                 pending -= m0_terms(i0, i1)
             pending *= a[:, None]
-            pending += np.exp(log_d1sq[gi, i0:i1] - ref[:, None])
-            flushed = i0   # the first level that log_m lacks
+            pending += np.exp(log_d1sq[gi, i0:i1] - ref)
+            flushed = i0 if i0 > 1 else 0   # the first level that log_m lacks
             for b, i in enumerate(range(i0, i1)):
                 # the latest lags, which may read the block's levels, and
                 # Psi_0 from the last two of their own products
@@ -703,21 +699,15 @@ def _solve_grid(grids, amps, d1_coef):
                         continue
                     log_peak = np.log(peak)
                     if abs(log_peak) > _RESCALE_LOG:
-                        log_m[:, flushed:i + 1] = hist[:, flushed:i + 1]
+                        log_m[:, flushed:i + 1] = np.log(hist[:, flushed:i + 1]) + ref
                         flushed = i + 1
                         _rescale(hist[j, :i + 1], log_peak)
                         _rescale(pending[j, b + 1:], log_peak)
                         if amp_state:
                             _rescale(amp_state[j], log_peak)
                         ref[j] += log_peak
-                        moves.append((j, i + 1, float(ref[j, 0])))
-            log_m[:, flushed:i1] = hist[:, flushed:i1]
+            log_m[:, flushed:i1] = np.log(hist[:, flushed:i1]) + ref
         march_s = time.perf_counter() - start
-        np.log(log_m, out=log_m)
-    refs = np.full((n_amp, n_t + 1, 1), math.log(peak0))
-    for j, first_step, value in moves:
-        refs[j, first_step:] = value
-    log_m += refs
     return ([[log_d1sq[k].copy() if amp == 0.0 else log_m[first[k] + live[k].index(amp)]
               for amp in a] for k, a in enumerate(amps)],
             [dict(n_diag=n_diag, n_near=n_near, n_modes=n_modes, fit_residual=float(r),

@@ -14,6 +14,7 @@ Exit status: 0 if every run exited alike in both trees and every pair of
 directories is identical, 1 otherwise.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +54,11 @@ RUNS = [
     # the Neumann factor, and 130-step noise chunks on 63 nodes
     ("moments_neumann", "moments", "mc_moments.cfg",
      ["--override", "equation.boundary=neumann", "--override", "grid.n_interior=63"]),
+    # a node table as the initial profile: sin(pi x) at the 127 interior nodes
+    ("moments_table", "moments", "mc_moments.cfg",
+     ["--override", "ensemble.n_samples=64", "--override", "initial.kind=table",
+      "--override", "initial.values="
+      + ",".join(repr(math.sin(math.pi * j / 128)) for j in range(1, 128))]),
     # path.csv's renormalized rows, and u = +-inf past float range
     ("simulate_renormalized", "simulate", "experiment.cfg",
      ["--override", "equation.lambda=40"]),

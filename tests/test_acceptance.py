@@ -7,6 +7,7 @@ detail records the measured shortfall (see the test report for numbers).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,18 +197,13 @@ def test_criterion_6_excitation_index():
 def test_criterion_7_theorem31_calibration():
     lams = [4.0, 4 * math.sqrt(2), 8.0, 8 * math.sqrt(2)]
     horizon, n_t = 0.16, 2200
-
-    # all eight envelopes share one grid, so they are one oracle march
-    cells = [(lam, 1.0) for lam in lams] + [(lam / 2, 2.0) for lam in lams]
-    fields = O.second_moments(
-        [O.OracleConfig(lam=lam, k_sigma=k_sigma, u0=S.InitialData.bump(0.2),
-                        horizon=horizon, n_time_panels=n_t, n_x=25)
-         for lam, k_sigma in cells], error_estimate=False)
-    envs = [O.lower_bound_envelope(mf, 0.2) for mf in fields]
-    series = [(lam, env.t, env.log_h) for (lam, _), env in zip(cells, envs)]
-    cal = A.theorem31_calibration(series[:len(lams)], k_lower=1.0, nu=NU)
+    base = O.OracleConfig(lam=0.0, u0=S.InitialData.bump(0.2), horizon=horizon,
+                          n_time_panels=n_t, n_x=25)
+    cal = A.theorem31_calibration(A.oracle_threshold_scan(base, lams), k_lower=1.0, nu=NU)
     # K_L coupling: doubling k at half lambda reproduces the same rates
-    cal_k2 = A.theorem31_calibration(series[len(lams):], k_lower=2.0, nu=NU)
+    cal_k2 = A.theorem31_calibration(
+        A.oracle_threshold_scan(replace(base, k_sigma=2.0), [lam / 2 for lam in lams]),
+        k_lower=2.0, nu=NU)
     coupling = [abs(a - b) <= 1.96 * (sa + sb) + 1e-9 * abs(a)
                 for a, b, sa, sb in zip(cal.slopes, cal_k2.slopes,
                                         cal.slope_ses, cal_k2.slope_ses)]

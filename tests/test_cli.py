@@ -700,9 +700,29 @@ class TestExitCodes:
         ("grr-check", "grr.delta=-1"),
         ("moments", "observation.p_values=1"),
         # grr-check's own rule: 64 sample nodes
-        ("grr-check", "grid.n_interior=31")])
+        ("grr-check", "grid.n_interior=31"),
+        # an empty list
+        ("thresholds", "analysis.lambda_grid="),
+        ("moments", "observation.times="),
+        ("moments", "observation.p_values="),
+        ("moments", "observation.functionals="),
+        ("moments", "equation.lambda_grid=")])
     def test_bad_value_names_its_key_before_compute(self, tmp_path, capsys, monkeypatch,
                                                     command, override):
+        self.assert_names_key_before_compute(tmp_path, capsys, monkeypatch, command,
+                                             [override])
+
+    @pytest.mark.parametrize("command", ["kernel", "all"])
+    def test_table_of_wrong_length_names_its_key_before_compute(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        # BASE has 31 interior nodes
+        self.assert_names_key_before_compute(tmp_path, capsys, monkeypatch, command,
+                                             ["initial.kind=table", "initial.values=0,1,0"])
+
+    @staticmethod
+    def assert_names_key_before_compute(tmp_path, capsys, monkeypatch, command, overrides):
+        """The command exits 1 with a config error that names the key of the
+        last override and no other, before any compute."""
         computed = []
         monkeypatch.setattr(ora, "second_moments", lambda *args: computed.append(args))
         monkeypatch.setattr(kern, "calibrate_lower_bound",
@@ -710,13 +730,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_ensemble_table", lambda *args: computed.append(args))
         monkeypatch.setattr(ana, "integral_bound_value", lambda *args: computed.append(args))
         cfg = write_cfg(tmp_path)
-        assert cli.main([command, "--config", cfg, "--override", override]) == 1
+        args = [command, "--config", cfg]
+        for override in overrides:
+            args += ["--override", override]
+        assert cli.main(args) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config_error"
         # the message names that key and no other
         sections = "|".join(ExperimentConfig.defaults().raw)
         named = re.findall(rf"\b(?:{sections})\.\w+", err["message"])
-        assert set(named) == {override.split("=")[0]}
+        assert set(named) == {overrides[-1].split("=")[0]}
         assert computed == []
 
     @pytest.mark.parametrize("override", ["ensemble.n_samples=0", "ensemble.n_samples=1",

@@ -232,6 +232,19 @@ class TestBatchedMarch:
             assert_log_close(mf.log_m, reference_log_m(cfg))
 
     @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
+    def test_amplitudes_rescaled_at_one_step_match_reference(self, boundary):
+        # both references first move at the same step: the second
+        # amplitude's rescale finds every level up to it already written
+        cfgs = [O.OracleConfig(lam=lam, u0=InitialData.bump(0.2), horizon=4.0,
+                               boundary=boundary, n_time_panels=400, n_x=15)
+                for lam in (16.0, 16.0001)]
+        fields = O.second_moments(cfgs, error_estimate=False)
+        first = {int(np.argmax(mf.log_m.max(axis=1) > O._RESCALE_LOG)) for mf in fields}
+        assert len(first) == 1 and first != {0}
+        for cfg, mf in zip(cfgs, fields):
+            assert_log_close(mf.log_m, reference_log_m(cfg))
+
+    @pytest.mark.parametrize("boundary", [kern.DIRICHLET, kern.NEUMANN])
     def test_lag_kernels_match_per_lag_calls(self, boundary):
         # 200 lags of dt = 2e-5 on 63 cells: past 24 surrogates, 176 dense
         # lags in three chunks that cross the series/image switch
@@ -531,12 +544,12 @@ class TestTheorem31Calibration:
 
     def test_quartic_law_preferred(self):
         lams = [4.0, 4 * 2 ** 0.5, 8.0, 8 * 2 ** 0.5]
-        horizon, n_t = 0.16, 2200
-        series = []
-        for lam in lams:
-            t, log_h = _envelope_series(lam, 1.0, horizon, n_t)
-            series.append((lam, t, log_h))
-        cal = A.theorem31_calibration(series, k_lower=1.0, nu=0.5)
+        base = O.OracleConfig(lam=0.0, u0=InitialData.bump(0.2), horizon=0.16,
+                              n_time_panels=2200, n_x=25)
+        scan = A.oracle_threshold_scan(base, lams)
+        cal = A.theorem31_calibration(scan, k_lower=1.0, nu=0.5)
+        # the calibration regresses the scan's own envelope fits
+        assert cal.slopes == tuple(f.slope for f in scan.fits)
         assert cal.kappa2_hat > 0
         assert cal.r2_quartic > cal.r2_quadratic
         assert cal.r2_quartic > 0.999
@@ -549,17 +562,11 @@ class TestTheorem31Calibration:
         assert np.allclose(h1, h2, rtol=0, atol=1e-12)
 
     def test_needs_four_lambdas(self):
-        t, log_h = _envelope_series(1.0, 1.0, 0.1, 50)
+        base = O.OracleConfig(lam=0.0, u0=InitialData.bump(0.2), horizon=0.1,
+                              n_time_panels=50, n_x=25)
+        scan = A.oracle_threshold_scan(base, [1.0, 2.0, 3.0])
         with pytest.raises(A.AnalysisError):
-            A.theorem31_calibration([(1.0, t, log_h)] * 3, k_lower=1.0)
-
-    def test_common_grid_enforced(self):
-        t1, h1 = _envelope_series(1.0, 1.0, 0.1, 50)
-        t2, h2 = _envelope_series(2.0, 1.0, 0.1, 60)
-        with pytest.raises(A.AnalysisError):
-            A.theorem31_calibration(
-                [(1.0, t1, h1), (2.0, t2, h2), (3.0, t1, h1), (4.0, t1, h1)],
-                k_lower=1.0)
+            A.theorem31_calibration(scan, k_lower=1.0)
 
 
 class TestEnergy:
