@@ -502,7 +502,7 @@ def verify_threshold_beta(spec: kern.KernelSpec, alpha, margins) -> IntegralBoun
         # t_max > 1, so each x's head is its integral over [0, 1]
         parts = [_integral_parts(spec, alpha, beta, x, t_max) for x in LEMMA_X]
         i_true = max(head + tail for head, tail in parts)
-        tail_true = i_true - max(head for head, _ in parts)
+        tail_true = max(tail for _, tail in parts)
         major = _longtime_majorant(spec, alpha, beta, t_max)
         if not math.isfinite(i_true):
             raise AnalysisError("Dirichlet integral not finite below threshold")

@@ -242,9 +242,7 @@ class Runner:
         spec = self.cfg.kernel_spec()
         gamma = self.cfg.get("kernel", "gamma")
         lb = kern.calibrate_lower_bound(spec, gamma)
-        dx_rep = kern.kernel_dx_bound_check(
-            spec, np.geomspace(1e-3, 1.0, 10),
-            np.linspace(0.05, 0.95, 11), np.linspace(0.05, 0.95, 11))
+        dx_rep = kern.kernel_dx_bound_check(spec)
         xs = np.linspace(gamma, 1 - gamma, 5)
         t, x, y = np.geomspace(1e-3, 4.0, 10)[:, None, None], xs[:, None], xs[None, :]
         n_terms, use_series, n_images = kern.truncation_plan(spec, t)

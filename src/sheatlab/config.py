@@ -213,6 +213,10 @@ class ExperimentConfig:
                 if isinstance(keys, dict):
                     keys = keys[str(exc).split()[0]]
                 raise ConfigError(f"{keys}: {exc}") from exc
+        # moments and lyapunov would count a step that two times round to twice
+        times = self.get("observation", "times")
+        if len({round(t / self.get("grid", "dt")) for t in times}) < len(times):
+            raise ConfigError(f"observation.times: {times} puts two times on one step")
         return self
 
     def get(self, section, key):

@@ -18,12 +18,13 @@ the Brownian transition density when nu = 1/2.
 All rate constants are derived from ``nu`` at runtime. The first Dirichlet
 eigenvalue is ``nu * pi**2`` and shows up as the long-time decay rate.
 
-``eval_kernel``, its two routes, ``log_eval_dirichlet`` and
-``kernel_lower_bound`` take many times in one call: t of shape
-(T, 1, ..., 1) broadcasts against x and y, and a batched row equals its
-scalar call bit for bit. One truncation rule, ``truncation_plan``, gives
+``eval_kernel``, its two routes, ``log_eval_dirichlet``, ``kernel_dx`` (the
+x-derivative) and ``kernel_lower_bound`` take many times in one call: t of
+shape (T, 1, ..., 1) broadcasts against x and y, and a batched row equals
+its scalar call bit for bit. One truncation rule, ``truncation_plan``, gives
 each time its own route and term or image count; there is no single switch
-time between the routes.
+time between the routes. The derivative check's grid is ``DX_BOUND_T_GRID``
+by ``DX_BOUND_XY`` squared.
 """
 
 import math
@@ -131,16 +132,26 @@ def _series_tail(nu, t, n):
         return lead / (1.0 - q)
 
 
-def _series_terms(nu, t, tol, cap=100000):
+def _dx_series_tail(nu, t, n):
+    """Upper bound on 2 pi sum_{k>n} k exp(-nu k^2 pi^2 t), as _series_tail."""
+    a = nu * PI2 * t
+    q = np.exp(-2.0 * a * (n + 1))
+    lead = 2.0 * math.pi * np.exp(-a * (n + 1) ** 2)
+    with np.errstate(divide="ignore"):  # as in _series_tail
+        return lead * ((n + 1) / (1.0 - q) + q / (1.0 - q) ** 2)
+
+
+def _series_terms(nu, t, tol, cap=100000, tail=_series_tail):
     """Per time, the smallest n <= cap whose series tail is <= tol (else
-    cap + 1), and whether it was reached; arrays shaped like t."""
+    cap + 1), and whether it was reached; arrays shaped like t. tail is
+    _series_tail or a larger bound (_dx_series_tail)."""
     t = np.asarray(t, dtype=float)
-    # the tail exceeds 2 exp(-a (n+1)^2), so no n + 1 below sqrt(log(2/tol)/a)
+    # each tail exceeds 2 exp(-a (n+1)^2), so no n + 1 below sqrt(log(2/tol)/a)
     # passes; starting just under that skips the count loop's long climb
     start = np.floor(np.sqrt(math.log(max(2.0 / tol, 1.0)) / (nu * PI2 * t))) - 2
     n = np.clip(start, 1, cap + 1).astype(int)
     while True:
-        more = (n <= cap) & (_series_tail(nu, t, n) > tol)
+        more = (n <= cap) & (tail(nu, t, n) > tol)
         if not np.any(more):
             return n, n <= cap
         n = n + more
@@ -223,14 +234,39 @@ def _check_positions(boundary, x, y):
             raise KernelDomainError("x, y must lie in [0, 1]")
 
 
-def eval_kernel_series(spec: KernelSpec, t, x, y, n_terms=None):
-    """Eigenfunction-series evaluation with n_terms modes (certified per time
-    if None); t, x, y as in eval_kernel, n_terms one count or one per time.
+def _mode_sum(t, n_terms, rates, modes):
+    """sum_k exp(-rates_k t) modes[k] over each time's first n_terms modes,
+    shaped like t and one mode broadcast; t as in eval_kernel, n_terms one
+    count or one per time, modes stacked along a leading axis.
 
     Each point sums its modes by one contiguous dot product over exactly
     its time's term count, whatever the batch, so a batched value equals its
     scalar call bit for bit (zero-padded counts or a BLAS product would not).
     """
+    shape = modes.shape[1:]
+    modes = np.ascontiguousarray(modes.reshape(len(modes), math.prod(shape)).T)
+    n_terms = np.broadcast_to(n_terms, t.shape)
+    vals = np.empty((t.size, modes.shape[0]))
+    for n in np.unique(n_terms):
+        rows = (n_terms == n).ravel()
+        decay = np.exp(-rates[:n] * t.ravel()[rows, None])
+        vals[rows] = np.einsum("tk,pk->tp", decay, modes[:, :n])
+    return vals.reshape(np.broadcast_shapes(t.shape, shape))
+
+
+def _image_sum(m, term, shape):
+    """sum of term(n) over the reflections |n| <= m, m one count or one per
+    time, in the order n = -max(m), ..., max(m), into zeros of shape."""
+    total = np.zeros(shape)
+    m_max = int(np.max(m, initial=0))
+    for n in range(-m_max, m_max + 1):
+        total += np.where(abs(n) <= m, term(n), 0.0)
+    return total
+
+
+def eval_kernel_series(spec: KernelSpec, t, x, y, n_terms=None):
+    """Eigenfunction-series evaluation with n_terms modes (certified per time
+    if None); t, x, y as in eval_kernel, n_terms one count or one per time."""
     t = _times(t, x, y)
     if spec.boundary == FREE:
         return free_kernel(spec.nu, t, x, y)
@@ -243,23 +279,13 @@ def eval_kernel_series(spec: KernelSpec, t, x, y, n_terms=None):
                 f"series cannot reach tol={spec.tol:g} at t={t_bad:g}",
                 achieved=float(_series_tail(spec.nu, t_bad, np.max(n_terms))),
             )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    n_terms = np.broadcast_to(n_terms, t.shape)
-    k = np.arange(1, int(np.max(n_terms, initial=0)) + 1)
+    kpi = math.pi * np.arange(1, np.max(n_terms, initial=0) + 1).reshape(
+        -1, *(1,) * np.broadcast(x, y).ndim)
     trig = np.sin if spec.boundary == DIRICHLET else np.cos
-    kpi = (k * math.pi).reshape(-1, *(1,) * len(shape))
-    modes = np.ascontiguousarray(
-        (trig(kpi * x) * trig(kpi * y)).reshape(len(k), math.prod(shape)).T)
-    vals = np.empty((t.size, modes.shape[0]))
-    for n in np.unique(n_terms):
-        rows = (n_terms == n).ravel()
-        decay = np.exp(-spec.nu * (k[:n] * math.pi) ** 2 * t.ravel()[rows, None])
-        vals[rows] = 2.0 * np.einsum("tk,pk->tp", decay, modes[:, :n])
+    out = _mode_sum(t, n_terms, spec.nu * kpi.ravel() ** 2, trig(kpi * x) * trig(kpi * y))
+    out *= 2.0
     if spec.boundary == NEUMANN:
-        vals += 1.0
-    out = vals.reshape(np.broadcast_shapes(t.shape, shape))
+        out += 1.0
     return out if out.shape else float(out)
 
 
@@ -274,14 +300,11 @@ def eval_kernel_images(spec: KernelSpec, t, x, y, n_images=None):
     if n_images is None:
         n_images = _image_terms(spec.nu, t, spec.tol, IMAGE_CAP)
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    n_images = np.broadcast_to(n_images, t.shape)
-    total = np.zeros(np.broadcast_shapes(t.shape, xb.shape))
     sign = -1.0 if spec.boundary == DIRICHLET else 1.0
-    m_max = int(np.max(n_images, initial=0))
-    for n in range(-m_max, m_max + 1):
-        term = free_kernel(spec.nu, t, xb, yb + 2.0 * n)
-        term += sign * free_kernel(spec.nu, t, xb, -yb + 2.0 * n)
-        total += np.where(abs(n) <= n_images, term, 0.0)
+    total = _image_sum(np.broadcast_to(n_images, t.shape), lambda n: (
+        free_kernel(spec.nu, t, xb, yb + 2.0 * n)
+        + sign * free_kernel(spec.nu, t, xb, -yb + 2.0 * n)),
+        np.broadcast_shapes(t.shape, xb.shape))
     return total if total.shape else float(total)
 
 
@@ -341,28 +364,24 @@ def log_eval_dirichlet(spec: KernelSpec, t, x, y):
 
 
 def _log_dirichlet_images(spec, t, xb, yb):
+    # the direct n = 0 image is factored out as lead
     m = _image_terms(spec.nu, t, spec.tol, IMAGE_CAP)
     c = 1.0 / (4.0 * spec.nu * t)
     lead = -c * (xb - yb) ** 2
-    rest = np.zeros(lead.shape)
-    m_max = int(np.max(m))
-    for n in range(-m_max, m_max + 1):
-        kept = abs(n) <= m
-        if n != 0:
-            rest += np.where(kept, np.exp(-c * (xb - yb - 2.0 * n) ** 2 - lead), 0.0)
-        rest -= np.where(kept, np.exp(-c * (xb + yb - 2.0 * n) ** 2 - lead), 0.0)
+    rest = _image_sum(m, lambda n: (
+        (np.exp(-c * (xb - yb - 2.0 * n) ** 2 - lead) if n else 0.0)
+        - np.exp(-c * (xb + yb - 2.0 * n) ** 2 - lead)), lead.shape)
     return lead + np.log1p(rest) - 0.5 * np.log(4.0 * math.pi * spec.nu * t)
 
 
 def _log_dirichlet_series(spec, t, xb, yb):
+    # the first mode is factored out as lead; rest sums modes 2 to n_terms
     n_terms = np.maximum(_series_terms(spec.nu, t, spec.tol)[0], 2)
+    k = np.arange(2, int(np.max(n_terms)) + 1).reshape(-1, *(1,) * xb.ndim)
+    first = np.sin(math.pi * xb) * np.sin(math.pi * yb)
+    rest = _mode_sum(t, n_terms - 1, spec.nu * PI2 * (k.ravel() ** 2 - 1),
+                     np.sin(k * math.pi * xb) * np.sin(k * math.pi * yb) / first)
     lead = np.log(np.sin(math.pi * xb)) + np.log(np.sin(math.pi * yb))
-    rest = np.zeros(np.broadcast_shapes(t.shape, xb.shape))
-    for n in range(2, int(np.max(n_terms)) + 1):
-        rest += np.where(n <= n_terms,
-                         np.exp(-spec.nu * PI2 * (n ** 2 - 1) * t)
-                         * np.sin(n * math.pi * xb) * np.sin(n * math.pi * yb)
-                         / (np.sin(math.pi * xb) * np.sin(math.pi * yb)), 0.0)
     return math.log(2.0) - spec.rate1 * t + lead + np.log1p(rest)
 
 
@@ -429,11 +448,9 @@ def calibrate_lower_bound(spec: KernelSpec, gamma) -> LowerBoundSpec:
     t = LOWER_BOUND_T_GRID[:, None, None]
     log_g = log_eval_dirichlet(spec, t, X, Y)
     log_time = -spec.rate1 * t + np.where(t <= gamma ** 2, -0.5 * np.log(t), 0.0)
-    kappa1s = []
-    for k2 in kappa2_grid:
-        worst = float(np.min(log_g - (log_time - k2 * (X - Y) ** 2 / t)))
-        kappa1s.append(math.exp(worst) if worst < 700 else math.inf)
-    kappa1s = np.array(kappa1s)
+    k2 = kappa2_grid[:, None, None, None]
+    worst = np.min(log_g - (log_time - k2 * (X - Y) ** 2 / t), axis=(1, 2, 3))
+    kappa1s = np.array([math.exp(w) if w < 700 else math.inf for w in worst])
     best = float(np.max(kappa1s))
     if best <= 0:
         raise ToleranceError("calibration failed: nonpositive ratio on grid", achieved=best)
@@ -444,45 +461,33 @@ def calibrate_lower_bound(spec: KernelSpec, gamma) -> LowerBoundSpec:
     return LowerBoundSpec(gamma=gamma, kappa1=kappa1, kappa2=float(kappa2_grid[idx]))
 
 
-def _dx_series_tail(nu, t, n):
-    # tail of 2 pi sum_{k>n} k exp(-nu k^2 pi^2 t)
-    a = nu * PI2 * t
-    q = math.exp(-2.0 * a * (n + 1))
-    lead = 2.0 * math.pi * math.exp(-a * (n + 1) ** 2)
-    return lead * ((n + 1) / (1.0 - q) + q / (1.0 - q) ** 2)
-
-
 def kernel_dx(spec: KernelSpec, t, x, y):
-    """x-derivative of the Dirichlet kernel, term-wise with its own truncation."""
+    """x-derivative of the Dirichlet kernel, t, x, y as in eval_kernel: the
+    series wherever its own tail reaches spec.tol within SERIES_CAP terms,
+    else images, one more than the value kernel needs."""
     if spec.boundary != DIRICHLET:
         raise KernelDomainError("kernel_dx implements the Dirichlet derivative")
-    if not (t > 0):
-        raise KernelDomainError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n_series = 1
-    while _dx_series_tail(spec.nu, t, n_series) > spec.tol and n_series <= SERIES_CAP:
-        n_series += 1
-    if n_series <= SERIES_CAP:
-        xb, yb = np.broadcast_arrays(x, y)
-        n = np.arange(1, n_series + 1)
-        decay = np.exp(-spec.nu * (n * math.pi) ** 2 * t) * n * math.pi
-        npx = n[:, None] * math.pi * xb.ravel()[None, :]
-        npy = n[:, None] * math.pi * yb.ravel()[None, :]
-        vals = 2.0 * np.einsum("n,ni,ni->i", decay, np.cos(npx), np.sin(npy))
-        out = vals.reshape(xb.shape)
-        return out if out.shape else float(out)
-    # image route: d/dx phi(x-z) = -(x-z)/(2 nu t) phi(x-z)
-    m = _image_terms(spec.nu, t, spec.tol, IMAGE_CAP) + 1
-    xb, yb = np.broadcast_arrays(x, y)
-    total = np.zeros(xb.shape, dtype=float)
-    c = 1.0 / (2.0 * spec.nu * t)
-    for n in range(-m, m + 1):
-        z1 = xb - (yb + 2.0 * n)
-        z2 = xb - (-yb + 2.0 * n)
-        total += -c * z1 * free_kernel(spec.nu, t, xb, yb + 2.0 * n)
-        total -= -c * z2 * free_kernel(spec.nu, t, xb, -yb + 2.0 * n)
-    return total if total.shape else float(total)
+    t = _times(t, x, y)
+    _check_positions(spec.boundary, x, y)
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    n_terms, ok = _series_terms(spec.nu, t, spec.tol, cap=SERIES_CAP, tail=_dx_series_tail)
+
+    def series(r):
+        kpi = math.pi * np.arange(1, np.max(n_terms[r]) + 1).reshape(-1, *(1,) * xb.ndim)
+        return 2.0 * _mode_sum(t[r], n_terms[r], spec.nu * kpi.ravel() ** 2,
+                               kpi * np.cos(kpi * xb) * np.sin(kpi * yb))
+
+    def images(r):
+        # d/dx phi(x - z) = -(x - z)/(2 nu t) phi(x - z)
+        tr = t[r]
+        c = 1.0 / (2.0 * spec.nu * tr)
+        return _image_sum(_image_terms(spec.nu, tr, spec.tol, IMAGE_CAP) + 1, lambda n: (
+            -c * (xb - (yb + 2.0 * n)) * free_kernel(spec.nu, tr, xb, yb + 2.0 * n)
+            + c * (xb - (-yb + 2.0 * n)) * free_kernel(spec.nu, tr, xb, -yb + 2.0 * n)),
+            np.broadcast_shapes(tr.shape, xb.shape))
+
+    out = _by_route(ok, series, images)
+    return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -492,14 +497,17 @@ class DxBoundReport:
     finite: bool
 
 
-# The derivative check's K2 candidates in units of 1/(4 nu), and how far
-# above the smallest K1 the chosen K2's K1 may sit.
+# The derivative check's times and nodes per axis, its K2 candidates in units
+# of 1/(4 nu), and how far above the smallest K1 the chosen K2's K1 may sit.
+DX_BOUND_T_GRID = np.geomspace(1e-3, 1.0, 10)
+DX_BOUND_XY = np.linspace(0.05, 0.95, 11)
 _DX_K2_FACTORS = np.array([0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
 _DX_K1_HEADROOM = 2.0
 
 
-def kernel_dx_bound_check(spec: KernelSpec, t_grid, x_grid, y_grid) -> DxBoundReport:
-    """Fit |dx g_D| <= K1 t^{-1} exp(-K2 (x-y)^2 / t) on a grid.
+def kernel_dx_bound_check(spec: KernelSpec) -> DxBoundReport:
+    """Fit |dx g_D| <= K1 t^{-1} exp(-K2 (x-y)^2 / t) on DX_BOUND_T_GRID and
+    the DX_BOUND_XY-squared grid.
 
     For fixed K2 the minimal K1 is the grid maximum of
     |dx g_D| * t * exp(K2 (x-y)^2 / t), nondecreasing in K2; the Gaussian
@@ -507,27 +515,16 @@ def kernel_dx_bound_check(spec: KernelSpec, t_grid, x_grid, y_grid) -> DxBoundRe
     largest candidate K2 whose K1 stays within twice the smallest K1 over
     all candidates; finite is False if some |dx g_D| or K1 is infinite.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    xs = np.asarray(x_grid, dtype=float)
-    ys = np.asarray(y_grid, dtype=float)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    t = DX_BOUND_T_GRID[:, None, None]
+    x, y = DX_BOUND_XY[:, None], DX_BOUND_XY[None, :]
     k2_grid = 1.0 / (4.0 * spec.nu) * _DX_K2_FACTORS
-
-    k1s = np.zeros_like(k2_grid)
-    for t in t_grid:
-        d = np.abs(kernel_dx(spec, float(t), X, Y))
-        for i, k2 in enumerate(k2_grid):
-            # exp(...) >= 1, so an infinite |dx g_D| makes this K1 infinite
-            ratio = d * t * np.exp(k2 * (X - Y) ** 2 / t)
-            k1s[i] = max(k1s[i], float(np.max(ratio)))
-    k1_min = float(np.min(k1s))
-    ok = k1s <= _DX_K1_HEADROOM * k1_min
-    idx = int(np.max(np.nonzero(ok)[0]))
-    return DxBoundReport(
-        k1=float(k1s[idx]),
-        k2=float(k2_grid[idx]),
-        finite=bool(np.all(np.isfinite(k1s))),
-    )
+    d = np.abs(kernel_dx(spec, t, x, y))
+    # exp(...) >= 1, so an infinite |dx g_D| makes its K1 infinite
+    k1s = np.max(d * t * np.exp(k2_grid[:, None, None, None] * (x - y) ** 2 / t),
+                 axis=(1, 2, 3))
+    idx = int(np.max(np.nonzero(k1s <= _DX_K1_HEADROOM * np.min(k1s))[0]))
+    return DxBoundReport(k1=float(k1s[idx]), k2=float(k2_grid[idx]),
+                         finite=bool(np.all(np.isfinite(k1s))))
 
 
 def gauss_legendre_panels(a, b, n_panels, nodes_per_panel=16):

@@ -29,6 +29,10 @@ RUNS = [
     ("all_w1", "all", "experiment.cfg", ["--workers", "1"]),
     ("all_w2", "all", "experiment.cfg", ["--workers", "2"]),
     ("thresholds", "thresholds", "oracle_thresholds.cfg", []),
+    # the series, log and derivative routes at term and image counts that
+    # the default nu and tol do not reach
+    ("kernel_nu1", "kernel", "experiment.cfg",
+     ["--override", "equation.nu=1", "--override", "kernel.tol=1e-13"]),
     ("excitation", "excitation", "oracle_excitation.cfg", []),
     # a Neumann split march of seven amplitudes: dense lags among each
     # step's own, and rescales inside blocks

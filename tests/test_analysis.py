@@ -1,5 +1,6 @@
 """Analysis tests: fit sanity, thresholds, integral-bound lemma checks."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -181,6 +182,16 @@ class TestIntegralBounds:
         monkeypatch.setattr(A, "_integral_parts", counting)
         A.verify_threshold_beta(SPEC, 0.5, [0.05, 0.0125, 0.003125])
         assert len(calls) == 3 * 3   # one [0, 1] head per margin and x
+
+    def test_threshold_checks_each_x_own_tail(self, monkeypatch):
+        # the largest total (1 + 5) and the largest head (3) belong to
+        # different x: their difference, 3, hides the tail 5 above the
+        # majorant 4
+        parts = itertools.cycle([(3.0, 1.0), (1.0, 5.0), (3.0, 1.0)])
+        monkeypatch.setattr(A, "_integral_parts", lambda *args: next(parts))
+        monkeypatch.setattr(A, "_longtime_majorant", lambda *args: 4.0)
+        with pytest.raises(A.AnalysisError, match="long-time majorant violated"):
+            A.verify_threshold_beta(SPEC, 0.5, [0.05, 0.0125])
 
     def test_negative_beta_reuses_refinement_integral(self, monkeypatch):
         calls = []

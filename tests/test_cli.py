@@ -694,6 +694,9 @@ class TestExitCodes:
         ("verify-bounds", "bounds.betas=0.5,-1"),
         ("verify-bounds", "bounds.margins=100"),
         ("oracle", "observation.times=0.1,5"),
+        # two times on one step of grid.dt = 1e-3
+        ("lyapunov", "observation.times=0.1,0.1,0.2"),
+        ("moments", "observation.times=0.1,0.1004,0.2"),
         ("kernel", "kernel.tol=-1"),
         ("grr-check", "grr.eps=5"),
         ("grr-check", "grr.p=0.5"),

@@ -142,11 +142,25 @@ class TestBatchedTimes:
                 want = route(SPEC, float(ti), x, x, int(c))
                 assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_derivative_matches_scalar_calls(self):
+        # both routes of the derivative's own truncation, 1e-4 and 0.7 included
+        times = np.concatenate([self.TIMES, [1e-4, 0.7]])
+        xs = np.linspace(0.0, 1.0, 7)
+        _, series = K._series_terms(SPEC.nu, times, SPEC.tol, cap=K.SERIES_CAP,
+                                    tail=K._dx_series_tail)
+        assert series.any() and not series.all()
+        got = K.kernel_dx(SPEC, times[:, None, None], xs[:, None], xs[None, :])
+        assert got.shape == (len(times), 7, 7)
+        for ti, block in zip(times, got):
+            assert np.array_equal(block, K.kernel_dx(SPEC, float(ti), xs[:, None], xs[None, :]))
+            assert np.array_equal(block.ravel(), [K.kernel_dx(SPEC, float(ti), x, y)
+                                                  for x in xs for y in xs])
+
     @pytest.mark.parametrize("route", [K.eval_kernel, K.eval_kernel_series,
-                                       K.eval_kernel_images,
+                                       K.eval_kernel_images, K.kernel_dx,
                                        lambda spec, t, x, y: K.truncation_plan(spec, t)],
                              ids=["eval_kernel", "eval_kernel_series", "eval_kernel_images",
-                                  "truncation_plan"])
+                                  "kernel_dx", "truncation_plan"])
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
     def test_nonpositive_time_anywhere_rejected(self, route, bad):
         t = np.array([0.5, bad, 1e-4])[:, None]
@@ -348,22 +362,21 @@ class TestDerivative:
         dv = K.kernel_dx(SPEC, t, x, y)
         assert dv == pytest.approx(fd, rel=1e-6)
 
+    def test_positions_outside_unit_interval_rejected(self):
+        for x, y in ((1.5, 0.5), (0.5, -0.1)):
+            with pytest.raises(K.KernelDomainError):
+                K.kernel_dx(SPEC, 0.1, x, y)
+
     def test_fitted_constants_positive(self):
-        rep = K.kernel_dx_bound_check(
-            SPEC,
-            np.geomspace(1e-3, 1.0, 8),
-            np.linspace(0.05, 0.95, 9),
-            np.linspace(0.05, 0.95, 9),
-        )
+        rep = K.kernel_dx_bound_check(SPEC)
         assert rep.finite
         assert rep.k1 > 0 and rep.k2 > 0
 
     def test_bound_holds_with_fitted_constants(self):
-        ts = np.geomspace(1e-3, 1.0, 8)
-        xs = np.linspace(0.05, 0.95, 9)
-        rep = K.kernel_dx_bound_check(SPEC, ts, xs, xs)
+        rep = K.kernel_dx_bound_check(SPEC)
+        xs = K.DX_BOUND_XY
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        for t in ts:
+        for t in K.DX_BOUND_T_GRID:
             d = np.abs(K.kernel_dx(SPEC, float(t), X, Y))
             bound = rep.k1 / t * np.exp(-rep.k2 * (X - Y) ** 2 / t)
             assert np.all(d <= bound * (1 + 1e-9))
